@@ -59,10 +59,10 @@ fmt-check:
 # BenchmarkApproxMillion and BenchmarkBracketMillion are the serving
 # tiers at the same scale: the (1+ε) tier under the default τ policy
 # and the sampled-connectivity bracket tier. The BenchmarkEngineStep*
-# rows are the compiled step-machine twins of the exchange workloads
-# (BenchmarkEngineMillionStep* at the million scale); benchjson's
-# default -match gates the step expander rows alongside the goroutine
-# ones.
+# rows run the exchange workloads as hand-written step programs
+# (BenchmarkEngineMillionStep* at the million scale), next to the same
+# workloads as blocking programs hosted on pooled coroutines; benchjson's
+# default -match gates the expander rows of both forms.
 # No pipe here: a panicking benchmark must fail the target, and `go
 # test | tee` would hide its exit status under sh (no pipefail).
 bench: bench-service

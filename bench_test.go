@@ -13,7 +13,8 @@ import (
 	"distmincut/internal/respect"
 )
 
-// One benchmark per experiment (E1–E9, see EXPERIMENTS.md). Each
+// One benchmark per experiment (E1–E9, listed in the internal/harness
+// package doc). Each
 // regenerates its table in quick mode; per-run CONGEST metrics are
 // reported through b.ReportMetric so `go test -bench` output carries
 // the reproduction's headline numbers, not just wall time.

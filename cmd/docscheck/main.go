@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate `make docs-check` runs in
-// CI. It enforces two invariants:
+// CI. It enforces three invariants:
 //
 //   - Markdown hygiene: every relative link in the given markdown files
 //     (and directories of them) must resolve to an existing file, and a
@@ -12,6 +12,11 @@
 //     covers its members). The serving surface (package distmincut and
 //     internal/service) is gated so the API reference in docs/ never
 //     drifts ahead of godoc.
+//
+//   - Markdown citations: every *.md name a Go comment anywhere in the
+//     module tree mentions must exist in the repository (matched by
+//     base name, so "README.md" and "docs/ARCHITECTURE.md" both
+//     resolve), so code never cites a document that is gone.
 //
 // Usage:
 //
@@ -72,6 +77,12 @@ func run() int {
 		}
 		problems = append(problems, ps...)
 	}
+	ps, err := checkMDCitations(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		return 2
+	}
+	problems = append(problems, ps...)
 
 	for _, p := range problems {
 		fmt.Println(p)
@@ -207,6 +218,57 @@ func slugify(heading string) string {
 		}
 	}
 	return b.String()
+}
+
+// mdNameRE matches a markdown file name cited in prose.
+var mdNameRE = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// checkMDCitations walks the tree under root and reports every *.md
+// name cited in a Go comment whose base name matches no markdown file
+// in the tree. Hidden directories and build output are skipped.
+func checkMDCitations(root string) ([]string, error) {
+	have := map[string]bool{}
+	var goFiles []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch filepath.Ext(path) {
+		case ".md":
+			have[d.Name()] = true
+		case ".go":
+			goFiles = append(goFiles, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	fset := token.NewFileSet()
+	for _, path := range goFiles {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range mdNameRE.FindAllString(c.Text, -1) {
+					if !have[filepath.Base(name)] {
+						problems = append(problems, fmt.Sprintf("%s:%d: comment cites %s, which does not exist",
+							path, fset.Position(c.Pos()).Line, name))
+					}
+				}
+			}
+		}
+	}
+	return problems, nil
 }
 
 // lintDocs parses one package directory and reports every exported

@@ -32,7 +32,6 @@ func run() int {
 	mode := flag.String("mode", "exact", "exact | approx | respect")
 	eps := flag.Float64("eps", 0.25, "approximation parameter (approx mode)")
 	seed := flag.Int64("seed", 1, "seed")
-	workers := flag.Int("workers", 0, "bound concurrently executing node programs (0 = unbounded)")
 	shards := flag.Int("shards", 0, "run message delivery on this many shards (0 = one per CPU, negative = serial)")
 	weights := flag.String("weights", "", "random edge weights lo,hi (e.g. 1,50)")
 	flag.Parse()
@@ -66,7 +65,7 @@ func run() int {
 	}
 	fmt.Printf("ground truth (Stoer–Wagner): λ = %d\n\n", sw)
 
-	opts := &distmincut.Options{Seed: *seed, Epsilon: *eps, Workers: *workers, DeliveryShards: *shards}
+	opts := &distmincut.Options{Seed: *seed, Epsilon: *eps, DeliveryShards: *shards}
 	var res *distmincut.Result
 	switch *mode {
 	case "exact":

@@ -5,8 +5,8 @@
 //
 // It computes minimum cuts of weighted graphs with a distributed
 // algorithm in the synchronous CONGEST model, simulated faithfully
-// (one goroutine per node, one O(log n)-bit message per edge per
-// round): the minimum cut λ exactly in Õ((√n + D)·poly(λ)) rounds, and
+// (each node runs its own program, one O(log n)-bit message per edge
+// per round): the minimum cut λ exactly in Õ((√n + D)·poly(λ)) rounds, and
 // a (1+ε)-approximation in Õ((√n + D)/poly(ε)) rounds via Karger
 // sampling — improving the (2+ε) of Ghaffari–Kuhn [DISC 2013] and
 // matching the Ω̃(√n + D) lower bound of Das Sarma et al. up to
@@ -83,10 +83,6 @@ type Options struct {
 	// deadline, so a context.WithDeadline context bounds the run even
 	// if this field is zero.
 	Deadline time.Time
-	// Workers bounds how many node programs the runtime executes
-	// concurrently (see congest.Options.Workers). Zero wakes every
-	// scheduled node at once. Results are identical either way.
-	Workers int
 	// DeliveryShards partitions the runtime's message-delivery phase
 	// over this many worker goroutines (see
 	// congest.Options.DeliveryShards). Zero picks the runtime default
@@ -180,7 +176,6 @@ func (o Options) engineOpts(ctx context.Context) congest.Options {
 		Seed:           o.Seed,
 		Unbounded:      o.Unbounded,
 		MaxRounds:      o.MaxRounds,
-		Workers:        o.Workers,
 		DeliveryShards: o.DeliveryShards,
 		Interrupt:      ctx.Done(),
 		Deadline:       deadline,

@@ -13,8 +13,8 @@ import (
 // GhaffariKuhnEmulated is the comparison point the paper improves on:
 // the (2+ε)-approximation of Ghaffari & Kuhn [DISC 2013]. Implementing
 // their full distributed machinery (random layering, distributed
-// Matula) is a paper-sized project orthogonal to this one, so — per
-// DESIGN.md §4 — the *answer* comes from the sequential Matula core
+// Matula) is a paper-sized project orthogonal to this one, so the
+// *answer* comes from the sequential Matula core
 // their algorithm distributes, and the *round bill* from their
 // published complexity Õ((√n + D)·poly(1/ε)), instantiated with unit
 // constants as (√n + D)·ln²n/ε. Both coordinates of the comparison
@@ -53,7 +53,7 @@ type SuResult struct {
 // The per-edge sampled weights reuse the shared deterministic
 // randomness of internal/sampling; per-tree cut detection is the
 // crossing-count aggregation — both Su's Thurimella-based procedure
-// and ours are Õ(√n + D) tree aggregations (DESIGN.md §4).
+// and ours are Õ(√n + D) tree aggregations.
 func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed int64, tauMax int, tagBase uint32) *SuResult {
 	if tauMax <= 0 {
 		tauMax = 16

@@ -9,7 +9,8 @@
 //     sequential core of Ghaffari–Kuhn's distributed algorithm
 //     [DISC 2013].
 //   - A Ghaffari–Kuhn emulation: Matula's answer priced with GK13's
-//     published round complexity (see DESIGN.md §4 on substitutions).
+//     published round complexity (GhaffariKuhnEmulated documents
+//     the substitution).
 //   - Su's concurrent algorithm [SPAA 2014]: tree packing plus edge
 //     sampling plus per-tree bridge detection, run distributedly.
 package baseline

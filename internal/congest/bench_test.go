@@ -63,13 +63,14 @@ func pingPongProgram(a, b graph.NodeID, hops int) func(*Node) {
 	}
 }
 
-// stepExchange is the compiled twin of exchangeProgram: identical
-// sends, identical receive predicate, identical park points, with the
-// per-node cursor in a state slab instead of a goroutine stack. The
+// stepExchange is the step form of exchangeProgram: identical sends,
+// identical receive predicate, identical park points, with the
+// per-node cursor in a state slab instead of a coroutine stack. The
 // benchmark pair (BenchmarkEngineExpanderExchange vs
-// BenchmarkEngineStepExpanderExchange) is the headline comparison of
-// the two execution paths on the same workload, and the differential
-// suite asserts their Stats are bit-identical.
+// BenchmarkEngineStepExpanderExchange) measures what hosting a
+// blocking program on a coroutine costs over a hand-written state
+// machine, and the differential suite asserts their Stats are
+// bit-identical.
 type stepExchange struct {
 	rounds int
 	match  MatchFunc // one shared predicate; same semantics as the per-node closures
@@ -196,12 +197,10 @@ func BenchmarkEngineCommunityExchange(b *testing.B) {
 	benchRun(b, benchGraphs.community, Options{DeliveryShards: -1}, exchangeProgram(8))
 }
 
-// BenchmarkEngineStep* run the same exchange workloads through the
-// compiled step path — no goroutines, no park/wake channels, one
-// direct call per activation. The Stats of each pair are bit-identical
-// (asserted by the differential determinism suite); only the execution
-// cost differs. StepExpanderExchange vs ExpanderExchange is the
-// headline msgs/s comparison.
+// BenchmarkEngineStep* run the same exchange workloads as hand-written
+// step programs — one direct call per activation, no coroutine switch.
+// The Stats of each pair are bit-identical (asserted by the
+// differential determinism suite); only the execution cost differs.
 
 func BenchmarkEngineStepPathExchange(b *testing.B) {
 	benchSetup()
@@ -218,9 +217,9 @@ func BenchmarkEngineStepCommunityExchange(b *testing.B) {
 	benchRun(b, benchGraphs.community, Options{DeliveryShards: -1}, newStepExchange(8))
 }
 
-// BenchmarkEngineStepExpanderShards adds shard-parallel stepping on top
-// of sharded delivery: activations and delivery both fan out over
-// GOMAXPROCS delivery-shard workers.
+// BenchmarkEngineStepExpanderShards adds sharded delivery: delivery and
+// matching fan out over GOMAXPROCS delivery shards, on top of the
+// activation fan-out every configuration gets.
 func BenchmarkEngineStepExpanderShards(b *testing.B) {
 	benchSetup()
 	benchRun(b, benchGraphs.expander, Options{DeliveryShards: runtime.GOMAXPROCS(0)}, newStepExchange(8))
@@ -234,14 +233,6 @@ func BenchmarkEngineExpanderSparse(b *testing.B) {
 	g := benchGraphs.expander
 	peer := g.Adj(0)[0].Peer
 	benchRun(b, g, Options{DeliveryShards: -1}, pingPongProgram(0, peer, 256))
-}
-
-// BenchmarkEngineExpanderWorkers runs the dense exchange in lane mode,
-// bounding concurrently runnable node programs by GOMAXPROCS.
-func BenchmarkEngineExpanderWorkers(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.expander,
-		Options{Workers: runtime.GOMAXPROCS(0), DeliveryShards: -1}, exchangeProgram(8))
 }
 
 // BenchmarkEngineExpanderShards runs the dense exchange with the
@@ -277,15 +268,15 @@ func millionSetup(b *testing.B) {
 // BenchmarkEngineMillionPathReuse is the engine-reuse headline: one
 // warm engine runs the sparse million-node ping-pong twice per
 // iteration, and the cold (first ever) and warm (second) setup times
-// are reported side by side. Before lazy activation and slab retention
-// the first run paid 7-25 s of goroutine stacks and page zeroing; the
-// warm run's setup is the dirty-region reset only. Runs first so the
+// are reported side by side. Before slab retention and pooled
+// activation the first run paid 7-25 s of goroutine stacks and page
+// zeroing; the warm run's setup is the dirty-region reset only. Runs first so the
 // slabs it releases seed the pools for the other million workloads.
 func BenchmarkEngineMillionPathReuse(b *testing.B) {
 	millionSetup(b)
 	g := millionGraphs.path
 	program := pingPongProgram(0, g.Adj(0)[0].Peer, 64)
-	eng := NewEngine(Options{Workers: runtime.GOMAXPROCS(0)})
+	eng := NewEngine(Options{})
 	defer eng.Close()
 	var cold, warm int64
 	for i := 0; i < b.N; i++ {
@@ -311,14 +302,14 @@ func BenchmarkEngineMillionPathReuse(b *testing.B) {
 func BenchmarkEngineMillionExpanderExchange(b *testing.B) {
 	millionSetup(b)
 	benchRunSplit(b, millionGraphs.expander,
-		Options{Workers: runtime.GOMAXPROCS(0), DeliveryShards: runtime.GOMAXPROCS(0)},
+		Options{DeliveryShards: runtime.GOMAXPROCS(0)},
 		exchangeProgram(1))
 }
 
-// BenchmarkEngineMillionStepExpanderExchange is the step-path twin of
-// BenchmarkEngineMillionExpanderExchange: 2M messages per run on the
-// million-edge expander with every node active, driven as
-// shard-parallel state-machine sweeps instead of 250k goroutines.
+// BenchmarkEngineMillionStepExpanderExchange is the hand-written step
+// twin of BenchmarkEngineMillionExpanderExchange: 2M messages per run
+// on the million-edge expander with every node active, driven as
+// state-machine sweeps instead of 250k coroutines.
 func BenchmarkEngineMillionStepExpanderExchange(b *testing.B) {
 	millionSetup(b)
 	benchRunSplit(b, millionGraphs.expander,
@@ -328,12 +319,13 @@ func BenchmarkEngineMillionStepExpanderExchange(b *testing.B) {
 
 // BenchmarkEngineMillionPathSparse: two adjacent nodes chatting on a
 // million-node path — the per-run cost floor for million-node
-// simulations. With lazy node activation the 2^20 immediate-exit
-// programs recycle a handful of goroutine stacks instead of faulting
-// in one per node, and setup-ns isolates what per-run setup remains.
+// simulations. A coroutine is bound to a node only while its program
+// runs, so the 2^20 immediate-exit programs recycle a handful of
+// pooled coroutines instead of faulting in one stack per node, and
+// setup-ns isolates what per-run setup remains.
 func BenchmarkEngineMillionPathSparse(b *testing.B) {
 	millionSetup(b)
 	g := millionGraphs.path
-	benchRunSplit(b, g, Options{Workers: runtime.GOMAXPROCS(0)},
+	benchRunSplit(b, g, Options{},
 		pingPongProgram(0, g.Adj(0)[0].Peer, 64))
 }

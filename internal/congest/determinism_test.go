@@ -3,7 +3,6 @@ package congest
 import (
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"distmincut/internal/graph"
@@ -59,32 +58,28 @@ func determinismFamilies() map[string]*graph.Graph {
 	}
 }
 
-// TestDeterminismAcrossModes: for the same seed, every execution mode —
-// goroutine-per-node, lane mode (several widths), sharded delivery
-// (several shard counts), and their combinations — must produce
-// bit-identical Stats on every generator family.
+// TestDeterminismAcrossModes: for the same seed, serial and sharded
+// delivery (several shard counts) must produce bit-identical Stats on
+// every generator family, run after run.
 func TestDeterminismAcrossModes(t *testing.T) {
 	gp := runtime.GOMAXPROCS(0)
 	modes := []struct {
-		name            string
-		workers, shards int
+		name   string
+		shards int
 	}{
-		{"serial", 0, 0},
-		{"serial-again", 0, 0},
-		{"workers-1", 1, 0},
-		{"workers-2", 2, 0},
-		{"workers-gomaxprocs", gp, 0},
-		{"shards-2", 0, 2},
-		{"shards-3", 0, 3},
-		{"shards-gomaxprocs", 0, gp},
-		{"workers-2-shards-2", 2, 2},
-		{"workers-gomaxprocs-shards-4", gp, 4},
+		{"serial", -1},
+		{"serial-again", -1},
+		{"default", 0},
+		{"shards-2", 2},
+		{"shards-3", 3},
+		{"shards-4", 4},
+		{"shards-gomaxprocs", gp},
 	}
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
 			var want statsKey
 			for i, m := range modes {
-				stats, err := Run(g, Options{Seed: 42, Workers: m.workers, DeliveryShards: m.shards}, chatterProgram)
+				stats, err := Run(g, Options{Seed: 42, DeliveryShards: m.shards}, chatterProgram)
 				if err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}
@@ -112,17 +107,16 @@ func TestDeterminismAcrossModes(t *testing.T) {
 func TestReusedEngineDeterminism(t *testing.T) {
 	gp := runtime.GOMAXPROCS(0)
 	modes := []struct {
-		name            string
-		workers, shards int
+		name   string
+		shards int
 	}{
-		{"serial", 0, -1},
-		{"workers-2", 2, -1},
-		{"shards-2", 0, 2},
-		{"workers-gomaxprocs-shards-gomaxprocs", gp, gp},
+		{"serial", -1},
+		{"shards-2", 2},
+		{"shards-gomaxprocs", gp},
 	}
 	families := determinismFamilies()
 	for _, m := range modes {
-		opts := Options{Seed: 42, Workers: m.workers, DeliveryShards: m.shards}
+		opts := Options{Seed: 42, DeliveryShards: m.shards}
 		t.Run(m.name, func(t *testing.T) {
 			// Fresh-engine baselines.
 			want := map[string]statsKey{}
@@ -223,12 +217,12 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 	if _, err := eng.Run(g, chatterProgram); err != nil {
 		t.Fatal(err)
 	}
-	q0, m0, n0, w0 := &eng.qSlab[0], &eng.msgSlab[0], &eng.nodeSlab[0], &eng.wakeChs[0]
+	q0, m0, n0 := &eng.qSlab[0], &eng.msgSlab[0], &eng.nodeSlab[0]
 	stats, err := eng.Run(g, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &eng.qSlab[0] != q0 || &eng.msgSlab[0] != m0 || &eng.nodeSlab[0] != n0 || &eng.wakeChs[0] != w0 {
+	if &eng.qSlab[0] != q0 || &eng.msgSlab[0] != m0 || &eng.nodeSlab[0] != n0 {
 		t.Fatal("warm run replaced a retained slab")
 	}
 	if stats.SetupNanos <= 0 {
@@ -238,15 +232,15 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 }
 
 // TestDeterminismUnbounded: the span-copy delivery of Unbounded mode
-// must stay bit-identical across serial, sharded, and lane execution.
+// must stay bit-identical across serial and sharded delivery.
 func TestDeterminismUnbounded(t *testing.T) {
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
 			var want statsKey
 			modes := []Options{
-				{Seed: 7, Unbounded: true},
+				{Seed: 7, Unbounded: true, DeliveryShards: -1},
 				{Seed: 7, Unbounded: true, DeliveryShards: 3},
-				{Seed: 7, Unbounded: true, Workers: 2, DeliveryShards: 2},
+				{Seed: 7, Unbounded: true, DeliveryShards: 2},
 			}
 			for i, opts := range modes {
 				stats, err := Run(g, opts, chatterProgram)
@@ -333,126 +327,12 @@ func TestDeterminismAcrossSeeds(t *testing.T) {
 	}
 }
 
-// Worker-pool mode must preserve every engine edge case, not just the
-// happy path.
-
-func TestWorkersPingPong(t *testing.T) {
-	g := graph.Path(2)
-	const k = 7
-	stats, err := Run(g, Options{Workers: 1}, func(nd *Node) {
-		for i := 0; i < k; i++ {
-			if nd.ID() == 0 {
-				nd.Send(0, Message{Kind: kindToken, A: int64(i)})
-				nd.RecvKindTag(kindToken, 0)
-			} else {
-				_, m := nd.RecvKindTag(kindToken, 0)
-				nd.Send(0, m)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 2*k {
-		t.Fatalf("rounds = %d, want %d", stats.Rounds, 2*k)
-	}
-}
-
-func TestWorkersPanicPropagation(t *testing.T) {
-	g := graph.Cycle(4)
-	_, err := Run(g, Options{Workers: 2}, func(nd *Node) {
-		if nd.ID() == 2 {
-			panic("boom")
-		}
-		nd.Recv(MatchKind(kindToken))
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Node != 2 {
-		t.Fatalf("err = %v, want PanicError from node 2", err)
-	}
-}
-
-func TestWorkersDeadlockDetection(t *testing.T) {
-	g := graph.Path(3)
-	_, err := Run(g, Options{Workers: 2}, func(nd *Node) {
-		nd.Recv(MatchKind(kindToken))
-	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-}
-
-func TestWorkersMaxRounds(t *testing.T) {
-	g := graph.Path(2)
-	_, err := Run(g, Options{MaxRounds: 10, Workers: 1}, func(nd *Node) {
-		for {
-			if nd.ID() == 0 {
-				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
-			} else {
-				nd.RecvKindTag(kindToken, 0)
-				nd.Send(0, Message{Kind: kindToken})
-			}
-		}
-	})
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("err = %v, want ErrMaxRounds", err)
-	}
-}
-
-func TestWorkersSleepFastForward(t *testing.T) {
-	g := graph.Path(3)
-	const target = 1000
-	stats, err := Run(g, Options{Workers: 2}, func(nd *Node) {
-		nd.Sleep(target)
-		if nd.Round() != target {
-			panic("woke at wrong round")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != target {
-		t.Fatalf("rounds = %d, want %d", stats.Rounds, target)
-	}
-}
-
-// TestWorkersBoundConcurrency: with Workers: 1 no two node programs may
-// ever execute simultaneously.
-func TestWorkersBoundConcurrency(t *testing.T) {
-	g := graph.Complete(8)
-	var cur, peak atomic.Int32
-	_, err := Run(g, Options{Workers: 1}, func(nd *Node) {
-		for r := 0; r < 3; r++ {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			nd.SendAll(Message{Kind: kindData, Tag: uint32(r)})
-			cur.Add(-1)
-			for i := 0; i < nd.Degree(); i++ {
-				nd.Recv(MatchKindTag(kindData, uint32(r)))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p != 1 {
-		t.Fatalf("observed %d concurrently running programs with Workers=1", p)
-	}
-}
-
 // ---------------------------------------------------------------------
-// Differential determinism: the compiled step path vs the goroutine
-// path. For every program ported to step form, the two executions must
-// be bit-identical — same Stats, same marks — on every generator family
-// and execution mode. The protocol-level half of this layer (BFS and
-// the step collectives vs their blocking twins) lives in
-// internal/proto/step_diff_test.go.
+// Differential determinism: hand-written step programs vs their
+// blocking forms hosted on coroutines. The two executions must be
+// bit-identical — same Stats, same marks — on every generator family
+// and delivery mode. Protocol-level identity (BFS and the collectives)
+// is pinned by the golden suite in internal/proto/golden_test.go.
 
 // stepChatter is the step twin of chatterProgram: the same RNG draws in
 // the same order, the same sends, the same park points. Any divergence
@@ -651,14 +531,13 @@ func appendInts(b []byte, vals ...int) []byte {
 // compared under.
 func stepDiffModes() map[string]Options {
 	return map[string]Options{
-		"serial":    {Seed: 42, DeliveryShards: -1},
-		"workers-2": {Seed: 42, Workers: 2, DeliveryShards: -1},
-		"shards-3":  {Seed: 42, DeliveryShards: 3},
+		"serial":   {Seed: 42, DeliveryShards: -1},
+		"shards-3": {Seed: 42, DeliveryShards: 3},
 	}
 }
 
 // TestStepDifferentialChatter: the RNG-driven chatter workload must be
-// bit-identical between the goroutine and step paths on every family
+// bit-identical between the blocking and step paths on every family
 // and mode — including the per-node RNG draw sequence, sleeps, and the
 // selective-receive drain.
 func TestStepDifferentialChatter(t *testing.T) {
@@ -667,7 +546,7 @@ func TestStepDifferentialChatter(t *testing.T) {
 			t.Run(fam+"/"+mode, func(t *testing.T) {
 				bs, err := Run(g, opts, chatterProgram)
 				if err != nil {
-					t.Fatalf("goroutine path: %v", err)
+					t.Fatalf("blocking path: %v", err)
 				}
 				ss, err := Run(g, opts, &stepChatter{})
 				if err != nil {
@@ -690,7 +569,7 @@ func TestStepDifferentialMarks(t *testing.T) {
 			t.Run(fam+"/"+mode, func(t *testing.T) {
 				bs, err := Run(g, opts, phasedProgram)
 				if err != nil {
-					t.Fatalf("goroutine path: %v", err)
+					t.Fatalf("blocking path: %v", err)
 				}
 				ss, err := Run(g, opts, &stepPhased{})
 				if err != nil {
@@ -708,7 +587,7 @@ func TestStepDifferentialMarks(t *testing.T) {
 }
 
 // TestStepWarmEngineAlternatingModes: one retained engine alternating
-// goroutine and step programs run-over-run must reproduce the fresh
+// blocking and step programs run-over-run must reproduce the fresh
 // fingerprints every time — neither path's warm-state shortcuts
 // (phase staleness, wake-channel slabs, program state slabs) may leak
 // into the other.
@@ -769,7 +648,7 @@ func TestStepReusedEngineAfterAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := fullKeyOf(t, stats); got != want {
-		t.Fatalf("goroutine run after step deadlock diverged: got %+v, want %+v", got, want)
+		t.Fatalf("blocking run after step deadlock diverged: got %+v, want %+v", got, want)
 	}
 	// Step panic mid-traffic leaves staged messages behind; a step rerun
 	// must still match.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,20 +27,14 @@ type Options struct {
 	// round instead of one message, i.e. a LOCAL-model network with
 	// unbounded bandwidth. Used only by the pipelining ablation (E9).
 	Unbounded bool
-	// Workers, when positive, bounds how many node programs execute
-	// concurrently: scheduled nodes are multiplexed over this many
-	// execution lanes instead of all being made runnable at once, so
-	// huge graphs stop thrashing the Go scheduler with n simultaneously
-	// runnable goroutines. Zero (the default) wakes every scheduled
-	// node at once. Stats are identical in both modes for a given seed.
-	Workers int
 	// DeliveryShards partitions the sender registry by node-ID range
 	// into that many shards and runs the delivery and receive-matching
-	// phases on that many worker goroutines. Delivery order is
-	// order-independent (each (sender, port) pair feeds its own
-	// per-port FIFO at the peer; see the package docs), so Stats are
-	// bit-identical to serial delivery for a given seed and shard
-	// count.
+	// phases — and only those — on that many worker goroutines;
+	// activations fan out over GOMAXPROCS workers regardless (see
+	// Engine). Delivery order is order-independent (each (sender, port)
+	// pair feeds its own per-port FIFO at the peer; see the package
+	// docs), so Stats are bit-identical to serial delivery for a given
+	// seed and shard count.
 	//
 	// Zero (the default) picks the measured default: one shard per
 	// available CPU (GOMAXPROCS), which degrades to serial delivery on
@@ -53,17 +46,17 @@ type Options struct {
 	// Interrupt, when non-nil, makes the run abort with ErrInterrupted
 	// as soon as the channel is closed (or receives a value). The
 	// coordinator polls it once per round boundary, while every node is
-	// parked, so the abort is clean: all node goroutines unwind and the
-	// partial Stats are returned alongside the error. This is the
+	// parked, so the abort is clean: every parked program unwinds and
+	// the partial Stats are returned alongside the error. This is the
 	// mechanism behind the context-cancellable distmincut entry points.
 	Interrupt <-chan struct{}
 	// Deadline, when non-zero, aborts the run with a *BudgetError
 	// (matching ErrBudgetExceeded) at the first round boundary past the
 	// wall-clock instant. Like Interrupt, the check runs while every
-	// node is parked, so the abort is clean: all node goroutines unwind
-	// and the partial Stats are returned alongside the error. Combined
-	// with MaxRounds this is the engine-level watchdog behind service
-	// job deadlines.
+	// node is parked, so the abort is clean: every parked program
+	// unwinds and the partial Stats are returned alongside the error.
+	// Combined with MaxRounds this is the engine-level watchdog behind
+	// service job deadlines.
 	Deadline time.Time
 	// Progress, when non-nil, is updated at every round boundary with
 	// the current round number and cumulative delivered-message count,
@@ -98,9 +91,6 @@ func normalize(opts Options) Options {
 	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
-	}
-	if opts.Workers < 0 {
-		opts.Workers = 0
 	}
 	if opts.DeliveryShards == 0 {
 		opts.DeliveryShards = runtime.GOMAXPROCS(0)
@@ -177,32 +167,25 @@ func (e *PanicError) Error() string {
 
 // Engine is a reusable round-synchronous CONGEST simulator. Create one
 // with NewEngine and call Run once per simulation; the engine retains
-// its slabs (node structs, queue headers, message rings, wake channels)
-// and port tables between runs, so a warm engine's per-run setup is a
-// handful of dirty-region resets instead of allocating and re-zeroing
-// hundreds of megabytes. Repeat runs on the same *graph.Graph skip the
-// port-table rebuild entirely; runs on a different graph reuse every
-// slab whose capacity suffices. Close releases the retained slabs back
-// to the process-wide pools (the engine stays usable — the next Run
-// simply re-acquires them). An Engine runs one simulation at a time;
-// none of its methods are safe for concurrent use. The one-shot
-// package-level Run wraps NewEngine + Run + Close.
+// its slabs (node structs, queue headers, message rings) and port
+// tables between runs, so a warm engine's per-run setup is a handful of
+// dirty-region resets instead of allocating and re-zeroing hundreds of
+// megabytes. Repeat runs on the same *graph.Graph skip the port-table
+// rebuild entirely; runs on a different graph reuse every slab whose
+// capacity suffices. Close releases the retained slabs back to the
+// process-wide pools (the engine stays usable — the next Run simply
+// re-acquires them). An Engine runs one simulation at a time; none of
+// its methods are safe for concurrent use. The one-shot package-level
+// Run wraps NewEngine + Run + Close.
 //
-// Node goroutines start lazily: a node's goroutine is spawned at its
-// first activation and a node's wake channel is created at its first
-// park, so programs that exit without parking (sparse workloads,
-// early-terminating protocol phases) never pay a wake channel — and,
-// in lane mode (Options.Workers > 0), effectively no stack either:
-// chained activations let each exiting program free its goroutine
-// before the next spawns, so a million-node graph whose programs exit
-// immediately keeps only ~Workers stacks live at once instead of
-// faulting in a million.
-//
-// The scheduler's round loop allocates nothing in steady state: the
-// sender registry, receiver set, wake list, and park notifications all
-// live in reusable per-engine buffers, every queue's initial ring is
-// carved out of one retained message slab, and grown rings come from a
-// shared size-class pool. Per round the coordinator (1) merges newly
+// Every program runs on one scheduler: activations are calls to a
+// StepProgram's Step, and a blocking func(*Node) is hosted as one, on
+// a pooled coroutine bound to the node only while its program runs.
+// The round loop allocates nothing in steady state: the sender
+// registry, receiver set, wake list, and park notifications all live
+// in reusable per-engine buffers, every queue's initial ring is carved
+// out of one retained message slab, and grown rings come from a shared
+// size-class pool. Per round the coordinator (1) merges newly
 // registered senders into per-shard registries, (2) runs the delivery
 // phase — serially, or fanned out over Options.DeliveryShards worker
 // goroutines, each moving whole ring spans per port and stamping
@@ -210,17 +193,15 @@ func (e *PanicError) Error() string {
 // per-shard delivered counts and receiver sets, (3) computes the wake
 // list from satisfied Recv predicates (evaluated in parallel over the
 // same shards when the receiver set is large) and due sleepers, and
-// (4) dispatches it — either waking every node at once or releasing
-// Options.Workers lane permits that parking nodes chain forward.
+// (4) activates it — inline when small, otherwise shared with
+// GOMAXPROCS-1 process-wide activation helpers.
 type Engine struct {
 	g    *graph.Graph
 	opts Options
-	// Exactly one of program / stepProg is set per run, from Run's
-	// dispatch on the Program's dynamic type: program hosts the blocking
-	// goroutine path, stepProg the compiled step path (see step.go).
-	program  func(*Node)
-	stepProg StepProgram
-	nodes    []*Node
+	// prog is the running program; Run wraps a blocking func(*Node)
+	// as a hosted StepProgram (see step.go).
+	prog  StepProgram
+	nodes []*Node
 
 	round     int
 	delivered int64
@@ -266,7 +247,7 @@ type Engine struct {
 	// Sender registry: nodes stage themselves exactly once on their
 	// first Send after being drained (guarded by Node.outDirty), so
 	// delivery touches only nodes with traffic instead of scanning all
-	// n every round. newSenders is written lock-free by node goroutines
+	// n every round. newSenders is written lock-free by activations
 	// via the newCount cursor; the coordinator distributes it over the
 	// per-shard registries between rounds.
 	newSenders  []*Node
@@ -302,38 +283,27 @@ type Engine struct {
 	// (kept small so delivery can hold it in cache); msgSlab backs the
 	// initial ring of every queue (one bulk carve instead of 2*ports
 	// small allocations; nil when the graph is too large and rings are
-	// pooled lazily); wakeChs is the slab of per-node wake channels,
-	// filled lazily as nodes first park. All three are retained by the
+	// pooled lazily). Both, and the node slab, are retained by the
 	// engine across runs and recycled through global pools on Close, so
 	// repeated runs allocate none of them. Message slots are never
 	// zeroed: Message holds no pointers and ring slots are written
 	// before they are read.
 	qSlab    []queue
 	msgSlab  []Message
-	wakeChs  []chan struct{}
 	nodeSlab []Node
 
-	// Park barrier: every dispatched node ends its activation in
-	// notifyPark, which counts running down and signals roundDone at
-	// zero. In lane mode (Options.Workers > 0) a parking node first
-	// chains its lane to the next scheduled node — spawning that node's
-	// goroutine if this is its first activation — so a round costs one
-	// batch of Workers wake permits instead of a per-node handshake
-	// with pool goroutines. Nodes that parked in Sleep or exited are
-	// queued on notified for the coordinator (Recv parks need no
-	// attention).
-	running   atomic.Int32
-	roundDone chan struct{}
-	notifyMu  sync.Mutex
-	notified  []*Node
-
-	// Lane mode state (Options.Workers > 0).
-	workers int
-	curWake []*Node
-	wakeIdx atomic.Int32
+	// Activation state (see dispatch): nodes that parked in Sleep or
+	// exited are queued on notified for the coordinator (Recv parks
+	// need no attention); curWake and the wakeIdx cursor hand out
+	// wake-list chunks; actNotified and actDone are the activation
+	// helpers' notification lists and completion signal.
+	notified    []*Node
+	curWake     []*Node
+	wakeIdx     atomic.Int32
+	actNotified [][]*Node
+	actDone     chan struct{}
 
 	sleepers sleepHeap
-	termWG   sync.WaitGroup
 
 	marksMu sync.Mutex
 	marks   []Mark
@@ -363,13 +333,6 @@ type deliveryShard struct {
 	lo, hi int
 	wake   []*Node
 
-	// Step-dispatch state (step programs only): the [stepLo, stepHi)
-	// chunk of the current wake list this shard activates, and the
-	// sleep/done notifications its activations produced (merged by the
-	// coordinator in shard order, like wake sublists).
-	stepLo, stepHi int
-	stepNotified   []*Node
-
 	// nanos is the shard's self-measured delivery wall time for the
 	// current round; written only when the engine's observer timing is
 	// armed.
@@ -383,7 +346,6 @@ type shardTask uint8
 const (
 	taskDeliver shardTask = iota
 	taskMatch
-	taskStep
 )
 
 // maxPreallocMessages caps the per-run message slab (in messages, 40 B
@@ -392,7 +354,7 @@ const (
 // allocation so slab size never exceeds ~2.7 GB.
 const maxPreallocMessages = 1 << 26
 
-// qSlabPool, msgSlabPool, wakeChPool, and nodeSlabPool recycle the
+// qSlabPool, msgSlabPool, and nodeSlabPool recycle the
 // per-engine slabs across engines (one-shot runs via the package-level
 // Run acquire and release them per call, so even independent engines
 // stop paying for slab allocation after the first run). Each is
@@ -401,11 +363,10 @@ const maxPreallocMessages = 1 << 26
 // enough for any request of its class). Queue headers and node structs
 // are fully re-initialized on reuse; message slots need no zeroing
 // since Message holds no pointers and ring slots are written before
-// they are read; wake channels are always drained when a run ends.
+// they are read.
 var (
 	qSlabPool    [48]sync.Pool
 	msgSlabPool  [48]sync.Pool
-	wakeChPool   [48]sync.Pool
 	nodeSlabPool [48]sync.Pool
 )
 
@@ -434,17 +395,6 @@ func getMsgSlab(n int) []Message {
 	return make([]Message, 1<<c)[:n]
 }
 
-// getWakeSlab returns a wake-channel slab. Slots may hold drained
-// channels from a previous engine (reused as-is) or nil (a channel is
-// created the first time that node parks).
-func getWakeSlab(n int) []chan struct{} {
-	c := slabClass(n)
-	if v := wakeChPool[c].Get(); v != nil {
-		return v.([]chan struct{})[:n]
-	}
-	return make([]chan struct{}, 1<<c)[:n]
-}
-
 func getNodeSlab(n int) []Node {
 	c := slabClass(n)
 	if v := nodeSlabPool[c].Get(); v != nil {
@@ -455,7 +405,7 @@ func getNodeSlab(n int) []Node {
 
 // putNodeSlab releases a node slab, clearing every field that points
 // outside the slab's own reusable state (graph adjacency, engine,
-// queue and wake-channel slices, match closures) so a pooled slab
+// queue slices, match closures, coroutine handles) so a pooled slab
 // cannot pin the last run's graph or engine until sync.Pool eviction.
 // Per-node RNGs are deliberately kept: they reference only their own
 // generator state and are reseeded on reuse.
@@ -467,8 +417,8 @@ func putNodeSlab(slab []Node) {
 		nd.adj = nil
 		nd.outQ = nil
 		nd.inQ = nil
-		nd.wakeCh = nil
 		nd.match = nil
+		nd.co = nil
 		nd.panicVal = nil
 	}
 	nodeSlabPool[slabClass(cap(slab))].Put(slab) //nolint:staticcheck // slice header cost is amortized over the slab
@@ -479,7 +429,6 @@ func putNodeSlab(slab []Node) {
 func NewEngine(opts Options) *Engine {
 	return &Engine{
 		opts:         normalize(opts),
-		roundDone:    make(chan struct{}, 1),
 		needFullInit: true,
 	}
 }
@@ -504,10 +453,6 @@ func (e *Engine) Close() {
 	if e.msgSlab != nil {
 		msgSlabPool[slabClass(cap(e.msgSlab))].Put(e.msgSlab) //nolint:staticcheck
 		e.msgSlab = nil
-	}
-	if e.wakeChs != nil {
-		wakeChPool[slabClass(cap(e.wakeChs))].Put(e.wakeChs) //nolint:staticcheck
-		e.wakeChs = nil
 	}
 	if e.nodeSlab != nil {
 		putNodeSlab(e.nodeSlab)
@@ -542,19 +487,16 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 	e.runStart = start
 	switch p := program.(type) {
 	case func(*Node):
-		e.program, e.stepProg = p, nil
+		e.prog = hosted(p)
 	case StepProgram:
-		e.program, e.stepProg = nil, p
+		e.prog = p
 	default:
 		return nil, fmt.Errorf("congest: program must be a func(*congest.Node) or a congest.StepProgram, got %T", program)
 	}
 	e.setupRun(g)
-	if e.stepProg != nil {
-		e.stepProg.InitRun(g.N())
-	}
+	e.prog.InitRun(g.N())
 	e.setupNanos = time.Since(start).Nanoseconds()
 	err := e.coordinate()
-	e.termWG.Wait()
 	for _, sh := range e.shards {
 		if sh.taskCh != nil {
 			close(sh.taskCh)
@@ -569,7 +511,7 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 	}
 	// Drop the program references so a retained engine does not pin the
 	// caller's closures or state slabs between runs.
-	e.program, e.stepProg = nil, nil
+	e.prog = nil
 	return stats, err
 }
 
@@ -580,7 +522,6 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 // dirtied.
 func (e *Engine) setupRun(g *graph.Graph) {
 	n := g.N()
-	e.workers = e.opts.Workers
 	e.round = 0
 	e.delivered = 0
 	e.wakeups = 0
@@ -683,14 +624,6 @@ func (e *Engine) setupRun(g *graph.Graph) {
 		msgSlabPool[slabClass(cap(e.msgSlab))].Put(e.msgSlab) //nolint:staticcheck
 		e.msgSlab = nil
 	}
-	if cap(e.wakeChs) < n {
-		if e.wakeChs != nil {
-			wakeChPool[slabClass(cap(e.wakeChs))].Put(e.wakeChs) //nolint:staticcheck
-		}
-		e.wakeChs = getWakeSlab(n)
-	} else {
-		e.wakeChs = e.wakeChs[:n]
-	}
 	if cap(e.nodeSlab) < n {
 		if e.nodeSlab != nil {
 			putNodeSlab(e.nodeSlab)
@@ -736,7 +669,6 @@ func (e *Engine) setupRun(g *graph.Graph) {
 			rng:      rng,
 			outQ:     qSlab[off : off+len(adj)],
 			inQ:      qSlab[ports+off : ports+off+len(adj)],
-			wakeCh:   e.wakeChs[i],
 			hintPort: -1,
 		}
 		e.nodes[i] = nd
@@ -795,10 +727,10 @@ func (e *Engine) resetDirtyQueues() {
 // a dirty sender fed — each (sender, port) pair feeds exactly one
 // per-port FIFO at its peer, so summing over the dirty nodes' fed
 // queues counts every leftover exactly once. The other per-node run
-// state needs no teardown pass at all: phase and match are cleared at
-// the node's next spawn (see activate), a consumed hint always resets
-// itself, and panics force a full reinitialization. Called after every
-// node goroutine has exited.
+// state needs no teardown pass at all: every node is activated at the
+// start of each run, which sets its phase; a done node drops its match
+// predicate and coroutine; a consumed hint always resets itself; and
+// aborts force a full reinitialization.
 func (e *Engine) collectAndReset() *Stats {
 	// An abort between round barriers can leave senders registered but
 	// not yet merged into the dirty list; fold them in so their sent
@@ -834,21 +766,6 @@ func (e *Engine) collectAndReset() *Stats {
 	}
 }
 
-// runNode hosts one node program, spawned at the node's first
-// activation (the program starts executing immediately; there is no
-// initial wake handshake).
-func (e *Engine) runNode(nd *Node) {
-	defer e.termWG.Done()
-	defer func() {
-		if r := recover(); r != nil && r != errAborted {
-			nd.panicVal = &PanicError{Node: nd.id, Value: r, Stack: string(debug.Stack())}
-		}
-		nd.phase = phaseDone
-		e.notifyPark(nd)
-	}()
-	e.program(nd)
-}
-
 func (e *Engine) buildRevPorts() {
 	n := e.g.N()
 	if cap(e.portOff) < n+1 {
@@ -873,92 +790,14 @@ func (e *Engine) buildRevPorts() {
 	}
 }
 
-// addSender registers nd in the sender set; called by node goroutines
-// on the first Send after being drained.
+// addSender registers nd in the sender set; called by activations on
+// the first Send after being drained.
 func (e *Engine) addSender(nd *Node) {
 	e.newSenders[e.newCount.Add(1)-1] = nd
 }
 
-// notifyPark ends a node activation. Called from node goroutines. In
-// lane mode the parking node first chains its lane to the next
-// scheduled node — spawning its goroutine if this is the node's first
-// activation — so the round's wake list drains through Workers
-// concurrent chains with one channel operation per activation instead
-// of a wake/park handshake against pool goroutines.
-func (e *Engine) notifyPark(nd *Node) {
-	if e.aborted.Load() {
-		return // teardown: the coordinator only waits on termWG now
-	}
-	if nd.phase != phaseRecv {
-		e.notifyMu.Lock()
-		e.notified = append(e.notified, nd)
-		e.notifyMu.Unlock()
-	}
-	if e.workers > 0 {
-		if i := int(e.wakeIdx.Add(1)) - 1; i < len(e.curWake) {
-			e.activate(e.curWake[i])
-		}
-	}
-	if e.running.Add(-1) == 0 {
-		e.roundDone <- struct{}{}
-	}
-}
-
-// activate runs one activation of nd: the first of a run spawns the
-// node's goroutine (the lazy start), later ones send a wake permit to
-// its parked goroutine. The spawn decision compares the node's spawn
-// generation to the engine's run counter, so per-node run state left
-// behind by a previous clean run (phase, a pinned match closure) is
-// cleared here, at the node's first activation, instead of by an O(n)
-// teardown pass.
-func (e *Engine) activate(nd *Node) {
-	if nd.spawnGen != e.runGen {
-		nd.spawnGen = e.runGen
-		nd.phase = phaseRunning
-		nd.match = nil
-		e.termWG.Add(1)
-		go e.runNode(nd)
-		return
-	}
-	nd.phase = phaseRunning
-	nd.wakeCh <- struct{}{}
-}
-
-// dispatch runs one activation of every node in wake and returns when
-// all of them have parked or exited. Step programs run as direct calls
-// (see dispatchStep). For blocking programs, direct mode activates
-// every scheduled node; lane mode releases one batch of Workers wake
-// permits and lets parking nodes chain the rest (see notifyPark).
-func (e *Engine) dispatch(wake []*Node) {
-	if e.stepProg != nil {
-		e.dispatchStep(wake)
-		return
-	}
-	if len(wake) == 0 {
-		return
-	}
-	e.running.Store(int32(len(wake)))
-	if e.workers > 0 {
-		w := e.workers
-		if w > len(wake) {
-			w = len(wake)
-		}
-		e.curWake = wake
-		e.wakeIdx.Store(int32(w))
-		for _, nd := range wake[:w] {
-			e.activate(nd)
-		}
-	} else {
-		for _, nd := range wake {
-			e.activate(nd)
-		}
-	}
-	<-e.roundDone
-}
-
 // coordinate is the engine main loop; it runs on the caller goroutine.
-// It returns nil on clean completion and the abort cause otherwise;
-// stats are assembled by the caller once every node goroutine exited.
+// It returns nil on clean completion and the abort cause otherwise.
 func (e *Engine) coordinate() error {
 	n := len(e.nodes)
 	done := 0
@@ -1061,7 +900,7 @@ func (e *Engine) observeRound() {
 // ordered by node ID: delivery order is semantically irrelevant (see
 // the package docs), but ID order makes the delivery phase stream
 // sequentially through the node and queue slabs instead of hopping in
-// goroutine-registration order, which is worth a large constant factor
+// registration order, which is worth a large constant factor
 // in cache hits on big graphs. First-time registrations also join the
 // run's dirty-node list, which is what the warm-reuse reset walks.
 func (e *Engine) mergeSenders() {
@@ -1219,8 +1058,6 @@ func (sh *deliveryShard) loop(tasks <-chan shardTask) {
 			sh.deliver()
 		case taskMatch:
 			sh.match()
-		case taskStep:
-			sh.stepRange()
 		}
 		sh.eng.shardDone <- struct{}{}
 	}
@@ -1397,21 +1234,15 @@ func (e *Engine) matches(nd *Node) bool {
 	return false
 }
 
-// abort wakes every parked node so its goroutine unwinds via the
-// errAborted panic and returns the causing error; never-activated
-// nodes have no goroutine to unwind, and step programs have no
-// goroutines at all — their parked nodes are plain state and need no
-// teardown. It must only be called from coordinate, i.e. while every
-// started node is parked; the caller waits for the unwind via termWG.
+// abort unwinds every program still parked on a coroutine (see
+// Node.unwind), so no node keeps a coroutine past the run, and returns
+// the causing error. Step programs' parked nodes are plain state and
+// need no teardown. It must only be called from coordinate, i.e. while
+// no activation is running.
 func (e *Engine) abort(cause error) error {
 	e.aborted.Store(true)
-	if e.stepProg != nil {
-		return cause
-	}
 	for _, nd := range e.nodes {
-		if nd.phase == phaseRecv || nd.phase == phaseSleep {
-			nd.wakeCh <- struct{}{}
-		}
+		nd.unwind()
 	}
 	return cause
 }

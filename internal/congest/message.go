@@ -17,67 +17,43 @@
 // nodes with staged traffic rather than all n nodes, so simulation cost
 // is proportional to messages moved plus nodes woken — not n x rounds.
 //
-// The scheduler's round loop reuses per-engine scratch buffers (an
-// epoch-stamped receiver array, a wake list, per-shard sender
-// registries) and slab-allocates every queue and its initial ring, so
-// steady-state simulation does not allocate. Each node program runs on
-// its own goroutine (it holds the program's stack between rounds);
-// with Options.Workers > 0, each round releases that many wake permits
-// and parking nodes chain them forward, so only Workers programs are
-// runnable at once, which keeps very large graphs from thrashing the
-// Go scheduler.
+// The scheduler has one dispatch: an activation is a call to a
+// StepProgram's Step, which returns a Park (ParkRecv, ParkSleep, or
+// ParkDone). A blocking func(*Node) program is hosted as a step
+// program on a coroutine (iter.Pull) taken from a process-wide pool at
+// the node's first activation: its Recv and Sleep yield the Park, the
+// next activation resumes it, and when it returns the coroutine goes
+// back to the pool — so a coroutine is bound to a node only while the
+// node's program runs. Idle pooled coroutines outlive engines and are
+// stopped once the garbage collector trims them from the pool. A
+// program can also be written directly as a StepProgram, an explicit
+// state machine that consumes messages with StepRecv; calling the
+// blocking Recv or Sleep from one panics. Large wake sets are
+// activated on GOMAXPROCS workers claiming chunks of the wake list
+// through an atomic cursor, which is safe because an activation
+// touches only its own node's state.
 //
-// # Compiled step programs
+// The round loop reuses per-engine scratch buffers (an epoch-stamped
+// receiver array, a wake list, per-shard sender registries) and
+// slab-allocates every queue and its initial ring, so steady-state
+// simulation does not allocate.
 //
-// The engine has a second execution mode for programs written as
-// explicit state machines: a value implementing StepProgram (instead
-// of a func(*Node)) is run by calling Step on each activated node and
-// acting on the returned Park — no goroutine, channel, or stack per
-// node. Run dispatches on the program's dynamic type, and both modes
-// share the same coordinator, sender registry, queues, wake-set
-// construction, observer hook, and warm-engine lifecycle, so a step
-// program that parks at the same points with the same predicates and
-// sends as a blocking program produces bit-identical Stats and marks.
-// That equivalence is enforced by the differential suites in
-// determinism_test.go (engine workloads) and
-// internal/proto/step_diff_test.go (BFS and the step collectives vs
-// their blocking twins). Large wake sets are stepped shard-parallel:
-// the wake list is split into contiguous chunks over the delivery-
-// shard workers, which is safe because Step touches only its own
-// node's state and program slabs are indexed by node ID. Step programs
-// use StepRecv (TryRecv plus the scheduler's match hint) and return
-// ParkRecv/ParkSleep/ParkDone; calling the blocking Recv or Sleep from
-// a step program panics. NewStepSeq chains step programs sequentially,
-// entering the next within the activation the previous one finishes —
-// the step analogue of a blocking program calling two protocols
-// back-to-back.
-//
-// # Engine reuse and lazy activation
+// # Engine reuse
 //
 // An Engine is a long-lived, reusable object: NewEngine(opts) creates
 // one and (*Engine).Run(g, program) executes a simulation on it. The
 // engine retains its slabs (node structs, queue headers, message
-// rings, wake channels) and flat port tables between runs: a warm run
-// on the same graph resets only the dirty region — the queues the
-// previous run's senders touched, located through the sender registry
-// and the reverse port table — instead of re-zeroing everything, and a
-// run on a different graph rebuilds the port tables while reusing
-// every slab whose capacity fits. Stats.SetupNanos reports what setup
-// remains. Close releases the slabs to process-wide pools; the
-// package-level Run is the one-shot NewEngine + Run + Close.
-//
-// Node goroutines start lazily: a node's goroutine is spawned at its
-// first activation, and its wake channel is created at its first
-// park. Every node is activated once (round 0), so the win is
-// concurrency-shaped: in lane mode (Options.Workers > 0) activations
-// are chained, so a program that exits without parking frees its
-// goroutine before the next spawns and the runtime recycles the
-// stack — a million-node sparse workload keeps ~Workers stacks live
-// instead of faulting in one per node — while wake channels are lazy
-// in every mode (only nodes that actually park ever allocate one).
-// Reuse never leaks state: per-node RNGs reseed lazily per run, and a
-// reused engine's Stats are bit-identical to a fresh engine's for the
-// same graph, options, and seed.
+// rings) and flat port tables between runs: a warm run on the same
+// graph resets only the dirty region — the queues the previous run's
+// senders touched, located through the sender registry and the reverse
+// port table — instead of re-zeroing everything, and a run on a
+// different graph rebuilds the port tables while reusing every slab
+// whose capacity fits. Stats.SetupNanos reports what setup remains.
+// Close releases the slabs to process-wide pools; the package-level Run
+// is the one-shot NewEngine + Run + Close. Reuse never leaks state:
+// per-node RNGs reseed lazily per run, an abort unwinds every parked
+// program, and a reused engine's Stats are bit-identical to a fresh
+// engine's for the same graph, options, and seed.
 //
 // # Sharded delivery
 //
@@ -95,17 +71,16 @@
 //
 // # Determinism
 //
-// Woken goroutines run concurrently but touch only their own node
-// state; message delivery and round advancement happen while all nodes
-// are parked, and each (sender, port) pair feeds its own per-port FIFO
-// at the receiver, so queue contents are independent of delivery
-// iteration order. Per-node RNGs are seeded from Options.Seed and the
+// Activations running in parallel touch only their own node's state;
+// message delivery and round advancement happen while all nodes are
+// parked, and each (sender, port) pair feeds its own per-port FIFO at
+// the receiver, so queue contents are independent of delivery and
+// activation order. Per-node RNGs are seeded from Options.Seed and the
 // node ID. Two runs with the same graph, options, and program produce
-// identical Stats (rounds, sent, delivered, wakeups, leftover) — and so
-// do runs that differ only in Options.Workers or
-// Options.DeliveryShards, in any combination. The one scheduling-
-// dependent quantity is the interleaving of Marks recorded by different
-// nodes within the same round.
+// identical Stats (rounds, sent, delivered, wakeups, leftover) — and
+// so do runs that differ only in Options.DeliveryShards. The one
+// scheduling-dependent quantity is the interleaving of Marks recorded
+// by different nodes within the same round.
 //
 // # Model fidelity
 //

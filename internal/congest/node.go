@@ -10,18 +10,14 @@ import (
 type nodePhase int
 
 const (
-	// phaseIdle (the zero value) marks a node whose goroutine has not
-	// been spawned yet: activation starts the program lazily, so nodes
-	// never scheduled — and, before round 0, all nodes — hold no stack.
-	phaseIdle nodePhase = iota
-	phaseRunning
+	phaseRunning nodePhase = iota
 	phaseRecv
 	phaseSleep
 	phaseDone
 )
 
 // Node is the per-processor handle passed to the node program. All
-// methods must be called only from that node's goroutine.
+// methods must be called only from that node's own program.
 type Node struct {
 	id  graph.NodeID
 	eng *Engine
@@ -33,13 +29,6 @@ type Node struct {
 	// stay bit-identical to fresh ones without an O(n) reseed pass.
 	rngGen uint32
 
-	// spawnGen is the engine run this node's goroutine was last spawned
-	// for: activate spawns when it trails the engine's run counter and
-	// wakes otherwise. Generation-numbering the spawn decision (instead
-	// of resetting every node's phase between runs) is what lets a warm
-	// engine's teardown walk only the dirty nodes.
-	spawnGen uint32
-
 	outQ []queue // staged sends, one FIFO per port; head transmitted each round
 	inQ  []queue // received but not yet consumed, one FIFO per port
 
@@ -47,7 +36,7 @@ type Node struct {
 	match    MatchFunc // valid while phase == phaseRecv
 	wakeAt   int       // valid while phase == phaseSleep
 	parkGen  int       // incremented on every park; invalidates stale sleeper heap entries
-	wakeCh   chan struct{}
+	co       *coHandle // the coroutine hosting a blocking program while it runs
 	panicVal any
 
 	// Match hint: when the scheduler wakes this node from Recv, it has
@@ -206,27 +195,17 @@ func (nd *Node) StepRecv(match MatchFunc) (int, Message, bool) {
 
 // Recv blocks until a message matching match is available, then
 // consumes and returns it. Non-matching messages stay buffered for
-// later Recv calls (selective receive). Blocking is only possible on
-// the goroutine path: calling Recv from a step program panics (use
+// later Recv calls (selective receive). Blocking is only possible in a
+// blocking program: calling Recv from a step program panics (use
 // StepRecv + ParkRecv instead).
 func (nd *Node) Recv(match MatchFunc) (int, Message) {
 	if p, m, ok := nd.TryRecv(match); ok {
 		return p, m
 	}
-	nd.match = match
-	nd.park(phaseRecv)
-	// The scheduler woke this node because the predicate held; it left
-	// the match position as a hint, saving the post-wake rescan. The
-	// hint is revalidated cheaply before use.
-	if p := int(nd.hintPort); p >= 0 {
-		i := int(nd.hintIdx)
-		nd.hintPort = -1
-		q := &nd.inQ[p]
-		if i < q.n && match(p, q.at(i)) {
-			return p, q.removeAt(&msgBufPool, i)
-		}
-	}
-	p, m, ok := nd.TryRecv(match)
+	nd.park(ParkRecv(match))
+	// The scheduler woke this node because the predicate held and left
+	// the match position as a hint, which StepRecv consumes.
+	p, m, ok := nd.StepRecv(match)
 	if !ok {
 		panic(fmt.Sprintf("congest: node %d woken from Recv with no matching message", nd.id))
 	}
@@ -241,11 +220,7 @@ func (nd *Node) RecvKindTag(kind uint8, tag uint32) (int, Message) {
 // Sleep parks the node for the given number of rounds (at least one).
 // It is the mechanism for "wait out" protocol phases with known bounds.
 func (nd *Node) Sleep(rounds int) {
-	if rounds < 1 {
-		rounds = 1
-	}
-	nd.wakeAt = nd.eng.round + rounds
-	nd.park(phaseSleep)
+	nd.park(ParkSleep(rounds))
 }
 
 // Mark records a named timestamp (current round) in the run's stats.
@@ -254,37 +229,22 @@ func (nd *Node) Mark(label string) {
 	nd.eng.mark(label, nd.id)
 }
 
-// park hands control back to the scheduler and blocks until woken. The
-// node's wake channel is created here, on its first park ever, so
-// programs that run to completion without parking never allocate one;
-// the channel is cached in the engine's wake slab and reused by every
-// later run.
-func (nd *Node) park(ph nodePhase) {
-	if nd.eng.stepProg != nil {
+// park yields the activation's Park to the scheduler and returns when
+// the node is activated again. An abort resumes the node only to unwind
+// it: park then panics with errAborted, which the coroutine absorbs.
+func (nd *Node) park(p Park) {
+	h := nd.co
+	if h == nil {
 		panic(fmt.Sprintf(
 			"congest: node %d called blocking Recv/Sleep from a step program; return ParkRecv/ParkSleep instead", nd.id))
 	}
-	if nd.wakeCh == nil {
-		e := nd.eng
-		if ch := e.wakeChs[nd.id]; ch != nil {
-			nd.wakeCh = ch
-		} else {
-			ch = make(chan struct{}, 1)
-			e.wakeChs[nd.id] = ch
-			nd.wakeCh = ch
-		}
-	}
-	nd.parkGen++
-	nd.phase = ph
-	nd.eng.notifyPark(nd)
-	<-nd.wakeCh
-	if nd.eng.aborted.Load() {
+	if nd.eng.aborted.Load() || !h.c.yield(p) || nd.eng.aborted.Load() {
 		panic(errAborted)
 	}
 }
 
-// errAborted is the sentinel panic value used to unwind node goroutines
-// when the engine aborts (another node panicked or limits exceeded).
+// errAborted is the sentinel panic value used to unwind parked blocking
+// programs when the engine aborts (a node panicked or a limit tripped).
 var errAborted = &abortSentinel{}
 
 type abortSentinel struct{}

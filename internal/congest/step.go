@@ -1,33 +1,32 @@
 package congest
 
 import (
+	"iter"
+	"runtime"
 	"runtime/debug"
-
-	"distmincut/internal/graph"
+	"sync"
 )
 
 // Program is what an engine executes on every node: either a blocking
-// goroutine program (a func(*Node) that calls Recv/Sleep and holds its
-// state on its own stack) or a compiled StepProgram (an explicit
-// round-driven state machine the engine drives as tight shard-parallel
-// loops, with no goroutines or channels on the hot path). Run dispatches
-// on the dynamic type; any other type fails the run with an error.
+// func(*Node) that calls Recv/Sleep and holds its state on its own
+// stack, or a StepProgram (an explicit round-driven state machine).
+// Run dispatches on the dynamic type; any other type fails the run
+// with an error.
 //
-// Both execution paths share the same coordinator — sender registry,
-// delivery (serial or sharded), receive matching, wake-set construction,
-// sleepers, budgets, and abort handling — so a step program that parks
-// at the same points with the same predicates and sends as its blocking
-// twin produces bit-identical Stats and marks (the guarantee the
-// differential determinism suite enforces for every dual-implementation
-// protocol in this repository).
+// Both forms run on the step scheduler: a blocking program is hosted
+// by a pooled coroutine while it runs (see hosted), and its Recv and
+// Sleep yield the same Park a step program returns. So a step program
+// that parks at the same points with the same predicates and sends as
+// a blocking program produces bit-identical Stats and marks. A
+// blocking program must not call runtime.Goexit (nor t.FailNow): its
+// coroutine would propagate the exit to whichever goroutine resumed it.
 type Program any
 
 // StepProgram is the compiled form of a node program: instead of
 // blocking in Recv or Sleep, each activation is an explicit step that
 // returns how it ended (a Park). The engine runs activations as plain
-// function calls on the coordinator — or fanned out over the delivery
-// shards — so the per-activation cost is a call into a state slab
-// instead of a goroutine wake/park handshake.
+// function calls on the coordinator — or fanned out over activation
+// workers — so the per-activation cost is a call into a state slab.
 //
 // Contract:
 //   - InitRun is called once per Run, after engine setup and before the
@@ -41,26 +40,23 @@ type Program any
 //     expired. Step may use every non-blocking Node method (Send,
 //     SendAll, StepRecv, TryRecv, Mark, Rand, Round, ...); calling the
 //     blocking Recv or Sleep from a step program panics (surfacing as a
-//     *PanicError), since there is no goroutine to park.
+//     *PanicError), since there is no coroutine to park.
 //   - Step must be safe for concurrent calls on distinct nodes: the
-//     engine steps different nodes from different shard workers.
-//     Per-node state indexed by nd.ID() satisfies this; shared state
-//     must be read-only during the run.
+//     engine steps different nodes from different workers. Per-node
+//     state indexed by nd.ID() satisfies this; shared state must be
+//     read-only during the run.
 //
-// A StepProgram must reproduce its blocking twin's activation structure
-// exactly — same sends, same park predicates, same park points — for
-// the two execution paths to produce identical Stats. The Recv pattern
-// translates mechanically: a blocking nd.Recv(match) becomes "consume
-// with StepRecv(match) if present, else return ParkRecv(match) and
-// resume here on the next Step".
+// The Recv pattern translates mechanically: a blocking nd.Recv(match)
+// becomes "consume with StepRecv(match) if present, else return
+// ParkRecv(match) and resume here on the next Step".
 type StepProgram interface {
 	InitRun(n int)
 	Step(nd *Node) Park
 }
 
-// Park describes how a step-program activation ended: the program
-// exited (ParkDone), parked waiting for a matching message (ParkRecv),
-// or parked for a number of rounds (ParkSleep). The zero value is
+// Park describes how an activation ended: the program exited
+// (ParkDone), parked waiting for a matching message (ParkRecv), or
+// parked for a number of rounds (ParkSleep). The zero value is
 // ParkDone.
 type Park struct {
 	status stepStatus
@@ -90,119 +86,205 @@ func ParkRecv(match MatchFunc) Park { return Park{status: stepRecv, match: match
 // one), exactly like the blocking Node.Sleep.
 func ParkSleep(rounds int) Park { return Park{status: stepSleep, rounds: rounds} }
 
-// Done reports whether the park ends the program (useful to program
-// combinators that chain sub-machines, e.g. StepSeq).
-func (p Park) Done() bool { return p.status == stepDone }
+// hosted runs a blocking program as a StepProgram. A node's first
+// activation binds a coroutine from the process-wide pool and starts
+// the program on it; each Recv or Sleep the program makes yields its
+// Park back to Step, and the next activation resumes it. When the
+// program returns, the coroutine goes back to the pool, so a coroutine
+// (and its stack) is bound to a node only while the node's program is
+// live: a million-node graph whose programs exit at once cycles a
+// handful of coroutines instead of holding a million.
+type hosted func(*Node)
 
-// StepSeq chains step programs sequentially: each node runs the
-// sub-programs in order, entering sub-program i+1 within the same
-// activation its i-th one finishes — exactly how a blocking program
-// falls through from one protocol phase into the next without parking.
-// Sub-programs pass results through their own concrete state (e.g. a
-// StepBFS exposes the overlays the next collective reads); nodes
-// advance independently, with no global synchronization between
-// sub-programs.
-type StepSeq struct {
-	subs []StepProgram
-	idx  []int32
-}
+func (hosted) InitRun(int) {}
 
-// NewStepSeq returns the sequential composition of subs.
-func NewStepSeq(subs ...StepProgram) *StepSeq {
-	return &StepSeq{subs: subs}
-}
-
-// InitRun initializes every sub-program and resets the per-node phase
-// cursors.
-func (s *StepSeq) InitRun(n int) {
-	for _, sub := range s.subs {
-		sub.InitRun(n)
+func (p hosted) Step(nd *Node) Park {
+	h := nd.co
+	if h == nil {
+		h = coPool.Get().(*coHandle)
+		h.c.nd, h.c.prog = nd, p
+		nd.co = h
 	}
-	if cap(s.idx) < n {
-		s.idx = make([]int32, n)
-	} else {
-		s.idx = s.idx[:n]
-		for i := range s.idx {
-			s.idx[i] = 0
+	park, ok := h.c.next()
+	if park.status == stepDone {
+		nd.co = nil
+		if ok {
+			coPool.Put(h)
+		}
+	}
+	return park
+}
+
+// coroutine is an iter.Pull coroutine that runs blocking node programs
+// one after another: loop runs the bound program, yields ParkDone when
+// it returns, and on the next resume runs whichever program was bound
+// meanwhile.
+type coroutine struct {
+	next  func() (Park, bool)
+	stop  func()
+	yield func(Park) bool
+	nd    *Node
+	prog  func(*Node)
+}
+
+// coHandle is what the pool and a bound node hold. The coroutine's own
+// goroutine references the coroutine but never the handle, so once the
+// pool drops an idle handle the garbage collector can reclaim it, and
+// its cleanup stops the coroutine, ending that goroutine. Idle
+// coroutines thereby outlive any one engine (one-shot Run calls reuse
+// them) yet are trimmed by GC like any pooled object.
+type coHandle struct{ c *coroutine }
+
+var coPool = sync.Pool{New: func() any {
+	c := &coroutine{}
+	c.next, c.stop = iter.Pull(c.loop)
+	h := &coHandle{c}
+	runtime.AddCleanup(h, func(c *coroutine) { c.stop() }, c)
+	return h
+}}
+
+func (c *coroutine) loop(yield func(Park) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		c.nd, c.prog = nil, nil
+		if !yield(Park{}) {
+			return
 		}
 	}
 }
 
-// Step advances nd's current sub-program, falling through to the next
-// one whenever it finishes inside this activation.
-func (s *StepSeq) Step(nd *Node) Park {
-	i := s.idx[nd.ID()]
-	for int(i) < len(s.subs) {
-		park := s.subs[i].Step(nd)
-		if !park.Done() {
-			return park
+// run executes the bound program behind the same panic barrier step
+// programs get: a panic fails the node (becoming the run's
+// *PanicError, with the program's own stack) instead of the process.
+// The errAborted unwind an engine abort triggers is not a failure.
+func (c *coroutine) run() {
+	nd := c.nd
+	defer func() {
+		if r := recover(); r != nil && r != errAborted {
+			nd.panicVal = &PanicError{Node: nd.id, Value: r, Stack: string(debug.Stack())}
 		}
-		i++
-		s.idx[nd.ID()] = i
-	}
-	return ParkDone()
+	}()
+	c.prog(nd)
 }
 
-// parallelStepMin is the wake-count threshold below which step dispatch
-// stays on the coordinator even when shards exist (fanning out a
-// handful of activations costs more than running them inline).
-const parallelStepMin = 64
+// unwind ends a parked program at an engine abort: its Recv or Sleep
+// panics with errAborted on resume, the program's deferred calls run,
+// and the coroutine returns to the pool.
+func (nd *Node) unwind() {
+	if h := nd.co; h != nil {
+		nd.co = nil
+		if _, ok := h.c.next(); ok {
+			coPool.Put(h)
+		}
+	}
+}
 
-// dispatchStep runs one activation of every node in wake by calling the
-// step program directly — the step-mode counterpart of dispatch. Small
-// wakes run inline on the coordinator; large ones are split into
-// contiguous chunks over the delivery-shard workers, each stepping its
-// chunk sequentially and collecting sleep/done notifications into a
-// shard-local list the coordinator merges in shard order. Chunk
-// boundaries never affect Stats: activations touch only their own
-// node's state and stage sends through the same lock-free registry the
-// goroutine path uses.
-func (e *Engine) dispatchStep(wake []*Node) {
-	if len(wake) == 0 {
+// parallelStepMin is the wake-count threshold below which activations
+// stay on the coordinator (fanning out a handful of activations costs
+// more than running them inline); stepChunk is the number of wake-list
+// entries an activation worker claims at a time.
+const (
+	parallelStepMin = 64
+	stepChunk       = 16
+)
+
+// actJob offers one engine's current wake list to an idle activation
+// helper; slot selects the engine-owned notification list the helper
+// fills.
+type actJob struct {
+	e    *Engine
+	slot int
+}
+
+// Activation helpers are process-wide: GOMAXPROCS-1 goroutines, started
+// on first use, that serve whichever engine offers work. An engine
+// offers its wake list only to helpers idle at that moment and always
+// works through the list itself too, so engines running concurrently
+// (service workers, the harness pool) never wait on each other.
+var (
+	actJobs     = make(chan actJob)
+	actHelpers  int
+	actHelperGo sync.Once
+)
+
+func startActHelpers() {
+	actHelpers = runtime.GOMAXPROCS(0) - 1
+	for i := 0; i < actHelpers; i++ {
+		go func() {
+			for job := range actJobs {
+				e := job.e
+				e.stepChunks(&e.actNotified[job.slot])
+				e.actDone <- struct{}{}
+			}
+		}()
+	}
+}
+
+// dispatch runs one activation of every node in wake. Small wakes run
+// inline on the coordinator; large ones are shared with idle
+// activation helpers, every worker claiming stepChunk entries at a
+// time through an atomic cursor — dynamic hand-out, because activation
+// costs vary widely between nodes. Each worker collects sleep/done
+// notifications into its own list, merged afterwards. Which worker
+// runs which node never affects Stats: activations touch only their own
+// node's state and stage sends through the lock-free sender registry.
+func (e *Engine) dispatch(wake []*Node) {
+	if len(wake) < parallelStepMin {
+		for _, nd := range wake {
+			e.stepNode(nd, &e.notified)
+		}
 		return
 	}
-	if len(e.shards) > 1 && len(wake) >= parallelStepMin {
-		e.curWake = wake
-		per := (len(wake) + len(e.shards) - 1) / len(e.shards)
-		for i, sh := range e.shards {
-			sh.stepLo = i * per
-			if sh.stepLo > len(wake) {
-				sh.stepLo = len(wake)
-			}
-			sh.stepHi = sh.stepLo + per
-			if sh.stepHi > len(wake) {
-				sh.stepHi = len(wake)
-			}
-			sh.taskCh <- taskStep
-		}
-		for range e.shards {
-			<-e.shardDone
-		}
-		for _, sh := range e.shards {
-			e.notified = append(e.notified, sh.stepNotified...)
-			sh.stepNotified = sh.stepNotified[:0]
-		}
-		return
+	actHelperGo.Do(startActHelpers)
+	e.curWake = wake
+	e.wakeIdx.Store(0)
+	if len(e.actNotified) < actHelpers {
+		e.actNotified = make([][]*Node, actHelpers)
+		e.actDone = make(chan struct{}, actHelpers)
 	}
-	for _, nd := range wake {
-		e.stepNode(nd, &e.notified)
+	joined := 0
+offer:
+	for joined < actHelpers && joined*stepChunk < len(wake) {
+		select {
+		case actJobs <- actJob{e: e, slot: joined}:
+			joined++
+		default:
+			break offer
+		}
 	}
-}
-
-// stepRange steps this shard's chunk of the current wake list.
-func (sh *deliveryShard) stepRange() {
-	e := sh.eng
-	for _, nd := range e.curWake[sh.stepLo:sh.stepHi] {
-		e.stepNode(nd, &sh.stepNotified)
+	e.stepChunks(&e.notified)
+	for i := 0; i < joined; i++ {
+		<-e.actDone
+	}
+	for i := 0; i < joined; i++ {
+		e.notified = append(e.notified, e.actNotified[i]...)
+		e.actNotified[i] = e.actNotified[i][:0]
 	}
 }
 
-// stepNode runs one activation of nd and applies its Park — the
-// step-mode equivalent of the goroutine path's wake + park handshake.
-// Park bookkeeping mirrors Node.park exactly (parkGen increments on
-// every park; sleep and done notifications queue for the coordinator;
-// Recv parks need no attention), so the shared coordinator sees the
-// same node states in both modes.
+// stepChunks activates wake-list chunks until the cursor runs out.
+func (e *Engine) stepChunks(notified *[]*Node) {
+	wake := e.curWake
+	for {
+		hi := int(e.wakeIdx.Add(stepChunk))
+		lo := hi - stepChunk
+		if lo >= len(wake) {
+			return
+		}
+		if hi > len(wake) {
+			hi = len(wake)
+		}
+		for _, nd := range wake[lo:hi] {
+			e.stepNode(nd, notified)
+		}
+	}
+}
+
+// stepNode runs one activation of nd and applies its Park: parkGen
+// increments on every park (invalidating stale sleeper-heap entries),
+// sleep and done notifications queue for the coordinator, and Recv
+// parks need no attention.
 func (e *Engine) stepNode(nd *Node, notified *[]*Node) {
 	park := e.safeStep(nd)
 	switch park.status {
@@ -227,14 +309,16 @@ func (e *Engine) stepNode(nd *Node, notified *[]*Node) {
 		*notified = append(*notified, nd)
 	default: // stepDone
 		nd.phase = phaseDone
+		nd.match = nil
 		*notified = append(*notified, nd)
 	}
 }
 
-// safeStep calls the step program with the same panic barrier the
-// goroutine path gives node programs: a panic fails the node (becoming
-// the run's *PanicError) instead of the process, and the node is
-// treated as done so the round can finish before the abort.
+// safeStep calls the program with a panic barrier: a panic fails the
+// node (becoming the run's *PanicError) instead of the process, and the
+// node is treated as done so the round can finish before the abort.
+// Blocking programs panic inside their coroutine and are caught there
+// (see coroutine.run); this barrier catches step programs.
 func (e *Engine) safeStep(nd *Node) (park Park) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -242,13 +326,5 @@ func (e *Engine) safeStep(nd *Node) (park Park) {
 			park = Park{}
 		}
 	}()
-	return e.stepProg.Step(nd)
+	return e.prog.Step(nd)
 }
-
-// FixedOverlaySlab is a trivial helper for step programs that need
-// per-node precomputed data keyed by node ID; exported packages build
-// richer sources (e.g. proto.StepBFS) on the same shape.
-type FixedOverlaySlab[T any] struct{ Slab []T }
-
-// At returns the slab entry for id.
-func (f FixedOverlaySlab[T]) At(id graph.NodeID) T { return f.Slab[id] }

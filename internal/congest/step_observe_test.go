@@ -7,13 +7,13 @@ import (
 )
 
 // Observer contract on the step path: the compiled execution mode must
-// feed observers the exact same per-round records as the goroutine
+// feed observers the exact same per-round records as the blocking
 // mode, and a nil observer must keep the step loop free of observation
 // overhead.
 
 // TestStepObserverRecordsSumToStats: the step path delivers one record
 // per round whose per-round deliveries sum to the run total, with the
-// final record agreeing with Stats — the same contract the goroutine
+// final record agreeing with Stats — the same contract the blocking
 // path is held to in TestObserverRecordsSumToStats.
 func TestStepObserverRecordsSumToStats(t *testing.T) {
 	g := graph.PlantedCut(16, 16, 3, 0.4, 5)
@@ -62,7 +62,7 @@ func deterministicTail(recs []RoundRecord) []deterministicRecord {
 }
 
 // TestStepObserverParity: the full record stream seen by an observer
-// must agree between the goroutine and step paths on every
+// must agree between the blocking and step paths on every
 // deterministic field, round by round.
 func TestStepObserverParity(t *testing.T) {
 	g := graph.RandomRegular(64, 6, 11)
@@ -80,18 +80,18 @@ func TestStepObserverParity(t *testing.T) {
 	}
 	gt, st := deterministicTail(gObs.recs), deterministicTail(sObs.recs)
 	if len(gt) != len(st) {
-		t.Fatalf("goroutine path produced %d records, step path %d", len(gt), len(st))
+		t.Fatalf("blocking path produced %d records, step path %d", len(gt), len(st))
 	}
 	for i := range gt {
 		if gt[i] != st[i] {
-			t.Fatalf("record %d diverged: goroutine %+v, step %+v", i, gt[i], st[i])
+			t.Fatalf("record %d diverged: blocking %+v, step %+v", i, gt[i], st[i])
 		}
 	}
 }
 
 // TestStepFlightRecorderTailParity: a FlightRecorder armed on each path
 // retains the same final rounds, so post-mortem tails from step runs
-// read exactly like goroutine ones.
+// read exactly like blocking ones.
 func TestStepFlightRecorderTailParity(t *testing.T) {
 	g := graph.RandomRegular(64, 6, 11)
 	gRec, sRec := NewFlightRecorder(8), NewFlightRecorder(8)
@@ -105,11 +105,11 @@ func TestStepFlightRecorderTailParity(t *testing.T) {
 	}
 	gt, st := deterministicTail(gRec.Tail()), deterministicTail(sRec.Tail())
 	if len(gt) == 0 || len(gt) != len(st) {
-		t.Fatalf("tail lengths: goroutine %d, step %d", len(gt), len(st))
+		t.Fatalf("tail lengths: blocking %d, step %d", len(gt), len(st))
 	}
 	for i := range gt {
 		if gt[i] != st[i] {
-			t.Fatalf("tail record %d diverged: goroutine %+v, step %+v", i, gt[i], st[i])
+			t.Fatalf("tail record %d diverged: blocking %+v, step %+v", i, gt[i], st[i])
 		}
 	}
 }

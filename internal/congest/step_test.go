@@ -184,7 +184,7 @@ func TestStepBlockingCallPanics(t *testing.T) {
 	g := graph.Path(2)
 	prog := &stepFuncProgram{
 		step: func(nd *Node) Park {
-			nd.Recv(MatchAny) // illegal: no goroutine to park
+			nd.Recv(MatchAny) // illegal: no coroutine to park
 			return ParkDone()
 		},
 	}
@@ -216,74 +216,9 @@ func TestStepUnknownProgramType(t *testing.T) {
 	}
 }
 
-// TestStepSeqChaining: a StepSeq must enter the next sub-program within
-// the same activation the previous one finishes — two no-send phases
-// chained over three nodes complete in zero rounds, and phase results
-// flow through program state.
-func TestStepSeqChaining(t *testing.T) {
-	g := graph.Path(3)
-	var order [][]int
-	mk := func(tag int) *stepFuncProgram {
-		return &stepFuncProgram{
-			init: func(n int) {
-				if tag == 0 {
-					order = make([][]int, n)
-				}
-			},
-			step: func(nd *Node) Park {
-				order[nd.ID()] = append(order[nd.ID()], tag)
-				return ParkDone()
-			},
-		}
-	}
-	stats, err := Run(g, Options{}, NewStepSeq(mk(0), mk(1), mk(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 0 {
-		t.Fatalf("rounds = %d, want 0 (all phases chain in the initial activation)", stats.Rounds)
-	}
-	for id, got := range order {
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("node %d phase order = %v, want [0 1 2]", id, got)
-		}
-	}
-}
-
-// TestStepSeqAcrossRounds: sub-programs that park still hand off
-// correctly — a sleep phase followed by an exchange phase.
-func TestStepSeqAcrossRounds(t *testing.T) {
-	g := graph.Complete(4)
-	sleeper := &stepFuncProgram{}
-	var slept []bool
-	sleeper.init = func(n int) { slept = make([]bool, n) }
-	sleeper.step = func(nd *Node) Park {
-		if !slept[nd.ID()] {
-			slept[nd.ID()] = true
-			return ParkSleep(3)
-		}
-		return ParkDone()
-	}
-	stats, err := Run(g, Options{}, NewStepSeq(sleeper, newStepExchange(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Leftover != 0 {
-		t.Fatalf("leftover = %d, want 0", stats.Leftover)
-	}
-	if stats.Rounds < 3+2 {
-		t.Fatalf("rounds = %d, want >= 5 (3 sleep + 2 exchange)", stats.Rounds)
-	}
-	wantMsgs := int64(g.N() * (g.N() - 1) * 2)
-	if stats.Delivered != wantMsgs {
-		t.Fatalf("delivered = %d, want %d", stats.Delivered, wantMsgs)
-	}
-}
-
-// TestStepShardedMatchesSerial: the sharded step dispatch (contiguous
-// wake chunks over the delivery-shard workers) must produce the same
-// Stats as serial step dispatch. Uses a graph large enough to clear
-// parallelStepMin so the fan-out path actually runs.
+// TestStepShardedMatchesSerial: sharded delivery must produce the same
+// Stats as serial delivery for a step program. Uses a graph large
+// enough to clear parallelStepMin so activation fan-out runs too.
 func TestStepShardedMatchesSerial(t *testing.T) {
 	g := graph.RandomRegular(256, 6, 7)
 	serial, err := Run(g, Options{Seed: 3, DeliveryShards: -1}, newStepExchange(4))

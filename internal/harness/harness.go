@@ -1,9 +1,30 @@
 // Package harness defines the experiment suite that regenerates every
-// claim of the paper as a measured table (the paper, a brief
-// announcement, has no empirical tables of its own — EXPERIMENTS.md
-// maps each theoretical claim and the single figure to an experiment
-// here). cmd/bench renders all tables; bench_test.go exposes one
-// testing.B benchmark per experiment.
+// claim of the paper as a measured table. The paper, a brief
+// announcement, has no empirical tables of its own, so each
+// theoretical claim and the single figure maps to one experiment:
+//
+//   - E1 (E1Correctness): Theorem 2.1 — every node's distributed C(v↓)
+//     matches the sequential oracle of Lemma 2.2 exactly.
+//   - E2 (E2Scaling): the Theorem 2.1 pipeline takes Õ(√n + D) rounds,
+//     not rounds linear in n.
+//   - E3 (E3Exact): the main theorem — the exact minimum cut in
+//     Õ((√n + D)·poly(λ)) rounds.
+//   - E4 (E4Approx): (1+ε)-approximation quality and cost against ε.
+//   - E5 (E5Baselines): the §1 comparison — this (1+ε) algorithm
+//     against Ghaffari–Kuhn (2+ε, emulated) and Su's concurrent work.
+//   - E6 (E6Diameter): both terms of √n + D are real — fix n, grow D.
+//   - E7 (E7Packing): Thorup's theorem in practice — trees packed until
+//     one 1-respects a minimum cut, against the practical and
+//     theoretical τ bounds.
+//   - E8 (E8Figure1): the paper's only figure — fragments, merging
+//     nodes and T'_F for the Figure-1 tree, plus the O(√n) structural
+//     bounds on random trees.
+//   - E9 (E9Ablation): design choices — fragment size s (√n should
+//     minimize rounds) and CONGEST pipelining against unbounded
+//     bandwidth.
+//
+// cmd/bench renders all tables; bench_test.go exposes one testing.B
+// benchmark per experiment.
 package harness
 
 import (
@@ -54,10 +75,6 @@ type Config struct {
 	Quick bool
 	// Seed drives every randomized workload and protocol.
 	Seed int64
-	// Workers bounds how many node programs the CONGEST runtime
-	// executes concurrently (congest.Options.Workers). Zero wakes every
-	// scheduled node at once; results are identical either way.
-	Workers int
 	// DeliveryShards partitions the runtime's delivery phase over this
 	// many worker goroutines (congest.Options.DeliveryShards). Zero
 	// resolves to serial delivery here — RunAll already executes
@@ -74,7 +91,7 @@ func (c Config) engineOpts(seed int64) congest.Options {
 	if shards == 0 {
 		shards = -1 // serial per run: RunAll is the parallelism
 	}
-	return congest.Options{Seed: seed, Workers: c.Workers, DeliveryShards: shards}
+	return congest.Options{Seed: seed, DeliveryShards: shards}
 }
 
 func (c Config) seed() int64 {

@@ -15,7 +15,7 @@
 // τ policies: Thorup's theoretical bound is Θ(λ⁷ log³ n) trees —
 // correct but intractable beyond tiny λ; the default practical policy
 // uses c·λ·ln n trees, validated empirically in experiment E7 (see
-// EXPERIMENTS.md). Both are provided.
+// the internal/harness package doc). Both are provided.
 package packing
 
 import (

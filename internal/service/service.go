@@ -146,15 +146,13 @@ type Options struct {
 	JobRetention int
 	// Limits bounds accepted specs (zero fields take DefaultLimits).
 	Limits Limits
-	// EngineWorkers and DeliveryShards are passed to every run
-	// (distmincut.Options); they never affect results, only speed.
-	// Zero DeliveryShards resolves to serial delivery here — the
+	// DeliveryShards is passed to every run (distmincut.Options); it
+	// never affects results, only speed. Zero resolves to serial delivery here — the
 	// worker pool already runs PoolSize jobs in parallel, and letting
 	// every job also fan delivery out one-shard-per-CPU (the runtime's
 	// single-run default) would oversubscribe the machine PoolSize-
 	// fold. Set it explicitly to opt a mostly-idle pool into sharded
 	// delivery.
-	EngineWorkers  int
 	DeliveryShards int
 	// CheckPayload enables the runtime's payload-overflow guard on
 	// every run.
@@ -736,7 +734,6 @@ func (s *Service) admitEstimate(canon JobRequest) (est CostEstimate, ok bool) {
 		}
 		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{
 			Seed:           canon.Seed,
-			Workers:        s.opts.EngineWorkers,
 			DeliveryShards: s.opts.DeliveryShards,
 			CheckPayload:   s.opts.CheckPayload,
 		})
@@ -1040,7 +1037,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	eng := congest.NewEngine(congest.Options{
-		Workers:        s.opts.EngineWorkers,
 		DeliveryShards: s.opts.DeliveryShards,
 		CheckPayload:   s.opts.CheckPayload,
 	})
@@ -1318,7 +1314,6 @@ func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *
 		Epsilon:        e.req.Epsilon,
 		MaxRounds:      s.opts.MaxJobRounds,
 		Deadline:       e.deadlineAt,
-		Workers:        s.opts.EngineWorkers,
 		DeliveryShards: s.opts.DeliveryShards,
 		Engine:         eng,
 		Progress:       e.progress,
