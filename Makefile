@@ -63,10 +63,14 @@ fmt-check:
 # (BenchmarkEngineMillionStep* at the million scale), next to the same
 # workloads as blocking programs hosted on pooled coroutines; benchjson's
 # default -match gates the expander rows of both forms.
+# BenchmarkSampleWeight is the skeleton sampler every sampled tier draws
+# edge weights through; it must stay at 0 allocs/op, and the default
+# -match gates it too.
 # No pipe here: a panicking benchmark must fail the target, and `go
 # test | tee` would hide its exit status under sh (no pipefail).
 bench: bench-service
 	$(GO) test ./internal/congest -run '^$$' -bench 'BenchmarkEngine(Path|Expander|Community|Step)' -benchmem -count 3 > BENCH_engine.txt
+	$(GO) test ./internal/sampling -run '^$$' -bench BenchmarkSampleWeight -benchmem -count 3 >> BENCH_engine.txt
 	$(GO) test ./internal/congest -run '^$$' -bench BenchmarkEngineMillion -benchmem -benchtime 1x -count 1 >> BENCH_engine.txt
 	$(GO) test . -run '^$$' -bench 'Benchmark(Pipeline|Approx|Bracket)Million' -benchmem -benchtime 1x -count 1 -timeout 150m >> BENCH_engine.txt
 	@cat BENCH_engine.txt

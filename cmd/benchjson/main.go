@@ -18,7 +18,7 @@
 // Usage:
 //
 //	go test ./internal/congest -bench BenchmarkEngine -benchmem | benchjson > BENCH_engine.json
-//	benchjson -compare BENCH_engine.json new.json [-threshold 0.20] [-match 'BenchmarkEngine(Million)?(Step)?Expander'] [-allow-missing]
+//	benchjson -compare BENCH_engine.json new.json [-threshold 0.20] [-match 'BenchmarkEngine(Million)?(Step)?Expander|BenchmarkSampleWeight'] [-allow-missing]
 package main
 
 import (
@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -54,9 +55,11 @@ func main() {
 	compare := flag.Bool("compare", false, "compare two report files (old new) instead of converting stdin")
 	threshold := flag.Float64("threshold", 0.20, "relative regression tolerated by -compare (0.20 = 20%)")
 	// The default gate covers the expander rows of both execution paths
-	// at both scales: BenchmarkEngineExpander*, BenchmarkEngineStepExpander*,
-	// BenchmarkEngineMillionExpander*, and BenchmarkEngineMillionStepExpander*.
-	match := flag.String("match", "BenchmarkEngine(Million)?(Step)?Expander", "regexp of benchmark names gated by -compare")
+	// at both scales (BenchmarkEngineExpander*, BenchmarkEngineStepExpander*,
+	// BenchmarkEngineMillionExpander*, BenchmarkEngineMillionStepExpander*)
+	// and the skeleton sampler's BenchmarkSampleWeight, whose zero
+	// allocs/op baseline fails the gate on any allocation.
+	match := flag.String("match", "BenchmarkEngine(Million)?(Step)?Expander|BenchmarkSampleWeight", "regexp of benchmark names gated by -compare")
 	allowMissing := flag.Bool("allow-missing", false, "exit 0 when the baseline has no benchmarks matching -match (new-metric grace)")
 	flag.Parse()
 	if *compare {
@@ -157,6 +160,8 @@ func dedupeBest(benchmarks []Benchmark) []Benchmark {
 // p50/p95 are the serving numbers the service PRs actually move. A
 // baseline that predates a metric simply leaves that axis ungated for
 // the benchmark (missing baseline metrics are skipped, never failed).
+// A baseline of 0 allocs/op has no ratio to scale, so any allocation
+// in the new report fails it.
 var gatedMetrics = []string{"ns/op", "allocs/op"}
 
 var gatedMetricsRound = []string{"round-ns", "allocs/op"}
@@ -226,11 +231,17 @@ func runCompare(args []string, threshold float64, match string, allowMissing boo
 			metrics = gatedMetricsRound
 		}
 		for _, metric := range metrics {
-			ov, nv := ob.Metrics[metric], nb.Metrics[metric]
-			if ov <= 0 {
+			ov, had := ob.Metrics[metric]
+			nv := nb.Metrics[metric]
+			var ratio float64
+			switch {
+			case ov > 0:
+				ratio = nv/ov - 1
+			case had && metric == "allocs/op" && nv > 0:
+				ratio = math.Inf(1)
+			default:
 				continue
 			}
-			ratio := nv/ov - 1
 			status := "ok"
 			if ratio > threshold {
 				status = "REGRESSION"

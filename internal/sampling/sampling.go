@@ -10,7 +10,13 @@
 // Both endpoints of an edge must sample identically without
 // communication; SampleWeight therefore derives its randomness from a
 // splitmix64 hash of (seed, packed endpoints, level) — shared
-// deterministic randomness, the standard public-coins assumption.
+// deterministic randomness, the standard public-coins assumption. The
+// hash seeds math/rand's Go 1 value stream, which Go 1 compatibility
+// freezes; SampleWeight evaluates that stream in closed form (goStream)
+// from the seeding table rngCooked, copied verbatim from the Go
+// standard library's src/math/rand/rng.go. Samples are therefore
+// exactly those of rand.New(rand.NewSource(...)), at a few multiplies
+// per draw and no allocation.
 //
 // The same sampling machinery also powers the bracket serving tier
 // (Bracket): instead of packing trees on a skeleton, it only tests
@@ -23,10 +29,7 @@
 // singleton cut that doubles as the bracket's witness.
 package sampling
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Kappa returns the skeleton threshold κ(ε, n): descent stops when the
 // sampled graph's minimum cut is at most κ. The ln n factor is
@@ -64,7 +67,13 @@ func edgeSeed(seed int64, uv int64, level int) int64 {
 // unchanged. The draw is identical for both endpoints (it depends only
 // on seed, the packed endpoint pair uv, and the level) and runs in
 // O(successes+1) expected time via geometric skipping, so heavy edges
-// at aggressive levels stay cheap.
+// at aggressive levels stay cheap. The result always lies in [0, w].
+//
+// The uniforms are the Float64 values of
+// rand.New(rand.NewSource(edgeSeed(seed, uv, level))), math/rand's
+// frozen Go 1 stream, but evaluated in closed form (goStream) from
+// rngCooked, the seeding table copied from the Go standard library:
+// a draw neither allocates nor builds math/rand's 607-word register.
 func SampleWeight(seed int64, uv int64, level int, w int64) int64 {
 	if level <= 0 || w <= 0 {
 		if w < 0 {
@@ -73,17 +82,20 @@ func SampleWeight(seed int64, uv int64, level int, w int64) int64 {
 		return w
 	}
 	p := math.Ldexp(1, -level)
-	rng := rand.New(rand.NewSource(edgeSeed(seed, uv, level)))
+	rng := newGoStream(edgeSeed(seed, uv, level))
 	// Geometric skipping: jump log(1-U)/log(1-p) failed trials at a time.
 	logq := math.Log1p(-p)
 	var successes, pos int64
 	for {
-		u := rng.Float64()
-		skip := int64(math.Floor(math.Log1p(-u) / logq))
-		pos += skip + 1
-		if pos > w {
+		skip := math.Floor(math.Log1p(-rng.Float64()) / logq)
+		// Range-check the float before converting: at levels near 60
+		// the skip can exceed int64, and a wrapped conversion would
+		// count successes past w. An in-range skip ends the draw
+		// exactly when pos+skip+1 > w.
+		if !(skip < 1<<63) || int64(skip) >= w-pos {
 			return successes
 		}
+		pos += int64(skip) + 1
 		successes++
 	}
 }
