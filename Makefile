@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-chaos fuzz-smoke vet fmt-check docs-check bench bench-service bench-gate ci
+.PHONY: build test test-short test-chaos fuzz-smoke determinism vet fmt-check docs-check bench bench-service bench-gate ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,24 @@ fuzz-smoke:
 # drain, or corrupt the content-addressed cache.
 test-chaos:
 	$(GO) test -race -count=1 -tags chaos ./internal/chaos/... ./internal/service/... ./internal/gateway/...
+
+# determinism runs cmd/mincut for a fixed seed, in exact and approx
+# mode, under GOMAXPROCS=1 and GOMAXPROCS=2 and requires byte-identical
+# output. Activation helpers (GOMAXPROCS-1 of them) are the engine's
+# only parallelism, so this is the end-to-end scheduling-independence
+# check. n=128 keeps wake sets above the engine's fan-out threshold.
+determinism:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/mincut" ./cmd/mincut; \
+	for mode in exact approx; do \
+		GOMAXPROCS=1 "$$tmp/mincut" -graph planted -n 128 -lambda 3 -seed 7 -mode $$mode > "$$tmp/p1"; \
+		GOMAXPROCS=2 "$$tmp/mincut" -graph planted -n 128 -lambda 3 -seed 7 -mode $$mode > "$$tmp/p2"; \
+		if ! cmp -s "$$tmp/p1" "$$tmp/p2"; then \
+			echo "$$mode: output differs between GOMAXPROCS=1 and GOMAXPROCS=2"; \
+			diff "$$tmp/p1" "$$tmp/p2"; exit 1; \
+		fi; \
+		echo "$$mode: byte-identical under GOMAXPROCS=1 and GOMAXPROCS=2"; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -108,4 +126,4 @@ bench-gate:
 		fi; \
 		rm -f BENCH_engine.baseline.json; exit $$status
 
-ci: fmt-check vet build test-short docs-check
+ci: fmt-check vet build test-short determinism docs-check

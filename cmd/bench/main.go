@@ -23,10 +23,9 @@ func run() int {
 	quick := flag.Bool("quick", false, "small workloads (seconds instead of minutes)")
 	seed := flag.Int64("seed", 1, "seed for workloads and protocols")
 	only := flag.String("only", "", "run a single experiment (E1..E9)")
-	shards := flag.Int("shards", 0, "run message delivery on this many shards (0 = serial; experiments already run concurrently)")
 	flag.Parse()
 
-	cfg := harness.Config{Quick: *quick, Seed: *seed, DeliveryShards: *shards}
+	cfg := harness.Config{Quick: *quick, Seed: *seed}
 	experiments := map[string]func(harness.Config) *harness.Table{
 		"E1": harness.E1Correctness,
 		"E2": harness.E2Scaling,

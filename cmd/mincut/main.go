@@ -1,6 +1,9 @@
 // Command mincut runs the distributed minimum-cut pipeline on a
 // generated workload and reports the cut, its side sizes, and the
-// CONGEST complexity, cross-checked against Stoer–Wagner.
+// CONGEST complexity, cross-checked against Stoer–Wagner. It exits 1
+// when the reported side's recomputed weight differs from the reported
+// value, when the value is below the Stoer–Wagner λ, or when exact mode
+// misses λ.
 //
 // Usage:
 //
@@ -19,6 +22,7 @@ import (
 	"distmincut"
 	"distmincut/internal/baseline"
 	"distmincut/internal/graph"
+	"distmincut/internal/verify"
 )
 
 func main() {
@@ -32,7 +36,6 @@ func run() int {
 	mode := flag.String("mode", "exact", "exact | approx | respect")
 	eps := flag.Float64("eps", 0.25, "approximation parameter (approx mode)")
 	seed := flag.Int64("seed", 1, "seed")
-	shards := flag.Int("shards", 0, "run message delivery on this many shards (0 = one per CPU, negative = serial)")
 	weights := flag.String("weights", "", "random edge weights lo,hi (e.g. 1,50)")
 	flag.Parse()
 
@@ -65,7 +68,7 @@ func run() int {
 	}
 	fmt.Printf("ground truth (Stoer–Wagner): λ = %d\n\n", sw)
 
-	opts := &distmincut.Options{Seed: *seed, Epsilon: *eps, DeliveryShards: *shards}
+	opts := &distmincut.Options{Seed: *seed, Epsilon: *eps}
 	var res *distmincut.Result
 	switch *mode {
 	case "exact":
@@ -99,14 +102,35 @@ func run() int {
 		fmt.Printf("round breakdown: MST construction %d, 1-respecting cuts %d, other %d\n",
 			spans["mst"], spans["respect"], res.Rounds-spans["mst"]-spans["respect"])
 	}
-	if *mode == "exact" && res.Value != sw {
-		fmt.Println("WARNING: exact mode disagrees with Stoer–Wagner!")
+	if err := check(g, *mode, res, sw); err != nil {
+		fmt.Printf("WARNING: %v!\n", err)
 		return 1
 	}
 	if *mode == "approx" {
 		fmt.Printf("approximation ratio: %.3f (budget 1+ε = %.3f)\n", float64(res.Value)/float64(sw), 1+*eps)
 	}
 	return 0
+}
+
+// check cross-checks a result against the graph and the Stoer–Wagner
+// minimum lambda, in every mode: the reported side must be a proper
+// cut whose weight is the reported value, no cut can weigh less than
+// lambda, and exact mode must hit lambda.
+func check(g *graph.Graph, mode string, res *distmincut.Result, lambda int64) error {
+	w, err := verify.CutSides(g, res.Side)
+	if err != nil {
+		return fmt.Errorf("reported cut side is invalid: %v", err)
+	}
+	if w != res.Value {
+		return fmt.Errorf("reported side weighs %d, not the reported value %d", w, res.Value)
+	}
+	if res.Value < lambda {
+		return fmt.Errorf("cut value %d is below the Stoer–Wagner minimum %d", res.Value, lambda)
+	}
+	if mode == "exact" && res.Value != lambda {
+		return fmt.Errorf("exact mode disagrees with Stoer–Wagner (%d vs %d)", res.Value, lambda)
+	}
+	return nil
 }
 
 func buildGraph(kind string, n, lambda int, seed int64) (*graph.Graph, error) {

@@ -83,13 +83,6 @@ type Options struct {
 	// deadline, so a context.WithDeadline context bounds the run even
 	// if this field is zero.
 	Deadline time.Time
-	// DeliveryShards partitions the runtime's message-delivery phase
-	// over this many worker goroutines (see
-	// congest.Options.DeliveryShards). Zero picks the runtime default
-	// (one shard per available CPU, serial on a single-CPU machine);
-	// negative forces serial delivery. Results are identical either
-	// way.
-	DeliveryShards int
 	// Engine, when non-nil, runs the protocol on this reusable runtime
 	// (congest.NewEngine) instead of a one-shot engine. A warm engine
 	// retains its slabs and port tables between runs, so repeated
@@ -173,15 +166,14 @@ func (o Options) engineOpts(ctx context.Context) congest.Options {
 		deadline = cd
 	}
 	return congest.Options{
-		Seed:           o.Seed,
-		Unbounded:      o.Unbounded,
-		MaxRounds:      o.MaxRounds,
-		DeliveryShards: o.DeliveryShards,
-		Interrupt:      ctx.Done(),
-		Deadline:       deadline,
-		Progress:       o.Progress,
-		CheckPayload:   o.CheckPayload,
-		Observer:       o.Observer,
+		Seed:         o.Seed,
+		Unbounded:    o.Unbounded,
+		MaxRounds:    o.MaxRounds,
+		Interrupt:    ctx.Done(),
+		Deadline:     deadline,
+		Progress:     o.Progress,
+		CheckPayload: o.CheckPayload,
+		Observer:     o.Observer,
 	}
 }
 

@@ -14,13 +14,13 @@ import (
 
 // The golden suite pins every entry point's deterministic output —
 // Stats counters, the (round, node)-ordered mark stream, and the cut —
-// on four generator families under serial and sharded delivery. The
-// fingerprints in testdata/golden_entrypoints.json were recorded from
-// the engine's goroutine-per-node execution path, before node programs
-// moved onto the step scheduler, so they prove behaviour identity
-// across that refactor without keeping the old code around. Deleting
-// the file and running the test records it afresh (and fails once, so
-// a re-record is never silent).
+// on four generator families. The fingerprints in
+// testdata/golden_entrypoints.json were recorded from the engine's
+// goroutine-per-node execution path, before node programs moved onto
+// the step scheduler, so they prove behaviour identity across that
+// refactor without keeping the old code around. Deleting the file and
+// running the test records it afresh (and fails once, so a re-record is
+// never silent).
 
 const goldenEntryFile = "testdata/golden_entrypoints.json"
 
@@ -35,13 +35,9 @@ func goldenFamilies() map[string]*graph.Graph {
 	}
 }
 
-// goldenModes are the delivery configurations every case runs under.
-func goldenModes() map[string]Options {
-	return map[string]Options{
-		"serial": {Seed: 5, DeliveryShards: -1, CheckPayload: true},
-		"shards": {Seed: 5, DeliveryShards: 3, CheckPayload: true},
-	}
-}
+// goldenOptions is the configuration every case runs under; case
+// names keep the "serial" suffix they were recorded with.
+var goldenOptions = Options{Seed: 5, CheckPayload: true}
 
 // goldenRecord is one case's deterministic fingerprint.
 type goldenRecord struct {
@@ -164,23 +160,21 @@ func checkGolden(t *testing.T, path string, got map[string]goldenRecord) {
 }
 
 // TestGoldenEntryPoints runs MinCut, ApproxMinCut, BracketMinCut and
-// OneRespectingCut on every family × delivery mode with the payload
-// guard on, and requires each fingerprint to equal the recorded one.
+// OneRespectingCut on every family with the payload guard on, and
+// requires each fingerprint to equal the recorded one.
 func TestGoldenEntryPoints(t *testing.T) {
 	got := map[string]goldenRecord{}
 	for entry, run := range goldenEntryPoints {
 		for fam, g := range goldenFamilies() {
-			for mode, opts := range goldenModes() {
-				name := entry + "/" + fam + "/" + mode
-				t.Run(name, func(t *testing.T) {
-					o := opts
-					rec, err := run(g, &o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[name] = rec
-				})
-			}
+			name := entry + "/" + fam + "/serial"
+			t.Run(name, func(t *testing.T) {
+				o := goldenOptions
+				rec, err := run(g, &o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[name] = rec
+			})
 		}
 	}
 	checkGolden(t, goldenEntryFile, got)

@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -176,25 +175,19 @@ func benchSetup() {
 	})
 }
 
-// The serial benchmarks pin DeliveryShards to -1 (explicit serial):
-// Options zero now resolves to one shard per CPU, and the regression
-// gate needs these workloads to measure the same configuration on
-// every runner and against every baseline. The sharded configuration
-// is measured by the *Shards variants.
-
 func BenchmarkEnginePathExchange(b *testing.B) {
 	benchSetup()
-	benchRun(b, benchGraphs.path, Options{DeliveryShards: -1}, exchangeProgram(8))
+	benchRun(b, benchGraphs.path, Options{}, exchangeProgram(8))
 }
 
 func BenchmarkEngineExpanderExchange(b *testing.B) {
 	benchSetup()
-	benchRun(b, benchGraphs.expander, Options{DeliveryShards: -1}, exchangeProgram(8))
+	benchRun(b, benchGraphs.expander, Options{}, exchangeProgram(8))
 }
 
 func BenchmarkEngineCommunityExchange(b *testing.B) {
 	benchSetup()
-	benchRun(b, benchGraphs.community, Options{DeliveryShards: -1}, exchangeProgram(8))
+	benchRun(b, benchGraphs.community, Options{}, exchangeProgram(8))
 }
 
 // BenchmarkEngineStep* run the same exchange workloads as hand-written
@@ -204,25 +197,17 @@ func BenchmarkEngineCommunityExchange(b *testing.B) {
 
 func BenchmarkEngineStepPathExchange(b *testing.B) {
 	benchSetup()
-	benchRun(b, benchGraphs.path, Options{DeliveryShards: -1}, newStepExchange(8))
+	benchRun(b, benchGraphs.path, Options{}, newStepExchange(8))
 }
 
 func BenchmarkEngineStepExpanderExchange(b *testing.B) {
 	benchSetup()
-	benchRun(b, benchGraphs.expander, Options{DeliveryShards: -1}, newStepExchange(8))
+	benchRun(b, benchGraphs.expander, Options{}, newStepExchange(8))
 }
 
 func BenchmarkEngineStepCommunityExchange(b *testing.B) {
 	benchSetup()
-	benchRun(b, benchGraphs.community, Options{DeliveryShards: -1}, newStepExchange(8))
-}
-
-// BenchmarkEngineStepExpanderShards adds sharded delivery: delivery and
-// matching fan out over GOMAXPROCS delivery shards, on top of the
-// activation fan-out every configuration gets.
-func BenchmarkEngineStepExpanderShards(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.expander, Options{DeliveryShards: runtime.GOMAXPROCS(0)}, newStepExchange(8))
+	benchRun(b, benchGraphs.community, Options{}, newStepExchange(8))
 }
 
 // BenchmarkEngineExpanderSparse: two nodes chatting on a 10k-node
@@ -232,14 +217,7 @@ func BenchmarkEngineExpanderSparse(b *testing.B) {
 	benchSetup()
 	g := benchGraphs.expander
 	peer := g.Adj(0)[0].Peer
-	benchRun(b, g, Options{DeliveryShards: -1}, pingPongProgram(0, peer, 256))
-}
-
-// BenchmarkEngineExpanderShards runs the dense exchange with the
-// delivery phase partitioned over GOMAXPROCS shards.
-func BenchmarkEngineExpanderShards(b *testing.B) {
-	benchSetup()
-	benchRun(b, benchGraphs.expander, Options{DeliveryShards: runtime.GOMAXPROCS(0)}, exchangeProgram(8))
+	benchRun(b, g, Options{}, pingPongProgram(0, peer, 256))
 }
 
 // Million-scale workloads: graphs the seed engine could not simulate at
@@ -302,7 +280,7 @@ func BenchmarkEngineMillionPathReuse(b *testing.B) {
 func BenchmarkEngineMillionExpanderExchange(b *testing.B) {
 	millionSetup(b)
 	benchRunSplit(b, millionGraphs.expander,
-		Options{DeliveryShards: runtime.GOMAXPROCS(0)},
+		Options{},
 		exchangeProgram(1))
 }
 
@@ -313,7 +291,7 @@ func BenchmarkEngineMillionExpanderExchange(b *testing.B) {
 func BenchmarkEngineMillionStepExpanderExchange(b *testing.B) {
 	millionSetup(b)
 	benchRunSplit(b, millionGraphs.expander,
-		Options{DeliveryShards: runtime.GOMAXPROCS(0)},
+		Options{},
 		newStepExchange(1))
 }
 

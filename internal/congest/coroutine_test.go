@@ -25,7 +25,7 @@ var raceEnabled bool
 // activation helpers exist before a test takes a goroutine baseline.
 func warmActivation(t *testing.T) {
 	t.Helper()
-	if _, err := Run(graph.Path(4*parallelStepMin), Options{DeliveryShards: -1}, func(*Node) {}); err != nil {
+	if _, err := Run(graph.Path(4*parallelStepMin), Options{}, func(*Node) {}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -42,9 +42,7 @@ func TestImmediateExitGoroutineBound(t *testing.T) {
 	warmActivation(t)
 	base := runtime.NumGoroutine()
 	var peak atomic.Int64
-	// Serial delivery: shard workers are goroutines too, and this test
-	// counts only what activation adds.
-	_, err := Run(graph.Path(100_000), Options{DeliveryShards: -1}, func(*Node) {
+	_, err := Run(graph.Path(100_000), Options{}, func(*Node) {
 		n := int64(runtime.NumGoroutine())
 		for {
 			p := peak.Load()

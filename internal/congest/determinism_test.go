@@ -2,7 +2,7 @@ package congest
 
 import (
 	"errors"
-	"runtime"
+	"sync"
 	"testing"
 
 	"distmincut/internal/graph"
@@ -58,108 +58,104 @@ func determinismFamilies() map[string]*graph.Graph {
 	}
 }
 
-// TestDeterminismAcrossModes: for the same seed, serial and sharded
-// delivery (several shard counts) must produce bit-identical Stats on
-// every generator family, run after run.
+// TestDeterminismAcrossModes: for the same seed, Stats must be
+// bit-identical on every generator family run after run — alone, and
+// with a second engine running concurrently and competing for the
+// process-wide activation helpers, which changes which worker activates
+// which node.
 func TestDeterminismAcrossModes(t *testing.T) {
-	gp := runtime.GOMAXPROCS(0)
-	modes := []struct {
-		name   string
-		shards int
-	}{
-		{"serial", -1},
-		{"serial-again", -1},
-		{"default", 0},
-		{"shards-2", 2},
-		{"shards-3", 3},
-		{"shards-4", 4},
-		{"shards-gomaxprocs", gp},
-	}
+	opts := Options{Seed: 42}
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
-			var want statsKey
-			for i, m := range modes {
-				stats, err := Run(g, Options{Seed: 42, DeliveryShards: m.shards}, chatterProgram)
-				if err != nil {
-					t.Fatalf("%s: %v", m.name, err)
-				}
-				got := keyOf(stats)
-				if i == 0 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s stats diverged: got %+v, want %+v", m.name, got, want)
-				}
+			stats, err := Run(g, opts, chatterProgram)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := keyOf(stats)
 			if want.leftover != 0 {
 				t.Fatalf("workload left %d unconsumed messages", want.leftover)
+			}
+			if stats, err = Run(g, opts, chatterProgram); err != nil {
+				t.Fatalf("again: %v", err)
+			} else if got := keyOf(stats); got != want {
+				t.Fatalf("again: stats diverged: got %+v, want %+v", got, want)
+			}
+			var wg sync.WaitGroup
+			keys := make([]statsKey, 2)
+			errs := make([]error, 2)
+			for i := range keys {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					stats, err := Run(g, opts, chatterProgram)
+					if errs[i] = err; err == nil {
+						keys[i] = keyOf(stats)
+					}
+				}()
+			}
+			wg.Wait()
+			for i := range keys {
+				if errs[i] != nil {
+					t.Fatalf("concurrent %d: %v", i, errs[i])
+				}
+				if keys[i] != want {
+					t.Fatalf("concurrent %d: stats diverged: got %+v, want %+v", i, keys[i], want)
+				}
 			}
 		})
 	}
 }
 
 // TestReusedEngineDeterminism: a reused engine must produce
-// bit-identical Stats to a fresh engine, on every generator family and
-// execution mode — across repeat runs on the same graph (the warm
-// dirty-region reset path) and across runs that interleave different
-// graphs on one engine (the slab-reuse-with-rebuild path).
+// bit-identical Stats to a fresh engine, on every generator family —
+// across repeat runs on the same graph (the warm dirty-region reset
+// path) and across runs that interleave different graphs on one engine
+// (the slab-reuse-with-rebuild path).
 func TestReusedEngineDeterminism(t *testing.T) {
-	gp := runtime.GOMAXPROCS(0)
-	modes := []struct {
-		name   string
-		shards int
-	}{
-		{"serial", -1},
-		{"shards-2", 2},
-		{"shards-gomaxprocs", gp},
-	}
 	families := determinismFamilies()
-	for _, m := range modes {
-		opts := Options{Seed: 42, DeliveryShards: m.shards}
-		t.Run(m.name, func(t *testing.T) {
-			// Fresh-engine baselines.
-			want := map[string]statsKey{}
-			for name, g := range families {
-				stats, err := Run(g, opts, chatterProgram)
-				if err != nil {
-					t.Fatalf("%s fresh: %v", name, err)
-				}
-				want[name] = keyOf(stats)
+	opts := Options{Seed: 42}
+	t.Run("serial", func(t *testing.T) {
+		// Fresh-engine baselines.
+		want := map[string]statsKey{}
+		for name, g := range families {
+			stats, err := Run(g, opts, chatterProgram)
+			if err != nil {
+				t.Fatalf("%s fresh: %v", name, err)
 			}
-			// One engine, three consecutive runs per family: run 2 and 3
-			// exercise the warm same-graph path.
-			for name, g := range families {
-				eng := NewEngine(opts)
-				for i := 0; i < 3; i++ {
-					stats, err := eng.Run(g, chatterProgram)
-					if err != nil {
-						t.Fatalf("%s reuse run %d: %v", name, i, err)
-					}
-					if got := keyOf(stats); got != want[name] {
-						t.Fatalf("%s reuse run %d diverged: got %+v, want %+v", name, i, got, want[name])
-					}
-				}
-				eng.Close()
-			}
-			// One engine across every family, twice over: each switch
-			// rebuilds port tables while keeping whatever slabs fit.
+			want[name] = keyOf(stats)
+		}
+		// One engine, three consecutive runs per family: run 2 and 3
+		// exercise the warm same-graph path.
+		for name, g := range families {
 			eng := NewEngine(opts)
-			defer eng.Close()
-			order := []string{"path", "expander", "community", "complete"}
-			for round := 0; round < 2; round++ {
-				for _, name := range order {
-					stats, err := eng.Run(families[name], chatterProgram)
-					if err != nil {
-						t.Fatalf("%s cross-graph round %d: %v", name, round, err)
-					}
-					if got := keyOf(stats); got != want[name] {
-						t.Fatalf("%s cross-graph round %d diverged: got %+v, want %+v", name, round, got, want[name])
-					}
+			for i := 0; i < 3; i++ {
+				stats, err := eng.Run(g, chatterProgram)
+				if err != nil {
+					t.Fatalf("%s reuse run %d: %v", name, i, err)
+				}
+				if got := keyOf(stats); got != want[name] {
+					t.Fatalf("%s reuse run %d diverged: got %+v, want %+v", name, i, got, want[name])
 				}
 			}
-		})
-	}
+			eng.Close()
+		}
+		// One engine across every family, twice over: each switch
+		// rebuilds port tables while keeping whatever slabs fit.
+		eng := NewEngine(opts)
+		defer eng.Close()
+		order := []string{"path", "expander", "community", "complete"}
+		for round := 0; round < 2; round++ {
+			for _, name := range order {
+				stats, err := eng.Run(families[name], chatterProgram)
+				if err != nil {
+					t.Fatalf("%s cross-graph round %d: %v", name, round, err)
+				}
+				if got := keyOf(stats); got != want[name] {
+					t.Fatalf("%s cross-graph round %d diverged: got %+v, want %+v", name, round, got, want[name])
+				}
+			}
+		}
+	})
 }
 
 // TestReusedEngineAfterAbort: an aborted run (deadlock, panic) must not
@@ -232,73 +228,28 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 }
 
 // TestDeterminismUnbounded: the span-copy delivery of Unbounded mode
-// must stay bit-identical across serial and sharded delivery.
+// must be bit-identical run after run, on a fresh and a reused engine.
 func TestDeterminismUnbounded(t *testing.T) {
+	opts := Options{Seed: 7, Unbounded: true}
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
-			var want statsKey
-			modes := []Options{
-				{Seed: 7, Unbounded: true, DeliveryShards: -1},
-				{Seed: 7, Unbounded: true, DeliveryShards: 3},
-				{Seed: 7, Unbounded: true, DeliveryShards: 2},
+			stats, err := Run(g, opts, chatterProgram)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, opts := range modes {
-				stats, err := Run(g, opts, chatterProgram)
+			want := keyOf(stats)
+			eng := NewEngine(opts)
+			defer eng.Close()
+			for i := 0; i < 2; i++ {
+				stats, err := eng.Run(g, chatterProgram)
 				if err != nil {
-					t.Fatalf("mode %d: %v", i, err)
+					t.Fatalf("reuse run %d: %v", i, err)
 				}
-				got := keyOf(stats)
-				if i == 0 {
-					want = got
-				} else if got != want {
-					t.Fatalf("mode %d stats diverged: got %+v, want %+v", i, got, want)
+				if got := keyOf(stats); got != want {
+					t.Fatalf("reuse run %d stats diverged: got %+v, want %+v", i, got, want)
 				}
 			}
 		})
-	}
-}
-
-// TestShardsEdgeCases: sharded delivery must preserve the engine's
-// error paths, not just the happy path.
-
-func TestShardsPanicPropagation(t *testing.T) {
-	g := graph.Cycle(6)
-	_, err := Run(g, Options{DeliveryShards: 3}, func(nd *Node) {
-		if nd.ID() == 4 {
-			panic("boom")
-		}
-		nd.Recv(MatchKind(kindToken))
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Node != 4 {
-		t.Fatalf("err = %v, want PanicError from node 4", err)
-	}
-}
-
-func TestShardsDeadlockDetection(t *testing.T) {
-	g := graph.Path(5)
-	_, err := Run(g, Options{DeliveryShards: 2}, func(nd *Node) {
-		nd.Recv(MatchKind(kindToken))
-	})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-}
-
-func TestShardsMoreThanNodes(t *testing.T) {
-	g := graph.Path(2)
-	stats, err := Run(g, Options{DeliveryShards: 16}, func(nd *Node) {
-		if nd.ID() == 0 {
-			nd.Send(0, Message{Kind: kindToken})
-		} else {
-			nd.RecvKindTag(kindToken, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", stats.Delivered)
 	}
 }
 
@@ -527,36 +478,26 @@ func appendInts(b []byte, vals ...int) []byte {
 	return b
 }
 
-// stepDiffModes are the execution configurations the two paths are
-// compared under.
-func stepDiffModes() map[string]Options {
-	return map[string]Options{
-		"serial":   {Seed: 42, DeliveryShards: -1},
-		"shards-3": {Seed: 42, DeliveryShards: 3},
-	}
-}
-
 // TestStepDifferentialChatter: the RNG-driven chatter workload must be
-// bit-identical between the blocking and step paths on every family
-// and mode — including the per-node RNG draw sequence, sleeps, and the
+// bit-identical between the blocking and step paths on every family —
+// including the per-node RNG draw sequence, sleeps, and the
 // selective-receive drain.
 func TestStepDifferentialChatter(t *testing.T) {
+	opts := Options{Seed: 42}
 	for fam, g := range determinismFamilies() {
-		for mode, opts := range stepDiffModes() {
-			t.Run(fam+"/"+mode, func(t *testing.T) {
-				bs, err := Run(g, opts, chatterProgram)
-				if err != nil {
-					t.Fatalf("blocking path: %v", err)
-				}
-				ss, err := Run(g, opts, &stepChatter{})
-				if err != nil {
-					t.Fatalf("step path: %v", err)
-				}
-				if got, want := fullKeyOf(t, ss), fullKeyOf(t, bs); got != want {
-					t.Fatalf("step path diverged: got %+v, want %+v", got, want)
-				}
-			})
-		}
+		t.Run(fam+"/serial", func(t *testing.T) {
+			bs, err := Run(g, opts, chatterProgram)
+			if err != nil {
+				t.Fatalf("blocking path: %v", err)
+			}
+			ss, err := Run(g, opts, &stepChatter{})
+			if err != nil {
+				t.Fatalf("step path: %v", err)
+			}
+			if got, want := fullKeyOf(t, ss), fullKeyOf(t, bs); got != want {
+				t.Fatalf("step path diverged: got %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -564,25 +505,24 @@ func TestStepDifferentialChatter(t *testing.T) {
 // produce the identical mark stream — labels, rounds, delivered counts
 // — on both paths.
 func TestStepDifferentialMarks(t *testing.T) {
+	opts := Options{Seed: 42}
 	for fam, g := range determinismFamilies() {
-		for mode, opts := range stepDiffModes() {
-			t.Run(fam+"/"+mode, func(t *testing.T) {
-				bs, err := Run(g, opts, phasedProgram)
-				if err != nil {
-					t.Fatalf("blocking path: %v", err)
-				}
-				ss, err := Run(g, opts, &stepPhased{})
-				if err != nil {
-					t.Fatalf("step path: %v", err)
-				}
-				if bs.Marks == nil || len(bs.Marks) != 4 {
-					t.Fatalf("expected 4 marks, got %v", bs.Marks)
-				}
-				if got, want := fullKeyOf(t, ss), fullKeyOf(t, bs); got != want {
-					t.Fatalf("step path diverged: got %+v, want %+v", got, want)
-				}
-			})
-		}
+		t.Run(fam+"/serial", func(t *testing.T) {
+			bs, err := Run(g, opts, phasedProgram)
+			if err != nil {
+				t.Fatalf("blocking path: %v", err)
+			}
+			ss, err := Run(g, opts, &stepPhased{})
+			if err != nil {
+				t.Fatalf("step path: %v", err)
+			}
+			if bs.Marks == nil || len(bs.Marks) != 4 {
+				t.Fatalf("expected 4 marks, got %v", bs.Marks)
+			}
+			if got, want := fullKeyOf(t, ss), fullKeyOf(t, bs); got != want {
+				t.Fatalf("step path diverged: got %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 

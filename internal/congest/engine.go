@@ -1,11 +1,12 @@
 package congest
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,22 +28,6 @@ type Options struct {
 	// round instead of one message, i.e. a LOCAL-model network with
 	// unbounded bandwidth. Used only by the pipelining ablation (E9).
 	Unbounded bool
-	// DeliveryShards partitions the sender registry by node-ID range
-	// into that many shards and runs the delivery and receive-matching
-	// phases — and only those — on that many worker goroutines;
-	// activations fan out over GOMAXPROCS workers regardless (see
-	// Engine). Delivery order is order-independent (each (sender, port)
-	// pair feeds its own per-port FIFO at the peer; see the package
-	// docs), so Stats are bit-identical to serial delivery for a given
-	// seed and shard count.
-	//
-	// Zero (the default) picks the measured default: one shard per
-	// available CPU (GOMAXPROCS), which degrades to serial delivery on
-	// a single-CPU machine — sharding only buys anything when shards
-	// run on distinct cores (see the "Delivery shard default" note in
-	// README.md). A negative value (or 1) forces serial delivery on
-	// the coordinator goroutine.
-	DeliveryShards int
 	// Interrupt, when non-nil, makes the run abort with ErrInterrupted
 	// as soon as the channel is closed (or receives a value). The
 	// coordinator polls it once per round boundary, while every node is
@@ -74,29 +59,21 @@ type Options struct {
 	// Observer, when non-nil, receives one RoundRecord per simulated
 	// round at the round barrier (see Observer and RoundRecord). The
 	// record carries the round's delivered-message count, the next wake
-	// set's size, the cumulative dirty-node count, and wall-clock
-	// delivery timings (total and per shard). When Observer is nil —
-	// the default — the engine skips all timing work and the round
-	// barrier pays exactly one nil check: the disabled path adds no
-	// allocations and no clock reads.
+	// set's size, the cumulative dirty-node count, and the round's
+	// wall-clock delivery time. When Observer is nil — the default —
+	// the engine skips all timing work and the round barrier pays
+	// exactly one nil check: the disabled path adds no allocations and
+	// no clock reads.
 	Observer Observer
 }
 
-// normalize fills Options defaults. DeliveryShards resolves its
-// measured default here, so an Engine's shard count is a pure function
-// of its (normalized) options.
+// normalize fills Options defaults.
 func normalize(opts Options) Options {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
-	}
-	if opts.DeliveryShards == 0 {
-		opts.DeliveryShards = runtime.GOMAXPROCS(0)
-	}
-	if opts.DeliveryShards < 2 {
-		opts.DeliveryShards = 1
 	}
 	return opts
 }
@@ -186,15 +163,14 @@ func (e *PanicError) Error() string {
 // in reusable per-engine buffers, every queue's initial ring is carved
 // out of one retained message slab, and grown rings come from a shared
 // size-class pool. Per round the coordinator (1) merges newly
-// registered senders into per-shard registries, (2) runs the delivery
-// phase — serially, or fanned out over Options.DeliveryShards worker
-// goroutines, each moving whole ring spans per port and stamping
-// receivers into its own epoch-numbered generation array — then merges
-// per-shard delivered counts and receiver sets, (3) computes the wake
-// list from satisfied Recv predicates (evaluated in parallel over the
-// same shards when the receiver set is large) and due sleepers, and
-// (4) activates it — inline when small, otherwise shared with
-// GOMAXPROCS-1 process-wide activation helpers.
+// registered senders into the ID-ordered sender registry, (2) delivers
+// — moving one message (or, in Unbounded mode, the whole ring span) per
+// staged port and stamping receivers into an epoch-numbered generation
+// array, (3) computes the wake list from satisfied Recv predicates and
+// due sleepers, and (4) activates it — inline when small, otherwise
+// shared with GOMAXPROCS-1 process-wide activation helpers. Activation
+// is the engine's only parallel phase; delivery and matching run on the
+// coordinator.
 type Engine struct {
 	g    *graph.Graph
 	opts Options
@@ -226,17 +202,14 @@ type Engine struct {
 
 	// Observer support (all dead weight when opts.Observer is nil).
 	// runStart anchors Mark.Nanos and RoundRecord.Nanos to Run entry;
-	// timing caches the observer-enabled decision so the delivery path
+	// timing caches the observer-enabled decision so the round loop
 	// reads one bool instead of an interface; obsDelivered is the
 	// cumulative delivered count at the previous observed round (for
-	// per-round deltas); deliverNs and shardNs are the last round's
-	// delivery timings (shardNs is the scratch RoundRecord.ShardNanos
-	// aliases).
+	// per-round deltas); deliverNs is the last round's delivery time.
 	runStart     time.Time
 	timing       bool
 	obsDelivered int64
 	deliverNs    int64
-	shardNs      []int64
 
 	// revPort[portOff[u]+p] is the port index at the peer for port p of
 	// node u, precomputed flat so delivery is O(1) per message with no
@@ -248,11 +221,13 @@ type Engine struct {
 	// first Send after being drained (guarded by Node.outDirty), so
 	// delivery touches only nodes with traffic instead of scanning all
 	// n every round. newSenders is written lock-free by activations
-	// via the newCount cursor; the coordinator distributes it over the
-	// per-shard registries between rounds.
-	newSenders  []*Node
-	newCount    atomic.Int32
-	senderCount int
+	// via the newCount cursor; the coordinator merges it into senders,
+	// kept ordered by node ID, between rounds (scratch is the merge
+	// buffer).
+	newSenders []*Node
+	newCount   atomic.Int32
+	senders    []*Node
+	scratch    []*Node
 
 	// dirtyNodes lists every node that registered as a sender at least
 	// once this run. Between runs on the same graph only these nodes'
@@ -261,19 +236,9 @@ type Engine struct {
 	// all 2·ports queue headers.
 	dirtyNodes []*Node
 
-	// Delivery shards. Serial mode is the one-shard special case run
-	// inline on the coordinator; with a resolved shard count >= 2 each
-	// shard owns a node-ID range of the sender registry and its own
-	// epoch-stamped receiver state, merged after every delivery. Shard
-	// worker goroutines are spawned per run (they are few) while the
-	// shard structs and their generation arrays are retained.
-	shards    []*deliveryShard
-	shardDone chan struct{}
-
-	// Merged receiver set: recvGen[v] == curGen marks v as already
-	// collected this round — an epoch-numbered flat array in place of a
-	// per-round map, with receivers as the reusable collection order.
-	// Serial mode aliases receivers to the single shard's list.
+	// Receiver set: recvGen[v] == curGen marks v as already collected
+	// this round — an epoch-numbered flat array in place of a per-round
+	// map, with receivers as the reusable collection order.
 	recvGen   []uint32
 	curGen    uint32
 	receivers []*Node
@@ -308,45 +273,6 @@ type Engine struct {
 	marksMu sync.Mutex
 	marks   []Mark
 }
-
-// deliveryShard owns one node-ID range of the sender registry plus the
-// scratch state the delivery and matching phases need, so shards never
-// write shared memory: delivered counts, receiver sets, and wake
-// sublists are merged by the coordinator in shard order after each
-// phase. Queue mutations need no synchronization because each (sender,
-// port) pair feeds exactly one per-port FIFO at its peer, and a sender
-// belongs to exactly one shard.
-type deliveryShard struct {
-	eng     *Engine
-	senders []*Node
-	scratch []*Node // merge buffer keeping senders ordered by node ID
-
-	// Delivery-phase state: an epoch-stamped receiver set private to
-	// this shard, plus the count of messages it moved this round.
-	recvGen   []uint32
-	curGen    uint32
-	receivers []*Node
-	delivered int64
-
-	// Matching-phase state: the [lo, hi) chunk of the merged receiver
-	// list this shard evaluates, and the wake sublist it produces.
-	lo, hi int
-	wake   []*Node
-
-	// nanos is the shard's self-measured delivery wall time for the
-	// current round; written only when the engine's observer timing is
-	// armed.
-	nanos int64
-
-	taskCh chan shardTask // nil in serial mode (phases run inline)
-}
-
-type shardTask uint8
-
-const (
-	taskDeliver shardTask = iota
-	taskMatch
-)
 
 // maxPreallocMessages caps the per-run message slab (in messages, 40 B
 // each): graphs up to ~6M ports (≈3M edges) get every initial ring from
@@ -433,10 +359,9 @@ func NewEngine(opts Options) *Engine {
 	}
 }
 
-// SetOptions replaces the engine's options between runs. Structural
-// knobs (DeliveryShards) take effect at the next Run; per-run knobs
-// (Seed, Interrupt, Progress, ...) apply exactly as if the engine had
-// been created with them. Must not be called while a Run is in flight.
+// SetOptions replaces the engine's options between runs. The next Run
+// behaves exactly as if the engine had been created with them. Must not
+// be called while a Run is in flight.
 func (e *Engine) SetOptions(opts Options) {
 	e.opts = normalize(opts)
 }
@@ -497,12 +422,6 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 	e.prog.InitRun(g.N())
 	e.setupNanos = time.Since(start).Nanoseconds()
 	err := e.coordinate()
-	for _, sh := range e.shards {
-		if sh.taskCh != nil {
-			close(sh.taskCh)
-			sh.taskCh = nil
-		}
-	}
 	stats := e.collectAndReset()
 	if err != nil {
 		// An abort can strand messages in arbitrary queues; recarve
@@ -515,8 +434,8 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 	return stats, err
 }
 
-// setupRun prepares the engine for one run: per-run counters, shard
-// reconciliation, and either a full (re)build of the port tables,
+// setupRun prepares the engine for one run: per-run counters and
+// registries, and either a full (re)build of the port tables,
 // slabs, and node structs — first run, new graph, or after an abort —
 // or the warm path, which resets only the queues the previous run
 // dirtied.
@@ -532,10 +451,14 @@ func (e *Engine) setupRun(g *graph.Graph) {
 	e.obsDelivered = 0
 	e.deliverNs = 0
 	e.notified = e.notified[:0]
+	e.senders = e.senders[:0]
 	e.receivers = e.receivers[:0]
 	e.newCount.Store(0)
-	e.senderCount = 0
 	e.sleepers = e.sleepers[:0]
+	if len(e.recvGen) < n {
+		e.recvGen = make([]uint32, n)
+		e.curGen = 0
+	}
 
 	full := e.needFullInit || g != e.g
 	e.g = g
@@ -543,42 +466,6 @@ func (e *Engine) setupRun(g *graph.Graph) {
 		e.buildRevPorts()
 	}
 	ports := len(e.revPort)
-
-	// Shard reconciliation: the resolved count is min(option, n) so
-	// tiny graphs never pay per-round task fan-out for idle shards.
-	// Generation arrays are retained with their shard structs.
-	want := e.opts.DeliveryShards
-	if want > n {
-		want = n
-	}
-	if len(e.shards) != want {
-		e.shards = make([]*deliveryShard, want)
-		for s := range e.shards {
-			e.shards[s] = &deliveryShard{eng: e, recvGen: make([]uint32, n)}
-		}
-		if want > 1 {
-			e.shardDone = make(chan struct{}, want)
-		}
-	}
-	for _, sh := range e.shards {
-		sh.senders = sh.senders[:0]
-		sh.receivers = sh.receivers[:0]
-		sh.delivered = 0
-		if len(sh.recvGen) < n {
-			sh.recvGen = make([]uint32, n)
-			sh.curGen = 0
-		}
-	}
-	if len(e.shards) > 1 {
-		if len(e.recvGen) < n {
-			e.recvGen = make([]uint32, n)
-			e.curGen = 0
-		}
-		for _, sh := range e.shards {
-			sh.taskCh = make(chan shardTask, 1)
-			go sh.loop(sh.taskCh)
-		}
-	}
 
 	if !full {
 		// Warm path: everything structural is already in place; node
@@ -835,12 +722,12 @@ func (e *Engine) coordinate() error {
 			return e.abort(&BudgetError{Deadline: d, Rounds: e.round, Messages: e.delivered})
 		}
 		e.mergeSenders()
-		if done == n && e.senderCount == 0 {
+		if done == n && len(e.senders) == 0 {
 			return nil
 		}
 		// Decide the next round: the immediate next one if traffic is in
 		// flight, otherwise fast-forward to the earliest sleep deadline.
-		if e.senderCount > 0 {
+		if len(e.senders) > 0 {
 			e.round++
 		} else {
 			e.purgeStaleSleepers()
@@ -875,10 +762,6 @@ func (e *Engine) coordinate() error {
 // (see Options.Observer). Out of line so the round loop stays small;
 // only reached when an observer is set.
 func (e *Engine) observeRound() {
-	e.shardNs = e.shardNs[:0]
-	for _, sh := range e.shards {
-		e.shardNs = append(e.shardNs, sh.nanos)
-	}
 	rec := RoundRecord{
 		Round:          e.round,
 		Delivered:      e.delivered - e.obsDelivered,
@@ -887,193 +770,66 @@ func (e *Engine) observeRound() {
 		DirtyNodes:     len(e.dirtyNodes),
 		Nanos:          time.Since(e.runStart).Nanoseconds(),
 		DeliveryNanos:  e.deliverNs,
-		ShardNanos:     e.shardNs,
 	}
 	e.obsDelivered = e.delivered
 	e.opts.Observer.ObserveRound(rec)
 }
 
-// mergeSenders distributes nodes registered during the last activations
-// over the per-shard sender registries (by node-ID range, so every
-// sender is delivered by exactly one shard) and refreshes the total
-// sender count the round-advance decision uses. Registries are kept
-// ordered by node ID: delivery order is semantically irrelevant (see
-// the package docs), but ID order makes the delivery phase stream
-// sequentially through the node and queue slabs instead of hopping in
-// registration order, which is worth a large constant factor
-// in cache hits on big graphs. First-time registrations also join the
-// run's dirty-node list, which is what the warm-reuse reset walks.
+// mergeSenders merges nodes registered during the last activations
+// into the sender registry. The registry is kept ordered by node ID:
+// delivery order is semantically irrelevant (see the package docs), but
+// ID order makes delivery stream sequentially through the node and
+// queue slabs instead of hopping in registration order, which is worth
+// a large constant factor in cache hits on big graphs. First-time
+// registrations also join the run's dirty-node list, which is what the
+// warm-reuse reset walks.
 func (e *Engine) mergeSenders() {
 	k := int(e.newCount.Swap(0))
-	if k > 0 {
-		for _, nd := range e.newSenders[:k] {
-			if !nd.everDirty {
-				nd.everDirty = true
-				e.dirtyNodes = append(e.dirtyNodes, nd)
-			}
-		}
-		if len(e.shards) == 1 {
-			e.shards[0].addSenders(e.newSenders[:k])
-		} else {
-			p, n := int64(len(e.shards)), int64(len(e.nodes))
-			lo := 0
-			// newSenders entries for one shard form a contiguous run
-			// only after grouping; partition by shard, then bulk-add.
-			sort.Slice(e.newSenders[:k], func(i, j int) bool {
-				return e.newSenders[i].id < e.newSenders[j].id
-			})
-			for s, sh := range e.shards {
-				hi := lo
-				for hi < k && int64(e.newSenders[hi].id)*p/n == int64(s) {
-					hi++
-				}
-				if hi > lo {
-					sh.addSenders(e.newSenders[lo:hi])
-					lo = hi
-				}
-			}
-		}
-	}
-	e.senderCount = 0
-	for _, sh := range e.shards {
-		e.senderCount += len(sh.senders)
-	}
-}
-
-// addSenders appends batch (which the caller has sorted by node ID) to
-// the shard's registry and restores ID order with one backward in-place
-// merge — O(len + |batch|), no full re-sort.
-func (sh *deliveryShard) addSenders(batch []*Node) {
-	if !sort.SliceIsSorted(batch, func(i, j int) bool { return batch[i].id < batch[j].id }) {
-		// Serial mode hands the raw registration-order batch over.
-		sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
-	}
-	old := len(sh.senders)
-	if old == 0 {
-		sh.senders = append(sh.senders, batch...)
+	if k == 0 {
 		return
 	}
-	if sh.senders[old-1].id <= batch[0].id {
-		sh.senders = append(sh.senders, batch...)
+	batch := e.newSenders[:k]
+	for _, nd := range batch {
+		if !nd.everDirty {
+			nd.everDirty = true
+			e.dirtyNodes = append(e.dirtyNodes, nd)
+		}
+	}
+	slices.SortFunc(batch, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
+	old := len(e.senders)
+	e.senders = append(e.senders, batch...)
+	if old == 0 || e.senders[old-1].id <= batch[0].id {
 		return
 	}
-	sh.scratch = append(sh.scratch[:0], batch...)
-	sh.senders = append(sh.senders, batch...)
-	i, j, w := old-1, len(sh.scratch)-1, len(sh.senders)-1
+	// Restore ID order with one backward in-place merge — O(len +
+	// |batch|), no full re-sort.
+	e.scratch = append(e.scratch[:0], batch...)
+	i, j, w := old-1, len(e.scratch)-1, len(e.senders)-1
 	for j >= 0 && i >= 0 {
-		if sh.scratch[j].id > sh.senders[i].id {
-			sh.senders[w] = sh.scratch[j]
+		if e.scratch[j].id > e.senders[i].id {
+			e.senders[w] = e.scratch[j]
 			j--
 		} else {
-			sh.senders[w] = sh.senders[i]
+			e.senders[w] = e.senders[i]
 			i--
 		}
 		w--
 	}
 	for j >= 0 {
-		sh.senders[w] = sh.scratch[j]
+		e.senders[w] = e.scratch[j]
 		j--
 		w--
 	}
 }
 
-// deliver runs the delivery phase. Serial mode runs the single shard
-// inline; sharded mode fans the shards out over their worker goroutines
-// and then merges the per-shard delivered counts and receiver sets in
-// shard order, deduplicating receivers through the engine's own
-// epoch-stamped generation array so the wake phase sees each receiver
-// exactly once. Both paths produce identical message state because
-// delivery is order-independent across (sender, port) pairs.
-func (e *Engine) deliver() {
-	if len(e.shards) == 1 {
-		sh := e.shards[0]
-		sh.deliver()
-		e.delivered += sh.delivered
-		sh.delivered = 0
-		e.receivers = sh.receivers
-		e.orderReceivers(sh.recvGen, sh.curGen)
-		sh.receivers = e.receivers
-	} else {
-		for _, sh := range e.shards {
-			sh.taskCh <- taskDeliver
-		}
-		for range e.shards {
-			<-e.shardDone
-		}
-		e.curGen++
-		if e.curGen == 0 { // generation wrapped: restart the epoch space
-			for i := range e.recvGen {
-				e.recvGen[i] = 0
-			}
-			e.curGen = 1
-		}
-		e.receivers = e.receivers[:0]
-		for _, sh := range e.shards {
-			e.delivered += sh.delivered
-			sh.delivered = 0
-			for _, nd := range sh.receivers {
-				if e.recvGen[nd.id] != e.curGen {
-					e.recvGen[nd.id] = e.curGen
-					e.receivers = append(e.receivers, nd)
-				}
-			}
-		}
-		e.orderReceivers(e.recvGen, e.curGen)
-	}
-}
-
-// orderReceivers rewrites e.receivers in node-ID order: a dense set is
-// rebuilt with one sequential sweep of the generation array, a sparse
-// one is sorted directly. Receiver order never affects Stats (matching
-// is a pure per-node predicate and wake order is semantically free), but
-// ID order makes the matching phase and the woken nodes' first Recv
-// stream through the node and queue slabs instead of chasing the random
-// peer order delivery produced.
-func (e *Engine) orderReceivers(gen []uint32, cur uint32) {
-	r := e.receivers
-	if len(r) <= 1 {
-		return
-	}
-	if len(r)*4 >= len(e.nodes) {
-		r = r[:0]
-		for i, nd := range e.nodes {
-			if gen[i] == cur {
-				r = append(r, nd)
-			}
-		}
-		e.receivers = r
-	} else {
-		sort.Slice(r, func(i, j int) bool { return r[i].id < r[j].id })
-	}
-}
-
-// loop is one shard worker: it executes delivery and matching tasks for
-// its shard until the engine's run ends. The channel is passed by value
-// so the goroutine never touches the taskCh field, which the
-// coordinator rewrites between runs.
-func (sh *deliveryShard) loop(tasks <-chan shardTask) {
-	for task := range tasks {
-		switch task {
-		case taskDeliver:
-			sh.deliver()
-		case taskMatch:
-			sh.match()
-		}
-		sh.eng.shardDone <- struct{}{}
-	}
-}
-
 // deliver transmits the head (or, in Unbounded mode, the whole span) of
-// every staged edge queue owned by this shard, collects the shard-local
-// receiver set, and compacts the shard's sender registry in place. The
-// single-message transfer is inlined — one ring read, one ring write —
-// and multi-message rounds move whole ring spans with bulk copies.
-func (sh *deliveryShard) deliver() {
-	e := sh.eng
-	var t0 time.Time
-	if e.timing {
-		t0 = time.Now()
-	}
+// every staged edge queue, collects the round's receiver set in node-ID
+// order, and compacts the sender registry in place. The single-message
+// transfer is inlined — one ring read, one ring write — and
+// multi-message rounds move whole ring spans with bulk copies. Delivery
+// order never affects message state: each (sender, port) pair feeds
+// exactly one per-port FIFO at its peer.
+func (e *Engine) deliver() {
 	unbounded := e.opts.Unbounded
 	// Hot-path locals: the peer's inQ ring is addressed straight through
 	// the flat port tables and the segregated queue slab (the receive
@@ -1082,16 +838,17 @@ func (sh *deliveryShard) deliver() {
 	// its queue header and ring.
 	inSlab := e.qSlab[len(e.revPort):]
 	portOff, revPort := e.portOff, e.revPort
-	sh.curGen++
-	if sh.curGen == 0 { // generation wrapped: restart the epoch space
-		for i := range sh.recvGen {
-			sh.recvGen[i] = 0
-		}
-		sh.curGen = 1
+	recvGen := e.recvGen
+	e.curGen++
+	if e.curGen == 0 { // generation wrapped: restart the epoch space
+		clear(recvGen)
+		e.curGen = 1
 	}
-	sh.receivers = sh.receivers[:0]
-	kept := sh.senders[:0]
-	for _, nd := range sh.senders {
+	cur := e.curGen
+	var delivered int64
+	receivers := e.receivers[:0]
+	kept := e.senders[:0]
+	for _, nd := range e.senders {
 		off := int(portOff[nd.id])
 		rev := revPort[off : off+len(nd.adj)]
 		for p := range nd.outQ {
@@ -1104,7 +861,7 @@ func (sh *deliveryShard) deliver() {
 			if unbounded {
 				k := q.n
 				q.moveTo(&msgBufPool, inq, k)
-				sh.delivered += int64(k)
+				delivered += int64(k)
 				nd.nonEmptyOut--
 			} else {
 				m := q.buf[q.head]
@@ -1119,11 +876,11 @@ func (sh *deliveryShard) deliver() {
 				}
 				inq.buf[(inq.head+inq.n)&(len(inq.buf)-1)] = m
 				inq.n++
-				sh.delivered++
+				delivered++
 			}
-			if sh.recvGen[v] != sh.curGen {
-				sh.recvGen[v] = sh.curGen
-				sh.receivers = append(sh.receivers, e.nodes[v])
+			if recvGen[v] != cur {
+				recvGen[v] = cur
+				receivers = append(receivers, e.nodes[v])
 			}
 		}
 		if nd.nonEmptyOut > 0 {
@@ -1132,67 +889,48 @@ func (sh *deliveryShard) deliver() {
 			nd.outDirty = false
 		}
 	}
-	sh.senders = kept
-	if e.timing {
-		sh.nanos = time.Since(t0).Nanoseconds()
+	e.senders = kept
+	e.delivered += delivered
+	e.receivers = receivers
+	e.orderReceivers()
+}
+
+// orderReceivers rewrites e.receivers in node-ID order: a dense set is
+// rebuilt with one sequential sweep of the generation array, a sparse
+// one is sorted directly. Receiver order never affects Stats (matching
+// is a pure per-node predicate and wake order is semantically free), but
+// ID order makes the matching phase and the woken nodes' first Recv
+// stream through the node and queue slabs instead of chasing the random
+// peer order delivery produced.
+func (e *Engine) orderReceivers() {
+	r := e.receivers
+	if len(r) <= 1 {
+		return
+	}
+	if len(r)*4 >= len(e.nodes) {
+		r = r[:0]
+		for i, nd := range e.nodes {
+			if e.recvGen[i] == e.curGen {
+				r = append(r, nd)
+			}
+		}
+		e.receivers = r
+	} else {
+		sort.Slice(r, func(i, j int) bool { return r[i].id < r[j].id })
 	}
 }
 
-// match evaluates the Recv predicates of the [lo, hi) chunk of the
-// merged receiver list and collects the satisfied ones into the shard's
-// wake sublist. Reads queue state only; the single write per receiver
-// (the match hint) goes to a node this chunk exclusively owns.
-func (sh *deliveryShard) match() {
-	e := sh.eng
-	sh.wake = sh.wake[:0]
-	for _, nd := range e.receivers[sh.lo:sh.hi] {
+// buildWakeSet fills e.wake with receivers whose Recv predicate is now
+// satisfied plus sleepers whose deadline has passed (wake-list order
+// never affects Stats; see the package docs).
+func (e *Engine) buildWakeSet() {
+	e.wake = e.wake[:0]
+	for _, nd := range e.receivers {
 		if nd.phase != phaseRecv {
 			continue // running sleeper accounting separately; done nodes keep leftovers
 		}
 		if e.matches(nd) {
-			sh.wake = append(sh.wake, nd)
-		}
-	}
-}
-
-// parallelMatchMin is the receiver-count threshold below which the
-// matching phase stays on the coordinator even when shards exist.
-const parallelMatchMin = 64
-
-// buildWakeSet fills e.wake with receivers whose Recv predicate is now
-// satisfied plus sleepers whose deadline has passed. With shards and a
-// large receiver set, predicate evaluation fans out over the shard
-// workers in contiguous chunks whose wake sublists concatenate in chunk
-// order (wake-list order never affects Stats; see the package docs).
-func (e *Engine) buildWakeSet() {
-	e.wake = e.wake[:0]
-	if len(e.shards) > 1 && len(e.receivers) >= parallelMatchMin {
-		per := (len(e.receivers) + len(e.shards) - 1) / len(e.shards)
-		for i, sh := range e.shards {
-			sh.lo = i * per
-			if sh.lo > len(e.receivers) {
-				sh.lo = len(e.receivers)
-			}
-			sh.hi = sh.lo + per
-			if sh.hi > len(e.receivers) {
-				sh.hi = len(e.receivers)
-			}
-			sh.taskCh <- taskMatch
-		}
-		for range e.shards {
-			<-e.shardDone
-		}
-		for _, sh := range e.shards {
-			e.wake = append(e.wake, sh.wake...)
-		}
-	} else {
-		for _, nd := range e.receivers {
-			if nd.phase != phaseRecv {
-				continue // running sleeper accounting separately; done nodes keep leftovers
-			}
-			if e.matches(nd) {
-				e.wake = append(e.wake, nd)
-			}
+			e.wake = append(e.wake, nd)
 		}
 	}
 	for e.sleepers.Len() > 0 && e.sleepers[0].at <= e.round {

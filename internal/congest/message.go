@@ -34,7 +34,7 @@
 // touches only its own node's state.
 //
 // The round loop reuses per-engine scratch buffers (an epoch-stamped
-// receiver array, a wake list, per-shard sender registries) and
+// receiver array, a wake list, an ID-ordered sender registry) and
 // slab-allocates every queue and its initial ring, so steady-state
 // simulation does not allocate.
 //
@@ -55,20 +55,6 @@
 // program, and a reused engine's Stats are bit-identical to a fresh
 // engine's for the same graph, options, and seed.
 //
-// # Sharded delivery
-//
-// The delivery phase moves the head (or, in Unbounded mode, the whole
-// ring span, with bulk copies) of every staged edge queue. With
-// Options.DeliveryShards >= 2 the sender registry is partitioned by
-// node-ID range over that many worker goroutines, each delivering its
-// senders and stamping receivers into its own epoch-numbered array;
-// the coordinator then merges per-shard delivered counts and receiver
-// sets in shard order and fans the receive-predicate evaluation back
-// out over the same workers. Sharding is safe because delivery is
-// order-independent: each (sender, port) pair feeds exactly one
-// per-port FIFO at its peer, so no two shards ever write the same
-// queue, and the merged receiver set is deduplicated before wake-up.
-//
 // # Determinism
 //
 // Activations running in parallel touch only their own node's state;
@@ -77,10 +63,10 @@
 // the receiver, so queue contents are independent of delivery and
 // activation order. Per-node RNGs are seeded from Options.Seed and the
 // node ID. Two runs with the same graph, options, and program produce
-// identical Stats (rounds, sent, delivered, wakeups, leftover) — and
-// so do runs that differ only in Options.DeliveryShards. The one
-// scheduling-dependent quantity is the interleaving of Marks recorded
-// by different nodes within the same round.
+// identical Stats (rounds, sent, delivered, wakeups, leftover) under
+// any GOMAXPROCS. The one scheduling-dependent quantity is the
+// interleaving of Marks recorded by different nodes within the same
+// round.
 //
 // # Model fidelity
 //

@@ -25,13 +25,12 @@ type RoundRecord struct {
 	// setup included), sampled at the round barrier. Subtracting two
 	// consecutive records' Nanos gives the wall cost of a round.
 	Nanos int64
-	// DeliveryNanos is the wall time the round's delivery phase took,
-	// as seen by the coordinator (fan-out and merge included).
+	// DeliveryNanos is the wall time the round's delivery phase took.
 	DeliveryNanos int64
-	// ShardNanos holds each delivery shard's self-measured delivery
-	// time for the round; serial runs have exactly one entry. The slice
-	// aliases an engine-owned scratch buffer that is overwritten every
-	// round — observers that retain records must copy it.
+	// ShardNanos is always nil in records the engine produces.
+	//
+	// Deprecated: delivery runs on the coordinator alone, so there are
+	// no per-shard timings; DeliveryNanos is the round's delivery time.
 	ShardNanos []int64
 }
 

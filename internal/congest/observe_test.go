@@ -6,17 +6,12 @@ import (
 	"distmincut/internal/graph"
 )
 
-// collectObserver retains every round record it sees (copying the
-// shard slice, as the Observer contract requires).
+// collectObserver retains every round record it sees.
 type collectObserver struct {
 	recs []RoundRecord
 }
 
-func (c *collectObserver) ObserveRound(r RoundRecord) {
-	cp := r
-	cp.ShardNanos = append([]int64(nil), r.ShardNanos...)
-	c.recs = append(c.recs, cp)
-}
+func (c *collectObserver) ObserveRound(r RoundRecord) { c.recs = append(c.recs, r) }
 
 // TestObserverRecordsSumToStats: one record per round, per-round
 // deliveries sum to the run total, cumulative totals are monotone, and
@@ -58,25 +53,6 @@ func TestObserverRecordsSumToStats(t *testing.T) {
 	last := obs.recs[len(obs.recs)-1]
 	if last.DirtyNodes != st.DirtyNodes {
 		t.Fatalf("final dirty nodes %d, stats %d", last.DirtyNodes, st.DirtyNodes)
-	}
-}
-
-// TestObserverShardNanos: with sharded delivery enabled, the record
-// carries one duration per shard.
-func TestObserverShardNanos(t *testing.T) {
-	g := graph.RandomRegular(64, 6, 3)
-	obs := &collectObserver{}
-	_, err := Run(g, Options{Seed: 1, DeliveryShards: 4, Observer: obs}, chatterProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs.recs) == 0 {
-		t.Fatal("no records")
-	}
-	for _, r := range obs.recs {
-		if len(r.ShardNanos) != 4 {
-			t.Fatalf("round %d has %d shard durations, want 4", r.Round, len(r.ShardNanos))
-		}
 	}
 }
 

@@ -121,7 +121,7 @@ func TestStepFlightRecorderTailParity(t *testing.T) {
 // machines.
 func TestStepNilObserverWarmRunAllocs(t *testing.T) {
 	g := graph.RandomRegular(128, 6, 9)
-	eng := NewEngine(Options{Seed: 7, DeliveryShards: -1})
+	eng := NewEngine(Options{Seed: 7})
 	defer eng.Close()
 	prog := newStepExchange(4)
 	if _, err := eng.Run(g, prog); err != nil {

@@ -215,24 +215,3 @@ func TestStepUnknownProgramType(t *testing.T) {
 		t.Fatalf("engine unusable after rejected program: %v", err)
 	}
 }
-
-// TestStepShardedMatchesSerial: sharded delivery must produce the same
-// Stats as serial delivery for a step program. Uses a graph large
-// enough to clear parallelStepMin so activation fan-out runs too.
-func TestStepShardedMatchesSerial(t *testing.T) {
-	g := graph.RandomRegular(256, 6, 7)
-	serial, err := Run(g, Options{Seed: 3, DeliveryShards: -1}, newStepExchange(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Run(g, Options{Seed: 3, DeliveryShards: 4}, newStepExchange(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keyOf(serial) != keyOf(sharded) {
-		t.Fatalf("sharded step stats %+v != serial step stats %+v", keyOf(sharded), keyOf(serial))
-	}
-	if serial.Delivered == 0 {
-		t.Fatal("exchange delivered nothing")
-	}
-}

@@ -48,7 +48,7 @@ func E1Correctness(cfg Config) *Table {
 		for i := 0; i < instances; i++ {
 			g := f.gen(cfg.seed() + int64(i)*17)
 			n, m = g.N(), g.M()
-			_, _, parents, err := pipelineOnce(g, cfg.seed()+int64(i), cfg)
+			_, _, parents, err := pipelineOnce(g, cfg.seed()+int64(i))
 			if err != nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("%s: run error: %v", f.name, err))
 				continue
@@ -59,7 +59,7 @@ func E1Correctness(cfg Config) *Table {
 				continue
 			}
 			q := verify.OneRespectOracle(g, tr)
-			outs := collectCuts(g, cfg.seed()+int64(i), cfg)
+			outs := collectCuts(g, cfg.seed()+int64(i))
 			for v := 0; v < g.N(); v++ {
 				checked++
 				if outs[v] != q.Cut[v] {
@@ -77,9 +77,9 @@ func E1Correctness(cfg Config) *Table {
 }
 
 // collectCuts reruns the pipeline collecting every node's C(v↓).
-func collectCuts(g *graph.Graph, seed int64, cfg Config) []int64 {
+func collectCuts(g *graph.Graph, seed int64) []int64 {
 	outs := make([]int64, g.N())
-	runPipelineCollect(g, seed, cfg, func(v graph.NodeID, cut int64) { outs[v] = cut })
+	runPipelineCollect(g, seed, func(v graph.NodeID, cut int64) { outs[v] = cut })
 	return outs
 }
 
@@ -99,7 +99,7 @@ func E2Scaling(cfg Config) *Table {
 	}
 	addRow := func(name string, g *graph.Graph) {
 		d := graph.Diameter(g)
-		stats, _, _, err := pipelineOnce(g, cfg.seed(), cfg)
+		stats, _, _, err := pipelineOnce(g, cfg.seed())
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: %v", name, err))
 			return
@@ -151,7 +151,7 @@ func E3Exact(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), DeliveryShards: cfg.DeliveryShards})
+		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed()})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("λ=%d: %v", lam, err))
 			continue
@@ -190,7 +190,7 @@ func E4Approx(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		res, err := distmincut.ApproxMinCut(g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps, DeliveryShards: cfg.DeliveryShards})
+		res, err := distmincut.ApproxMinCut(g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("ε=%.3f: %v", eps, err))
 			continue
@@ -232,7 +232,7 @@ func E5Baselines(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		ours, err := distmincut.ApproxMinCut(w.g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps, DeliveryShards: cfg.DeliveryShards})
+		ours, err := distmincut.ApproxMinCut(w.g, &distmincut.Options{Seed: cfg.seed(), Epsilon: eps})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s ours: %v", w.name, err))
 			continue
@@ -241,7 +241,7 @@ func E5Baselines(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		suVal, suRounds := runSu(w.g, eps, cfg.seed(), cfg)
+		suVal, suRounds := runSu(w.g, eps, cfg.seed())
 		t.Rows = append(t.Rows, []string{
 			w.name, itoa(lambda),
 			itoa(ours.Value), fmt.Sprintf("%v", ours.Exact), itoa(int64(ours.Rounds)),
@@ -254,10 +254,10 @@ func E5Baselines(cfg Config) *Table {
 	return t
 }
 
-func runSu(g *graph.Graph, eps float64, seed int64, cfg Config) (int64, int) {
+func runSu(g *graph.Graph, eps float64, seed int64) (int64, int) {
 	var mu sync.Mutex
 	var value int64
-	stats, err := runSim(g, cfg.engineOpts(seed), func(nd *congest.Node) {
+	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
 		r := baseline.Su(nd, bfs, g, eps, seed+5, 8, 1000)
 		mu.Lock()
@@ -289,7 +289,7 @@ func E6Diameter(cfg Config) *Table {
 	for _, c := range configs {
 		g := graph.CliquePath(c.cliques, c.size, 2)
 		d := graph.Diameter(g)
-		stats, _, _, err := pipelineOnce(g, cfg.seed(), cfg)
+		stats, _, _, err := pipelineOnce(g, cfg.seed())
 		if err != nil {
 			continue
 		}
@@ -427,7 +427,7 @@ func E9Ablation(cfg Config) *Table {
 		if c < 1 {
 			continue
 		}
-		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), SizeCap: c, DeliveryShards: cfg.DeliveryShards})
+		res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), SizeCap: c})
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("cap %d: %v", c, err))
 			continue
@@ -437,7 +437,7 @@ func E9Ablation(cfg Config) *Table {
 			fmt.Sprintf("%v", res.Value == lambda),
 		})
 	}
-	res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), Unbounded: true, DeliveryShards: cfg.DeliveryShards})
+	res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), Unbounded: true})
 	if err == nil {
 		t.Rows = append(t.Rows, []string{
 			"unbounded bandwidth (LOCAL)", itoa(int64(res.Rounds)), itoa(res.Messages),

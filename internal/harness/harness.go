@@ -75,23 +75,6 @@ type Config struct {
 	Quick bool
 	// Seed drives every randomized workload and protocol.
 	Seed int64
-	// DeliveryShards partitions the runtime's delivery phase over this
-	// many worker goroutines (congest.Options.DeliveryShards). Zero
-	// resolves to serial delivery here — RunAll already executes
-	// experiments concurrently on a GOMAXPROCS-bounded pool, so
-	// per-run sharding on top would oversubscribe the machine.
-	// Results are identical either way.
-	DeliveryShards int
-}
-
-// engineOpts assembles the congest options for one run with the given
-// seed.
-func (c Config) engineOpts(seed int64) congest.Options {
-	shards := c.DeliveryShards
-	if shards == 0 {
-		shards = -1 // serial per run: RunAll is the parallelism
-	}
-	return congest.Options{Seed: seed, DeliveryShards: shards}
 }
 
 func (c Config) seed() int64 {
@@ -168,11 +151,11 @@ func RunAll(cfg Config) []*Table {
 // pipelineOnce runs BFS + distributed MST + Theorem 2.1 once and
 // returns the run stats, the best 1-respecting cut, and the per-node
 // parents (for oracle verification).
-func pipelineOnce(g *graph.Graph, seed int64, cfg Config) (*congest.Stats, int64, []graph.NodeID, error) {
+func pipelineOnce(g *graph.Graph, seed int64) (*congest.Stats, int64, []graph.NodeID, error) {
 	var mu sync.Mutex
 	parents := make([]graph.NodeID, g.N())
 	var best int64
-	stats, err := runSim(g, cfg.engineOpts(seed), func(nd *congest.Node) {
+	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
 		res := mst.Run(nd, bfs, nil, 0, 100)
 		out := respect.Run(nd, respect.FromMST(res, bfs), 100+mst.TagSpan)
@@ -193,9 +176,9 @@ func pipelineOnce(g *graph.Graph, seed int64, cfg Config) (*congest.Stats, int64
 
 // runPipelineCollect runs the Theorem 2.1 pipeline and hands every
 // node's C(v↓) to fn (called under a lock).
-func runPipelineCollect(g *graph.Graph, seed int64, cfg Config, fn func(v graph.NodeID, cut int64)) error {
+func runPipelineCollect(g *graph.Graph, seed int64, fn func(v graph.NodeID, cut int64)) error {
 	var mu sync.Mutex
-	_, err := runSim(g, cfg.engineOpts(seed), func(nd *congest.Node) {
+	_, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		bfs := proto.BuildBFS(nd, 0, 1)
 		res := mst.Run(nd, bfs, nil, 0, 100)
 		out := respect.Run(nd, respect.FromMST(res, bfs), 100+mst.TagSpan)

@@ -14,8 +14,7 @@ import (
 )
 
 // This file is the protocol half of the golden determinism layer: BFS
-// and the collectives run on four generator families under serial and
-// sharded delivery, and every run's deterministic fingerprint — Stats
+// and the collectives run on four generator families, and every run's deterministic fingerprint — Stats
 // counters, the (round, node)-ordered mark stream, and each node's
 // result — must equal the one recorded in testdata/golden.json. The
 // recording was made on the engine's goroutine-per-node execution path
@@ -39,13 +38,9 @@ func diffFamilies() map[string]*graph.Graph {
 	}
 }
 
-// diffConfigs are the engine configurations each family runs under.
-func diffConfigs() map[string]congest.Options {
-	return map[string]congest.Options{
-		"serial": {Seed: 5, DeliveryShards: -1, CheckPayload: true},
-		"shards": {Seed: 5, DeliveryShards: 3, CheckPayload: true},
-	}
-}
+// diffOptions is the engine configuration each family runs under; case
+// names keep the "serial" suffix they were recorded with.
+var diffOptions = congest.Options{Seed: 5, CheckPayload: true}
 
 // statsFingerprint is the deterministic portion of a run's Stats, its
 // normalized mark stream, and the protocol's per-node results.
@@ -178,23 +173,21 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// forEachCase runs fn under every family × config combination and
-// checks its fingerprint against the golden case proto/family/config.
+// forEachCase runs fn on every family and checks its fingerprint
+// against the golden case proto/family/serial.
 func forEachCase(t *testing.T, proto string, fn func(t *testing.T, e *congest.Engine, g *graph.Graph) statsFingerprint) {
 	t.Helper()
 	for fam, g := range diffFamilies() {
-		for cfg, opts := range diffConfigs() {
-			t.Run(fam+"/"+cfg, func(t *testing.T) {
-				e := congest.NewEngine(opts)
-				defer e.Close()
-				checkGolden(t, proto+"/"+fam+"/"+cfg, fn(t, e, g))
-			})
-		}
+		t.Run(fam+"/serial", func(t *testing.T) {
+			e := congest.NewEngine(diffOptions)
+			defer e.Close()
+			checkGolden(t, proto+"/"+fam+"/serial", fn(t, e, g))
+		})
 	}
 }
 
 // TestDiffBFS: BuildBFS's stats, marks, and per-node overlays equal the
-// recorded ones on every family × config.
+// recorded ones on every family.
 func TestDiffBFS(t *testing.T) {
 	forEachCase(t, "BFS", func(t *testing.T, e *congest.Engine, g *graph.Graph) statsFingerprint {
 		return perNode(t, e, g, func(nd *congest.Node) string {
@@ -294,7 +287,7 @@ func TestDiffFixedOverlays(t *testing.T) {
 // warm-path reset leaves no residue.
 func TestDiffWarmEngineRerun(t *testing.T) {
 	g := diffFamilies()["expander"]
-	e := congest.NewEngine(diffConfigs()["serial"])
+	e := congest.NewEngine(diffOptions)
 	defer e.Close()
 	for rep := 0; rep < 3; rep++ {
 		checkGolden(t, "KeyedSum/expander/serial", perNode(t, e, g, keyedSumProgram))

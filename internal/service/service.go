@@ -146,14 +146,6 @@ type Options struct {
 	JobRetention int
 	// Limits bounds accepted specs (zero fields take DefaultLimits).
 	Limits Limits
-	// DeliveryShards is passed to every run (distmincut.Options); it
-	// never affects results, only speed. Zero resolves to serial delivery here — the
-	// worker pool already runs PoolSize jobs in parallel, and letting
-	// every job also fan delivery out one-shard-per-CPU (the runtime's
-	// single-run default) would oversubscribe the machine PoolSize-
-	// fold. Set it explicitly to opt a mostly-idle pool into sharded
-	// delivery.
-	DeliveryShards int
 	// CheckPayload enables the runtime's payload-overflow guard on
 	// every run.
 	CheckPayload bool
@@ -205,9 +197,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobRetention <= 0 {
 		o.JobRetention = 4096
-	}
-	if o.DeliveryShards == 0 {
-		o.DeliveryShards = -1 // serial per job: the pool is the parallelism
 	}
 	o.Limits = o.Limits.withDefaults()
 	return o
@@ -733,9 +722,8 @@ func (s *Service) admitEstimate(canon JobRequest) (est CostEstimate, ok bool) {
 			return CostEstimate{}, false
 		}
 		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{
-			Seed:           canon.Seed,
-			DeliveryShards: s.opts.DeliveryShards,
-			CheckPayload:   s.opts.CheckPayload,
+			Seed:         canon.Seed,
+			CheckPayload: s.opts.CheckPayload,
 		})
 		if err != nil {
 			return CostEstimate{}, false
@@ -1036,10 +1024,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // JobView.SetupNs).
 func (s *Service) worker() {
 	defer s.wg.Done()
-	eng := congest.NewEngine(congest.Options{
-		DeliveryShards: s.opts.DeliveryShards,
-		CheckPayload:   s.opts.CheckPayload,
-	})
+	eng := congest.NewEngine(congest.Options{CheckPayload: s.opts.CheckPayload})
 	defer eng.Close()
 	for e := range s.queue {
 		s.runExec(eng, e)
@@ -1310,14 +1295,13 @@ func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.S
 // recordRun whether the run finishes or aborts.
 func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph, tier, key string) ([]byte, int64, error) {
 	opts := &distmincut.Options{
-		Seed:           e.req.Seed,
-		Epsilon:        e.req.Epsilon,
-		MaxRounds:      s.opts.MaxJobRounds,
-		Deadline:       e.deadlineAt,
-		DeliveryShards: s.opts.DeliveryShards,
-		Engine:         eng,
-		Progress:       e.progress,
-		CheckPayload:   s.opts.CheckPayload,
+		Seed:         e.req.Seed,
+		Epsilon:      e.req.Epsilon,
+		MaxRounds:    s.opts.MaxJobRounds,
+		Deadline:     e.deadlineAt,
+		Engine:       eng,
+		Progress:     e.progress,
+		CheckPayload: s.opts.CheckPayload,
 	}
 	if e.recorder != nil {
 		e.recorder.Reset()

@@ -50,11 +50,11 @@
 // The tier is part of the key: the same graph served at two tiers is
 // two cache entries. TierKey re-addresses a canonical request at
 // another tier, which is how a tiered job names its phase results with
-// the exact same keys direct approx/exact submissions produce. Engine
-// concurrency knobs (worker lanes, delivery shards) are deliberately
-// excluded from the key: the runtime guarantees results are identical
-// under any setting, so they are service configuration, not job
-// identity.
+// the exact same keys direct approx/exact submissions produce.
+// Execution concurrency (the worker pool size, GOMAXPROCS) is
+// deliberately excluded from the key: the runtime guarantees results
+// are identical under any setting, so it is service configuration, not
+// job identity.
 package service
 
 import (
