@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-chaos fuzz-smoke determinism vet fmt-check docs-check bench bench-service bench-gate ci
+.PHONY: build test test-short test-chaos fuzz-smoke determinism vet fmt-check docs-check loc bench bench-service bench-gate ci
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,14 @@ docs-check:
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test Go line count outside perfbench/ (tracked and
+# untracked files, minus what .gitignore excludes) — the code-size
+# figure ROADMAP.md tracks next to the BENCH trajectory. Informational:
+# nothing gates on it.
+loc:
+	@n="$$(git ls-files --cached --others --exclude-standard -- '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs cat | wc -l)"; \
+		echo "non-test Go lines outside perfbench/: $$n"
 
 # bench runs the engine microbenchmarks and writes both the raw output
 # (BENCH_engine.txt) and a machine-readable BENCH_engine.json, seeding

@@ -47,9 +47,10 @@ func BenchmarkE2Scaling(b *testing.B) {
 	var rounds, messages int64
 	for i := 0; i < b.N; i++ {
 		stats, err := congest.Run(g, congest.Options{Seed: 3}, func(nd *congest.Node) {
-			bfs := proto.BuildBFS(nd, 0, 1)
-			res := mst.Run(nd, bfs, nil, 0, 100)
-			respect.Run(nd, respect.FromMST(res, bfs), 100+mst.TagSpan)
+			tags := new(proto.Tags)
+			bfs := proto.BuildBFS(nd, 0, tags)
+			res := mst.Run(nd, bfs, nil, 0, tags)
+			respect.Run(nd, respect.FromMST(res, bfs), tags)
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -70,9 +71,10 @@ func BenchmarkTheorem21PerTree(b *testing.B) {
 	var rounds int64
 	for i := 0; i < b.N; i++ {
 		stats, err := congest.Run(g, congest.Options{Seed: 4}, func(nd *congest.Node) {
-			bfs := proto.BuildBFS(nd, 0, 1)
+			tags := new(proto.Tags)
+			bfs := proto.BuildBFS(nd, 0, tags)
 			loads := make(map[int]int64, nd.Degree())
-			packing.Pack(nd, bfs, 1, loads, packing.Options{}, 1000, nil)
+			packing.Pack(nd, bfs, 1, loads, packing.Options{}, tags, nil)
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -51,7 +51,7 @@ func TestMinCutContextCancelMidRun(t *testing.T) {
 func TestContextCompletedRunUnaffected(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := graph.PlantedCut(12, 12, 2, 0.6, 3)
-	res, err := MinCutContext(ctx, g, &Options{CheckPayload: true})
+	res, err := MinCutContext(ctx, g, nil)
 	cancel()
 	if err != nil {
 		t.Fatal(err)

@@ -96,11 +96,6 @@ type Options struct {
 	// so a concurrent observer (e.g. a job-status endpoint) can sample
 	// a running computation. See congest.Progress.
 	Progress *congest.Progress
-	// CheckPayload enables the runtime's payload-overflow guard: any
-	// message staged with a payload word outside ±2^62 fails the run
-	// loudly instead of corrupting the protocol. See
-	// congest.Options.CheckPayload.
-	CheckPayload bool
 	// Observer, when non-nil, receives one congest.RoundRecord per
 	// simulated round at the runtime's round barrier — per-round message
 	// and wake counts plus wall-clock delivery timings. Arm a
@@ -166,14 +161,13 @@ func (o Options) engineOpts(ctx context.Context) congest.Options {
 		deadline = cd
 	}
 	return congest.Options{
-		Seed:         o.Seed,
-		Unbounded:    o.Unbounded,
-		MaxRounds:    o.MaxRounds,
-		Interrupt:    ctx.Done(),
-		Deadline:     deadline,
-		Progress:     o.Progress,
-		CheckPayload: o.CheckPayload,
-		Observer:     o.Observer,
+		Seed:      o.Seed,
+		Unbounded: o.Unbounded,
+		MaxRounds: o.MaxRounds,
+		Interrupt: ctx.Done(),
+		Deadline:  deadline,
+		Progress:  o.Progress,
+		Observer:  o.Observer,
 	}
 }
 
@@ -251,11 +245,12 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 	col := &collector{sides: make([]bool, g.N()), packs: make([]*packing.Result, g.N())}
 	exactAll := true
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		res, exact := packing.ExactDoubling(nd, bfs, o.TauPolicy, o.MaxLambda,
-			packing.Options{SizeCap: o.SizeCap}, 1000)
-		side := packing.MarkSide(nd, bfs, res, 100)
-		value := packing.EvaluateCut(nd, bfs, side, 200)
+			packing.Options{SizeCap: o.SizeCap}, tags)
+		side := packing.MarkSide(nd, bfs, res, tags)
+		value := packing.EvaluateCut(nd, bfs, side, tags)
 		col.mu.Lock()
 		defer col.mu.Unlock()
 		col.sides[nd.ID()] = side
@@ -300,10 +295,11 @@ func OneRespectingCutContext(ctx context.Context, g *graph.Graph, opts *Options)
 	col := &collector{sides: make([]bool, g.N()), packs: make([]*packing.Result, g.N())}
 	perNode := make([]int64, g.N())
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		loads := make(map[int]int64, nd.Degree())
-		res := packing.Pack(nd, bfs, 1, loads, packing.Options{SizeCap: o.SizeCap}, 1000, nil)
-		side := packing.MarkSide(nd, bfs, res, 100)
+		res := packing.Pack(nd, bfs, 1, loads, packing.Options{SizeCap: o.SizeCap}, tags, nil)
+		side := packing.MarkSide(nd, bfs, res, tags)
 		col.mu.Lock()
 		defer col.mu.Unlock()
 		col.sides[nd.ID()] = side
@@ -346,8 +342,9 @@ func ApproxMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*R
 	kappa := sampling.Kappa(o.Epsilon, g.N())
 	col := &collector{sides: make([]bool, g.N()), packs: make([]*packing.Result, g.N()), extra: map[string]int64{}}
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		approxProgram(nd, bfs, g, kappa, o, col)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		approxProgram(nd, bfs, tags, g, kappa, o, col)
 	})
 	if err != nil {
 		return nil, ctxErr(ctx, err)
@@ -416,11 +413,12 @@ func BracketMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*
 	var mu sync.Mutex
 	var out sampling.BracketOutcome
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		res := sampling.Bracket(nd, bfs, sampling.BracketConfig{
 			Seed:   o.Seed,
 			Trials: o.BracketTrials,
-		}, 100)
+		}, tags)
 		if nd.ID() == 0 {
 			mu.Lock()
 			out = res
@@ -449,8 +447,7 @@ func BracketMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*
 // approxProgram is the per-node (1+ε) driver. All branch decisions are
 // functions of globally known values, so every node follows the same
 // level schedule in lockstep.
-func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa int64, o Options, col *collector) {
-	const levelSpan = uint32(80_000_000)
+func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *graph.Graph, kappa int64, o Options, col *collector) {
 	mark := nd.ID() == 0 // node 0 records the level spans for observability
 	weightAt := func(level int) func(p int) int64 {
 		if level == 0 {
@@ -463,14 +460,14 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 	}
 	// packLevel packs one sampling level under its own span, so the
 	// trace attributes the descent's cost level by level.
-	packLevel := func(level int, tagBase uint32) *packing.Result {
+	packLevel := func(level int) *packing.Result {
 		if mark {
 			nd.Mark("begin:level:" + strconv.Itoa(level))
 		}
 		loads := make(map[int]int64, nd.Degree())
 		cur := packing.Pack(nd, bfs, o.ApproxTauMax, loads,
 			packing.Options{Weight: weightAt(level), StopBelow: kappa, SizeCap: o.SizeCap},
-			tagBase, nil)
+			tags, nil)
 		if mark {
 			nd.Mark("end:level:" + strconv.Itoa(level))
 		}
@@ -483,7 +480,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 		nd.Mark("begin:level:0")
 	}
 	res, exact := packing.ExactDoubling(nd, bfs, o.TauPolicy, kappa,
-		packing.Options{SizeCap: o.SizeCap}, 1000)
+		packing.Options{SizeCap: o.SizeCap}, tags)
 	if mark {
 		nd.Mark("end:level:0")
 	}
@@ -499,7 +496,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 				jump++
 			}
 			level = prevLevel + jump
-			cur := packLevel(level, uint32(level)*levelSpan)
+			cur := packLevel(level)
 			trees += cur.Trees
 			if !cur.Connected {
 				// Oversampled: retreat one level and accept it.
@@ -509,7 +506,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 					level = prevLevel
 					break
 				}
-				cur = packLevel(level, uint32(level)*levelSpan+levelSpan/2)
+				cur = packLevel(level)
 				trees += cur.Trees
 				if !cur.Connected {
 					res = prev
@@ -527,8 +524,8 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, kappa i
 		}
 	}
 
-	side := packing.MarkSide(nd, bfs, res, 100)
-	value := packing.EvaluateCut(nd, bfs, side, 200)
+	side := packing.MarkSide(nd, bfs, res, tags)
+	value := packing.EvaluateCut(nd, bfs, side, tags)
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	col.sides[nd.ID()] = side

@@ -37,7 +37,7 @@ func goldenFamilies() map[string]*graph.Graph {
 
 // goldenOptions is the configuration every case runs under; case
 // names keep the "serial" suffix they were recorded with.
-var goldenOptions = Options{Seed: 5, CheckPayload: true}
+var goldenOptions = Options{Seed: 5}
 
 // goldenRecord is one case's deterministic fingerprint.
 type goldenRecord struct {

@@ -19,7 +19,8 @@ func Centralize(g *graph.Graph, seed int64) (int64, *congest.Stats, error) {
 	var mu sync.Mutex
 	var value int64 = -1
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		// Each edge reported once, by its lower-ID endpoint.
 		var mine []proto.Item
 		for p := 0; p < nd.Degree(); p++ {
@@ -29,7 +30,7 @@ func Centralize(g *graph.Graph, seed int64) (int64, *congest.Stats, error) {
 				})
 			}
 		}
-		items := proto.Gather(nd, bfs, 10, mine)
+		items := proto.Gather(nd, bfs, tags, mine)
 		var cut int64
 		if bfs.Root {
 			h := graph.New(nd.N())
@@ -43,7 +44,7 @@ func Centralize(g *graph.Graph, seed int64) (int64, *congest.Stats, error) {
 			}
 			cut = w
 		}
-		cut = proto.Broadcast(nd, bfs, 20, cut)
+		cut = proto.Broadcast(nd, bfs, tags, cut)
 		mu.Lock()
 		value = cut
 		mu.Unlock()

@@ -54,12 +54,11 @@ type SuResult struct {
 // randomness of internal/sampling; per-tree cut detection is the
 // crossing-count aggregation — both Su's Thurimella-based procedure
 // and ours are Õ(√n + D) tree aggregations.
-func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed int64, tauMax int, tagBase uint32) *SuResult {
+func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed int64, tauMax int, tags *proto.Tags) *SuResult {
 	if tauMax <= 0 {
 		tauMax = 16
 	}
 	kappa := sampling.Kappa(eps, nd.N())
-	const levelSpan = uint32(40_000_000)
 	weightAt := func(level int) func(p int) int64 {
 		if level == 0 {
 			return nil
@@ -75,8 +74,7 @@ func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed 
 	for ; level < 62; level++ {
 		loads := make(map[int]int64, nd.Degree())
 		cur := packing.Pack(nd, bfs, tauMax, loads,
-			packing.Options{Weight: weightAt(level)},
-			tagBase+uint32(level)*levelSpan, nil)
+			packing.Options{Weight: weightAt(level)}, tags, nil)
 		trees += cur.Trees
 		if !cur.Connected {
 			// Oversampled: keep the previous level's result.
@@ -88,8 +86,8 @@ func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed 
 			break
 		}
 	}
-	side := packing.MarkSide(nd, bfs, res, tagBase+100)
-	value := packing.EvaluateCut(nd, bfs, side, tagBase+200)
+	side := packing.MarkSide(nd, bfs, res, tags)
+	value := packing.EvaluateCut(nd, bfs, side, tags)
 	return &SuResult{
 		Value:       value,
 		SkeletonCut: res.Cut,

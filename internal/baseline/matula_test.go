@@ -102,8 +102,9 @@ func TestSuApproximation(t *testing.T) {
 	var mu sync.Mutex
 	results := make([]*SuResult, g.N())
 	stats, err := congest.Run(g, congest.Options{Seed: 5}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		r := Su(nd, bfs, g, 0.5, 7, 8, 1000)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		r := Su(nd, bfs, g, 0.5, 7, 8, tags)
 		mu.Lock()
 		results[nd.ID()] = r
 		mu.Unlock()

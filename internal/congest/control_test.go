@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func TestProgressGaugeMatchesStats(t *testing.T) {
 
 func TestCheckPayloadOverflowFailsLoudly(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{CheckPayload: true}, func(nd *Node) {
+	_, err := Run(g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			nd.Send(0, Message{Kind: 1, A: PayloadLimit + 1})
 		}
@@ -118,7 +119,7 @@ func TestCheckPayloadOverflowFailsLoudly(t *testing.T) {
 
 func TestCheckPayloadNegativeOverflow(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{CheckPayload: true}, func(nd *Node) {
+	_, err := Run(g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			nd.Send(0, Message{Kind: 1, D: -PayloadLimit - 1})
 		}
@@ -131,14 +132,14 @@ func TestCheckPayloadNegativeOverflow(t *testing.T) {
 
 func TestCheckPayloadAllowsLegitimateTraffic(t *testing.T) {
 	g := graph.Cycle(8)
-	stats, err := Run(g, Options{CheckPayload: true}, func(nd *Node) {
-		nd.SendAll(Message{Kind: 1, A: -1, B: PayloadLimit, C: -PayloadLimit})
+	stats, err := Run(g, Options{}, func(nd *Node) {
+		nd.SendAll(Message{Kind: 1, A: -1, B: PayloadLimit, C: -PayloadLimit, D: math.MinInt64})
 		for i := 0; i < nd.Degree(); i++ {
 			nd.Recv(MatchKind(1))
 		}
 	})
 	if err != nil {
-		t.Fatalf("in-range payloads must pass the guard: %v", err)
+		t.Fatalf("in-range payloads and sentinels must pass the guard: %v", err)
 	}
 	if stats.Leftover != 0 {
 		t.Fatalf("leftover %d", stats.Leftover)

@@ -48,14 +48,6 @@ type Options struct {
 	// so concurrent observers (e.g. a job-status endpoint) can sample a
 	// running simulation without synchronizing with it.
 	Progress *Progress
-	// CheckPayload, when set, makes Send fail loudly (a panic that
-	// surfaces as a PanicError from Run) whenever a staged message
-	// carries a payload word outside [-PayloadLimit, PayloadLimit].
-	// Messages are nominally O(log n) bits, but the words are int64 and
-	// several protocols pack multiple quantities into one word; a value
-	// near the int64 range almost always means a packing overflowed.
-	// Off by default (it adds a branch to the Send fast path).
-	CheckPayload bool
 	// Observer, when non-nil, receives one RoundRecord per simulated
 	// round at the round barrier (see Observer and RoundRecord). The
 	// record carries the round's delivered-message count, the next wake

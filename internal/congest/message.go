@@ -82,7 +82,10 @@ package congest
 // Message is the unit of communication: a kind (protocol opcode), a tag
 // (protocol instance / epoch, so that consecutive uses of a primitive
 // never confuse each other's traffic), and four payload words. Total
-// size is O(log n) bits in every use in this repository.
+// size is O(log n) bits in every use in this repository. Protocols draw
+// tags from their node program's proto.Tags counter, and every node
+// must draw the same tag sequence, or receives wait on tags no
+// neighbor sends.
 type Message struct {
 	Kind uint8
 	Tag  uint32
@@ -96,8 +99,8 @@ type Message struct {
 // for bit accounting in Stats.
 const PayloadWords = 4
 
-// PayloadLimit bounds the magnitude of each payload word when
-// Options.CheckPayload is set. The repository's packing convention is
+// PayloadLimit bounds the magnitude of each payload word; Send enforces
+// it on every message. The repository's packing convention is
 // at most two 31-bit fields per word (IDs < n ≤ 2^31, weights and loads
 // < 2^31 per distmincut.MaxWeight), optionally with one flag carried in
 // the sign — so every legitimate word has magnitude at most 2^62. A
@@ -129,10 +132,4 @@ func MatchKindTag(kind uint8, tag uint32) MatchFunc {
 // MatchPort accepts any message arriving on the given port.
 func MatchPort(port int) MatchFunc {
 	return func(p int, _ Message) bool { return p == port }
-}
-
-// MatchKindTagPort accepts messages with the given kind and tag on one
-// specific port.
-func MatchKindTagPort(kind uint8, tag uint32, port int) MatchFunc {
-	return func(p int, m Message) bool { return p == port && m.Kind == kind && m.Tag == tag }
 }

@@ -111,7 +111,8 @@ func (nd *Node) Send(p int, m Message) {
 	if p < 0 || p >= len(nd.adj) {
 		panic(fmt.Sprintf("congest: node %d Send on invalid port %d (degree %d)", nd.id, p, len(nd.adj)))
 	}
-	if nd.eng.opts.CheckPayload {
+	const lim = uint64(PayloadLimit) // uint64(w)+lim maps [-lim, lim] onto [0, 2·lim]
+	if uint64(m.A)+lim > 2*lim || uint64(m.B)+lim > 2*lim || uint64(m.C)+lim > 2*lim || uint64(m.D)+lim > 2*lim {
 		nd.checkPayload(p, m)
 	}
 	if !nd.outDirty {
@@ -131,8 +132,8 @@ func (nd *Node) Send(p int, m Message) {
 	nd.sent++
 }
 
-// checkPayload enforces Options.CheckPayload: every payload word must
-// lie within [-PayloadLimit, PayloadLimit] or be one of the two exact
+// checkPayload enforces PayloadLimit on a message Send found a large
+// word in: every word beyond the limit must be one of the two exact
 // extreme sentinels (math.MaxInt64 / math.MinInt64, which protocols use
 // as "∞ / none" markers). Out of line so the Send fast path stays
 // small.

@@ -258,8 +258,9 @@ func runSu(g *graph.Graph, eps float64, seed int64) (int64, int) {
 	var mu sync.Mutex
 	var value int64
 	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		r := baseline.Su(nd, bfs, g, eps, seed+5, 8, 1000)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		r := baseline.Su(nd, bfs, g, eps, seed+5, 8, tags)
 		mu.Lock()
 		value = r.Value // identical at every node
 		mu.Unlock()

@@ -156,9 +156,10 @@ func pipelineOnce(g *graph.Graph, seed int64) (*congest.Stats, int64, []graph.No
 	parents := make([]graph.NodeID, g.N())
 	var best int64
 	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		res := mst.Run(nd, bfs, nil, 0, 100)
-		out := respect.Run(nd, respect.FromMST(res, bfs), 100+mst.TagSpan)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		res := mst.Run(nd, bfs, nil, 0, tags)
+		out := respect.Run(nd, respect.FromMST(res, bfs), tags)
 		mu.Lock()
 		defer mu.Unlock()
 		if res.ParentPort >= 0 {
@@ -179,9 +180,10 @@ func pipelineOnce(g *graph.Graph, seed int64) (*congest.Stats, int64, []graph.No
 func runPipelineCollect(g *graph.Graph, seed int64, fn func(v graph.NodeID, cut int64)) error {
 	var mu sync.Mutex
 	_, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		res := mst.Run(nd, bfs, nil, 0, 100)
-		out := respect.Run(nd, respect.FromMST(res, bfs), 100+mst.TagSpan)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		res := mst.Run(nd, bfs, nil, 0, tags)
+		out := respect.Run(nd, respect.FromMST(res, bfs), tags)
 		mu.Lock()
 		fn(nd.ID(), out.CutBelow)
 		mu.Unlock()

@@ -20,12 +20,13 @@ func TestDebugWeightedMismatch(t *testing.T) {
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
 	_, err := congest.Run(g, congest.Options{Seed: 13}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		local := make(map[int]int64)
 		for p := 0; p < nd.Degree(); p++ {
 			local[nd.EdgeID(p)] = loads[nd.EdgeID(p)]
 		}
-		res := Run(nd, bfs, local, 0, 100)
+		res := Run(nd, bfs, local, 0, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		mu.Unlock()

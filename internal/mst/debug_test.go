@@ -16,9 +16,10 @@ import (
 func TestDebugDeadlockTrace(t *testing.T) {
 	g := graph.Cycle(24)
 	stats, err := congest.Run(g, congest.Options{Seed: 11}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		nd.Mark(fmt.Sprintf("bfs-done:%d", nd.ID()))
-		r := &runner{nd: nd, bfs: bfs, cap: SizeCap(nd.N()), tag: 100}
+		r := &runner{nd: nd, bfs: bfs, cap: SizeCap(nd.N()), tags: tags}
 		st := r.part1()
 		nd.Mark(fmt.Sprintf("part1-done:%d frag=%d", nd.ID(), st.fragID))
 		inter := r.part2(st)

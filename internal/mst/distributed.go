@@ -82,10 +82,9 @@ func SizeCap(n int) int {
 // (controlled Borůvka up to the size cap), Part 2 (root-coordinated
 // Borůvka over the fragment graph), and the Õ(√n + D) rooting of the
 // resulting tree at node 0. bfs must be a BFS overlay rooted at node 0.
-// loads maps incident edge IDs to packing loads (may be nil). tagBase
-// reserves the tag range [tagBase, tagBase+8192) for this invocation.
-func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int, tagBase uint32) *Result {
-	return RunWeighted(nd, bfs, loads, nil, sizeCap, tagBase)
+// loads maps incident edge IDs to packing loads (may be nil).
+func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int, tags *proto.Tags) *Result {
+	return RunWeighted(nd, bfs, loads, nil, sizeCap, tags)
 }
 
 // RunWeighted is Run with a per-port weight override: weight(p) <= 0
@@ -93,8 +92,8 @@ func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int,
 // graphs, which may be disconnected — the result is then a rooted
 // spanning forest with Connected = false). A nil weight uses the
 // underlying edge weights.
-func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weight func(p int) int64, sizeCap int, tagBase uint32) *Result {
-	r := &runner{nd: nd, bfs: bfs, loads: loads, weight: weight, cap: sizeCap, tag: tagBase}
+func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weight func(p int) int64, sizeCap int, tags *proto.Tags) *Result {
+	r := &runner{nd: nd, bfs: bfs, loads: loads, weight: weight, cap: sizeCap, tags: tags}
 	if r.cap < 1 {
 		r.cap = SizeCap(nd.N())
 	}
@@ -119,9 +118,6 @@ func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weig
 	return res
 }
 
-// TagSpan is the tag range reserved by one Run invocation.
-const TagSpan = 8192
-
 // runner bundles per-node state for one MST invocation.
 type runner struct {
 	nd     *congest.Node
@@ -129,7 +125,7 @@ type runner struct {
 	loads  map[int]int64
 	weight func(p int) int64
 	cap    int
-	tag    uint32
+	tags   *proto.Tags
 
 	// Per-iteration receive scratch, reused so the Borůvka loops do
 	// not allocate per iteration (the packing loop runs this code once
@@ -220,9 +216,6 @@ func (r *runner) part1() *p1state {
 	nd := r.nd
 	st := &p1state{fragID: int64(nd.ID()), parentPort: -1}
 	maxIter := 60 + 14*bitlen(nd.N())
-	if maxIter*16 >= 4096 {
-		maxIter = 4096/16 - 1 // keep part-1 tags below the part-2 range
-	}
 	// One fragment-exchange matcher for every iteration: the tag
 	// advances through the captured variable (stable while the node is
 	// parked), so the receive loop does not allocate a closure per
@@ -238,12 +231,11 @@ func (r *runner) part1() *p1state {
 		if iter > maxIter {
 			panic(fmt.Sprintf("mst: part 1 did not converge after %d iterations", iter))
 		}
-		tag := r.tag + uint32(iter)*16
 		ov := st.overlay()
 
-		// Exchange fragment IDs with all neighbors (tag+0).
-		exTag = tag
-		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: tag, A: st.fragID})
+		// Exchange fragment IDs with all neighbors.
+		exTag = r.tags.Next(1)
+		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: exTag, A: st.fragID})
 		peerFrag := r.peerFrag
 		for i := 0; i < nd.Degree(); i++ {
 			p, m := nd.Recv(matchEx)
@@ -268,10 +260,9 @@ func (r *runner) part1() *p1state {
 			}
 		}
 
-		// One batched wave up the fragment tree (tags tag+1, tag+2):
-		// slot 0 sums the fragment size, slot 1 carries the fragment's
-		// minimum outgoing edge.
-		up, _ := proto.ConvergeItemVec(nd, ov, tag+1,
+		// One batched wave up the fragment tree: slot 0 sums the
+		// fragment size, slot 1 carries its minimum outgoing edge.
+		up, _ := proto.ConvergeItemVec(nd, ov, r.tags,
 			[]proto.Item{{A: 1}, cand},
 			func(slot int, a, b proto.Item) proto.Item {
 				if slot == 0 {
@@ -282,10 +273,10 @@ func (r *runner) part1() *p1state {
 
 		// The root now holds size and MOE together: saturation, the
 		// merge coin, and the proposal decision come out of one place.
-		// Global termination (tags tag+3, tag+4, over the BFS tree): a
-		// fragment blocks completion only if it is unsaturated AND
-		// still has an outgoing edge. Isolated small fragments
-		// (possible under sampled views) stop growing.
+		// Global termination (over the BFS tree): a fragment blocks
+		// completion only if it is unsaturated AND still has an
+		// outgoing edge. Isolated small fragments (possible under
+		// sampled views) stop growing.
 		var ctl, rootMoeUV int64
 		unsat := int64(0)
 		if ov.Root {
@@ -298,42 +289,44 @@ func (r *runner) part1() *p1state {
 				unsat = 1
 			}
 		}
-		if proto.ConvergeBroadcast(nd, r.bfs, tag+3, unsat, proto.Sum) == 0 {
+		if proto.ConvergeBroadcast(nd, r.bfs, r.tags, unsat, proto.Sum) == 0 {
 			return st
 		}
 
-		// One wave down the fragment tree (tag+5): control bits and the
-		// winning MOE endpoints share a single item.
-		dec := proto.BroadcastItem(nd, ov, tag+5, proto.Item{A: ctl, B: rootMoeUV})
+		// One wave down the fragment tree: control bits and the winning
+		// MOE endpoints share a single item.
+		dec := proto.BroadcastItem(nd, ov, r.tags, proto.Item{A: ctl, B: rootMoeUV})
 		saturated := dec.A&1 != 0
 		coinTail := dec.A&2 != 0
 		proposing := dec.A&4 != 0
 		moeUV := dec.B
 
 		// One PROPOSE/NOPROPOSE per port, then one reply per PROPOSE.
+		// Every node draws the outcome wave's tag too, proposing or not.
+		proposeTag, replyTag, waveTag := r.tags.Next(1), r.tags.Next(1), r.tags.Next(1)
 		myProposePort := -1
 		for p := 0; p < nd.Degree(); p++ {
 			if proposing && p == candPort && cand.C == moeUV {
 				myProposePort = p
-				nd.Send(p, congest.Message{Kind: kindPropose, Tag: tag + 6, A: st.fragID})
+				nd.Send(p, congest.Message{Kind: kindPropose, Tag: proposeTag, A: st.fragID})
 			} else {
-				nd.Send(p, congest.Message{Kind: kindNoPropose, Tag: tag + 6})
+				nd.Send(p, congest.Message{Kind: kindNoPropose, Tag: proposeTag})
 			}
 		}
 		accept := saturated || !coinTail
 		var acceptedPorts []int
 		for i := 0; i < nd.Degree(); i++ {
 			p, m := nd.Recv(func(_ int, m congest.Message) bool {
-				return m.Tag == tag+6 && (m.Kind == kindPropose || m.Kind == kindNoPropose)
+				return m.Tag == proposeTag && (m.Kind == kindPropose || m.Kind == kindNoPropose)
 			})
 			if m.Kind != kindPropose {
 				continue
 			}
 			if accept {
-				nd.Send(p, congest.Message{Kind: kindAccept, Tag: tag + 7, A: st.fragID})
+				nd.Send(p, congest.Message{Kind: kindAccept, Tag: replyTag, A: st.fragID})
 				acceptedPorts = append(acceptedPorts, p)
 			} else {
-				nd.Send(p, congest.Message{Kind: kindReject, Tag: tag + 7})
+				nd.Send(p, congest.Message{Kind: kindReject, Tag: replyTag})
 			}
 		}
 
@@ -344,14 +337,14 @@ func (r *runner) part1() *p1state {
 			merged, newFrag := false, int64(0)
 			if myProposePort >= 0 {
 				_, m := nd.Recv(func(p int, m congest.Message) bool {
-					return p == myProposePort && m.Tag == tag+7 &&
+					return p == myProposePort && m.Tag == replyTag &&
 						(m.Kind == kindAccept || m.Kind == kindReject)
 				})
 				if m.Kind == kindAccept {
 					merged, newFrag = true, m.A
 				}
 			}
-			r.outcomeWave(st, myProposePort, merged, newFrag, tag+8)
+			r.outcomeWave(st, myProposePort, merged, newFrag, waveTag)
 		}
 		if len(acceptedPorts) > 0 {
 			st.childPorts = append(st.childPorts, acceptedPorts...)
@@ -417,7 +410,6 @@ func (r *runner) part2(st *p1state) []InterEdge {
 	logical := physID
 	var inter []InterEdge
 	maxIter := 4 + 2*bitlen(nd.N())
-	base := r.tag + 4096 // disjoint from part 1 tags (checked in part1)
 	var exTag uint32
 	matchEx := func(_ int, m congest.Message) bool {
 		return m.Kind == kindFragEx && m.Tag == exTag
@@ -432,11 +424,9 @@ func (r *runner) part2(st *p1state) []InterEdge {
 		if iter > maxIter {
 			panic(fmt.Sprintf("mst: part 2 did not converge after %d iterations", iter))
 		}
-		tag := base + uint32(iter)*8
-
 		// Exchange (logical, phys) with all neighbors.
-		exTag = tag
-		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: tag, A: logical, B: physID})
+		exTag = r.tags.Next(1)
+		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: exTag, A: logical, B: physID})
 		peerLogical, peerPhys := r.peerFrag, r.peerPhys
 		for i := 0; i < nd.Degree(); i++ {
 			p, m := nd.Recv(matchEx)
@@ -470,7 +460,7 @@ func (r *runner) part2(st *p1state) []InterEdge {
 				cand = it
 			}
 		}
-		moe, _ := proto.ConvergeItem(nd, fragOv, tag+1, cand, betterCand)
+		moe, _ := proto.ConvergeItem(nd, fragOv, r.tags, cand, betterCand)
 
 		// Physical-fragment roots upcast their candidate to the BFS
 		// root as one packed item: A = load<<31|weight, B = packed
@@ -487,14 +477,14 @@ func (r *runner) part2(st *p1state) []InterEdge {
 				D: moe.D,
 			}}
 		}
-		gathered := proto.Gather(nd, r.bfs, tag+2, mine)
+		gathered := proto.Gather(nd, r.bfs, r.tags, mine)
 
 		// The BFS root (node 0) runs the Borůvka merge locally.
 		var flood []proto.Item
 		if r.bfs.Root {
 			flood = mergeAtRoot(gathered, iter)
 		}
-		out := proto.Flood(nd, r.bfs, tag+4, flood)
+		out := proto.Flood(nd, r.bfs, r.tags, flood)
 
 		done := false
 		for _, it := range out {
@@ -629,22 +619,21 @@ func mergeAtRoot(items []proto.Item, iter int) []proto.Item {
 // component is rooted at its minimum fragment ID.
 func (r *runner) root(st *p1state, inter []InterEdge) *Result {
 	nd := r.nd
-	base := r.tag + TagSpan - 16
 	myPhys := st.fragID
 
-	// Fragment census: roots contribute their ID (tags base, base+1).
+	// Fragment census: roots contribute their ID.
 	var mine []proto.Item
 	if st.parentPort < 0 {
 		mine = []proto.Item{{A: myPhys}}
 	}
-	censusItems := proto.AllGather(nd, r.bfs, base, mine)
+	censusItems := proto.AllGather(nd, r.bfs, r.tags, mine)
 	allFrags := make([]int64, 0, len(censusItems))
 	for _, it := range censusItems {
 		allFrags = append(allFrags, it.A)
 	}
 
 	// Node 0 (the BFS root) announces its fragment.
-	rootFrag := proto.Broadcast(nd, r.bfs, base+2, myPhys)
+	rootFrag := proto.Broadcast(nd, r.bfs, r.tags, myPhys)
 
 	// Locally orient the fragment forest.
 	fragParent, attach := orientForest(inter, allFrags, rootFrag)
@@ -668,7 +657,7 @@ func (r *runner) root(st *p1state, inter []InterEdge) *Result {
 	default:
 		internalRoot = attach[myPhys].inner
 	}
-	wave := proto.AdoptWave(nd, st.ports(), nd.ID() == internalRoot, base+4)
+	wave := proto.AdoptWave(nd, st.ports(), nd.ID() == internalRoot, r.tags)
 
 	res := &Result{
 		FragID:         myPhys,

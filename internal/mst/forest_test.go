@@ -29,14 +29,15 @@ func TestRunWeightedForest(t *testing.T) {
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
 	stats, err := congest.Run(g, congest.Options{Seed: 3}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		weight := func(p int) int64 {
 			if nd.EdgeID(p) == bridgeID {
 				return 0
 			}
 			return nd.EdgeWeight(p)
 		}
-		res := RunWeighted(nd, bfs, nil, weight, 0, 100)
+		res := RunWeighted(nd, bfs, nil, weight, 0, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		mu.Unlock()
@@ -94,8 +95,9 @@ func TestRunWeightedReweightedMST(t *testing.T) {
 	var mu sync.Mutex
 	gotSet := map[int64]bool{}
 	_, err := congest.Run(g, congest.Options{Seed: 7}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		res := RunWeighted(nd, bfs, nil, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, 100)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		res := RunWeighted(nd, bfs, nil, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, tags)
 		mu.Lock()
 		defer mu.Unlock()
 		if res.ParentPort >= 0 {

@@ -105,7 +105,8 @@ func collectDistributed(t *testing.T, g *graph.Graph, loads []int64, seed int64)
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		var local map[int]int64
 		if loads != nil {
 			local = make(map[int]int64)
@@ -113,7 +114,7 @@ func collectDistributed(t *testing.T, g *graph.Graph, loads []int64, seed int64)
 				local[nd.EdgeID(p)] = loads[nd.EdgeID(p)]
 			}
 		}
-		res := Run(nd, bfs, local, 0, 100)
+		res := Run(nd, bfs, local, 0, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		mu.Unlock()

@@ -28,9 +28,6 @@ import (
 	"distmincut/internal/respect"
 )
 
-// TreeTagSpan is the tag range consumed per packed tree.
-const TreeTagSpan = mst.TagSpan + respect.TagSpan
-
 // TheoreticalTau is Thorup's packing bound Θ(λ⁷ log³ n) (unit
 // constant). Intractable except for λ = 1 on small graphs; provided for
 // fidelity and the E7 ablation.
@@ -95,20 +92,18 @@ type Result struct {
 // over all of them. loads carries packing loads across calls (pass a
 // fresh map for a standalone run); it is updated in place. If the
 // (possibly sampled) graph is disconnected, packing aborts with
-// Connected=false and Cut untouched. The tag range
-// [tagBase, tagBase + tau*TreeTagSpan) is consumed.
-func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, opts Options, tagBase uint32, prev *Result) *Result {
+// Connected=false and Cut untouched.
+func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, opts Options, tags *proto.Tags, prev *Result) *Result {
 	res := prev
 	if res == nil {
 		res = &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
 	}
 	mark := nd.ID() == 0 // node 0 records phase spans for observability
 	for i := 0; i < tau; i++ {
-		tag := tagBase + uint32(i)*TreeTagSpan
 		if mark {
 			nd.Mark("begin:mst")
 		}
-		mres := mst.RunWeighted(nd, bfs, loads, opts.Weight, opts.SizeCap, tag)
+		mres := mst.RunWeighted(nd, bfs, loads, opts.Weight, opts.SizeCap, tags)
 		if mark {
 			nd.Mark("end:mst")
 		}
@@ -127,7 +122,7 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, op
 		if mark {
 			nd.Mark("begin:respect")
 		}
-		out := respect.Run(nd, in, tag+mst.TagSpan)
+		out := respect.Run(nd, in, tags)
 		if mark {
 			nd.Mark("end:respect")
 		}
@@ -164,7 +159,7 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, op
 // maxLambda bounds the search (poly(λ) trees are only tractable for
 // small λ; larger cuts are handled by the sampling reduction). Returns
 // the result and whether it is certified exact.
-func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64, n int) int, maxLambda int64, opts Options, tagBase uint32) (*Result, bool) {
+func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64, n int) int, maxLambda int64, opts Options, tags *proto.Tags) (*Result, bool) {
 	if tauOf == nil {
 		tauOf = PracticalTau
 	}
@@ -173,7 +168,6 @@ func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64
 	}
 	loads := make(map[int]int64, nd.Degree())
 	res := &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
-	tag := tagBase
 	mark := nd.ID() == 0 // node 0 records the guess/certify spans for observability
 	for lambda := int64(1); ; lambda *= 2 {
 		target := tauOf(lambda, nd.N())
@@ -185,11 +179,10 @@ func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64
 			if mark {
 				nd.Mark("begin:pack")
 			}
-			res = Pack(nd, bfs, extra, loads, guess, tag, res)
+			res = Pack(nd, bfs, extra, loads, guess, tags, res)
 			if mark {
 				nd.Mark("end:pack")
 			}
-			tag += uint32(extra) * TreeTagSpan
 			if !res.Connected {
 				return res, false
 			}
@@ -203,8 +196,7 @@ func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64
 				nd.Mark("begin:certify")
 			}
 			certifying = true
-			res = Pack(nd, bfs, 1, loads, opts, tag, res)
-			tag += TreeTagSpan
+			res = Pack(nd, bfs, 1, loads, opts, tags, res)
 			if !res.Connected {
 				if mark && certifying {
 					nd.Mark("end:certify")
@@ -232,8 +224,8 @@ const (
 // MarkSide makes every node learn whether it lies in the winning cut's
 // side X = v*↓ (under the winning tree): v* floods its fragment ID and
 // F(v*) — O(√n) items — and each node decides membership locally from
-// its snapshotted ancestors. Tags tag, tag+1 are used.
-func MarkSide(nd *congest.Node, bfs *proto.Overlay, res *Result, tag uint32) bool {
+// its snapshotted ancestors.
+func MarkSide(nd *congest.Node, bfs *proto.Overlay, res *Result, tags *proto.Tags) bool {
 	mark := nd.ID() == 0 // node 0 records the phase span for observability
 	if mark {
 		nd.Mark("begin:markside")
@@ -245,7 +237,7 @@ func MarkSide(nd *congest.Node, bfs *proto.Overlay, res *Result, tag uint32) boo
 			mine = append(mine, proto.Item{A: 1, B: f})
 		}
 	}
-	items := proto.AllGather(nd, bfs, tag, mine)
+	items := proto.AllGather(nd, bfs, tags, mine)
 	if mark {
 		nd.Mark("end:markside") // the remaining side decision is local, zero rounds
 	}
@@ -273,8 +265,8 @@ func MarkSide(nd *congest.Node, bfs *proto.Overlay, res *Result, tag uint32) boo
 
 // EvaluateCut computes the true weight, under the real edge weights of
 // the underlying graph, of the cut defined by each node's side bit: one
-// neighbor exchange plus one global sum. Tags tag..tag+2 are used.
-func EvaluateCut(nd *congest.Node, bfs *proto.Overlay, inSide bool, tag uint32) int64 {
+// neighbor exchange plus one global sum.
+func EvaluateCut(nd *congest.Node, bfs *proto.Overlay, inSide bool, tags *proto.Tags) int64 {
 	mark := nd.ID() == 0 // node 0 records the phase span for observability
 	if mark {
 		nd.Mark("begin:evalcut")
@@ -283,6 +275,7 @@ func EvaluateCut(nd *congest.Node, bfs *proto.Overlay, inSide bool, tag uint32) 
 	if inSide {
 		bit = 1
 	}
+	tag := tags.Next(1)
 	nd.SendAll(congest.Message{Kind: kindSideBit, Tag: tag, A: bit})
 	var crossing int64
 	for i := 0; i < nd.Degree(); i++ {
@@ -292,7 +285,7 @@ func EvaluateCut(nd *congest.Node, bfs *proto.Overlay, inSide bool, tag uint32) 
 		}
 	}
 	// Each crossing edge is counted at both endpoints.
-	total := proto.ConvergeBroadcast(nd, bfs, tag+1, crossing, proto.Sum) / 2
+	total := proto.ConvergeBroadcast(nd, bfs, tags, crossing, proto.Sum) / 2
 	if mark {
 		nd.Mark("end:evalcut")
 	}

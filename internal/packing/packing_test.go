@@ -20,18 +20,21 @@ func runExact(t *testing.T, g *graph.Graph, seed int64) (*packing.Result, []bool
 	var mu sync.Mutex
 	results := make([]*packing.Result, g.N())
 	sides := make([]bool, g.N())
+	used := make([]uint32, g.N())
 	var evaluated int64
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		res, exact := packing.ExactDoubling(nd, bfs, nil, 0, packing.Options{}, 1000)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		res, exact := packing.ExactDoubling(nd, bfs, nil, 0, packing.Options{}, tags)
 		if !exact {
 			panic("packing: expected certified-exact result")
 		}
-		side := packing.MarkSide(nd, bfs, res, 900)
-		ev := packing.EvaluateCut(nd, bfs, side, 950)
+		side := packing.MarkSide(nd, bfs, res, tags)
+		ev := packing.EvaluateCut(nd, bfs, side, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		sides[nd.ID()] = side
+		used[nd.ID()] = tags.Next(0)
 		evaluated = ev
 		mu.Unlock()
 	})
@@ -45,6 +48,9 @@ func runExact(t *testing.T, g *graph.Graph, seed int64) (*packing.Result, []bool
 		if results[v].Cut != results[0].Cut || results[v].CutNode != results[0].CutNode ||
 			results[v].Trees != results[0].Trees {
 			t.Fatalf("node %d disagrees on result", v)
+		}
+		if used[v] != used[0] {
+			t.Fatalf("node %d drew %d tags, node 0 drew %d: draws left lockstep", v, used[v], used[0])
 		}
 	}
 	return results[0], sides, evaluated, stats
@@ -141,9 +147,10 @@ func TestPackStopBelow(t *testing.T) {
 	var trees int
 	var mu sync.Mutex
 	_, err := congest.Run(g, congest.Options{}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
 		loads := make(map[int]int64)
-		res := packing.Pack(nd, bfs, 10, loads, packing.Options{StopBelow: 1}, 1000, nil)
+		res := packing.Pack(nd, bfs, 10, loads, packing.Options{StopBelow: 1}, tags, nil)
 		mu.Lock()
 		trees = res.Trees
 		mu.Unlock()

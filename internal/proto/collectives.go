@@ -35,7 +35,8 @@ func SortItems(items []Item) {
 // The root returns (total, true); everyone else returns (its own
 // subtree aggregate, false). combine must be associative and
 // commutative. O(height) rounds, one message per tree edge.
-func Converge(nd *congest.Node, ov *Overlay, tag uint32, value int64, combine func(a, b int64) int64) (int64, bool) {
+func Converge(nd *congest.Node, ov *Overlay, tags *Tags, value int64, combine func(a, b int64) int64) (int64, bool) {
+	tag := tags.Next(1)
 	acc := value
 	for range ov.ChildPorts {
 		_, m := nd.Recv(func(p int, m congest.Message) bool {
@@ -52,7 +53,8 @@ func Converge(nd *congest.Node, ov *Overlay, tag uint32, value int64, combine fu
 
 // Broadcast sends one word from the root down the overlay; every node
 // returns it. O(height) rounds, one message per tree edge.
-func Broadcast(nd *congest.Node, ov *Overlay, tag uint32, value int64) int64 {
+func Broadcast(nd *congest.Node, ov *Overlay, tags *Tags, value int64) int64 {
+	tag := tags.Next(1)
 	if !ov.Root {
 		_, m := nd.Recv(func(p int, m congest.Message) bool {
 			return m.Kind == kindWord && m.Tag == tag && p == ov.ParentPort
@@ -67,10 +69,9 @@ func Broadcast(nd *congest.Node, ov *Overlay, tag uint32, value int64) int64 {
 
 // ConvergeBroadcast aggregates one word at the root and broadcasts the
 // total back; every node returns the global aggregate. 2·height rounds.
-// Tags tag and tag+1 are both used.
-func ConvergeBroadcast(nd *congest.Node, ov *Overlay, tag uint32, value int64, combine func(a, b int64) int64) int64 {
-	total, _ := Converge(nd, ov, tag, value, combine)
-	return Broadcast(nd, ov, tag+1, total)
+func ConvergeBroadcast(nd *congest.Node, ov *Overlay, tags *Tags, value int64, combine func(a, b int64) int64) int64 {
+	total, _ := Converge(nd, ov, tags, value, combine)
+	return Broadcast(nd, ov, tags, total)
 }
 
 // Sum, Min and Max are the standard combiners.
@@ -93,7 +94,8 @@ func Max(a, b int64) int64 {
 // followed by one end marker, so the whole gather takes O(height + k)
 // rounds for k total items. The root returns all items (unsorted);
 // other nodes return nil.
-func Gather(nd *congest.Node, ov *Overlay, tag uint32, mine []Item) []Item {
+func Gather(nd *congest.Node, ov *Overlay, tags *Tags, mine []Item) []Item {
+	tag := tags.Next(1)
 	var collected []Item
 	if ov.Root {
 		collected = append(collected, mine...)
@@ -128,7 +130,8 @@ func Gather(nd *congest.Node, ov *Overlay, tag uint32, mine []Item) []Item {
 // Flood streams items from the root down to every node (downcast with
 // pipelining): O(height + k) rounds. The root passes the items; every
 // node returns the full list in the root's order.
-func Flood(nd *congest.Node, ov *Overlay, tag uint32, items []Item) []Item {
+func Flood(nd *congest.Node, ov *Overlay, tags *Tags, items []Item) []Item {
+	tag := tags.Next(1)
 	if ov.Root {
 		for _, c := range ov.ChildPorts {
 			for _, it := range items {
@@ -162,16 +165,16 @@ func Flood(nd *congest.Node, ov *Overlay, tag uint32, items []Item) []Item {
 
 // AllGather gathers every node's items at the root, sorts them
 // canonically, and floods the sorted list back down; every node returns
-// the identical global list. O(height + k) rounds; uses tags tag and
-// tag+1. This is the paper's recurring "broadcast ... to the whole
-// network" step (inter-fragment edges, fragment degrees, merging nodes,
-// T'_F edges), always with k = O(√n) items.
-func AllGather(nd *congest.Node, ov *Overlay, tag uint32, mine []Item) []Item {
-	all := Gather(nd, ov, tag, mine)
+// the identical global list. O(height + k) rounds. This is the paper's
+// recurring "broadcast ... to the whole network" step (inter-fragment
+// edges, fragment degrees, merging nodes, T'_F edges), always with
+// k = O(√n) items.
+func AllGather(nd *congest.Node, ov *Overlay, tags *Tags, mine []Item) []Item {
+	all := Gather(nd, ov, tags, mine)
 	if ov.Root {
 		SortItems(all)
 	}
-	return Flood(nd, ov, tag+1, all)
+	return Flood(nd, ov, tags, all)
 }
 
 // KeyedSum computes, for a globally known sorted key list, the sum over
@@ -179,13 +182,14 @@ func AllGather(nd *congest.Node, ov *Overlay, tag uint32, mine []Item) []Item {
 // (key -> total) map at every node. Slot j (the j-th key) is combined
 // up the tree in pipelined fashion: a node forwards slot j as soon as
 // all children delivered their slot j, so the whole aggregation takes
-// O(height + k) rounds, not O(height · k). Tags tag and tag+1 are used.
+// O(height + k) rounds, not O(height · k).
 //
 // This implements the paper's Step 5(i): "count the number of messages
 // of the form <v> for every merging node v by computing the sum along
 // the breadth-first search tree" — the keys are the merging-node IDs,
 // known network-wide after Step 4.
-func KeyedSum(nd *congest.Node, ov *Overlay, tag uint32, keys []int64, mine map[int64]int64) map[int64]int64 {
+func KeyedSum(nd *congest.Node, ov *Overlay, tags *Tags, keys []int64, mine map[int64]int64) map[int64]int64 {
+	tag := tags.Next(1)
 	sums := make([]int64, len(keys))
 	for j, k := range keys {
 		sums[j] = mine[k]
@@ -217,7 +221,7 @@ func KeyedSum(nd *congest.Node, ov *Overlay, tag uint32, keys []int64, mine map[
 			items = append(items, Item{A: k, B: sums[j]})
 		}
 	}
-	out := Flood(nd, ov, tag+1, items)
+	out := Flood(nd, ov, tags, items)
 	res := make(map[int64]int64, len(out))
 	for _, it := range out {
 		res[it.A] = it.B

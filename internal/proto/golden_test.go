@@ -40,7 +40,7 @@ func diffFamilies() map[string]*graph.Graph {
 
 // diffOptions is the engine configuration each family runs under; case
 // names keep the "serial" suffix they were recorded with.
-var diffOptions = congest.Options{Seed: 5, CheckPayload: true}
+var diffOptions = congest.Options{Seed: 5}
 
 // statsFingerprint is the deterministic portion of a run's Stats, its
 // normalized mark stream, and the protocol's per-node results.
@@ -90,20 +90,30 @@ func overlayKey(ov *Overlay) string {
 	return fmt.Sprintf("root=%v parent=%d children=%v depth=%d", ov.Root, ov.ParentPort, ov.ChildPorts, ov.Depth)
 }
 
-// perNode runs program on g and renders each node's output (as
-// returned by program) in node order.
-func perNode[T any](t *testing.T, e *congest.Engine, g *graph.Graph, program func(nd *congest.Node) T) statsFingerprint {
+// perNode runs program on g, hands every node a fresh tag counter, and
+// renders each node's output (as returned by program) in node order. It
+// fails the test unless every node's counter ends at the same value:
+// the protocols drew their tags in lockstep.
+func perNode[T any](t *testing.T, e *congest.Engine, g *graph.Graph, program func(nd *congest.Node, tags *Tags) T) statsFingerprint {
 	t.Helper()
 	var mu sync.Mutex
 	out := make([]T, g.N())
+	used := make([]uint32, g.N())
 	stats, err := e.Run(g, func(nd *congest.Node) {
-		v := program(nd)
+		tags := new(Tags)
+		v := program(nd, tags)
 		mu.Lock()
 		out[nd.ID()] = v
+		used[nd.ID()] = tags.Next(0)
 		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for v := range used {
+		if used[v] != used[0] {
+			t.Fatalf("node %d drew %d tags, node 0 drew %d: draws left lockstep", v, used[v], used[0])
+		}
 	}
 	var b []byte
 	for v, x := range out {
@@ -190,8 +200,8 @@ func forEachCase(t *testing.T, proto string, fn func(t *testing.T, e *congest.En
 // recorded ones on every family.
 func TestDiffBFS(t *testing.T) {
 	forEachCase(t, "BFS", func(t *testing.T, e *congest.Engine, g *graph.Graph) statsFingerprint {
-		return perNode(t, e, g, func(nd *congest.Node) string {
-			return overlayKey(BuildBFS(nd, 0, 1))
+		return perNode(t, e, g, func(nd *congest.Node, tags *Tags) string {
+			return overlayKey(BuildBFS(nd, 0, tags))
 		})
 	})
 }
@@ -201,13 +211,13 @@ func TestDiffBFS(t *testing.T) {
 func TestDiffFlood(t *testing.T) {
 	items := []Item{{A: 5, B: 50}, {A: 6, C: 60}, {A: 7, D: 70}}
 	forEachCase(t, "Flood", func(t *testing.T, e *congest.Engine, g *graph.Graph) statsFingerprint {
-		return perNode(t, e, g, func(nd *congest.Node) []Item {
-			ov := BuildBFS(nd, 0, 1)
+		return perNode(t, e, g, func(nd *congest.Node, tags *Tags) []Item {
+			ov := BuildBFS(nd, 0, tags)
 			var in []Item
 			if ov.Root {
 				in = items
 			}
-			return Flood(nd, ov, 40, in)
+			return Flood(nd, ov, tags, in)
 		})
 	})
 }
@@ -216,9 +226,9 @@ func TestDiffFlood(t *testing.T) {
 // node's global total.
 func TestDiffConvergeBroadcast(t *testing.T) {
 	forEachCase(t, "ConvergeBroadcast", func(t *testing.T, e *congest.Engine, g *graph.Graph) statsFingerprint {
-		return perNode(t, e, g, func(nd *congest.Node) int64 {
-			ov := BuildBFS(nd, 0, 1)
-			return ConvergeBroadcast(nd, ov, 20, int64(nd.ID())*3+1, Sum)
+		return perNode(t, e, g, func(nd *congest.Node, tags *Tags) int64 {
+			ov := BuildBFS(nd, 0, tags)
+			return ConvergeBroadcast(nd, ov, tags, int64(nd.ID())*3+1, Sum)
 		})
 	})
 }
@@ -230,10 +240,10 @@ func TestDiffConvergeItemVec(t *testing.T) {
 		return Item{A: a.A + b.A, B: a.B + b.B, C: a.C + b.C, D: a.D + b.D}
 	}
 	forEachCase(t, "ConvergeItemVec", func(t *testing.T, e *congest.Engine, g *graph.Graph) statsFingerprint {
-		return perNode(t, e, g, func(nd *congest.Node) []Item {
-			ov := BuildBFS(nd, 0, 1)
+		return perNode(t, e, g, func(nd *congest.Node, tags *Tags) []Item {
+			ov := BuildBFS(nd, 0, tags)
 			id := int64(nd.ID())
-			acc, _ := ConvergeItemVec(nd, ov, 30, []Item{{A: id, B: 1}, {A: id * id, B: 1}, {A: -id, B: 1}}, combine)
+			acc, _ := ConvergeItemVec(nd, ov, tags, []Item{{A: id, B: 1}, {A: id * id, B: 1}, {A: -id, B: 1}}, combine)
 			return acc
 		})
 	})
@@ -241,7 +251,7 @@ func TestDiffConvergeItemVec(t *testing.T) {
 
 // keyedSumProgram is BFS+KeyedSum chained. KeyedSum exercises the
 // slot-pipelined in-order child receive and embeds a flood.
-func keyedSumProgram(nd *congest.Node) map[int64]int64 {
+func keyedSumProgram(nd *congest.Node, tags *Tags) map[int64]int64 {
 	keys := []int64{3, 7, 11, 20}
 	mine := map[int64]int64{}
 	for _, k := range keys {
@@ -249,8 +259,8 @@ func keyedSumProgram(nd *congest.Node) map[int64]int64 {
 			mine[k] = int64(nd.ID()) + k
 		}
 	}
-	ov := BuildBFS(nd, 0, 1)
-	return KeyedSum(nd, ov, 70, keys, mine)
+	ov := BuildBFS(nd, 0, tags)
+	return KeyedSum(nd, ov, tags, keys, mine)
 }
 
 // TestDiffKeyedSum: BFS+KeyedSum chained, with every node's totals map.
@@ -264,9 +274,9 @@ func TestDiffKeyedSum(t *testing.T) {
 // trees (no BFS phase) matches its recording.
 func TestDiffFixedOverlays(t *testing.T) {
 	g := graph.Path(32)
-	e := congest.NewEngine(congest.Options{Seed: 5, CheckPayload: true})
+	e := congest.NewEngine(congest.Options{Seed: 5})
 	defer e.Close()
-	fp := perNode(t, e, g, func(nd *congest.Node) int64 {
+	fp := perNode(t, e, g, func(nd *congest.Node, tags *Tags) int64 {
 		// Orient the path as a tree rooted at node 0 by construction.
 		parent, children := -1, []int(nil)
 		for p := 0; p < nd.Degree(); p++ {
@@ -277,7 +287,7 @@ func TestDiffFixedOverlays(t *testing.T) {
 			}
 		}
 		ov := NewOverlay(parent, children, int(nd.ID()))
-		return ConvergeBroadcast(nd, ov, 20, int64(nd.ID()), Sum)
+		return ConvergeBroadcast(nd, ov, tags, int64(nd.ID()), Sum)
 	})
 	checkGolden(t, "FixedOverlays", fp)
 }

@@ -6,7 +6,8 @@ import "distmincut/internal/congest"
 // arbitrary associative, commutative combiner (typically "better of
 // two candidates"). The root returns (total, true); other nodes return
 // their subtree aggregate and false. O(height) rounds.
-func ConvergeItem(nd *congest.Node, ov *Overlay, tag uint32, mine Item, combine func(a, b Item) Item) (Item, bool) {
+func ConvergeItem(nd *congest.Node, ov *Overlay, tags *Tags, mine Item, combine func(a, b Item) Item) (Item, bool) {
+	tag := tags.Next(1)
 	acc := mine
 	for range ov.ChildPorts {
 		_, m := nd.Recv(func(p int, m congest.Message) bool {
@@ -22,7 +23,7 @@ func ConvergeItem(nd *congest.Node, ov *Overlay, tag uint32, mine Item, combine 
 }
 
 // ConvergeItemVec aggregates a fixed-width vector of items up the
-// overlay in one pipelined wave: slot j's traffic rides tag+j, every
+// overlay in one pipelined wave: each slot rides its own tag, every
 // edge carries the slots back to back, and a node forwards slot j as
 // soon as all children delivered their slot j — so k slots cost
 // O(height + k) rounds instead of the k·O(height) of k sequential
@@ -32,8 +33,8 @@ func ConvergeItem(nd *congest.Node, ov *Overlay, tag uint32, mine Item, combine 
 // associative and commutative in its item arguments; mine must have the
 // same (globally agreed) length at every node. The root returns the
 // totals with ok=true; other nodes their subtree partials with false.
-// Tags [tag, tag+len(mine)) are consumed.
-func ConvergeItemVec(nd *congest.Node, ov *Overlay, tag uint32, mine []Item, combine func(slot int, a, b Item) Item) ([]Item, bool) {
+func ConvergeItemVec(nd *congest.Node, ov *Overlay, tags *Tags, mine []Item, combine func(slot int, a, b Item) Item) ([]Item, bool) {
+	tag := tags.Next(len(mine))
 	acc := append([]Item(nil), mine...)
 	// One closure for the whole wave; the slot tag advances through the
 	// captured variable.
@@ -57,7 +58,8 @@ func ConvergeItemVec(nd *congest.Node, ov *Overlay, tag uint32, mine []Item, com
 
 // BroadcastItem sends one 4-word item from the root down the overlay;
 // every node returns it. O(height) rounds.
-func BroadcastItem(nd *congest.Node, ov *Overlay, tag uint32, it Item) Item {
+func BroadcastItem(nd *congest.Node, ov *Overlay, tags *Tags, it Item) Item {
+	tag := tags.Next(1)
 	if !ov.Root {
 		_, m := nd.Recv(func(p int, m congest.Message) bool {
 			return m.Kind == kindItem && m.Tag == tag && p == ov.ParentPort

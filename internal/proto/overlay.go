@@ -7,8 +7,8 @@
 // Every primitive is event-driven: nodes learn completion from explicit
 // end markers or exact message counts, never from global round numbers,
 // so primitives compose sequentially without global synchronization.
-// Each invocation takes a caller-chosen tag; concurrent or consecutive
-// instances with distinct tags never confuse each other's traffic.
+// Each invocation draws fresh tags from the node program's Tags
+// counter, so consecutive instances never confuse each other's traffic.
 //
 // Round costs (h = overlay height, k = item count): BuildBFS O(D);
 // AdoptWave O(h); Converge/Broadcast O(h); Gather/Flood/AllGather
@@ -67,7 +67,8 @@ func NewOverlay(parentPort int, childPorts []int, depth int) *Overlay {
 // overlay; ties between equidistant parents break toward the lowest
 // port (hence lowest neighbor ID, by sorted adjacency). Exactly one
 // message is consumed per incident edge, so no traffic is left over.
-func BuildBFS(nd *congest.Node, root graph.NodeID, tag uint32) *Overlay {
+func BuildBFS(nd *congest.Node, root graph.NodeID, tags *Tags) *Overlay {
+	tag := tags.Next(1)
 	mark := nd.ID() == root // the root records the phase span for observability
 	if mark {
 		nd.Mark("begin:bfs")
@@ -148,7 +149,8 @@ func BuildBFS(nd *congest.Node, root graph.NodeID, tag uint32) *Overlay {
 // wave arrived on and its children are all other tree ports. Takes
 // O(tree depth) rounds; used inside fragments (depth O(√n)) and on
 // small overlays, never on the full spanning tree.
-func AdoptWave(nd *congest.Node, treePorts []int, isRoot bool, tag uint32) *Overlay {
+func AdoptWave(nd *congest.Node, treePorts []int, isRoot bool, tags *Tags) *Overlay {
+	tag := tags.Next(1)
 	ov := &Overlay{ParentPort: -1, Root: isRoot}
 	if isRoot {
 		for _, p := range treePorts {

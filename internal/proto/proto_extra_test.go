@@ -11,8 +11,9 @@ import (
 func TestKeyedSumEmptyKeys(t *testing.T) {
 	g := graph.Cycle(8)
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
-		res := KeyedSum(nd, ov, 10, nil, nil)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
+		res := KeyedSum(nd, ov, tags, nil, nil)
 		if len(res) != 0 {
 			panic("empty key list must give empty result")
 		}
@@ -29,10 +30,11 @@ func TestConvergeItemVecMatchesSequential(t *testing.T) {
 		var mu sync.Mutex
 		var gotVec, want []Item
 		stats := runAll(t, g, func(nd *congest.Node) {
-			ov := BuildBFS(nd, 0, 1)
+			tags := new(Tags)
+			ov := BuildBFS(nd, 0, tags)
 			id := int64(nd.ID())
 			mine := []Item{{A: 1}, {A: id}, {A: id}}
-			vec, root := ConvergeItemVec(nd, ov, 40, mine, func(slot int, a, b Item) Item {
+			vec, root := ConvergeItemVec(nd, ov, tags, mine, func(slot int, a, b Item) Item {
 				switch slot {
 				case 0:
 					return Item{A: a.A + b.A}
@@ -48,9 +50,9 @@ func TestConvergeItemVecMatchesSequential(t *testing.T) {
 					return a
 				}
 			})
-			s, _ := Converge(nd, ov, 50, 1, Sum)
-			lo, _ := Converge(nd, ov, 51, id, Min)
-			hi, _ := Converge(nd, ov, 52, id, Max)
+			s, _ := Converge(nd, ov, tags, 1, Sum)
+			lo, _ := Converge(nd, ov, tags, id, Min)
+			hi, _ := Converge(nd, ov, tags, id, Max)
 			if root {
 				mu.Lock()
 				gotVec = vec
@@ -75,8 +77,9 @@ func TestConvergeItemVecMatchesSequential(t *testing.T) {
 func TestGatherNoItems(t *testing.T) {
 	g := graph.Grid(4, 4)
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
-		got := Gather(nd, ov, 20, nil)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
+		got := Gather(nd, ov, tags, nil)
 		if ov.Root && len(got) != 0 {
 			panic("phantom items gathered")
 		}
@@ -88,12 +91,13 @@ func TestAllGatherSingleContributor(t *testing.T) {
 	var mu sync.Mutex
 	counts := make([]int, g.N())
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
 		var mine []Item
 		if nd.ID() == 7 {
 			mine = []Item{{A: 42}}
 		}
-		got := AllGather(nd, ov, 30, mine)
+		got := AllGather(nd, ov, tags, mine)
 		mu.Lock()
 		counts[nd.ID()] = len(got)
 		mu.Unlock()
@@ -126,7 +130,7 @@ func TestAdoptWavePartialPorts(t *testing.T) {
 				ports = append(ports, p)
 			}
 		}
-		ov := AdoptWave(nd, ports, nd.ID() == 0, 40)
+		ov := AdoptWave(nd, ports, nd.ID() == 0, new(Tags))
 		mu.Lock()
 		defer mu.Unlock()
 		if ov.Root {
@@ -153,9 +157,10 @@ func TestConvergeItemPicksGlobalMin(t *testing.T) {
 	var mu sync.Mutex
 	var rootGot Item
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
 		mine := Item{A: 1000 - int64(nd.ID()), B: int64(nd.ID())}
-		got, isRoot := ConvergeItem(nd, ov, 50, mine, better)
+		got, isRoot := ConvergeItem(nd, ov, tags, mine, better)
 		if isRoot {
 			mu.Lock()
 			rootGot = got
@@ -172,12 +177,13 @@ func TestBroadcastItemFull(t *testing.T) {
 	var mu sync.Mutex
 	vals := make([]Item, g.N())
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
 		var it Item
 		if ov.Root {
 			it = Item{A: 1, B: 2, C: 3, D: 4}
 		}
-		got := BroadcastItem(nd, ov, 60, it)
+		got := BroadcastItem(nd, ov, tags, it)
 		mu.Lock()
 		vals[nd.ID()] = got
 		mu.Unlock()

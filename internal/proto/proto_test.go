@@ -40,7 +40,8 @@ func TestBuildBFSMatchesSequential(t *testing.T) {
 			parent := make([]graph.NodeID, g.N())
 			childCount := make([]int, g.N())
 			stats := runAll(t, g, func(nd *congest.Node) {
-				ov := BuildBFS(nd, 0, 1)
+				tags := new(Tags)
+				ov := BuildBFS(nd, 0, tags)
 				mu.Lock()
 				defer mu.Unlock()
 				depth[nd.ID()] = ov.Depth
@@ -81,7 +82,7 @@ func TestAdoptWaveOrientsTree(t *testing.T) {
 		for p := range ports {
 			ports[p] = p // every edge of a tree graph is a tree edge
 		}
-		ov := AdoptWave(nd, ports, nd.ID() == 0, 3)
+		ov := AdoptWave(nd, ports, nd.ID() == 0, new(Tags))
 		mu.Lock()
 		defer mu.Unlock()
 		if ov.Root {
@@ -103,8 +104,9 @@ func TestConvergeAndBroadcast(t *testing.T) {
 	var mu sync.Mutex
 	results := make([]int64, g.N())
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 10)
-		total := ConvergeBroadcast(nd, ov, 20, int64(nd.ID()), Sum)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
+		total := ConvergeBroadcast(nd, ov, tags, int64(nd.ID()), Sum)
 		mu.Lock()
 		results[nd.ID()] = total
 		mu.Unlock()
@@ -123,9 +125,10 @@ func TestConvergeMinMax(t *testing.T) {
 	mins := make([]int64, g.N())
 	maxs := make([]int64, g.N())
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
-		mn := ConvergeBroadcast(nd, ov, 100, 1000-int64(nd.ID()), Min)
-		mx := ConvergeBroadcast(nd, ov, 200, 1000-int64(nd.ID()), Max)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
+		mn := ConvergeBroadcast(nd, ov, tags, 1000-int64(nd.ID()), Min)
+		mx := ConvergeBroadcast(nd, ov, tags, 1000-int64(nd.ID()), Max)
 		mu.Lock()
 		mins[nd.ID()], maxs[nd.ID()] = mn, mx
 		mu.Unlock()
@@ -142,14 +145,15 @@ func TestAllGatherEveryNodeSameSortedList(t *testing.T) {
 	var mu sync.Mutex
 	lists := make([][]Item, g.N())
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
 		var mine []Item
 		// Odd nodes contribute two items, even nodes one.
 		mine = append(mine, Item{A: int64(nd.ID()), B: 1})
 		if nd.ID()%2 == 1 {
 			mine = append(mine, Item{A: int64(nd.ID()), B: 2})
 		}
-		all := AllGather(nd, ov, 50, mine)
+		all := AllGather(nd, ov, tags, mine)
 		mu.Lock()
 		lists[nd.ID()] = all
 		mu.Unlock()
@@ -182,12 +186,13 @@ func TestAllGatherPipelinedCost(t *testing.T) {
 	g := graph.Path(40)
 	const perNode = 3
 	stats := runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
 		mine := make([]Item, perNode)
 		for i := range mine {
 			mine[i] = Item{A: int64(nd.ID()), B: int64(i)}
 		}
-		AllGather(nd, ov, 10, mine)
+		AllGather(nd, ov, tags, mine)
 	})
 	k := 40 * perNode
 	bound := 4*(40+k) + 20
@@ -202,14 +207,15 @@ func TestKeyedSumMatchesDirectSum(t *testing.T) {
 	var mu sync.Mutex
 	results := make([]map[int64]int64, g.N())
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
 		mine := map[int64]int64{}
 		for _, k := range keys {
 			if int64(nd.ID())%k == 0 {
 				mine[k] = int64(nd.ID()) + k
 			}
 		}
-		got := KeyedSum(nd, ov, 70, keys, mine)
+		got := KeyedSum(nd, ov, tags, keys, mine)
 		mu.Lock()
 		results[nd.ID()] = got
 		mu.Unlock()
@@ -240,8 +246,9 @@ func TestConvergeSumProperty(t *testing.T) {
 		var mu sync.Mutex
 		var rootTotal int64
 		stats, err := congest.Run(g, congest.Options{}, func(nd *congest.Node) {
-			ov := BuildBFS(nd, 0, 1)
-			v, isRoot := Converge(nd, ov, 30, int64(nd.ID())*int64(nd.ID()), Sum)
+			tags := new(Tags)
+			ov := BuildBFS(nd, 0, tags)
+			v, isRoot := Converge(nd, ov, tags, int64(nd.ID())*int64(nd.ID()), Sum)
 			if isRoot {
 				mu.Lock()
 				rootTotal = v
@@ -268,12 +275,13 @@ func TestFloodFromRootOnly(t *testing.T) {
 	var mu sync.Mutex
 	counts := make([]int, g.N())
 	runAll(t, g, func(nd *congest.Node) {
-		ov := BuildBFS(nd, 0, 1)
+		tags := new(Tags)
+		ov := BuildBFS(nd, 0, tags)
 		var in []Item
 		if ov.Root {
 			in = items
 		}
-		out := Flood(nd, ov, 40, in)
+		out := Flood(nd, ov, tags, in)
 		mu.Lock()
 		counts[nd.ID()] = len(out)
 		mu.Unlock()

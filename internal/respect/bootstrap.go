@@ -12,9 +12,6 @@ import (
 // Message kind for the bootstrap fragment exchange.
 const kindBootFrag uint8 = 0x60
 
-// BootTagSpan is the tag range consumed by Bootstrap.
-const BootTagSpan = 8
-
 // Bootstrap builds a respect Input for an externally supplied rooted
 // spanning tree and fragment assignment (e.g. from partition.Split):
 // each node knows its tree parent/child ports and its fragment ID and
@@ -25,7 +22,7 @@ const BootTagSpan = 8
 //
 // The orientation convention requires the tree to be rooted at node 0
 // and each fragment root to be the fragment's topmost node.
-func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts []int, fragID int64, tag uint32) *Input {
+func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts []int, fragID int64, tags *proto.Tags) *Input {
 	in := &Input{
 		ParentPort: parentPort,
 		ChildPorts: append([]int(nil), childPorts...),
@@ -35,6 +32,7 @@ func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts 
 	sort.Ints(in.ChildPorts)
 
 	// Exchange fragment IDs over tree ports.
+	tag := tags.Next(1)
 	treePorts := append([]int(nil), in.ChildPorts...)
 	if parentPort >= 0 {
 		treePorts = append(treePorts, parentPort)
@@ -76,7 +74,7 @@ func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts 
 			D: peerFrag[parentPort],
 		}}
 	}
-	items := proto.AllGather(nd, bfs, tag+1, mine)
+	items := proto.AllGather(nd, bfs, tags, mine)
 	in.FragParent = make(map[int64]int64, len(items)+1)
 	for _, it := range items {
 		in.InterEdges = append(in.InterEdges, mst.InterEdge{
@@ -89,7 +87,7 @@ func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts 
 	}
 	// The fragment of node 0 (the BFS and tree root) is the root
 	// fragment.
-	in.RootFrag = proto.Broadcast(nd, bfs, tag+3, fragID)
+	in.RootFrag = proto.Broadcast(nd, bfs, tags, fragID)
 	in.FragParent[in.RootFrag] = -1
 	return in
 }

@@ -41,9 +41,10 @@ func runOnTree(t *testing.T, g *graph.Graph, tr *tree.Tree, s int, seed int64) [
 	var mu sync.Mutex
 	outs := make([]*Output, g.N())
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], d.FragOf[nd.ID()], 50)
-		out := Run(nd, in, 100)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], d.FragOf[nd.ID()], tags)
+		out := Run(nd, in, tags)
 		mu.Lock()
 		outs[nd.ID()] = out
 		mu.Unlock()

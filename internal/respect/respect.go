@@ -49,9 +49,6 @@ const (
 	kindSlotFrag                     // step 5b type ii: ancestor-sum slot, A=index, B=value
 )
 
-// TagSpan is the tag range reserved by one Run invocation.
-const TagSpan = 32
-
 // Input is one node's local view of the rooted, fragmented spanning
 // tree. Build it with FromMST (the usual path) or Bootstrap (for
 // externally supplied trees + partitions).
@@ -111,10 +108,9 @@ type Output struct {
 	TPrime       map[graph.NodeID]graph.NodeID // T'F: node -> parent (root maps to -1)
 }
 
-// Run executes the five steps. The tag range [tag, tag+TagSpan) must be
-// unused elsewhere in the program.
-func Run(nd *congest.Node, in *Input, tag uint32) *Output {
-	r := &respectRun{nd: nd, in: in, tag: tag}
+// Run executes the five steps.
+func Run(nd *congest.Node, in *Input, tags *proto.Tags) *Output {
+	r := &respectRun{nd: nd, in: in, tags: tags}
 	r.fragOv = proto.NewOverlay(in.FragParentPort, in.FragChildPorts, 0)
 	r.treePortSet = make(map[int]bool, len(in.ChildPorts)+1)
 	for _, p := range in.ChildPorts {
@@ -139,7 +135,7 @@ func Run(nd *congest.Node, in *Input, tag uint32) *Output {
 type respectRun struct {
 	nd          *congest.Node
 	in          *Input
-	tag         uint32
+	tags        *proto.Tags
 	fragOv      *proto.Overlay
 	treePortSet map[int]bool
 

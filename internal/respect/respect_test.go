@@ -19,12 +19,15 @@ func runPipeline(t *testing.T, g *graph.Graph, seed int64) ([]*Output, *tree.Tre
 	var mu sync.Mutex
 	outs := make([]*Output, g.N())
 	parents := make([]graph.NodeID, g.N())
+	used := make([]uint32, g.N())
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-		bfs := proto.BuildBFS(nd, 0, 1)
-		res := mst.Run(nd, bfs, nil, 0, 100)
-		out := Run(nd, FromMST(res, bfs), 100+mst.TagSpan)
+		tags := new(proto.Tags)
+		bfs := proto.BuildBFS(nd, 0, tags)
+		res := mst.Run(nd, bfs, nil, 0, tags)
+		out := Run(nd, FromMST(res, bfs), tags)
 		mu.Lock()
 		outs[nd.ID()] = out
+		used[nd.ID()] = tags.Next(0)
 		if res.ParentPort >= 0 {
 			parents[nd.ID()] = nd.Peer(res.ParentPort)
 		} else {
@@ -37,6 +40,11 @@ func runPipeline(t *testing.T, g *graph.Graph, seed int64) ([]*Output, *tree.Tre
 	}
 	if stats.Leftover != 0 {
 		t.Fatalf("pipeline left %d unconsumed messages", stats.Leftover)
+	}
+	for v := range used {
+		if used[v] != used[0] {
+			t.Fatalf("node %d drew %d tags, node 0 drew %d: draws left lockstep", v, used[v], used[0])
+		}
 	}
 	tr, err := tree.New(0, parents, nil)
 	if err != nil {
@@ -202,9 +210,10 @@ func TestRoundComplexity(t *testing.T) {
 	for _, side := range []int{8, 16} {
 		g := graph.Torus(side, side)
 		stats, err := congest.Run(g, congest.Options{Seed: 23}, func(nd *congest.Node) {
-			bfs := proto.BuildBFS(nd, 0, 1)
-			res := mst.Run(nd, bfs, nil, 0, 100)
-			Run(nd, FromMST(res, bfs), 100+mst.TagSpan)
+			tags := new(proto.Tags)
+			bfs := proto.BuildBFS(nd, 0, tags)
+			res := mst.Run(nd, bfs, nil, 0, tags)
+			Run(nd, FromMST(res, bfs), tags)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -40,9 +40,10 @@ func TestStep4MatchesSequentialSkeleton(t *testing.T) {
 		var mu sync.Mutex
 		outs := make([]*Output, g.N())
 		_, err = congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
-			bfs := proto.BuildBFS(nd, 0, 1)
-			in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], d.FragOf[nd.ID()], 50)
-			out := Run(nd, in, 100)
+			tags := new(proto.Tags)
+			bfs := proto.BuildBFS(nd, 0, tags)
+			in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], d.FragOf[nd.ID()], tags)
+			out := Run(nd, in, tags)
 			mu.Lock()
 			outs[nd.ID()] = out
 			mu.Unlock()

@@ -32,7 +32,7 @@ func (r *respectRun) interChildPorts() []int {
 // the raw material for merging-node detection in step 4.
 func (r *respectRun) step2a(out *Output) {
 	nd, in := r.nd, r.in
-	tag := r.tag + 0
+	tag := r.tags.Next(1)
 
 	// Fragments directly attached below me (local knowledge).
 	for _, ie := range in.InterEdges {
@@ -97,7 +97,7 @@ func (r *respectRun) step2a(out *Output) {
 // nearest-to-farthest regardless of timing.
 func (r *respectRun) step2b(out *Output) {
 	nd, in := r.nd, r.in
-	tag := r.tag + 2
+	tag := r.tags.Next(1)
 	down := in.FragChildPorts
 	cross := r.interChildPorts()
 
@@ -147,7 +147,7 @@ func (r *respectRun) step2b(out *Output) {
 // below u in the chain}.
 func (r *respectRun) step2c(out *Output) {
 	nd, in := r.nd, r.in
-	tag := r.tag + 3
+	tag := r.tags.Next(1)
 	down := in.FragChildPorts
 	cross := r.interChildPorts()
 
@@ -217,12 +217,12 @@ func (r *respectRun) lowestAncestorContaining(out *Output, target int64) graph.N
 // gathered fragment totals over F(v).
 func (r *respectRun) step3(out *Output) {
 	nd, in := r.nd, r.in
-	acc, isFragRoot := proto.Converge(nd, r.fragOv, r.tag+4, out.Delta, proto.Sum)
+	acc, isFragRoot := proto.Converge(nd, r.fragOv, r.tags, out.Delta, proto.Sum)
 	var mine []proto.Item
 	if isFragRoot {
 		mine = []proto.Item{{A: in.FragID, B: acc}}
 	}
-	totals := proto.AllGather(nd, in.BFS, r.tag+5, mine)
+	totals := proto.AllGather(nd, in.BFS, r.tags, mine)
 	out.DeltaDown = acc
 	for _, it := range totals {
 		if out.FragSet[it.A] {
@@ -248,7 +248,7 @@ func (r *respectRun) step4(out *Output) {
 	if out.Merging {
 		mine = []proto.Item{{A: int64(nd.ID())}}
 	}
-	mergingItems := proto.AllGather(nd, in.BFS, r.tag+8, mine)
+	mergingItems := proto.AllGather(nd, in.BFS, r.tags, mine)
 	tpSet := make(map[graph.NodeID]bool, len(mergingItems))
 	for _, it := range mergingItems {
 		out.MergingNodes = append(out.MergingNodes, graph.NodeID(it.A))
@@ -288,7 +288,7 @@ func (r *respectRun) step4(out *Output) {
 		}
 		tpMine = []proto.Item{{A: int64(nd.ID()), B: parent}}
 	}
-	tpEdges := proto.AllGather(nd, in.BFS, r.tag+10, tpMine)
+	tpEdges := proto.AllGather(nd, in.BFS, r.tags, tpMine)
 	out.TPrime = make(map[graph.NodeID]graph.NodeID, len(tpEdges))
 	for _, it := range tpEdges {
 		out.TPrime[graph.NodeID(it.A)] = graph.NodeID(it.B)
@@ -325,6 +325,9 @@ func tprimeLCA(tp map[graph.NodeID]graph.NodeID, a, b graph.NodeID) graph.NodeID
 // then ρ↓(v) with the step-3 machinery.
 func (r *respectRun) step5(out *Output) {
 	nd, in := r.nd, r.in
+	// The exchange tags are drawn up front: the loops below run per
+	// port, so how often a node enters each one is local.
+	lca1Tag, chainTag, lca2Tag := r.tags.Next(1), r.tags.Next(1), r.tags.Next(1)
 
 	tokens := make(map[graph.NodeID]int64) // type ii: keyed by in-fragment LCA
 	globalTokens := make(map[int64]int64)  // type i: keyed by merging node
@@ -344,11 +347,11 @@ func (r *respectRun) step5(out *Output) {
 		}
 	}
 	for _, p := range nonTree {
-		nd.Send(p, congest.Message{Kind: kindLCA1, Tag: r.tag + 12, A: in.FragID})
+		nd.Send(p, congest.Message{Kind: kindLCA1, Tag: lca1Tag, A: in.FragID})
 	}
 	peerFrag := make(map[int]int64, len(nonTree))
 	for range nonTree {
-		p, m := nd.Recv(congest.MatchKindTag(kindLCA1, r.tag+12))
+		p, m := nd.Recv(congest.MatchKindTag(kindLCA1, lca1Tag))
 		peerFrag[p] = m.A
 	}
 
@@ -358,9 +361,9 @@ func (r *respectRun) step5(out *Output) {
 			continue
 		}
 		for _, u := range r.sameFragAnc {
-			nd.Send(p, congest.Message{Kind: kindChain, Tag: r.tag + 13, A: int64(u)})
+			nd.Send(p, congest.Message{Kind: kindChain, Tag: chainTag, A: int64(u)})
 		}
-		nd.Send(p, congest.Message{Kind: kindChainEnd, Tag: r.tag + 13})
+		nd.Send(p, congest.Message{Kind: kindChainEnd, Tag: chainTag})
 	}
 	for _, p := range nonTree {
 		if peerFrag[p] != in.FragID {
@@ -369,7 +372,7 @@ func (r *respectRun) step5(out *Output) {
 		peerSet := make(map[graph.NodeID]bool)
 		for {
 			_, m := nd.Recv(func(q int, m congest.Message) bool {
-				return m.Tag == r.tag+13 && (m.Kind == kindChain || m.Kind == kindChainEnd) && q == p
+				return m.Tag == chainTag && (m.Kind == kindChain || m.Kind == kindChainEnd) && q == p
 			})
 			if m.Kind == kindChainEnd {
 				break
@@ -399,14 +402,14 @@ func (r *respectRun) step5(out *Output) {
 			continue
 		}
 		c3 := r.lowestAncestorContaining(out, peerFrag[p])
-		nd.Send(p, congest.Message{Kind: kindLCA2, Tag: r.tag + 14, A: int64(r.lowestTPrime), B: int64(c3)})
+		nd.Send(p, congest.Message{Kind: kindLCA2, Tag: lca2Tag, A: int64(r.lowestTPrime), B: int64(c3)})
 	}
 	for _, p := range nonTree {
 		if peerFrag[p] == in.FragID {
 			continue
 		}
 		_, m := nd.Recv(func(q int, m congest.Message) bool {
-			return m.Kind == kindLCA2 && m.Tag == r.tag+14 && q == p
+			return m.Kind == kindLCA2 && m.Tag == lca2Tag && q == p
 		})
 		myC3 := r.lowestAncestorContaining(out, peerFrag[p])
 		peerLowTP, peerC3 := graph.NodeID(m.A), graph.NodeID(m.B)
@@ -431,19 +434,19 @@ func (r *respectRun) step5(out *Output) {
 	for i, v := range out.MergingNodes {
 		keys[i] = int64(v)
 	}
-	sums := proto.KeyedSum(nd, in.BFS, r.tag+15, keys, globalTokens)
+	sums := proto.KeyedSum(nd, in.BFS, r.tags, keys, globalTokens)
 	out.Rho = sums[int64(nd.ID())] // zero for non-merging nodes
 
 	// Type ii: pipelined intra-fragment ancestor sum.
 	out.Rho += r.fragAncestorSum(tokens)
 
 	// ρ↓: same machinery as step 3, on ρ values.
-	acc, isFragRoot := proto.Converge(nd, r.fragOv, r.tag+18, out.Rho, proto.Sum)
+	acc, isFragRoot := proto.Converge(nd, r.fragOv, r.tags, out.Rho, proto.Sum)
 	var mine []proto.Item
 	if isFragRoot {
 		mine = []proto.Item{{A: in.FragID, B: acc}}
 	}
-	totals := proto.AllGather(nd, in.BFS, r.tag+19, mine)
+	totals := proto.AllGather(nd, in.BFS, r.tags, mine)
 	out.RhoDown = acc
 	for _, it := range totals {
 		if out.FragSet[it.A] {
@@ -460,7 +463,7 @@ func (r *respectRun) step5(out *Output) {
 // rounds overall.
 func (r *respectRun) fragAncestorSum(tokens map[graph.NodeID]int64) int64 {
 	nd, in := r.nd, r.in
-	tag := r.tag + 17
+	tag := r.tags.Next(1)
 	chain := r.sameFragAnc // self first
 	nSlots := len(chain)   // children send one slot per element of my chain
 
@@ -496,13 +499,13 @@ func (r *respectRun) finish(out *Output) {
 	if in.ParentPort >= 0 { // the root's C(v↓) is not a cut
 		mine = proto.Item{A: out.CutBelow, B: int64(nd.ID())}
 	}
-	best, _ := proto.ConvergeItem(nd, in.BFS, r.tag+22, mine, func(a, b proto.Item) proto.Item {
+	best, _ := proto.ConvergeItem(nd, in.BFS, r.tags, mine, func(a, b proto.Item) proto.Item {
 		if b.A < a.A || (b.A == a.A && b.B < a.B) {
 			return b
 		}
 		return a
 	})
-	best = proto.BroadcastItem(nd, in.BFS, r.tag+23, best)
+	best = proto.BroadcastItem(nd, in.BFS, r.tags, best)
 	out.Best = best.A
 	out.BestNode = graph.NodeID(best.B)
 }

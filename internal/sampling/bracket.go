@@ -81,9 +81,8 @@ type BracketOutcome struct {
 //
 // All branch decisions are functions of globally agreed values
 // (convergecast totals), so every node follows the same schedule in
-// lockstep. The tag range [tagBase, tagBase+4+4·Trials·MaxLevel) is
-// consumed.
-func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tagBase uint32) BracketOutcome {
+// lockstep.
+func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tags *proto.Tags) BracketOutcome {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -106,12 +105,12 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tagBase ui
 	for p := 0; p < nd.Degree(); p++ {
 		deg += nd.EdgeWeight(p)
 	}
-	minDeg := proto.ConvergeBroadcast(nd, bfs, tagBase, deg, proto.Min)
+	minDeg := proto.ConvergeBroadcast(nd, bfs, tags, deg, proto.Min)
 	cand := int64(math.MaxInt64)
 	if deg == minDeg {
 		cand = int64(nd.ID())
 	}
-	minNode := proto.ConvergeBroadcast(nd, bfs, tagBase+2, cand, proto.Min)
+	minNode := proto.ConvergeBroadcast(nd, bfs, tags, cand, proto.Min)
 	if mark {
 		nd.Mark("end:mindeg")
 	}
@@ -138,8 +137,7 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tagBase ui
 			for p := range keep {
 				keep[p] = SampleWeight(seed, packPeers(nd, p), level, nd.EdgeWeight(p)) > 0
 			}
-			tag := tagBase + 4 + 4*uint32((level-1)*cfg.Trials+trial)
-			if !sampledConnected(nd, bfs, keep, cfg.ChunkRounds, tag) {
+			if !sampledConnected(nd, bfs, keep, cfg.ChunkRounds, tags) {
 				out.Level = level
 				break
 			}
@@ -189,11 +187,11 @@ func packPeers(nd *congest.Node, p int) int64 {
 // hop per round for ChunkRounds rounds, then a convergecast sums the
 // nodes newly reached in the chunk; a chunk that reaches nobody is a
 // global fixed point. Every reach message is consumed (reached or
-// not), so no traffic is left over in either outcome. Tags tag (reach)
-// and tag+1, tag+2 (termination convergecast) are used; round cost is
+// not), so no traffic is left over in either outcome. Round cost is
 // O((ecc/chunk + 1) · (chunk + height)) for the eccentricity of node
 // 0's component in the skeleton.
-func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, chunk int, tag uint32) bool {
+func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, chunk int, tags *proto.Tags) bool {
+	tag := tags.Next(1)
 	reached := nd.ID() == 0
 	newly := int64(0)
 	match := congest.MatchKindTag(kindReach, tag)
@@ -224,7 +222,7 @@ func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, chunk i
 				}
 			}
 		}
-		sum := proto.ConvergeBroadcast(nd, bfs, tag+1, newly, proto.Sum)
+		sum := proto.ConvergeBroadcast(nd, bfs, tags, newly, proto.Sum)
 		total += sum
 		newly = 0
 		if sum == 0 {

@@ -146,9 +146,6 @@ type Options struct {
 	JobRetention int
 	// Limits bounds accepted specs (zero fields take DefaultLimits).
 	Limits Limits
-	// CheckPayload enables the runtime's payload-overflow guard on
-	// every run.
-	CheckPayload bool
 	// DefaultDeadline bounds every job whose request carries no
 	// deadline_ms of its own. Zero means no default: only explicit
 	// per-job deadlines apply.
@@ -721,10 +718,7 @@ func (s *Service) admitEstimate(canon JobRequest) (est CostEstimate, ok bool) {
 		if err != nil {
 			return CostEstimate{}, false
 		}
-		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{
-			Seed:         canon.Seed,
-			CheckPayload: s.opts.CheckPayload,
-		})
+		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{Seed: canon.Seed})
 		if err != nil {
 			return CostEstimate{}, false
 		}
@@ -1024,7 +1018,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // JobView.SetupNs).
 func (s *Service) worker() {
 	defer s.wg.Done()
-	eng := congest.NewEngine(congest.Options{CheckPayload: s.opts.CheckPayload})
+	eng := congest.NewEngine(congest.Options{})
 	defer eng.Close()
 	for e := range s.queue {
 		s.runExec(eng, e)
@@ -1295,13 +1289,12 @@ func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.S
 // recordRun whether the run finishes or aborts.
 func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph, tier, key string) ([]byte, int64, error) {
 	opts := &distmincut.Options{
-		Seed:         e.req.Seed,
-		Epsilon:      e.req.Epsilon,
-		MaxRounds:    s.opts.MaxJobRounds,
-		Deadline:     e.deadlineAt,
-		Engine:       eng,
-		Progress:     e.progress,
-		CheckPayload: s.opts.CheckPayload,
+		Seed:      e.req.Seed,
+		Epsilon:   e.req.Epsilon,
+		MaxRounds: s.opts.MaxJobRounds,
+		Deadline:  e.deadlineAt,
+		Engine:    eng,
+		Progress:  e.progress,
 	}
 	if e.recorder != nil {
 		e.recorder.Reset()

@@ -33,7 +33,7 @@ func TestMinCutPropertyAgainstStoerWagner(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opts := &Options{Seed: seed + 2, Epsilon: eps, CheckPayload: true}
+		opts := &Options{Seed: seed + 2, Epsilon: eps}
 		// sideOK reports whether side is a proper cut weighing value.
 		sideOK := func(tier string, side []bool, value int64) bool {
 			w, err := verify.CutSides(g, side)
