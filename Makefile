@@ -37,6 +37,8 @@ test-chaos:
 # output. Activation helpers (GOMAXPROCS-1 of them) are the engine's
 # only parallelism, so this is the end-to-end scheduling-independence
 # check. n=128 keeps wake sets above the engine's fan-out threshold.
+# It then runs the MST Result fingerprint test under both settings, so
+# every node's tree, fragment and fragment-forest output is pinned too.
 determinism:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/mincut" ./cmd/mincut; \
@@ -48,6 +50,10 @@ determinism:
 			diff "$$tmp/p1" "$$tmp/p2"; exit 1; \
 		fi; \
 		echo "$$mode: byte-identical under GOMAXPROCS=1 and GOMAXPROCS=2"; \
+	done; \
+	for procs in 1 2; do \
+		GOMAXPROCS=$$procs $(GO) test ./internal/mst -count=1 -run '^TestMSTResultFingerprint$$' > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
+		echo "mst fingerprint: unchanged under GOMAXPROCS=$$procs"; \
 	done
 
 vet:

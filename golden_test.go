@@ -2,6 +2,7 @@ package distmincut
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,15 +15,27 @@ import (
 
 // The golden suite pins every entry point's deterministic output —
 // Stats counters, the (round, node)-ordered mark stream, and the cut —
-// on four generator families. The fingerprints in
+// on four generator families. The cuts (Value, Side) in
 // testdata/golden_entrypoints.json were recorded from the engine's
 // goroutine-per-node execution path, before node programs moved onto
 // the step scheduler, so they prove behaviour identity across that
 // refactor without keeping the old code around. Deleting the file and
 // running the test records it afresh (and fails once, so a re-record is
 // never silent).
+//
+// A deliberate change in CONGEST complexity (fewer messages, fewer
+// rounds) re-records with
+//
+//	go test . -run TestGoldenEntryPoints -golden.update
+//
+// which rewrites only the Stats counters and Marks: it refuses, without
+// writing, if any case's Value or Side differs, and logs every changed
+// record's old → new Rounds and Delivered.
 
 const goldenEntryFile = "testdata/golden_entrypoints.json"
+
+var goldenUpdate = flag.Bool("golden.update", false,
+	"rewrite the Stats and Marks of "+goldenEntryFile+"; refuses if any Value or Side differs")
 
 // goldenFamilies covers high diameter (path), low diameter (expander),
 // clustered (planted community), and dense (complete) inputs.
@@ -144,6 +157,10 @@ func checkGolden(t *testing.T, path string, got map[string]goldenRecord) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
+	if *goldenUpdate {
+		updateGolden(t, path, want, got)
+		return
+	}
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d cases, suite ran %d", len(want), len(got))
 	}
@@ -155,6 +172,46 @@ func checkGolden(t *testing.T, path string, got map[string]goldenRecord) {
 		}
 		if fmt.Sprint(g) != fmt.Sprint(w) {
 			t.Errorf("%s diverged from golden:\n  got:  %+v\n  want: %+v", name, g, w)
+		}
+	}
+}
+
+// updateGolden rewrites path with got's Stats and Marks. It writes
+// nothing unless got runs exactly the recorded cases and every Value
+// and Side equals the recorded one.
+func updateGolden(t *testing.T, path string, want, got map[string]goldenRecord) {
+	t.Helper()
+	names := make([]string, 0, len(want))
+	for name := range want {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	refused := len(want) != len(got)
+	for _, name := range names {
+		g, ok := got[name]
+		if !ok {
+			t.Errorf("%s: in golden file but not run", name)
+			refused = true
+			continue
+		}
+		if w := want[name]; g.Value != w.Value || g.Side != w.Side {
+			t.Errorf("%s: result changed (Value %d → %d, Side %s → %s)", name, w.Value, g.Value, w.Side, g.Side)
+			refused = true
+		}
+	}
+	if refused {
+		t.Fatalf("refusing to re-record %s: only Stats and Marks may change", path)
+	}
+	out, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if g, w := got[name], want[name]; fmt.Sprint(g) != fmt.Sprint(w) {
+			t.Logf("re-recorded %s: Rounds %d → %d, Delivered %d → %d", name, w.Rounds, g.Rounds, w.Delivered, g.Delivered)
 		}
 	}
 }

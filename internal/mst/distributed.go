@@ -12,9 +12,9 @@ import (
 
 // Message kinds (0x30 range).
 const (
-	kindFragEx    uint8 = 0x30 + iota // fragment-ID exchange: A=fragID, B=logicalID
+	kindFragEx    uint8 = 0x30 + iota // Part-1 fragment-ID exchange on outer ports: A=fragID
 	kindPropose                       // merge proposal over the MOE edge
-	kindNoPropose                     // explicit "no proposal" so accounting closes
+	kindNoPropose                     // explicit "no proposal" on every other outer port, so accounting closes
 	kindAccept                        // proposal accepted: A = acceptor fragment ID
 	kindReject                        // proposal rejected
 	kindWave                          // intra-fragment outcome wave: A=1 reorient, B=new frag ID
@@ -127,12 +127,16 @@ type runner struct {
 	cap    int
 	tags   *proto.Tags
 
-	// Per-iteration receive scratch, reused so the Borůvka loops do
-	// not allocate per iteration (the packing loop runs this code once
-	// per tree on every node; at the million scale these were a top
-	// allocation source).
+	// Per-port state Part 1 builds and Part 2 reads, allocated once per
+	// run so the loops do not allocate per iteration (the packing loop
+	// runs this code once per tree on every node; at the million scale
+	// these were a top allocation source). inner[p] marks a port whose
+	// far endpoint the node knows to be in its own fragment, or whose
+	// edge is absent from the view: nothing crosses it in either part.
+	// peerFrag[p] is the far endpoint's physical fragment ID on every
+	// outer port.
+	inner    []bool
 	peerFrag []int64
-	peerPhys []int64
 }
 
 func (r *runner) load(port int) int64 {
@@ -204,6 +208,14 @@ func b2i(b bool) int64 {
 // unsaturated tail fragments propose along their minimum outgoing
 // edge; saturated fragments and unsaturated heads accept.
 //
+// Fragment-ID exchanges and PROPOSE/NOPROPOSE cross only outer ports:
+// an inner port's far endpoint is in the same fragment, or the edge is
+// absent from the view (both endpoints see the same view), so the
+// receiver could derive what such a message says. A port turns inner
+// once its exchange returns the node's own fragment ID and stays inner,
+// because the outcome wave relabels a whole fragment at once. Every
+// fragment starts as its node's ID, so iteration 0 skips the exchange.
+//
 // Each iteration costs exactly two fragment-tree waves: one batched
 // convergecast (size and minimum outgoing edge ride the same wave via
 // ConvergeItemVec) and one broadcast (control bits and the winning edge
@@ -216,16 +228,28 @@ func (r *runner) part1() *p1state {
 	nd := r.nd
 	st := &p1state{fragID: int64(nd.ID()), parentPort: -1}
 	maxIter := 60 + 14*bitlen(nd.N())
-	// One fragment-exchange matcher for every iteration: the tag
-	// advances through the captured variable (stable while the node is
-	// parked), so the receive loop does not allocate a closure per
-	// message.
-	var exTag uint32
+	// One exchange matcher and one proposal matcher for every
+	// iteration: the tags advance through the captured variables (stable
+	// while the node is parked), so the receive loops do not allocate a
+	// closure per message.
+	var exTag, proposeTag uint32
 	matchEx := func(_ int, m congest.Message) bool {
 		return m.Kind == kindFragEx && m.Tag == exTag
 	}
-	if r.peerFrag == nil {
-		r.peerFrag = make([]int64, nd.Degree())
+	matchPropose := func(_ int, m congest.Message) bool {
+		return m.Tag == proposeTag && (m.Kind == kindPropose || m.Kind == kindNoPropose)
+	}
+	deg := nd.Degree()
+	r.inner = make([]bool, deg)
+	r.peerFrag = make([]int64, deg)
+	inner, peerFrag := r.inner, r.peerFrag
+	outer := 0
+	for p := 0; p < deg; p++ {
+		peerFrag[p] = int64(nd.Peer(p))
+		inner[p] = r.w(p) <= 0
+		if !inner[p] {
+			outer++
+		}
 	}
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
@@ -233,20 +257,29 @@ func (r *runner) part1() *p1state {
 		}
 		ov := st.overlay()
 
-		// Exchange fragment IDs with all neighbors.
-		exTag = r.tags.Next(1)
-		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: exTag, A: st.fragID})
-		peerFrag := r.peerFrag
-		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(matchEx)
-			peerFrag[p] = m.A
+		// Exchange fragment IDs over the outer ports; a port whose peer
+		// answers with our own ID turns inner for good.
+		if iter > 0 {
+			exTag = r.tags.Next(1)
+			for p := 0; p < deg; p++ {
+				if !inner[p] {
+					nd.Send(p, congest.Message{Kind: kindFragEx, Tag: exTag, A: st.fragID})
+				}
+			}
+			for i, n := 0, outer; i < n; i++ {
+				p, m := nd.Recv(matchEx)
+				peerFrag[p] = m.A
+				if m.A == st.fragID {
+					inner[p] = true
+					outer--
+				}
+			}
 		}
 
-		// Local minimum outgoing edge. Absent edges (weight <= 0 under
-		// a sampled view) are never candidates.
+		// Local minimum outgoing edge: every outer port is one.
 		cand, candPort := noneItem, -1
-		for p := 0; p < nd.Degree(); p++ {
-			if peerFrag[p] == st.fragID || r.w(p) <= 0 {
+		for p := 0; p < deg; p++ {
+			if inner[p] {
 				continue
 			}
 			it := proto.Item{
@@ -301,11 +334,16 @@ func (r *runner) part1() *p1state {
 		proposing := dec.A&4 != 0
 		moeUV := dec.B
 
-		// One PROPOSE/NOPROPOSE per port, then one reply per PROPOSE.
-		// Every node draws the outcome wave's tag too, proposing or not.
-		proposeTag, replyTag, waveTag := r.tags.Next(1), r.tags.Next(1), r.tags.Next(1)
+		// One PROPOSE/NOPROPOSE per outer port, then one reply per
+		// PROPOSE. Every node draws the outcome wave's tag too,
+		// proposing or not.
+		proposeTag = r.tags.Next(1)
+		replyTag, waveTag := r.tags.Next(1), r.tags.Next(1)
 		myProposePort := -1
-		for p := 0; p < nd.Degree(); p++ {
+		for p := 0; p < deg; p++ {
+			if inner[p] {
+				continue
+			}
 			if proposing && p == candPort && cand.C == moeUV {
 				myProposePort = p
 				nd.Send(p, congest.Message{Kind: kindPropose, Tag: proposeTag, A: st.fragID})
@@ -315,10 +353,8 @@ func (r *runner) part1() *p1state {
 		}
 		accept := saturated || !coinTail
 		var acceptedPorts []int
-		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(func(_ int, m congest.Message) bool {
-				return m.Tag == proposeTag && (m.Kind == kindPropose || m.Kind == kindNoPropose)
-			})
+		for i := 0; i < outer; i++ {
+			p, m := nd.Recv(matchPropose)
 			if m.Kind != kindPropose {
 				continue
 			}
@@ -403,6 +439,13 @@ func (r *runner) outcomeWave(st *p1state, proposePort int, merged bool, newFrag 
 // part2 merges the O(√n) Part-1 fragments into the MST using logical
 // fragment IDs coordinated at the BFS root. It returns the accumulated
 // inter-fragment MST edges (identical at every node).
+//
+// Part 2 sends nothing between neighbors. Part 1 returns right after
+// an exchange, with no relabel after it, so peerFrag holds every outer
+// peer's physical fragment ID, and inner peers share the node's own.
+// Logical IDs start equal to physical ones, and each iteration's Flood
+// hands every node the root's full logical remap, so each node relabels
+// its peers locally.
 func (r *runner) part2(st *p1state) []InterEdge {
 	nd := r.nd
 	fragOv := st.overlay()
@@ -410,29 +453,12 @@ func (r *runner) part2(st *p1state) []InterEdge {
 	logical := physID
 	var inter []InterEdge
 	maxIter := 4 + 2*bitlen(nd.N())
-	var exTag uint32
-	matchEx := func(_ int, m congest.Message) bool {
-		return m.Kind == kindFragEx && m.Tag == exTag
-	}
-	if r.peerFrag == nil {
-		r.peerFrag = make([]int64, nd.Degree())
-	}
-	if r.peerPhys == nil {
-		r.peerPhys = make([]int64, nd.Degree())
-	}
+	inner, peerPhys := r.inner, r.peerFrag
+	peerLogical := append([]int64(nil), peerPhys...)
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
 			panic(fmt.Sprintf("mst: part 2 did not converge after %d iterations", iter))
 		}
-		// Exchange (logical, phys) with all neighbors.
-		exTag = r.tags.Next(1)
-		nd.SendAll(congest.Message{Kind: kindFragEx, Tag: exTag, A: logical, B: physID})
-		peerLogical, peerPhys := r.peerFrag, r.peerPhys
-		for i := 0; i < nd.Degree(); i++ {
-			p, m := nd.Recv(matchEx)
-			peerLogical[p], peerPhys[p] = m.A, m.B
-		}
-
 		// Fragment MOE w.r.t. logical IDs. The packed endpoints are
 		// canonical (for key uniqueness and mutual-MOE dedup at the
 		// root), so a swap flag records whether the canonical U is the
@@ -443,7 +469,7 @@ func (r *runner) part2(st *p1state) []InterEdge {
 		// (congest.PayloadLimit).
 		cand := noneItem
 		for p := 0; p < nd.Degree(); p++ {
-			if peerLogical[p] == logical || r.w(p) <= 0 {
+			if inner[p] || peerLogical[p] == logical {
 				continue
 			}
 			d := peerLogical[p]<<31 | peerPhys[p]
@@ -486,13 +512,22 @@ func (r *runner) part2(st *p1state) []InterEdge {
 		}
 		out := proto.Flood(nd, r.bfs, r.tags, flood)
 
-		done := false
-		for _, it := range out {
-			switch it.A {
-			case 3: // logical remap: B -> C
-				if it.B == logical {
-					logical = it.C
+		// The remap items lead the flood, sorted by B.
+		nRemap := 0
+		for nRemap < len(out) && out[nRemap].A == 3 {
+			nRemap++
+		}
+		if remap := out[:nRemap]; len(remap) > 0 {
+			logical = relabel(remap, logical)
+			for p := range peerLogical {
+				if !inner[p] {
+					peerLogical[p] = relabel(remap, peerLogical[p])
 				}
+			}
+		}
+		done := false
+		for _, it := range out[nRemap:] {
+			switch it.A {
 			case 4: // chosen MST edge: B=u, C=v, D=physU<<31|physV
 				u, v := graph.NodeID(it.B), graph.NodeID(it.C)
 				inter = append(inter, InterEdge{U: u, V: v, FragU: it.D >> 31, FragV: it.D & ((1 << 31) - 1)})
@@ -504,6 +539,16 @@ func (r *runner) part2(st *p1state) []InterEdge {
 			return inter
 		}
 	}
+}
+
+// relabel maps logical ID l through remap, the root's (A=3, B=old,
+// C=new) items sorted by B; an ID the remap does not list is unchanged.
+func relabel(remap []proto.Item, l int64) int64 {
+	i := sort.Search(len(remap), func(i int) bool { return remap[i].B >= l })
+	if i < len(remap) && remap[i].B == l {
+		return remap[i].C
+	}
+	return l
 }
 
 // debugMerge, when set by tests, prints the root's Part-2 decisions.
@@ -569,9 +614,14 @@ func mergeAtRoot(items []proto.Item, iter int) []proto.Item {
 		}
 		return parent[x]
 	}
+	// A mutual MOE arrives from both sides; keep the side with the
+	// smaller logical ID so the emitted (U, V, FragU, FragV) orientation
+	// does not follow map iteration order.
 	chosen := make(map[int64]cand2)
 	for _, c := range best {
-		chosen[c.key.UV] = c
+		if cur, ok := chosen[c.key.UV]; !ok || c.myLogical < cur.myLogical {
+			chosen[c.key.UV] = c
+		}
 		find(c.myLogical)
 		find(c.targetLogical)
 	}

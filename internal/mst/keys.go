@@ -16,6 +16,10 @@
 //     runs the merge locally and floods the new logical IDs and chosen
 //     MST edges back. O(log n) iterations of O(√n + D) rounds.
 //
+// Neighbor-to-neighbor messages cross only outer edges (far endpoint in
+// another fragment, edge present in the view): what would cross an
+// inner edge is already known at both ends.
+//
 // The byproduct is exactly what the paper's Section 2 consumes
 // (footnote 1): a partition of the MST into O(√n) fragments of O(√n)
 // size (hence diameter), with the fragment tree known to every node.

@@ -102,6 +102,13 @@ func TestKruskalDisconnected(t *testing.T) {
 // results.
 func collectDistributed(t *testing.T, g *graph.Graph, loads []int64, seed int64) []*Result {
 	t.Helper()
+	return collectWeighted(t, g, loads, nil, seed)
+}
+
+// collectWeighted is collectDistributed under a per-edge weight view
+// (view[edgeID] <= 0 erases the edge); a nil view runs plain Run.
+func collectWeighted(t *testing.T, g *graph.Graph, loads, view []int64, seed int64) []*Result {
+	t.Helper()
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
@@ -114,7 +121,11 @@ func collectDistributed(t *testing.T, g *graph.Graph, loads []int64, seed int64)
 				local[nd.EdgeID(p)] = loads[nd.EdgeID(p)]
 			}
 		}
-		res := Run(nd, bfs, local, 0, tags)
+		var weight func(p int) int64
+		if view != nil {
+			weight = func(p int) int64 { return view[nd.EdgeID(p)] }
+		}
+		res := RunWeighted(nd, bfs, local, weight, 0, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		mu.Unlock()
@@ -198,8 +209,10 @@ func checkAgainstKruskal(t *testing.T, g *graph.Graph, loads []int64, seed int64
 	return results
 }
 
-func TestDistributedMSTMatchesKruskal(t *testing.T) {
-	workloads := map[string]*graph.Graph{
+// kruskalWorkloads are the graphs TestDistributedMSTMatchesKruskal
+// checks; the Result fingerprint pins the same set.
+func kruskalWorkloads() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
 		"cycle":       graph.Cycle(24),
 		"grid":        graph.Grid(6, 6),
 		"gnp-sparse":  graph.GNP(60, 0.08, 3),
@@ -214,19 +227,29 @@ func TestDistributedMSTMatchesKruskal(t *testing.T) {
 		"cliquepath":  graph.CliquePath(4, 6, 2),
 		"weightedbig": graph.AssignWeights(graph.GNP(80, 0.1, 7), 1, 1000, 8),
 	}
-	for name, g := range workloads {
+}
+
+func TestDistributedMSTMatchesKruskal(t *testing.T) {
+	for name, g := range kruskalWorkloads() {
 		t.Run(name, func(t *testing.T) {
 			checkAgainstKruskal(t, g, nil, 11)
 		})
 	}
 }
 
-func TestDistributedMSTWithLoads(t *testing.T) {
+// loadsWorkload is a GNP graph with packing loads 0..4 cycling over
+// edge IDs, so keys order mostly by load.
+func loadsWorkload() (*graph.Graph, []int64) {
 	g := graph.GNP(50, 0.2, 9)
 	loads := make([]int64, g.M())
 	for i := range loads {
 		loads[i] = int64(i % 5)
 	}
+	return g, loads
+}
+
+func TestDistributedMSTWithLoads(t *testing.T) {
+	g, loads := loadsWorkload()
 	checkAgainstKruskal(t, g, loads, 13)
 }
 
