@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-chaos fuzz-smoke determinism vet fmt-check docs-check loc bench bench-service bench-gate ci
+.PHONY: build test test-short test-chaos fuzz-smoke determinism perfbench-test vet fmt-check docs-check loc bench bench-service bench-gate ci
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,13 @@ determinism:
 		GOMAXPROCS=$$procs $(GO) test ./internal/mst -count=1 -run '^TestMSTResultFingerprint$$' > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
 		echo "mst fingerprint: unchanged under GOMAXPROCS=$$procs"; \
 	done
+
+# perfbench-test vets and tests the benchmark module. perfbench/ is a
+# module of its own (it reaches the repository through a replace
+# directive), so build, vet and test above never compile it, and a
+# change to an API it calls would otherwise break the benchmark unseen.
+perfbench-test:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 vet:
 	$(GO) vet ./...
@@ -140,4 +147,4 @@ bench-gate:
 		fi; \
 		rm -f BENCH_engine.baseline.json; exit $$status
 
-ci: fmt-check vet build test-short determinism docs-check
+ci: fmt-check vet build test-short determinism perfbench-test docs-check

@@ -12,9 +12,9 @@ import (
 
 // Message kinds (0x30 range).
 const (
-	kindFragEx    uint8 = 0x30 + iota // Part-1 fragment-ID exchange on outer ports: A=fragID
+	kindFragEx    uint8 = 0x30 + iota // Part-1 exchange on live ports: A=fragID, B=1 if saturated at the last decision
 	kindPropose                       // merge proposal over the MOE edge
-	kindNoPropose                     // explicit "no proposal" on every other outer port, so accounting closes
+	kindNoPropose                     // explicit "no proposal" on every other live port, so accounting closes
 	kindAccept                        // proposal accepted: A = acceptor fragment ID
 	kindReject                        // proposal rejected
 	kindWave                          // intra-fragment outcome wave: A=1 reorient, B=new frag ID
@@ -130,14 +130,30 @@ type runner struct {
 	// Per-port state Part 1 builds and Part 2 reads, allocated once per
 	// run so the loops do not allocate per iteration (the packing loop
 	// runs this code once per tree on every node; at the million scale
-	// these were a top allocation source). inner[p] marks a port whose
-	// far endpoint the node knows to be in its own fragment, or whose
-	// edge is absent from the view: nothing crosses it in either part.
-	// peerFrag[p] is the far endpoint's physical fragment ID on every
-	// outer port.
-	inner    []bool
+	// these were a top allocation source). port[p] classifies each port
+	// (see portState); peerFrag[p] is the far endpoint's physical
+	// fragment ID on every outer (live or settled) port.
+	port     []portState
 	peerFrag []int64
 }
+
+// portState is what a node knows about the far end of one port.
+type portState uint8
+
+const (
+	// portLive: the far endpoint is in another fragment, and at the last
+	// exchange at least one end's fragment was unsaturated. Part 1
+	// exchanges and proposals cross only live ports.
+	portLive portState = iota
+	// portInner: the far endpoint is in the node's own fragment, or the
+	// edge is absent from the view. Nothing crosses it in either part.
+	portInner
+	// portSettled: the far endpoint is in another fragment, and both
+	// ends' fragments were saturated at an exchange. Neither fragment
+	// changes its ID again, so peerFrag is final and nothing crosses the
+	// port in Part 1. Part 2 treats it as outer.
+	portSettled
+)
 
 func (r *runner) load(port int) int64 {
 	if r.loads == nil {
@@ -203,31 +219,46 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+// part1TagsPerIter is the tags one Part 1 iteration draws: the
+// exchange, the two-slot fragment convergecast, the decision broadcast,
+// PROPOSE/NOPROPOSE, the reply and the outcome wave.
+const part1TagsPerIter = 7
+
 // part1 grows MST fragments until every fragment has at least cap
 // nodes (or spans the graph). Merge structures are depth-one stars:
 // unsaturated tail fragments propose along their minimum outgoing
 // edge; saturated fragments and unsaturated heads accept.
 //
-// Fragment-ID exchanges and PROPOSE/NOPROPOSE cross only outer ports:
-// an inner port's far endpoint is in the same fragment, or the edge is
-// absent from the view (both endpoints see the same view), so the
-// receiver could derive what such a message says. A port turns inner
-// once its exchange returns the node's own fragment ID and stays inner,
-// because the outcome wave relabels a whole fragment at once. Every
-// fragment starts as its node's ID, so iteration 0 skips the exchange.
+// Fragment-ID exchanges and PROPOSE/NOPROPOSE cross only live ports
+// (see portState). A port turns inner once its exchange returns the
+// node's own fragment ID and stays inner, because the outcome wave
+// relabels a whole fragment at once. The exchange also carries the
+// sender's saturation as of its last decision broadcast; a port whose
+// two ends both report saturation settles, and both ends see that at
+// the same exchange. Saturated fragments never propose, so they keep
+// their ID and no proposal can cross a settled port. Every fragment
+// starts as its node's ID, so iteration 0 skips the exchange.
 //
 // Each iteration costs exactly two fragment-tree waves: one batched
 // convergecast (size and minimum outgoing edge ride the same wave via
 // ConvergeItemVec) and one broadcast (control bits and the winning edge
-// packed into a single item). The earlier four sequential waves per
-// iteration — size up, control down, MOE up, decision down — were the
-// dominant per-iteration round cost at large fragment heights; batching
-// halves it without changing any decision (the root sees size and MOE
-// together and computes exactly what the split waves computed).
+// packed into a single item).
+//
+// Each fragment leaves on its own: once none of its ports is live (so
+// it is saturated, or has no outgoing edge at all), the root sees no
+// minimum outgoing edge, sets a stop bit in the broadcast, and every
+// member returns. Nothing can reach the fragment again, since all its
+// outer ports are settled. Fragments thus leave at different
+// iterations, so Part 1 draws its tags from a block sized for maxIter
+// iterations: a live port's two ends have run the same iterations and
+// agree on tags, and every node leaves the parent counter at the same
+// place. Part 1 returns right after an exchange, with no relabel after
+// it (Part 2 relies on this).
 func (r *runner) part1() *p1state {
 	nd := r.nd
 	st := &p1state{fragID: int64(nd.ID()), parentPort: -1}
 	maxIter := 60 + 14*bitlen(nd.N())
+	tags := r.tags.Sub(part1TagsPerIter * (maxIter + 1))
 	// One exchange matcher and one proposal matcher for every
 	// iteration: the tags advance through the captured variables (stable
 	// while the node is parked), so the receive loops do not allocate a
@@ -240,46 +271,59 @@ func (r *runner) part1() *p1state {
 		return m.Tag == proposeTag && (m.Kind == kindPropose || m.Kind == kindNoPropose)
 	}
 	deg := nd.Degree()
-	r.inner = make([]bool, deg)
+	r.port = make([]portState, deg)
 	r.peerFrag = make([]int64, deg)
-	inner, peerFrag := r.inner, r.peerFrag
-	outer := 0
+	port, peerFrag := r.port, r.peerFrag
+	live := 0
 	for p := 0; p < deg; p++ {
 		peerFrag[p] = int64(nd.Peer(p))
-		inner[p] = r.w(p) <= 0
-		if !inner[p] {
-			outer++
+		if r.w(p) <= 0 {
+			port[p] = portInner
+		} else {
+			live++
 		}
 	}
+	// saturated is the fragment's saturation as of the last decision
+	// broadcast this node received. A node that just merged still holds
+	// its old fragment's false until the next broadcast, which only keeps
+	// its ports live a little longer.
+	saturated := false
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
 			panic(fmt.Sprintf("mst: part 1 did not converge after %d iterations", iter))
 		}
 		ov := st.overlay()
 
-		// Exchange fragment IDs over the outer ports; a port whose peer
-		// answers with our own ID turns inner for good.
+		// Exchange fragment IDs and saturation over the live ports; a
+		// port whose peer answers with our own ID turns inner, one whose
+		// two ends are saturated settles.
 		if iter > 0 {
-			exTag = r.tags.Next(1)
+			exTag = tags.Next(1)
 			for p := 0; p < deg; p++ {
-				if !inner[p] {
-					nd.Send(p, congest.Message{Kind: kindFragEx, Tag: exTag, A: st.fragID})
+				if port[p] == portLive {
+					nd.Send(p, congest.Message{Kind: kindFragEx, Tag: exTag, A: st.fragID, B: b2i(saturated)})
 				}
 			}
-			for i, n := 0, outer; i < n; i++ {
+			for i, n := 0, live; i < n; i++ {
 				p, m := nd.Recv(matchEx)
 				peerFrag[p] = m.A
-				if m.A == st.fragID {
-					inner[p] = true
-					outer--
+				switch {
+				case m.A == st.fragID:
+					port[p] = portInner
+					live--
+				case saturated && m.B == 1:
+					port[p] = portSettled
+					live--
 				}
 			}
 		}
 
-		// Local minimum outgoing edge: every outer port is one.
+		// Local minimum outgoing edge: every live port is one, so the
+		// fragment's MOE is none exactly when it has no live port. Only a
+		// saturated fragment has settled ports, and it does not propose.
 		cand, candPort := noneItem, -1
 		for p := 0; p < deg; p++ {
-			if inner[p] {
+			if port[p] != portLive {
 				continue
 			}
 			it := proto.Item{
@@ -295,7 +339,7 @@ func (r *runner) part1() *p1state {
 
 		// One batched wave up the fragment tree: slot 0 sums the
 		// fragment size, slot 1 carries its minimum outgoing edge.
-		up, _ := proto.ConvergeItemVec(nd, ov, r.tags,
+		up, _ := proto.ConvergeItemVec(nd, ov, tags,
 			[]proto.Item{{A: 1}, cand},
 			func(slot int, a, b proto.Item) proto.Item {
 				if slot == 0 {
@@ -304,44 +348,41 @@ func (r *runner) part1() *p1state {
 				return betterCand(a, b)
 			})
 
-		// The root now holds size and MOE together: saturation, the
-		// merge coin, and the proposal decision come out of one place.
-		// Global termination (over the BFS tree): a fragment blocks
-		// completion only if it is unsaturated AND still has an
-		// outgoing edge. Isolated small fragments (possible under
-		// sampled views) stop growing.
+		// The root now holds size and MOE together: saturation, the merge
+		// coin, the proposal and the stop decision come out of one place.
+		// The coin is drawn before the stop decision, once per iteration
+		// the fragment runs. A fragment with no MOE has no live port, so
+		// it stops; isolated small fragments (possible under sampled
+		// views) thus stop growing.
 		var ctl, rootMoeUV int64
-		unsat := int64(0)
 		if ov.Root {
 			size, moe := up[0].A, up[1]
-			saturated := size >= int64(r.cap)
+			sat := size >= int64(r.cap)
 			coinTail := nd.Rand().Intn(2) == 1
-			ctl = b2i(saturated) | b2i(coinTail)<<1 | b2i(coinTail && !saturated && !isNone(moe))<<2
+			stop := isNone(moe)
+			ctl = b2i(sat) | b2i(coinTail)<<1 | b2i(coinTail && !sat && !stop)<<2 | b2i(stop)<<3
 			rootMoeUV = moe.C
-			if !saturated && !isNone(moe) {
-				unsat = 1
-			}
-		}
-		if proto.ConvergeBroadcast(nd, r.bfs, r.tags, unsat, proto.Sum) == 0 {
-			return st
 		}
 
 		// One wave down the fragment tree: control bits and the winning
 		// MOE endpoints share a single item.
-		dec := proto.BroadcastItem(nd, ov, r.tags, proto.Item{A: ctl, B: rootMoeUV})
-		saturated := dec.A&1 != 0
+		dec := proto.BroadcastItem(nd, ov, tags, proto.Item{A: ctl, B: rootMoeUV})
+		if dec.A&8 != 0 {
+			return st
+		}
+		saturated = dec.A&1 != 0
 		coinTail := dec.A&2 != 0
 		proposing := dec.A&4 != 0
 		moeUV := dec.B
 
-		// One PROPOSE/NOPROPOSE per outer port, then one reply per
+		// One PROPOSE/NOPROPOSE per live port, then one reply per
 		// PROPOSE. Every node draws the outcome wave's tag too,
 		// proposing or not.
-		proposeTag = r.tags.Next(1)
-		replyTag, waveTag := r.tags.Next(1), r.tags.Next(1)
+		proposeTag = tags.Next(1)
+		replyTag, waveTag := tags.Next(1), tags.Next(1)
 		myProposePort := -1
 		for p := 0; p < deg; p++ {
-			if inner[p] {
+			if port[p] != portLive {
 				continue
 			}
 			if proposing && p == candPort && cand.C == moeUV {
@@ -353,7 +394,7 @@ func (r *runner) part1() *p1state {
 		}
 		accept := saturated || !coinTail
 		var acceptedPorts []int
-		for i := 0; i < outer; i++ {
+		for i := 0; i < live; i++ {
 			p, m := nd.Recv(matchPropose)
 			if m.Kind != kindPropose {
 				continue
@@ -441,8 +482,9 @@ func (r *runner) outcomeWave(st *p1state, proposePort int, merged bool, newFrag 
 // inter-fragment MST edges (identical at every node).
 //
 // Part 2 sends nothing between neighbors. Part 1 returns right after
-// an exchange, with no relabel after it, so peerFrag holds every outer
-// peer's physical fragment ID, and inner peers share the node's own.
+// an exchange, with no relabel after it, so peerFrag holds every live
+// peer's physical fragment ID, and inner peers share the node's own. A
+// settled peer's ID was final when its port settled.
 // Logical IDs start equal to physical ones, and each iteration's Flood
 // hands every node the root's full logical remap, so each node relabels
 // its peers locally.
@@ -453,7 +495,7 @@ func (r *runner) part2(st *p1state) []InterEdge {
 	logical := physID
 	var inter []InterEdge
 	maxIter := 4 + 2*bitlen(nd.N())
-	inner, peerPhys := r.inner, r.peerFrag
+	port, peerPhys := r.port, r.peerFrag
 	peerLogical := append([]int64(nil), peerPhys...)
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
@@ -469,7 +511,7 @@ func (r *runner) part2(st *p1state) []InterEdge {
 		// (congest.PayloadLimit).
 		cand := noneItem
 		for p := 0; p < nd.Degree(); p++ {
-			if inner[p] || peerLogical[p] == logical {
+			if port[p] == portInner || peerLogical[p] == logical {
 				continue
 			}
 			d := peerLogical[p]<<31 | peerPhys[p]
@@ -520,7 +562,7 @@ func (r *runner) part2(st *p1state) []InterEdge {
 		if remap := out[:nRemap]; len(remap) > 0 {
 			logical = relabel(remap, logical)
 			for p := range peerLogical {
-				if !inner[p] {
+				if port[p] != portInner {
 					peerLogical[p] = relabel(remap, peerLogical[p])
 				}
 			}

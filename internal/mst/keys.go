@@ -7,8 +7,11 @@
 //     s (≈√n). Unsaturated fragments propose along their minimum
 //     outgoing edge with coin-flip symmetry breaking; heads and
 //     saturated fragments accept, so merge structures are depth-one
-//     stars and fragment trees stay subtrees of the MST. Terminates
-//     w.h.p. in O(log n) iterations with at most n/s fragments.
+//     stars and fragment trees stay subtrees of the MST. Each fragment
+//     leaves on its own, once it is saturated (or has no outgoing edge)
+//     and every neighbor fragment is saturated too; no global wave ends
+//     the part. Terminates w.h.p. in O(log n) iterations with at most
+//     n/s fragments.
 //   - Part 2 ("pipelined Borůvka"): the at most √n remaining fragments
 //     are merged logically. Each iteration, every physical fragment
 //     convergecasts its minimum outgoing edge w.r.t. *logical* fragment
@@ -18,7 +21,9 @@
 //
 // Neighbor-to-neighbor messages cross only outer edges (far endpoint in
 // another fragment, edge present in the view): what would cross an
-// inner edge is already known at both ends.
+// inner edge is already known at both ends. Part 1 also stops using an
+// outer edge once both its fragments are saturated, since neither can
+// change again.
 //
 // The byproduct is exactly what the paper's Section 2 consumes
 // (footnote 1): a partition of the MST into O(√n) fragments of O(√n)

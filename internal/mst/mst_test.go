@@ -155,6 +155,14 @@ func treeEdgesOf(g *graph.Graph, results []*Result) map[int64]bool {
 func checkAgainstKruskal(t *testing.T, g *graph.Graph, loads []int64, seed int64) []*Result {
 	t.Helper()
 	results := collectDistributed(t, g, loads, seed)
+	checkTree(t, g, loads, results)
+	return results
+}
+
+// checkTree requires the per-node results to form Kruskal's MST under
+// loads, oriented as a tree rooted at node 0 with mirrored child ports.
+func checkTree(t *testing.T, g *graph.Graph, loads []int64, results []*Result) {
+	t.Helper()
 	want, err := Kruskal(g, loads)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +214,6 @@ func checkAgainstKruskal(t *testing.T, g *graph.Graph, loads []int64, seed int64
 	if childCount != g.N()-1 {
 		t.Fatalf("total child links %d, want %d", childCount, g.N()-1)
 	}
-	return results
 }
 
 // kruskalWorkloads are the graphs TestDistributedMSTMatchesKruskal

@@ -50,3 +50,68 @@ func TestTagsNext(t *testing.T) {
 		})
 	}
 }
+
+// TestTagsSub: a Sub(k) block advances its parent by exactly k, hands
+// out the reserved range in order, and panics on the draw past k and on
+// Next(0) once the block is used up, while the parent carries on after
+// the block.
+func TestTagsSub(t *testing.T) {
+	mustPanic := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, tc := range []struct {
+		name  string
+		start uint64
+		k     int
+	}{
+		{"from zero", 0, 7},
+		{"mid space", 1000, 3},
+		{"empty block", 5, 0},
+		{"up to the last tag", 1<<32 - 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parent := &Tags{next: tc.start}
+			sub := parent.Sub(tc.k)
+			if parent.next != tc.start+uint64(tc.k) {
+				t.Fatalf("parent at %d after Sub(%d), want %d", parent.next, tc.k, tc.start+uint64(tc.k))
+			}
+			for i := 0; i < tc.k; i++ {
+				if got := sub.Next(1); uint64(got) != tc.start+uint64(i) {
+					t.Fatalf("block draw %d = %d, want %d", i, got, tc.start+uint64(i))
+				}
+			}
+			mustPanic(t, "Next(1) past the block", func() { sub.Next(1) })
+			mustPanic(t, "Next(0) after the block", func() { sub.Next(0) })
+			if parent.next < 1<<32 {
+				if got := parent.Next(1); uint64(got) != tc.start+uint64(tc.k) {
+					t.Fatalf("parent draw after the block = %d, want %d", got, tc.start+uint64(tc.k))
+				}
+			}
+		})
+	}
+	t.Run("multi-tag draw past the block", func(t *testing.T) {
+		sub := new(Tags).Sub(5)
+		sub.Next(3)
+		mustPanic(t, "Next(3) with 2 tags left", func() { sub.Next(3) })
+		if got := sub.Next(2); got != 3 {
+			t.Fatalf("Next(2) with 2 tags left = %d, want 3", got)
+		}
+	})
+	t.Run("nested block", func(t *testing.T) {
+		outer := new(Tags).Sub(4)
+		mustPanic(t, "Sub(5) of a 4-tag block", func() { outer.Sub(5) })
+		inner := outer.Sub(2)
+		if got := outer.Next(2); got != 2 {
+			t.Fatalf("outer draw after a nested Sub(2) = %d, want 2", got)
+		}
+		inner.Next(2)
+		mustPanic(t, "Next(1) past the nested block", func() { inner.Next(1) })
+	})
+	mustPanic(t, "Sub past 2^32", func() { (&Tags{next: 1<<32 - 2}).Sub(3) })
+}
