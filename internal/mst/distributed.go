@@ -106,12 +106,12 @@ func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weig
 		nd.Mark("end:mst:part1")
 		nd.Mark("begin:mst:part2")
 	}
-	inter := r.part2(st)
+	inter, allFrags, rootFrag := r.part2(st)
 	if mark {
 		nd.Mark("end:mst:part2")
 		nd.Mark("begin:mst:root")
 	}
-	res := r.root(st, inter)
+	res := r.root(st, inter, allFrags, rootFrag)
 	if mark {
 		nd.Mark("end:mst:root")
 	}
@@ -477,9 +477,21 @@ func (r *runner) outcomeWave(st *p1state, proposePort int, merged bool, newFrag 
 	}
 }
 
+// Part 2 item kinds. The BFS root's flood leads with the remap items,
+// sorted by B, then the chosen edges, the census (only in the last
+// flood) and one done item.
+const (
+	itemCensus int64 = -1 // gather, iteration 0 only: B = a physical fragment root's fragment ID
+	itemRemap  int64 = 3  // flood: B = old logical ID, C = new logical ID
+	itemEdge   int64 = 4  // flood: chosen MST edge, B = u, C = v, D = physU<<31|physV
+	itemDone   int64 = 5  // flood: B = 1 if Part 2 is over, then C = node 0's fragment
+	itemFrag   int64 = 6  // flood: census entry, B = a physical fragment ID
+)
+
 // part2 merges the O(√n) Part-1 fragments into the MST using logical
-// fragment IDs coordinated at the BFS root. It returns the accumulated
-// inter-fragment MST edges (identical at every node).
+// fragment IDs coordinated at the BFS root. It returns, identical at
+// every node, the inter-fragment MST edges, the fragment census sorted
+// by ID and node 0's fragment.
 //
 // Part 2 sends nothing between neighbors. Part 1 returns right after
 // an exchange, with no relabel after it, so peerFrag holds every live
@@ -488,15 +500,25 @@ func (r *runner) outcomeWave(st *p1state, proposePort int, merged bool, newFrag 
 // Logical IDs start equal to physical ones, and each iteration's Flood
 // hands every node the root's full logical remap, so each node relabels
 // its peers locally.
-func (r *runner) part2(st *p1state) []InterEdge {
+//
+// The census rides along: in iteration 0 every physical fragment root
+// adds a marker with its fragment ID to the Gather, and the flood that
+// ends Part 2 carries the sorted census and node 0's fragment. Part 2
+// ends in the iteration whose unions leave one logical fragment, or,
+// when the view is disconnected, in the first iteration without any
+// candidate.
+func (r *runner) part2(st *p1state) (inter []InterEdge, allFrags []int64, rootFrag int64) {
 	nd := r.nd
 	fragOv := st.overlay()
 	physID := st.fragID
 	logical := physID
-	var inter []InterEdge
 	maxIter := 4 + 2*bitlen(nd.N())
 	port, peerPhys := r.port, r.peerFrag
 	peerLogical := append([]int64(nil), peerPhys...)
+	var root *part2Root
+	if r.bfs.Root {
+		root = &part2Root{rootFrag: physID}
+	}
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
 			panic(fmt.Sprintf("mst: part 2 did not converge after %d iterations", iter))
@@ -535,31 +557,35 @@ func (r *runner) part2(st *p1state) []InterEdge {
 		// endpoints, C = packed (myLogical, myPhys), D = packed
 		// (targetLogical, targetPhys) with the swap flag in the sign.
 		// Loads and weights stay below 2^31 in every workload, so the
-		// packing is lossless.
+		// packing is lossless, and A is never negative.
 		var mine []proto.Item
-		if fragOv.Root && !isNone(moe) {
-			mine = []proto.Item{{
-				A: moe.A<<31 | moe.B,
-				B: moe.C,
-				C: logical<<31 | physID,
-				D: moe.D,
-			}}
+		if fragOv.Root {
+			if iter == 0 {
+				mine = append(mine, proto.Item{A: itemCensus, B: physID})
+			}
+			if !isNone(moe) {
+				mine = append(mine, proto.Item{
+					A: moe.A<<31 | moe.B,
+					B: moe.C,
+					C: logical<<31 | physID,
+					D: moe.D,
+				})
+			}
 		}
 		gathered := proto.Gather(nd, r.bfs, r.tags, mine)
 
 		// The BFS root (node 0) runs the Borůvka merge locally.
 		var flood []proto.Item
-		if r.bfs.Root {
-			flood = mergeAtRoot(gathered, iter)
+		if root != nil {
+			flood = root.merge(gathered, iter)
 		}
-		out := proto.Flood(nd, r.bfs, r.tags, flood)
+		got := proto.Flood(nd, r.bfs, r.tags, flood)
 
-		// The remap items lead the flood, sorted by B.
 		nRemap := 0
-		for nRemap < len(out) && out[nRemap].A == 3 {
+		for nRemap < len(got) && got[nRemap].A == itemRemap {
 			nRemap++
 		}
-		if remap := out[:nRemap]; len(remap) > 0 {
+		if remap := got[:nRemap]; len(remap) > 0 {
 			logical = relabel(remap, logical)
 			for p := range peerLogical {
 				if port[p] != portInner {
@@ -568,23 +594,26 @@ func (r *runner) part2(st *p1state) []InterEdge {
 			}
 		}
 		done := false
-		for _, it := range out[nRemap:] {
+		for _, it := range got[nRemap:] {
 			switch it.A {
-			case 4: // chosen MST edge: B=u, C=v, D=physU<<31|physV
+			case itemEdge:
 				u, v := graph.NodeID(it.B), graph.NodeID(it.C)
 				inter = append(inter, InterEdge{U: u, V: v, FragU: it.D >> 31, FragV: it.D & ((1 << 31) - 1)})
-			case 5: // done flag
+			case itemFrag:
+				allFrags = append(allFrags, it.B)
+			case itemDone:
 				done = it.B == 1
+				rootFrag = it.C
 			}
 		}
 		if done {
-			return inter
+			return inter, allFrags, rootFrag
 		}
 	}
 }
 
-// relabel maps logical ID l through remap, the root's (A=3, B=old,
-// C=new) items sorted by B; an ID the remap does not list is unchanged.
+// relabel maps logical ID l through remap, the root's itemRemap items
+// sorted by B; an ID the remap does not list is unchanged.
 func relabel(remap []proto.Item, l int64) int64 {
 	i := sort.Search(len(remap), func(i int) bool { return remap[i].B >= l })
 	if i < len(remap) && remap[i].B == l {
@@ -604,15 +633,37 @@ type cand2 struct {
 	targetLogical, targetPhys int64
 }
 
-// mergeAtRoot unpacks the gathered candidates, picks each logical
-// fragment's best, unions along chosen edges, and emits the remap,
-// chosen-edge, and done items to flood.
-func mergeAtRoot(items []proto.Item, iter int) []proto.Item {
+// part2Root is the BFS root's Part 2 state across iterations: the
+// fragment census sorted by physical ID, each census fragment's current
+// logical ID, and the root's own fragment.
+type part2Root struct {
+	rootFrag int64
+	census   []int64
+	logical  []int64
+}
+
+// merge takes one iteration's gathered items, picks each logical
+// fragment's best candidate, unions along chosen edges, and returns the
+// flood: remap items, chosen edges, and the done item — preceded by the
+// census once Part 2 is over.
+func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
+	if iter == 0 {
+		for _, it := range items {
+			if it.A == itemCensus {
+				s.census = append(s.census, it.B)
+			}
+		}
+		sort.Slice(s.census, func(i, j int) bool { return s.census[i] < s.census[j] })
+		s.logical = append([]int64(nil), s.census...)
+	}
 	if debugMerge {
-		fmt.Printf("root: === iter %d: %d candidates ===\n", iter, len(items))
+		fmt.Printf("root: === iter %d: %d items ===\n", iter, len(items))
 	}
 	best := make(map[int64]cand2) // per myLogical
 	for _, it := range items {
+		if it.A == itemCensus {
+			continue
+		}
 		uv := it.B
 		u, v := UnpackUV(uv)
 		d := it.D
@@ -640,7 +691,10 @@ func mergeAtRoot(items []proto.Item, iter int) []proto.Item {
 		}
 	}
 	if len(best) == 0 {
-		return []proto.Item{{A: 5, B: 1}}
+		// No logical fragment has an outgoing edge: each component is
+		// one logical fragment. A connected view with several fragments
+		// ends at its last union instead, one iteration earlier.
+		return s.done(nil)
 	}
 	// Union along chosen edges (dedup mutual MOEs by packed edge).
 	parent := make(map[int64]int64)
@@ -688,7 +742,7 @@ func mergeAtRoot(items []proto.Item, iter int) []proto.Item {
 	}
 	sort.Slice(logicals, func(i, j int) bool { return logicals[i] < logicals[j] })
 	for _, l := range logicals {
-		flood = append(flood, proto.Item{A: 3, B: l, C: rep[find(l)]})
+		flood = append(flood, proto.Item{A: itemRemap, B: l, C: rep[find(l)]})
 	}
 	var uvs []int64
 	for uv := range chosen {
@@ -697,35 +751,42 @@ func mergeAtRoot(items []proto.Item, iter int) []proto.Item {
 	sort.Slice(uvs, func(i, j int) bool { return uvs[i] < uvs[j] })
 	for _, uv := range uvs {
 		c := chosen[uv]
-		flood = append(flood, proto.Item{A: 4, B: int64(c.u), C: int64(c.v), D: c.myPhys<<31 | c.targetPhys})
+		flood = append(flood, proto.Item{A: itemEdge, B: int64(c.u), C: int64(c.v), D: c.myPhys<<31 | c.targetPhys})
 	}
-	flood = append(flood, proto.Item{A: 5, B: 0})
-	return flood
+	// Track the census through the remap; once every fragment shares
+	// one logical ID, no candidate can appear again.
+	one := true
+	for i, l := range s.logical {
+		if _, ok := parent[l]; ok {
+			s.logical[i] = rep[find(l)]
+		}
+		one = one && s.logical[i] == s.logical[0]
+	}
+	if one {
+		return s.done(flood)
+	}
+	return append(flood, proto.Item{A: itemDone})
+}
+
+// done appends the census and the done item (carrying the root's
+// fragment) to the last flood of Part 2.
+func (s *part2Root) done(flood []proto.Item) []proto.Item {
+	for _, f := range s.census {
+		flood = append(flood, proto.Item{A: itemFrag, B: f})
+	}
+	return append(flood, proto.Item{A: itemDone, B: 1, C: s.rootFrag})
 }
 
 // root orients the MST (or spanning forest, under a sampled view) in
 // Õ(√n + D): the fragment forest is known to every node (InterEdges +
-// census), so orientation between fragments is a local computation, and
-// each fragment re-roots internally at its attachment node with one
-// O(√n)-round adopt wave. Node 0 roots its component; every other
-// component is rooted at its minimum fragment ID.
-func (r *runner) root(st *p1state, inter []InterEdge) *Result {
+// census, both from Part 2), so orientation between fragments is a
+// local computation, and each fragment re-roots internally at its
+// attachment node with one O(√n)-round adopt wave — the phase's only
+// communication. Node 0 roots its component; every other component is
+// rooted at its minimum fragment ID.
+func (r *runner) root(st *p1state, inter []InterEdge, allFrags []int64, rootFrag int64) *Result {
 	nd := r.nd
 	myPhys := st.fragID
-
-	// Fragment census: roots contribute their ID.
-	var mine []proto.Item
-	if st.parentPort < 0 {
-		mine = []proto.Item{{A: myPhys}}
-	}
-	censusItems := proto.AllGather(nd, r.bfs, r.tags, mine)
-	allFrags := make([]int64, 0, len(censusItems))
-	for _, it := range censusItems {
-		allFrags = append(allFrags, it.A)
-	}
-
-	// Node 0 (the BFS root) announces its fragment.
-	rootFrag := proto.Broadcast(nd, r.bfs, r.tags, myPhys)
 
 	// Locally orient the fragment forest.
 	fragParent, attach := orientForest(inter, allFrags, rootFrag)

@@ -17,7 +17,12 @@
 //     convergecasts its minimum outgoing edge w.r.t. *logical* fragment
 //     IDs, the candidates are upcast over the BFS tree to node 0, which
 //     runs the merge locally and floods the new logical IDs and chosen
-//     MST edges back. O(log n) iterations of O(√n + D) rounds.
+//     MST edges back. O(log n) iterations of O(√n + D) rounds. The
+//     fragment census rides the first upcast, and Part 2 ends in the
+//     flood whose unions leave one logical fragment (a disconnected
+//     view ends at the first iteration without candidates); that flood
+//     also carries the census and node 0's fragment, so rooting the
+//     tree afterwards needs only one adopt wave per fragment.
 //
 // Neighbor-to-neighbor messages cross only outer edges (far endpoint in
 // another fragment, edge present in the view): what would cross an

@@ -14,15 +14,21 @@
 //     F(v), the set of fragments fully inside v↓, and F(u) for every
 //     u ∈ A(v) via filtered downward streams.
 //  3. δ↓(v) = Σ_{u∈v↓} δ(u) from an intra-fragment subtree sum plus
-//     globally broadcast fragment totals.
+//     globally gathered fragment totals. Lemma 2.2 needs δ↓ only next to
+//     ρ↓, so this step rides step 5's ρ↓ pass: one fragment convergecast
+//     of (δ, ρ) and one AllGather of (fragment, δ total, ρ total).
 //  4. Merging nodes (≥2 child directions containing whole fragments)
-//     and the skeleton tree T'_F (fragment roots + merging nodes) are
-//     detected locally and made global knowledge.
+//     are detected locally. Each skeleton-tree T'_F node (fragment
+//     roots, merging nodes, node 0) finds its T'_F parent locally in
+//     A(v) from the step-2c increments, and one AllGather of
+//     (node, T'_F parent, merging bit) makes T'_F and the merging list
+//     global knowledge.
 //  5. Every edge's endpoint LCA is computed by the paper's three-case
 //     exchange over the edge itself; the per-LCA weights ρ(v) are
 //     aggregated by a keyed global sum (type i) and a pipelined
-//     intra-fragment ancestor sum (type ii); then ρ↓ reuses step 3's
-//     machinery, and C(v↓) = δ↓(v) − 2ρ↓(v) (Lemma 2.2).
+//     intra-fragment ancestor sum (type ii); then δ↓ and ρ↓ come out of
+//     one pass (step 3's machinery), and C(v↓) = δ↓(v) − 2ρ↓(v)
+//     (Lemma 2.2).
 package respect
 
 import (
@@ -119,13 +125,13 @@ func Run(nd *congest.Node, in *Input, tags *proto.Tags) *Output {
 	if in.ParentPort >= 0 {
 		r.treePortSet[in.ParentPort] = true
 	}
-	r.fragDesc = fragDescendants(in.InterEdges, in.FragParent)
+	r.fragDesc = fragDescendants(in.FragParent)
+	r.cross = r.interChildPorts()
 
 	out := &Output{Delta: r.weightedDegree()}
 	r.step2a(out)
 	r.step2b(out)
 	r.step2c(out)
-	r.step3(out)
 	r.step4(out)
 	r.step5(out)
 	r.finish(out)
@@ -138,6 +144,8 @@ type respectRun struct {
 	tags        *proto.Tags
 	fragOv      *proto.Overlay
 	treePortSet map[int]bool
+	// cross lists the tree-child ports into child fragments.
+	cross []int
 
 	// fragDesc[f] = all fragments in f's subtree of the fragment tree,
 	// including f itself. Local computation on global knowledge.
@@ -177,7 +185,7 @@ func (r *respectRun) weightedDegree() int64 {
 
 // fragDescendants computes, for every fragment, the fragments of its
 // subtree in the fragment tree (inclusive).
-func fragDescendants(inter []mst.InterEdge, fragParent map[int64]int64) map[int64][]int64 {
+func fragDescendants(fragParent map[int64]int64) map[int64][]int64 {
 	children := make(map[int64][]int64, len(fragParent))
 	var root int64 = -1
 	for f, p := range fragParent {
@@ -216,6 +224,5 @@ func fragDescendants(inter []mst.InterEdge, fragParent map[int64]int64) map[int6
 		desc[fr.f] = all
 		stack = stack[:len(stack)-1]
 	}
-	_ = inter
 	return desc
 }

@@ -77,7 +77,7 @@ func (r *respectRun) step2a(out *Output) {
 		nd.Send(in.FragParentPort, congest.Message{Kind: kindFragEnd, Tag: tag})
 	}
 	// Child-fragment attachment directions always contain a fragment.
-	for _, p := range r.interChildPorts() {
+	for _, p := range r.cross {
 		r.childDirHasFrag[p] = true
 	}
 	// F(v): close the gathered child fragments under fragment-tree
@@ -98,8 +98,7 @@ func (r *respectRun) step2a(out *Output) {
 func (r *respectRun) step2b(out *Output) {
 	nd, in := r.nd, r.in
 	tag := r.tags.Next(1)
-	down := in.FragChildPorts
-	cross := r.interChildPorts()
+	down, cross := in.FragChildPorts, r.cross
 
 	out.Ancestors = []graph.NodeID{nd.ID()}
 	r.sameFragAnc = []graph.NodeID{nd.ID()}
@@ -148,8 +147,7 @@ func (r *respectRun) step2b(out *Output) {
 func (r *respectRun) step2c(out *Output) {
 	nd, in := r.nd, r.in
 	tag := r.tags.Next(1)
-	down := in.FragChildPorts
-	cross := r.interChildPorts()
+	down, cross := in.FragChildPorts, r.cross
 
 	r.fragOfAncestor = make(map[graph.NodeID]map[int64]bool)
 
@@ -213,27 +211,17 @@ func (r *respectRun) lowestAncestorContaining(out *Output, target int64) graph.N
 	return -1
 }
 
-// step3 computes δ↓(v): an intra-fragment subtree sum plus globally
-// gathered fragment totals over F(v).
-func (r *respectRun) step3(out *Output) {
-	nd, in := r.nd, r.in
-	acc, isFragRoot := proto.Converge(nd, r.fragOv, r.tags, out.Delta, proto.Sum)
-	var mine []proto.Item
-	if isFragRoot {
-		mine = []proto.Item{{A: in.FragID, B: acc}}
-	}
-	totals := proto.AllGather(nd, in.BFS, r.tags, mine)
-	out.DeltaDown = acc
-	for _, it := range totals {
-		if out.FragSet[it.A] {
-			out.DeltaDown += it.B
-		}
-	}
-}
-
-// step4 detects merging nodes locally, makes the list global, and
-// builds T'_F (fragment roots + merging nodes, parent = lowest T'F
-// ancestor) as global knowledge.
+// step4 makes T'_F (fragment roots, merging nodes and node 0, each
+// with its lowest proper T'_F ancestor as parent) global knowledge in
+// one AllGather. Merging (≥2 child directions containing a fragment)
+// is local after step 2a, fragment roots are known from the fragment
+// tree, and a T'_F node finds its T'_F parent locally in A(v): it is
+// the first proper ancestor u that is node 0, a fragment root, or has a
+// non-empty step-2c increment. An increment holds the fragments of u↓
+// outside the child direction toward v; that direction contains a
+// fragment (v's own, or one below v), so a second one makes u merging.
+// The one exception is a fragment root's own fragment, which is in its
+// parent's F but never in its own, so it is left out.
 func (r *respectRun) step4(out *Output) {
 	nd, in := r.nd, r.in
 	dirs := 0
@@ -244,54 +232,51 @@ func (r *respectRun) step4(out *Output) {
 	}
 	out.Merging = dirs >= 2
 
-	var mine []proto.Item
-	if out.Merging {
-		mine = []proto.Item{{A: int64(nd.ID())}}
-	}
-	mergingItems := proto.AllGather(nd, in.BFS, r.tags, mine)
-	tpSet := make(map[graph.NodeID]bool, len(mergingItems))
-	for _, it := range mergingItems {
-		out.MergingNodes = append(out.MergingNodes, graph.NodeID(it.A))
-		tpSet[graph.NodeID(it.A)] = true
-	}
-	// Fragment roots (attachment nodes) are known globally from the
-	// fragment tree; the global root (node 0) is always in T'F.
+	// Fragment roots (attachment nodes) from the fragment tree.
+	fragRoot := make(map[graph.NodeID]bool, len(in.InterEdges))
 	for _, ie := range in.InterEdges {
 		if in.FragParent[ie.FragU] == ie.FragV {
-			tpSet[ie.U] = true
+			fragRoot[ie.U] = true
 		}
 		if in.FragParent[ie.FragV] == ie.FragU {
-			tpSet[ie.V] = true
+			fragRoot[ie.V] = true
 		}
 	}
-	tpSet[0] = true
+	var mine []proto.Item
+	if nd.ID() == 0 || fragRoot[nd.ID()] || out.Merging {
+		parent := int64(-1)
+		for _, u := range out.Ancestors[1:] {
+			incr := len(r.fragOfAncestor[u])
+			if in.FragParentPort < 0 && r.fragOfAncestor[u][in.FragID] {
+				incr--
+			}
+			if u == 0 || fragRoot[u] || incr > 0 {
+				parent = int64(u)
+				break
+			}
+		}
+		mine = []proto.Item{{A: int64(nd.ID()), B: parent}}
+		if out.Merging {
+			mine[0].C = 1
+		}
+	}
+	items := proto.AllGather(nd, in.BFS, r.tags, mine)
+	out.TPrime = make(map[graph.NodeID]graph.NodeID, len(items))
+	for _, it := range items {
+		out.TPrime[graph.NodeID(it.A)] = graph.NodeID(it.B)
+		if it.C == 1 {
+			out.MergingNodes = append(out.MergingNodes, graph.NodeID(it.A))
+		}
+	}
 
 	// My lowest T'F ancestor (self included) — always within A(v),
 	// because my fragment root is in both.
 	r.lowestTPrime = -1
 	for _, u := range out.Ancestors {
-		if tpSet[u] {
+		if _, ok := out.TPrime[u]; ok {
 			r.lowestTPrime = u
 			break
 		}
-	}
-
-	// T'F edges: each T'F node reports (me, parent in T'F).
-	var tpMine []proto.Item
-	if tpSet[nd.ID()] {
-		parent := int64(-1)
-		for _, u := range out.Ancestors[1:] {
-			if tpSet[u] {
-				parent = int64(u)
-				break
-			}
-		}
-		tpMine = []proto.Item{{A: int64(nd.ID()), B: parent}}
-	}
-	tpEdges := proto.AllGather(nd, in.BFS, r.tags, tpMine)
-	out.TPrime = make(map[graph.NodeID]graph.NodeID, len(tpEdges))
-	for _, it := range tpEdges {
-		out.TPrime[graph.NodeID(it.A)] = graph.NodeID(it.B)
 	}
 }
 
@@ -321,8 +306,9 @@ func tprimeLCA(tp map[graph.NodeID]graph.NodeID, a, b graph.NodeID) graph.NodeID
 	return a
 }
 
-// step5 computes ρ(v) (every edge's LCA weight lands at the LCA) and
-// then ρ↓(v) with the step-3 machinery.
+// step5 computes ρ(v) (every edge's LCA weight lands at the LCA), then
+// δ↓(v) and ρ↓(v) together (the paper's step 3 rides here: Lemma 2.2
+// needs δ↓ only next to ρ↓).
 func (r *respectRun) step5(out *Output) {
 	nd, in := r.nd, r.in
 	// The exchange tags are drawn up front: the loops below run per
@@ -440,17 +426,20 @@ func (r *respectRun) step5(out *Output) {
 	// Type ii: pipelined intra-fragment ancestor sum.
 	out.Rho += r.fragAncestorSum(tokens)
 
-	// ρ↓: same machinery as step 3, on ρ values.
-	acc, isFragRoot := proto.Converge(nd, r.fragOv, r.tags, out.Rho, proto.Sum)
+	// δ↓ and ρ↓ in one pass: an intra-fragment subtree sum of (δ, ρ),
+	// plus the fragment totals over F(v), gathered globally.
+	acc, isFragRoot := proto.ConvergeItem(nd, r.fragOv, r.tags, proto.Item{A: out.Delta, B: out.Rho},
+		func(a, b proto.Item) proto.Item { return proto.Item{A: a.A + b.A, B: a.B + b.B} })
 	var mine []proto.Item
 	if isFragRoot {
-		mine = []proto.Item{{A: in.FragID, B: acc}}
+		mine = []proto.Item{{A: in.FragID, B: acc.A, C: acc.B}}
 	}
 	totals := proto.AllGather(nd, in.BFS, r.tags, mine)
-	out.RhoDown = acc
+	out.DeltaDown, out.RhoDown = acc.A, acc.B
 	for _, it := range totals {
 		if out.FragSet[it.A] {
-			out.RhoDown += it.B
+			out.DeltaDown += it.B
+			out.RhoDown += it.C
 		}
 	}
 }
