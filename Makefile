@@ -37,10 +37,10 @@ test-chaos:
 # output. Activation helpers (GOMAXPROCS-1 of them) are the engine's
 # only parallelism, so this is the end-to-end scheduling-independence
 # check. n=128 keeps wake sets above the engine's fan-out threshold.
-# It then runs, under both settings, the MST Result fingerprint test
-# (every node's tree, fragment and fragment-forest output), the
-# entry-point golden test (every entry point's Stats, Marks, Value and
-# Side) and the respect package's tests.
+# It then runs, under both settings, the mst package's tests (among
+# them the Result fingerprint: every node's tree, fragment and
+# fragment-forest output), the entry-point golden test (every entry
+# point's Stats, Marks, Value and Side) and the respect package's tests.
 determinism:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/mincut" ./cmd/mincut; \
@@ -54,8 +54,8 @@ determinism:
 		echo "$$mode: byte-identical under GOMAXPROCS=1 and GOMAXPROCS=2"; \
 	done; \
 	for procs in 1 2; do \
-		GOMAXPROCS=$$procs $(GO) test ./internal/mst -count=1 -run '^TestMSTResultFingerprint$$' > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
-		echo "mst fingerprint: unchanged under GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs $(GO) test ./internal/mst -count=1 > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
+		echo "mst tests (fingerprint included): pass under GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs $(GO) test . -count=1 -run '^TestGoldenEntryPoints$$' > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
 		echo "entry-point golden: unchanged under GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs $(GO) test ./internal/respect -count=1 > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \

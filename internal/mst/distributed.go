@@ -12,12 +12,11 @@ import (
 
 // Message kinds (0x30 range).
 const (
-	kindFragEx    uint8 = 0x30 + iota // Part-1 exchange on live ports: A=fragID, B=1 if saturated at the last decision
-	kindPropose                       // merge proposal over the MOE edge
-	kindNoPropose                     // explicit "no proposal" on every other live port, so accounting closes
-	kindAccept                        // proposal accepted: A = acceptor fragment ID
-	kindReject                        // proposal rejected
-	kindWave                          // intra-fragment outcome wave: A=1 reorient, B=new frag ID
+	kindFragEx  uint8 = 0x30 + iota // Part-1 exchange on live ports: A=fragID, B=1 if saturated at the last decision
+	kindPropose                     // merge proposal, only over the MOE edge
+	kindAccept                      // proposal accepted: A = acceptor fragment ID
+	kindReject                      // proposal rejected
+	kindWave                        // intra-fragment outcome wave: A=1 reorient, B=new frag ID
 )
 
 // InterEdge is one MST edge between two Part-1 fragments. After Run,
@@ -221,7 +220,7 @@ func b2i(b bool) int64 {
 
 // part1TagsPerIter is the tags one Part 1 iteration draws: the
 // exchange, the two-slot fragment convergecast, the decision broadcast,
-// PROPOSE/NOPROPOSE, the reply and the outcome wave.
+// the proposal, the reply and the outcome wave.
 const part1TagsPerIter = 7
 
 // part1 grows MST fragments until every fragment has at least cap
@@ -229,15 +228,42 @@ const part1TagsPerIter = 7
 // unsaturated tail fragments propose along their minimum outgoing
 // edge; saturated fragments and unsaturated heads accept.
 //
-// Fragment-ID exchanges and PROPOSE/NOPROPOSE cross only live ports
-// (see portState). A port turns inner once its exchange returns the
-// node's own fragment ID and stays inner, because the outcome wave
-// relabels a whole fragment at once. The exchange also carries the
-// sender's saturation as of its last decision broadcast; a port whose
-// two ends both report saturation settles, and both ends see that at
-// the same exchange. Saturated fragments never propose, so they keep
-// their ID and no proposal can cross a settled port. Every fragment
-// starts as its node's ID, so iteration 0 skips the exchange.
+// Fragment-ID exchanges and proposals cross only live ports (see
+// portState). A port turns inner once its exchange returns the node's
+// own fragment ID and stays inner, because the outcome wave relabels a
+// whole fragment at once. The exchange also carries the sender's
+// saturation as of its last decision broadcast; a port whose two ends
+// both report saturation settles, and both ends see that at the same
+// exchange. Saturated fragments never propose, so they keep their ID
+// and no proposal can cross a settled port. Every fragment starts as
+// its node's ID, so iteration 0 skips the exchange.
+//
+// A PROPOSE goes out only on the MOE port, and nothing marks "no
+// proposal": the next exchange on each port closes that port's
+// proposal window. Send keeps each port FIFO, and a proposer sends its
+// next exchange only after its reply, so a neighbor's PROPOSE always
+// arrives before that neighbor's next exchange on the same port. The
+// exchange loop therefore also takes the last iteration's PROPOSEs and
+// answers each on receipt, by the last iteration's accept rule; once
+// it holds one exchange per live port, it has answered every proposal.
+// An accepted port joins childPorts right there, before the next
+// fragment waves. While a proposing node waits for its reply, it
+// rejects the PROPOSEs of the same iteration that reach it (a proposer
+// is a tail); the others wait for the next exchange loop.
+//
+// No wait forms a cycle, by induction over iterations. Once every node
+// has finished an iteration's exchange loop, each fragment finishes its
+// two waves, which wait on nothing outside it. After that only a
+// proposing node waits across fragments, for the fragment its MOE
+// points to; the other nodes of a proposing fragment wait only for its
+// outcome wave. A proposing node rejects a PROPOSE on receipt, and a
+// non-proposing node answers in its next exchange loop, which it enters
+// right after its fragment's waves. Proposals follow MOE edges, so the
+// waits-for graph is a forest plus mutual pairs: with unique keys, two
+// fragments' MOEs point at each other only over one shared edge, whose
+// two ends are both proposing nodes. Every chain of waits thus ends at
+// a node that answers, every proposer hears back, every node sends its
+// next exchange, and the next exchange loop finishes too.
 //
 // Each iteration costs exactly two fragment-tree waves: one batched
 // convergecast (size and minimum outgoing edge ride the same wave via
@@ -259,16 +285,38 @@ func (r *runner) part1() *p1state {
 	st := &p1state{fragID: int64(nd.ID()), parentPort: -1}
 	maxIter := 60 + 14*bitlen(nd.N())
 	tags := r.tags.Sub(part1TagsPerIter * (maxIter + 1))
-	// One exchange matcher and one proposal matcher for every
-	// iteration: the tags advance through the captured variables (stable
-	// while the node is parked), so the receive loops do not allocate a
-	// closure per message.
-	var exTag, proposeTag uint32
+	// The tags, the propose port and the accept rule advance through
+	// the captured variables (stable while the node is parked), so the
+	// receive loops do not allocate a closure per message. Until this
+	// iteration's decision they hold the last iteration's values.
+	var exTag, proposeTag, replyTag uint32
+	proposePort := -1
+	accept := false
+	// The exchange loop: this iteration's exchanges, the last one's
+	// proposals.
 	matchEx := func(_ int, m congest.Message) bool {
-		return m.Kind == kindFragEx && m.Tag == exTag
+		return (m.Kind == kindFragEx && m.Tag == exTag) || (m.Kind == kindPropose && m.Tag == proposeTag)
 	}
-	matchPropose := func(_ int, m congest.Message) bool {
-		return m.Tag == proposeTag && (m.Kind == kindPropose || m.Kind == kindNoPropose)
+	// The reply wait: the reply to this node's proposal, and the
+	// proposals of the same iteration.
+	matchReply := func(p int, m congest.Message) bool {
+		switch m.Kind {
+		case kindAccept, kindReject:
+			return p == proposePort && m.Tag == replyTag
+		case kindPropose:
+			return m.Tag == proposeTag
+		}
+		return false
+	}
+	// answer replies to a PROPOSE that arrived on port p. An accepted
+	// proposer's fragment hangs below this node from now on.
+	answer := func(p int) {
+		if !accept {
+			nd.Send(p, congest.Message{Kind: kindReject, Tag: replyTag})
+			return
+		}
+		nd.Send(p, congest.Message{Kind: kindAccept, Tag: replyTag, A: st.fragID})
+		st.childPorts = append(st.childPorts, p)
 	}
 	deg := nd.Degree()
 	r.port = make([]portState, deg)
@@ -292,11 +340,11 @@ func (r *runner) part1() *p1state {
 		if iter > maxIter {
 			panic(fmt.Sprintf("mst: part 1 did not converge after %d iterations", iter))
 		}
-		ov := st.overlay()
 
-		// Exchange fragment IDs and saturation over the live ports; a
-		// port whose peer answers with our own ID turns inner, one whose
-		// two ends are saturated settles.
+		// Exchange fragment IDs and saturation over the live ports, and
+		// answer the last iteration's proposals as they come; a port
+		// whose peer answers with our own ID turns inner, one whose two
+		// ends are saturated settles.
 		if iter > 0 {
 			exTag = tags.Next(1)
 			for p := 0; p < deg; p++ {
@@ -304,8 +352,13 @@ func (r *runner) part1() *p1state {
 					nd.Send(p, congest.Message{Kind: kindFragEx, Tag: exTag, A: st.fragID, B: b2i(saturated)})
 				}
 			}
-			for i, n := 0, live; i < n; i++ {
+			for pending := live; pending > 0; {
 				p, m := nd.Recv(matchEx)
+				if m.Kind == kindPropose {
+					answer(p)
+					continue
+				}
+				pending--
 				peerFrag[p] = m.A
 				switch {
 				case m.A == st.fragID:
@@ -317,6 +370,7 @@ func (r *runner) part1() *p1state {
 				}
 			}
 		}
+		ov := st.overlay()
 
 		// Local minimum outgoing edge: every live port is one, so the
 		// fragment's MOE is none exactly when it has no live port. Only a
@@ -371,62 +425,35 @@ func (r *runner) part1() *p1state {
 			return st
 		}
 		saturated = dec.A&1 != 0
-		coinTail := dec.A&2 != 0
+		accept = saturated || dec.A&2 == 0
 		proposing := dec.A&4 != 0
-		moeUV := dec.B
 
-		// One PROPOSE/NOPROPOSE per live port, then one reply per
-		// PROPOSE. Every node draws the outcome wave's tag too,
+		// The node holding the MOE proposes over it and waits for the
+		// reply; the whole proposing fragment then runs the outcome wave
+		// (reorient toward the proposer and adopt the acceptor's fragment
+		// ID, or keep everything). Every node draws the three tags,
 		// proposing or not.
-		proposeTag = tags.Next(1)
-		replyTag, waveTag := tags.Next(1), tags.Next(1)
-		myProposePort := -1
-		for p := 0; p < deg; p++ {
-			if port[p] != portLive {
-				continue
-			}
-			if proposing && p == candPort && cand.C == moeUV {
-				myProposePort = p
-				nd.Send(p, congest.Message{Kind: kindPropose, Tag: proposeTag, A: st.fragID})
-			} else {
-				nd.Send(p, congest.Message{Kind: kindNoPropose, Tag: proposeTag})
-			}
+		proposeTag, replyTag = tags.Next(1), tags.Next(1)
+		waveTag := tags.Next(1)
+		if !proposing {
+			continue
 		}
-		accept := saturated || !coinTail
-		var acceptedPorts []int
-		for i := 0; i < live; i++ {
-			p, m := nd.Recv(matchPropose)
-			if m.Kind != kindPropose {
-				continue
-			}
-			if accept {
-				nd.Send(p, congest.Message{Kind: kindAccept, Tag: replyTag, A: st.fragID})
-				acceptedPorts = append(acceptedPorts, p)
-			} else {
-				nd.Send(p, congest.Message{Kind: kindReject, Tag: replyTag})
-			}
-		}
-
-		// Proposer learns the outcome; the whole proposing fragment
-		// then runs the outcome wave (reorient toward the proposer and
-		// adopt the acceptor's fragment ID, or keep everything).
-		if proposing {
-			merged, newFrag := false, int64(0)
-			if myProposePort >= 0 {
-				_, m := nd.Recv(func(p int, m congest.Message) bool {
-					return p == myProposePort && m.Tag == replyTag &&
-						(m.Kind == kindAccept || m.Kind == kindReject)
-				})
-				if m.Kind == kindAccept {
-					merged, newFrag = true, m.A
+		proposePort = -1
+		merged, newFrag := false, int64(0)
+		if candPort >= 0 && cand.C == dec.B {
+			proposePort = candPort
+			nd.Send(proposePort, congest.Message{Kind: kindPropose, Tag: proposeTag, A: st.fragID})
+			for {
+				p, m := nd.Recv(matchReply)
+				if m.Kind == kindPropose {
+					answer(p)
+					continue
 				}
+				merged, newFrag = m.Kind == kindAccept, m.A
+				break
 			}
-			r.outcomeWave(st, myProposePort, merged, newFrag, waveTag)
 		}
-		if len(acceptedPorts) > 0 {
-			st.childPorts = append(st.childPorts, acceptedPorts...)
-			sort.Ints(st.childPorts)
-		}
+		r.outcomeWave(st, proposePort, merged, newFrag, waveTag)
 	}
 }
 

@@ -7,11 +7,14 @@
 //     s (≈√n). Unsaturated fragments propose along their minimum
 //     outgoing edge with coin-flip symmetry breaking; heads and
 //     saturated fragments accept, so merge structures are depth-one
-//     stars and fragment trees stay subtrees of the MST. Each fragment
-//     leaves on its own, once it is saturated (or has no outgoing edge)
-//     and every neighbor fragment is saturated too; no global wave ends
-//     the part. Terminates w.h.p. in O(log n) iterations with at most
-//     n/s fragments.
+//     stars and fragment trees stay subtrees of the MST. A proposal
+//     crosses only the MOE edge, and no message says "no proposal":
+//     per-edge FIFO puts a proposal ahead of the proposer's next
+//     fragment-ID exchange on that edge, so the receiver answers it in
+//     its next exchange loop. Each fragment leaves on its own, once it
+//     is saturated (or has no outgoing edge) and every neighbor fragment
+//     is saturated too; no global wave ends the part. Terminates w.h.p.
+//     in O(log n) iterations with at most n/s fragments.
 //   - Part 2 ("pipelined Borůvka"): the at most √n remaining fragments
 //     are merged logically. Each iteration, every physical fragment
 //     convergecasts its minimum outgoing edge w.r.t. *logical* fragment

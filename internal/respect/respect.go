@@ -24,11 +24,13 @@
 //     (node, T'_F parent, merging bit) makes T'_F and the merging list
 //     global knowledge.
 //  5. Every edge's endpoint LCA is computed by the paper's three-case
-//     exchange over the edge itself; the per-LCA weights ρ(v) are
-//     aggregated by a keyed global sum (type i) and a pipelined
-//     intra-fragment ancestor sum (type ii); then δ↓ and ρ↓ come out of
-//     one pass (step 3's machinery), and C(v↓) = δ↓(v) − 2ρ↓(v)
-//     (Lemma 2.2).
+//     exchange over the edge itself (on a same-fragment edge only the
+//     larger-ID endpoint sends its ancestor chain, to the smaller-ID
+//     endpoint, which holds the edge's token); the per-LCA weights ρ(v)
+//     are aggregated by a keyed global sum (type i, skipped when no node
+//     is merging) and a pipelined intra-fragment ancestor sum (type ii);
+//     then δ↓ and ρ↓ come out of one pass (step 3's machinery), and
+//     C(v↓) = δ↓(v) − 2ρ↓(v) (Lemma 2.2).
 package respect
 
 import (

@@ -341,9 +341,11 @@ func (r *respectRun) step5(out *Output) {
 		peerFrag[p] = m.A
 	}
 
-	// Same-fragment edges: exchange in-fragment ancestor chains.
+	// Same-fragment edges: the smaller-ID endpoint holds the token, so
+	// only the larger-ID endpoint streams its in-fragment ancestor chain,
+	// and only the smaller-ID endpoint takes it in and finds the LCA z.
 	for _, p := range nonTree {
-		if peerFrag[p] != in.FragID {
+		if peerFrag[p] != in.FragID || nd.ID() < nd.Peer(p) {
 			continue
 		}
 		for _, u := range r.sameFragAnc {
@@ -352,7 +354,7 @@ func (r *respectRun) step5(out *Output) {
 		nd.Send(p, congest.Message{Kind: kindChainEnd, Tag: chainTag})
 	}
 	for _, p := range nonTree {
-		if peerFrag[p] != in.FragID {
+		if peerFrag[p] != in.FragID || nd.ID() > nd.Peer(p) {
 			continue
 		}
 		peerSet := make(map[graph.NodeID]bool)
@@ -375,10 +377,7 @@ func (r *respectRun) step5(out *Output) {
 		if z < 0 {
 			panic("respect: same-fragment edge with no common in-fragment ancestor")
 		}
-		// One designated endpoint holds the token.
-		if nd.ID() < nd.Peer(p) {
-			tokens[z] += r.w(p)
-		}
+		tokens[z] += r.w(p)
 	}
 
 	// Different-fragment edges: exchange (lowest T'F ancestor, case-3
@@ -420,8 +419,12 @@ func (r *respectRun) step5(out *Output) {
 	for i, v := range out.MergingNodes {
 		keys[i] = int64(v)
 	}
-	sums := proto.KeyedSum(nd, in.BFS, r.tags, keys, globalTokens)
-	out.Rho = sums[int64(nd.ID())] // zero for non-merging nodes
+	// Without merging nodes there is no type-i token, and every node
+	// sees the same empty list, so all skip the sum and its tag draw.
+	if len(keys) > 0 {
+		sums := proto.KeyedSum(nd, in.BFS, r.tags, keys, globalTokens)
+		out.Rho = sums[int64(nd.ID())] // zero for non-merging nodes
+	}
 
 	// Type ii: pipelined intra-fragment ancestor sum.
 	out.Rho += r.fragAncestorSum(tokens)
