@@ -75,7 +75,8 @@ vet:
 # docs-check keeps the documentation layer honest: every relative link
 # in README/ROADMAP/docs must resolve (including #heading anchors into
 # markdown files), and every exported identifier in the serving surface
-# (package distmincut, internal/service) must carry a doc comment.
+# (package distmincut, internal/service, internal/gateway) must carry a
+# doc comment.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

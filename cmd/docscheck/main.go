@@ -9,9 +9,9 @@
 //
 //   - Doc comments: every exported identifier in the given Go packages
 //     must carry a doc comment (a grouped const/var/type block's doc
-//     covers its members). The serving surface (package distmincut and
-//     internal/service) is gated so the API reference in docs/ never
-//     drifts ahead of godoc.
+//     covers its members). The serving surface (package distmincut,
+//     internal/service and internal/gateway) is gated so the API
+//     reference in docs/ never drifts ahead of godoc.
 //
 //   - Markdown citations: every *.md name a Go comment anywhere in the
 //     module tree mentions must exist in the repository (matched by
@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	docscheck [-pkgs .,./internal/service] [markdown files or dirs...]
+//	docscheck [-pkgs .,./internal/service,./internal/gateway] [markdown files or dirs...]
 //
 // With no positional arguments it checks README.md, ROADMAP.md, and
 // docs/. Exit status 1 means violations were printed, 2 a usage or I/O
@@ -44,7 +44,7 @@ func main() {
 }
 
 func run() int {
-	pkgs := flag.String("pkgs", ".,./internal/service", "comma-separated Go package directories to doc-lint")
+	pkgs := flag.String("pkgs", ".,./internal/service,./internal/gateway", "comma-separated Go package directories to doc-lint")
 	flag.Parse()
 
 	targets := flag.Args()

@@ -98,9 +98,10 @@ func run() int {
 	fmt.Printf("trees packed: %d   sampling levels: %d\n", res.TreesPacked, res.Levels)
 	fmt.Printf("CONGEST cost: %d rounds (%.1fx (√n+D)), %d messages\n",
 		res.Rounds, float64(res.Rounds)/norm, res.Messages)
-	if spans := res.Stats.PhaseRounds(); len(spans) > 0 {
+	if spans := distmincut.Spans(res.Stats); len(spans) > 0 {
+		mst, resp := spanRounds(spans, "mst"), spanRounds(spans, "respect")
 		fmt.Printf("round breakdown: MST construction %d, 1-respecting cuts %d, other %d\n",
-			spans["mst"], spans["respect"], res.Rounds-spans["mst"]-spans["respect"])
+			mst, resp, res.Rounds-mst-resp)
 	}
 	if err := check(g, *mode, res, sw); err != nil {
 		fmt.Printf("WARNING: %v!\n", err)
@@ -110,6 +111,18 @@ func run() int {
 		fmt.Printf("approximation ratio: %.3f (budget 1+ε = %.3f)\n", float64(res.Value)/float64(sw), 1+*eps)
 	}
 	return 0
+}
+
+// spanRounds sums the rounds of every span called name in the tree.
+func spanRounds(spans []*distmincut.Span, name string) int {
+	n := 0
+	for _, s := range spans {
+		if s.Name == name {
+			n += s.Rounds()
+		}
+		n += spanRounds(s.Children, name)
+	}
+	return n
 }
 
 // check cross-checks a result against the graph and the Stoer–Wagner

@@ -45,7 +45,18 @@ import (
 // are not connected.
 var ErrBadInput = errors.New("distmincut: need a connected graph with at least 2 nodes")
 
-// Options tune a run. The zero value is ready to use.
+// maxExactLambda bounds MinCut's doubling search for λ: poly(λ) trees
+// are only tractable for small λ, so beyond it MinCut returns its best
+// cut found with Exact=false and ApproxMinCut is the tool.
+const maxExactLambda = 1 << 20
+
+// approxTauMax caps the trees ApproxMinCut packs per sampling level.
+const approxTauMax = 32
+
+// Options tune a run. The zero value is ready to use. The packing size
+// is always packing.PracticalTau, MinCut's doubling search stops past
+// λ̂ = 2^20, ApproxMinCut packs at most 32 trees per sampling level, and
+// BracketMinCut tests 3 skeletons per level.
 type Options struct {
 	// Seed drives all randomness (engine scheduling is deterministic;
 	// the seed affects MST coin flips and sampling). Zero means 1.
@@ -53,19 +64,6 @@ type Options struct {
 	// Epsilon is the approximation parameter for ApproxMinCut
 	// (default 0.5).
 	Epsilon float64
-	// MaxLambda bounds the exact algorithm's doubling search
-	// (default 2^20). Beyond it MinCut returns its best cut found with
-	// Exact=false; use ApproxMinCut for large cuts.
-	MaxLambda int64
-	// TauPolicy picks the packing size for a cut guess; nil uses
-	// packing.PracticalTau. packing.TheoreticalTau is Thorup's bound.
-	TauPolicy func(lambda int64, n int) int
-	// ApproxTauMax caps trees packed per sampling level (default 32).
-	ApproxTauMax int
-	// BracketTrials is the number of independent skeletons BracketMinCut
-	// tests per sampling level (default 3); more trials sharpen the
-	// bracket's lower bound.
-	BracketTrials int
 	// SizeCap overrides the √n fragment size threshold (E9 ablation).
 	SizeCap int
 	// Unbounded switches the runtime to unbounded per-edge bandwidth
@@ -115,12 +113,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Epsilon <= 0 || out.Epsilon >= 1 {
 		out.Epsilon = 0.5
-	}
-	if out.MaxLambda <= 0 {
-		out.MaxLambda = 1 << 20
-	}
-	if out.ApproxTauMax <= 0 {
-		out.ApproxTauMax = 32
 	}
 	return out
 }
@@ -228,8 +220,7 @@ func validate(g *graph.Graph) error {
 
 // MinCut computes the minimum cut exactly with the paper's main
 // algorithm (tree packing with a doubling guess for λ). For cuts
-// beyond Options.MaxLambda the result carries Exact=false; use
-// ApproxMinCut there.
+// beyond 2^20 the result carries Exact=false; use ApproxMinCut there.
 func MinCut(g *graph.Graph, opts *Options) (*Result, error) {
 	return MinCutContext(context.Background(), g, opts)
 }
@@ -247,7 +238,7 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res, exact := packing.ExactDoubling(nd, bfs, o.TauPolicy, o.MaxLambda,
+		res, exact := packing.ExactDoubling(nd, bfs, maxExactLambda,
 			packing.Options{SizeCap: o.SizeCap}, tags)
 		side := packing.MarkSide(nd, bfs, res, tags)
 		value := packing.EvaluateCut(nd, bfs, side, tags)
@@ -379,11 +370,9 @@ type BracketResult struct {
 	Value int64
 	Side  []bool
 	// BestNode is the witness node; Level the first sampling level 2^-i
-	// whose skeleton disconnected (0 if none before the level cap);
-	// Trials the per-level trial count used.
+	// whose skeleton disconnected (0 if none before the level cap).
 	BestNode graph.NodeID
 	Level    int
-	Trials   int
 	// Rounds and Messages are the CONGEST complexity of the whole run;
 	// Stats has the full accounting.
 	Rounds   int
@@ -415,10 +404,7 @@ func BracketMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res := sampling.Bracket(nd, bfs, sampling.BracketConfig{
-			Seed:   o.Seed,
-			Trials: o.BracketTrials,
-		}, tags)
+		res := sampling.Bracket(nd, bfs, o.Seed, tags)
 		if nd.ID() == 0 {
 			mu.Lock()
 			out = res
@@ -437,7 +423,6 @@ func BracketMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*
 		Side:     side,
 		BestNode: graph.NodeID(out.MinDegreeNode),
 		Level:    out.Level,
-		Trials:   out.Trials,
 		Rounds:   stats.Rounds,
 		Messages: stats.Delivered,
 		Stats:    stats,
@@ -465,7 +450,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 			nd.Mark("begin:level:" + strconv.Itoa(level))
 		}
 		loads := make(map[int]int64, nd.Degree())
-		cur := packing.Pack(nd, bfs, o.ApproxTauMax, loads,
+		cur := packing.Pack(nd, bfs, approxTauMax, loads,
 			packing.Options{Weight: weightAt(level), StopBelow: kappa, SizeCap: o.SizeCap},
 			tags, nil)
 		if mark {
@@ -479,7 +464,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 	if mark {
 		nd.Mark("begin:level:0")
 	}
-	res, exact := packing.ExactDoubling(nd, bfs, o.TauPolicy, kappa,
+	res, exact := packing.ExactDoubling(nd, bfs, kappa,
 		packing.Options{SizeCap: o.SizeCap}, tags)
 	if mark {
 		nd.Mark("end:level:0")

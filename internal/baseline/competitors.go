@@ -41,23 +41,24 @@ type SuResult struct {
 	Side        bool
 }
 
+// suTrees is the fixed tree budget Su packs per sampling level.
+const suTrees = 8
+
 // Su runs the concurrent algorithm of Su [SPAA 2014] distributedly: it
 // shares the paper's starting point (Thorup packing) but works on a
 // Karger skeleton sampled with p = min(1, Θ(log n/(ε²λ))) — descending
 // p until the skeleton's packed cut falls below the threshold κ(ε) —
-// and packs a fixed tree budget per level with a bridge-style check
-// rather than the exact algorithm's certified doubling. It therefore
-// never certifies exactness, even when λ is small (the drawback the
-// paper notes). The found cut is evaluated under the original weights.
+// and packs a fixed budget of suTrees trees per level with a
+// bridge-style check rather than the exact algorithm's certified
+// doubling. It therefore never certifies exactness, even when λ is
+// small (the drawback the paper notes). The found cut is evaluated
+// under the original weights.
 //
 // The per-edge sampled weights reuse the shared deterministic
 // randomness of internal/sampling; per-tree cut detection is the
 // crossing-count aggregation — both Su's Thurimella-based procedure
 // and ours are Õ(√n + D) tree aggregations.
-func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed int64, tauMax int, tags *proto.Tags) *SuResult {
-	if tauMax <= 0 {
-		tauMax = 16
-	}
+func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed int64, tags *proto.Tags) *SuResult {
 	kappa := sampling.Kappa(eps, nd.N())
 	weightAt := func(level int) func(p int) int64 {
 		if level == 0 {
@@ -73,7 +74,7 @@ func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed 
 	trees := 0
 	for ; level < 62; level++ {
 		loads := make(map[int]int64, nd.Degree())
-		cur := packing.Pack(nd, bfs, tauMax, loads,
+		cur := packing.Pack(nd, bfs, suTrees, loads,
 			packing.Options{Weight: weightAt(level)}, tags, nil)
 		trees += cur.Trees
 		if !cur.Connected {

@@ -104,7 +104,7 @@ func TestSuApproximation(t *testing.T) {
 	stats, err := congest.Run(g, congest.Options{Seed: 5}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		r := Su(nd, bfs, g, 0.5, 7, 8, tags)
+		r := Su(nd, bfs, g, 0.5, 7, tags)
 		mu.Lock()
 		results[nd.ID()] = r
 		mu.Unlock()

@@ -360,9 +360,9 @@ func TestMarkPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := stats.PhaseRounds()
-	if spans["xfer"] != 5 {
-		t.Fatalf("phase span = %d, want 5", spans["xfer"])
+	m := stats.Marks
+	if len(m) != 2 || m[0].Label != "begin:xfer" || m[1].Label != "end:xfer" || m[1].Round-m[0].Round != 5 {
+		t.Fatalf("marks = %+v, want begin:xfer and end:xfer 5 rounds apart", m)
 	}
 }
 

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"distmincut/internal/graph"
@@ -77,27 +76,6 @@ type Stats struct {
 func (s *Stats) MessageBits() int64 {
 	const bitsPerMessage = 8 + 32 + 64*PayloadWords
 	return s.Delivered * bitsPerMessage
-}
-
-// PhaseRounds extracts, for consecutive marks with the same label
-// prefix "begin:"/"end:", the round span of each phase. Unpaired marks
-// are ignored.
-func (s *Stats) PhaseRounds() map[string]int {
-	begin := map[string]int{}
-	spans := map[string]int{}
-	for _, m := range s.Marks {
-		switch {
-		case strings.HasPrefix(m.Label, "begin:"):
-			begin[m.Label[len("begin:"):]] = m.Round
-		case strings.HasPrefix(m.Label, "end:"):
-			name := m.Label[len("end:"):]
-			if b, ok := begin[name]; ok {
-				spans[name] += m.Round - b
-				delete(begin, name)
-			}
-		}
-	}
-	return spans
 }
 
 // String renders a one-line summary.

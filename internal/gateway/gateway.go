@@ -370,7 +370,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 	rm.requests.Add(1)
 	start := time.Now()
 	resp, err := g.client.Do(req)
-	rm.latency.observe(time.Since(start))
+	rm.latency.Observe(time.Since(start))
 	if err != nil {
 		rm.failures.Add(1)
 		return 0, nil, nil, err

@@ -260,7 +260,7 @@ func runSu(g *graph.Graph, eps float64, seed int64) (int64, int) {
 	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		r := baseline.Su(nd, bfs, g, eps, seed+5, 8, tags)
+		r := baseline.Su(nd, bfs, g, eps, seed+5, tags)
 		mu.Lock()
 		value = r.Value // identical at every node
 		mu.Unlock()

@@ -649,9 +649,6 @@ func relabel(remap []proto.Item, l int64) int64 {
 	return l
 }
 
-// debugMerge, when set by tests, prints the root's Part-2 decisions.
-var debugMerge = false
-
 // cand2 is a reassembled Part-2 candidate at the BFS root.
 type cand2 struct {
 	key                       Key
@@ -683,9 +680,6 @@ func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
 		sort.Slice(s.census, func(i, j int) bool { return s.census[i] < s.census[j] })
 		s.logical = append([]int64(nil), s.census...)
 	}
-	if debugMerge {
-		fmt.Printf("root: === iter %d: %d items ===\n", iter, len(items))
-	}
 	best := make(map[int64]cand2) // per myLogical
 	for _, it := range items {
 		if it.A == itemCensus {
@@ -709,12 +703,6 @@ func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
 		}
 		if cur, ok := best[c.myLogical]; !ok || c.key.Less(cur.key) {
 			best[c.myLogical] = c
-		}
-	}
-	if debugMerge {
-		for l, c := range best {
-			fmt.Printf("root: logical %d best {%d,%d} key=%+v targetLogical=%d myPhys=%d targetPhys=%d\n",
-				l, c.u, c.v, c.key, c.targetLogical, c.myPhys, c.targetPhys)
 		}
 	}
 	if len(best) == 0 {

@@ -121,11 +121,12 @@ func collectWeighted(t *testing.T, g *graph.Graph, loads, view []int64, seed int
 				local[nd.EdgeID(p)] = loads[nd.EdgeID(p)]
 			}
 		}
-		var weight func(p int) int64
-		if view != nil {
-			weight = func(p int) int64 { return view[nd.EdgeID(p)] }
+		var res *Result
+		if view == nil {
+			res = Run(nd, bfs, local, 0, tags)
+		} else {
+			res = RunWeighted(nd, bfs, local, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, tags)
 		}
-		res := RunWeighted(nd, bfs, local, weight, 0, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		mu.Unlock()

@@ -13,9 +13,10 @@
 // enough, so the answer is exact).
 //
 // τ policies: Thorup's theoretical bound is Θ(λ⁷ log³ n) trees —
-// correct but intractable beyond tiny λ; the default practical policy
-// uses c·λ·ln n trees, validated empirically in experiment E7 (see
-// the internal/harness package doc). Both are provided.
+// correct but intractable beyond tiny λ; the driver always uses the
+// practical policy of c·λ·ln n trees, validated empirically in
+// experiment E7 (see the internal/harness package doc), which also
+// tabulates the theoretical bound.
 package packing
 
 import (
@@ -43,10 +44,10 @@ func TheoreticalTau(lambda int64, n int) int {
 	return int(math.Ceil(t))
 }
 
-// PracticalTau is the default policy: c·λ·ln n + 3 trees. Experiment E7
-// measures the actual number of trees needed until some tree
-// 1-respects a minimum cut; this bound exceeds it with a wide margin on
-// every workload family in the suite.
+// PracticalTau is the packing size ExactDoubling uses: c·λ·ln n + 3
+// trees. Experiment E7 measures the actual number of trees needed until
+// some tree 1-respects a minimum cut; this bound exceeds it with a wide
+// margin on every workload family in the suite.
 //
 // λ = 1 is special-cased to a single tree: with integer weights ≥ 1 a
 // cut of weight 1 is a single bridge, every spanning tree contains
@@ -149,28 +150,23 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, op
 //
 // Each guess packs with StopBelow = λ̂ so the expensive per-tree work
 // halts the moment a candidate ≤ λ̂ appears; certification then tops the
-// packing up one tree at a time until it holds tauOf(bestCut, n) trees.
-// This is sound: bestCut ≥ λ, tauOf is monotone, so tauOf(bestCut) ≥
-// tauOf(λ) trees guarantee some packed tree 1-respects a minimum cut
-// and the minimum over packed trees is exactly λ. It is also what makes
-// the λ̂ = 1 guess O(1) trees on million-edge instances instead of a
-// full Θ(λ̂ ln n) schedule.
+// packing up one tree at a time until it holds PracticalTau(bestCut, n)
+// trees. This is sound: bestCut ≥ λ, PracticalTau is monotone, so
+// PracticalTau(bestCut) ≥ PracticalTau(λ) trees guarantee some packed
+// tree 1-respects a minimum cut and the minimum over packed trees is
+// exactly λ. It is also what makes the λ̂ = 1 guess O(1) trees on
+// million-edge instances instead of a full Θ(λ̂ ln n) schedule.
 //
-// maxLambda bounds the search (poly(λ) trees are only tractable for
-// small λ; larger cuts are handled by the sampling reduction). Returns
-// the result and whether it is certified exact.
-func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64, n int) int, maxLambda int64, opts Options, tags *proto.Tags) (*Result, bool) {
-	if tauOf == nil {
-		tauOf = PracticalTau
-	}
-	if maxLambda < 1 {
-		maxLambda = 1 << 20
-	}
+// maxLambda bounds the search: no guess past it is tried (poly(λ)
+// trees are only tractable for small λ; larger cuts are handled by the
+// sampling reduction, which passes its threshold κ here). Returns the
+// result and whether it is certified exact.
+func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, maxLambda int64, opts Options, tags *proto.Tags) (*Result, bool) {
 	loads := make(map[int]int64, nd.Degree())
 	res := &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
 	mark := nd.ID() == 0 // node 0 records the guess/certify spans for observability
 	for lambda := int64(1); ; lambda *= 2 {
-		target := tauOf(lambda, nd.N())
+		target := PracticalTau(lambda, nd.N())
 		if extra := target - res.Trees; extra > 0 {
 			guess := opts
 			if guess.StopBelow <= 0 || lambda < guess.StopBelow {
@@ -187,11 +183,12 @@ func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, tauOf func(lambda int64
 				return res, false
 			}
 		}
-		// Top up after an early stop: certification needs tauOf(bestCut)
-		// trees. One tree per step — the best cut can keep dropping while
-		// topping up, which shrinks the requirement.
+		// Top up after an early stop: certification needs
+		// PracticalTau(bestCut) trees. One tree per step — the best cut
+		// can keep dropping while topping up, which shrinks the
+		// requirement.
 		certifying := false
-		for res.Cut <= lambda && res.Trees < tauOf(res.Cut, nd.N()) {
+		for res.Cut <= lambda && res.Trees < PracticalTau(res.Cut, nd.N()) {
 			if mark && !certifying {
 				nd.Mark("begin:certify")
 			}

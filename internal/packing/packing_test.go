@@ -12,27 +12,27 @@ import (
 	"distmincut/internal/verify"
 )
 
-// runExact runs the exact doubling algorithm distributedly and returns
-// the common result plus each node's side bit and the evaluated true
-// cut weight.
-func runExact(t *testing.T, g *graph.Graph, seed int64) (*packing.Result, []bool, int64, *congest.Stats) {
+// runDoubling runs the exact doubling algorithm distributedly with the
+// given search bound and returns the common result, whether it is
+// certified exact, each node's side bit and the evaluated true cut
+// weight.
+func runDoubling(t *testing.T, g *graph.Graph, seed, maxLambda int64) (*packing.Result, bool, []bool, int64) {
 	t.Helper()
 	var mu sync.Mutex
 	results := make([]*packing.Result, g.N())
+	exacts := make([]bool, g.N())
 	sides := make([]bool, g.N())
 	used := make([]uint32, g.N())
 	var evaluated int64
 	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res, exact := packing.ExactDoubling(nd, bfs, nil, 0, packing.Options{}, tags)
-		if !exact {
-			panic("packing: expected certified-exact result")
-		}
+		res, exact := packing.ExactDoubling(nd, bfs, maxLambda, packing.Options{}, tags)
 		side := packing.MarkSide(nd, bfs, res, tags)
 		ev := packing.EvaluateCut(nd, bfs, side, tags)
 		mu.Lock()
 		results[nd.ID()] = res
+		exacts[nd.ID()] = exact
 		sides[nd.ID()] = side
 		used[nd.ID()] = tags.Next(0)
 		evaluated = ev
@@ -46,14 +46,14 @@ func runExact(t *testing.T, g *graph.Graph, seed int64) (*packing.Result, []bool
 	}
 	for v := 1; v < g.N(); v++ {
 		if results[v].Cut != results[0].Cut || results[v].CutNode != results[0].CutNode ||
-			results[v].Trees != results[0].Trees {
+			results[v].Trees != results[0].Trees || exacts[v] != exacts[0] {
 			t.Fatalf("node %d disagrees on result", v)
 		}
 		if used[v] != used[0] {
 			t.Fatalf("node %d drew %d tags, node 0 drew %d: draws left lockstep", v, used[v], used[0])
 		}
 	}
-	return results[0], sides, evaluated, stats
+	return results[0], exacts[0], sides, evaluated
 }
 
 func TestExactMatchesStoerWagner(t *testing.T) {
@@ -75,7 +75,10 @@ func TestExactMatchesStoerWagner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, sides, evaluated, _ := runExact(t, g, 7)
+			res, exact, sides, evaluated := runDoubling(t, g, 7, 1<<20)
+			if !exact {
+				t.Fatal("not certified exact")
+			}
 			if res.Cut != want {
 				t.Fatalf("distributed exact min cut %d, Stoer–Wagner %d", res.Cut, want)
 			}
@@ -91,6 +94,27 @@ func TestExactMatchesStoerWagner(t *testing.T) {
 				t.Fatalf("EvaluateCut returned %d, want %d", evaluated, want)
 			}
 		})
+	}
+}
+
+// TestExactDoublingMaxLambda: on a weighted cycle with λ = 40 but
+// maxLambda = 4 the search gives up gracefully, uncertified and with a
+// real cut no lighter than λ.
+func TestExactDoublingMaxLambda(t *testing.T) {
+	g := graph.New(6)
+	for i := 0; i < 6; i++ {
+		g.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%6), 20)
+	}
+	g.SortAdjacency()
+	res, exact, sides, evaluated := runDoubling(t, g, 1, 4)
+	if exact {
+		t.Fatal("certified exact despite the maxLambda cap")
+	}
+	if res.Cut < 40 || evaluated < 40 {
+		t.Fatalf("cut %d (evaluated %d) below the true min cut 40 — not a cut", res.Cut, evaluated)
+	}
+	if w, err := verify.CutSides(g, sides); err != nil || w != evaluated {
+		t.Fatalf("marked side weighs %d (err %v), evaluated %d", w, err, evaluated)
 	}
 }
 

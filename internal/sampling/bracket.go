@@ -25,24 +25,15 @@ func TrialSeed(seed int64, trial int) int64 {
 	return int64(h >> 1)
 }
 
-// BracketConfig tunes the bracket program. The zero value is ready to
-// use.
-type BracketConfig struct {
-	// Seed drives the shared sampling coins (zero means 1).
-	Seed int64
-	// Trials is the number of independent skeletons tested per level
-	// (default 3). More trials sharpen the lower bound — a level only
-	// counts as "connected" if every trial's skeleton is connected.
-	Trials int
-	// ChunkRounds is how many flood rounds run between global
-	// termination checks (default 8). Larger chunks trade convergecast
-	// barriers for idle rounds on skeletons of small diameter.
-	ChunkRounds int
-	// MaxLevel caps the descent (default: two levels past the bit
-	// length of the minimum weighted degree — sampling far below the
-	// cheapest singleton cut's survival threshold is pointless).
-	MaxLevel int
-}
+// bracketTrials is the number of independent skeletons the bracket
+// tests per level. More trials sharpen the lower bound — a level only
+// counts as "connected" if every trial's skeleton is connected.
+const bracketTrials = 3
+
+// chunkRounds is how many flood rounds a connectivity test runs
+// between global termination checks. Larger chunks trade convergecast
+// barriers for idle rounds on skeletons of small diameter.
+const chunkRounds = 8
 
 // BracketOutcome is the bracket program's result, identical at every
 // node.
@@ -63,8 +54,6 @@ type BracketOutcome struct {
 	// behind Hi.
 	MinDegree     int64
 	MinDegreeNode int64
-	// Trials echoes the per-level trial count used.
-	Trials int
 }
 
 // Bracket is the cheap serving tier: iterated edge sampling at rate
@@ -76,23 +65,16 @@ type BracketOutcome struct {
 // λ ≳ 2^(Level-2) w.h.p. (the graph survived every coarser level) and
 // λ ≤ min weighted degree always. The program needs no tree packing at
 // all — each level is a flood plus a few convergecasts — which is what
-// makes it the O(levels · (D + chunk)) front tier ahead of the (1+ε)
+// makes it the O(levels · (D + chunkRounds)) front tier ahead of the (1+ε)
 // and exact tiers.
 //
-// All branch decisions are functions of globally agreed values
-// (convergecast totals), so every node follows the same schedule in
-// lockstep.
-func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tags *proto.Tags) BracketOutcome {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Trials <= 0 {
-		cfg.Trials = 3
-	}
-	if cfg.ChunkRounds <= 0 {
-		cfg.ChunkRounds = 8
-	}
-
+// Each level tests bracketTrials skeletons drawn from seed's shared
+// coins, and the descent stops two levels past the bit length of the
+// minimum weighted degree: sampling far below the cheapest singleton
+// cut's survival threshold is pointless. All branch decisions are
+// functions of globally agreed values (convergecast totals), so every
+// node follows the same schedule in lockstep.
+func Bracket(nd *congest.Node, bfs *proto.Overlay, seed int64, tags *proto.Tags) BracketOutcome {
 	mark := nd.ID() == 0 // node 0 records the phase spans for observability
 
 	// Certified upper bound: the cheapest singleton cut. Two
@@ -115,29 +97,26 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, cfg BracketConfig, tags *prot
 		nd.Mark("end:mindeg")
 	}
 
-	maxLevel := cfg.MaxLevel
-	if maxLevel <= 0 {
-		maxLevel = 2
-		for d := minDeg; d > 1; d /= 2 {
-			maxLevel++
-		}
+	maxLevel := 2
+	for d := minDeg; d > 1; d /= 2 {
+		maxLevel++
 	}
 	if maxLevel > 60 {
 		maxLevel = 60
 	}
 
-	out := BracketOutcome{MinDegree: minDeg, MinDegreeNode: minNode, Trials: cfg.Trials}
+	out := BracketOutcome{MinDegree: minDeg, MinDegreeNode: minNode}
 	keep := make([]bool, nd.Degree())
 	for level := 1; level <= maxLevel; level++ {
 		if mark {
 			nd.Mark("begin:bracket:" + strconv.Itoa(level))
 		}
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := TrialSeed(cfg.Seed, trial)
+		for trial := 0; trial < bracketTrials; trial++ {
+			ts := TrialSeed(seed, trial)
 			for p := range keep {
-				keep[p] = SampleWeight(seed, packPeers(nd, p), level, nd.EdgeWeight(p)) > 0
+				keep[p] = SampleWeight(ts, packPeers(nd, p), level, nd.EdgeWeight(p)) > 0
 			}
-			if !sampledConnected(nd, bfs, keep, cfg.ChunkRounds, tags) {
+			if !sampledConnected(nd, bfs, keep, tags) {
 				out.Level = level
 				break
 			}
@@ -184,13 +163,13 @@ func packPeers(nd *congest.Node, p int) int64 {
 
 // sampledConnected floods reachability from node 0 over the kept edges
 // and reports whether every node was reached. The flood advances one
-// hop per round for ChunkRounds rounds, then a convergecast sums the
+// hop per round for chunkRounds rounds, then a convergecast sums the
 // nodes newly reached in the chunk; a chunk that reaches nobody is a
 // global fixed point. Every reach message is consumed (reached or
 // not), so no traffic is left over in either outcome. Round cost is
-// O((ecc/chunk + 1) · (chunk + height)) for the eccentricity of node
+// O((ecc/chunkRounds + 1) · (chunkRounds + height)) for the eccentricity of node
 // 0's component in the skeleton.
-func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, chunk int, tags *proto.Tags) bool {
+func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, tags *proto.Tags) bool {
 	tag := tags.Next(1)
 	reached := nd.ID() == 0
 	newly := int64(0)
@@ -208,7 +187,7 @@ func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, chunk i
 	}
 	var total int64
 	for {
-		for r := 0; r < chunk; r++ {
+		for r := 0; r < chunkRounds; r++ {
 			nd.Sleep(1)
 			for {
 				_, _, ok := nd.TryRecv(match)

@@ -16,8 +16,11 @@ type promMetric struct {
 	value string
 }
 
-func f64(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-func i64(v int64) string   { return strconv.FormatInt(v, 10) }
+// PromFloat formats a float sample value for the exposition.
+func PromFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// PromInt formats an integer sample value for the exposition.
+func PromInt(v int64) string { return strconv.FormatInt(v, 10) }
 
 // WritePrometheus renders a Metrics snapshot in the Prometheus text
 // exposition format (version 0.0.4). Counters keep the conventional
@@ -27,58 +30,63 @@ func i64(v int64) string   { return strconv.FormatInt(v, 10) }
 // and the three admission decision counters.
 func WritePrometheus(w io.Writer, m Metrics) error {
 	ms := []promMetric{
-		{"mincutd_uptime_seconds", "gauge", "Seconds since the service started.", f64(m.UptimeSec)},
-		{"mincutd_pool_size", "gauge", "Worker pool size.", i64(int64(m.PoolSize))},
-		{"mincutd_queue_depth", "gauge", "Jobs accepted but not yet running.", i64(int64(m.QueueDepth))},
-		{"mincutd_queue_capacity", "gauge", "Queue capacity (submissions beyond it are shed).", i64(int64(m.QueueCapacity))},
-		{"mincutd_jobs_running", "gauge", "Executions currently running a protocol.", i64(int64(m.Running))},
-		{"mincutd_jobs_refining", "gauge", "Tiered executions refining past a published approx answer.", i64(int64(m.Refining))},
-		{"mincutd_jobs_submitted_total", "counter", "Accepted submissions (bad specs and shed requests excluded).", i64(m.Submitted)},
-		{"mincutd_jobs_completed_total", "counter", "Executions finished with a result.", i64(m.Completed)},
-		{"mincutd_jobs_failed_total", "counter", "Executions finished with an error.", i64(m.Failed)},
-		{"mincutd_jobs_canceled_total", "counter", "Job records canceled by request or drain.", i64(m.Canceled)},
-		{"mincutd_jobs_deadline_total", "counter", "Job records killed by wall-clock deadline or round budget.", i64(m.Deadlined)},
-		{"mincutd_jobs_degraded_total", "counter", "Submissions served below their requested tier by queue pressure.", i64(m.Degraded)},
-		{"mincutd_jobs_shed_total", "counter", "Submissions turned away on a full queue (HTTP 503).", i64(m.Shed)},
-		{"mincutd_jobs_coalesced_total", "counter", "Submissions coalesced onto an in-flight execution.", i64(m.Coalesced)},
-		{"mincutd_admission_checks_total", "counter", "Bracket pre-passes run (or cache-served) for admission control.", i64(m.AdmissionChecks)},
-		{"mincutd_admission_rejected_total", "counter", "Submissions rejected over the admission ceiling (HTTP 429).", i64(m.AdmissionRejected)},
-		{"mincutd_admission_downtiered_total", "counter", "Over-ceiling submissions served at the approx tier instead.", i64(m.AdmissionDowntiered)},
-		{"mincutd_cache_hits_total", "counter", "Result-cache hits.", i64(m.CacheHits)},
-		{"mincutd_cache_misses_total", "counter", "Result-cache misses.", i64(m.CacheMisses)},
-		{"mincutd_cache_hit_ratio", "gauge", "Cache hits over lookups since start.", f64(m.CacheHitRate)},
-		{"mincutd_cache_entries", "gauge", "Entries resident in the result cache.", i64(int64(m.CacheEntries))},
-		{"mincutd_rounds_total", "counter", "CONGEST rounds simulated by completed executions.", i64(m.RoundsTotal)},
-		{"mincutd_rounds_per_second", "gauge", "Completed rounds over cumulative pool busy time.", f64(m.RoundsPerSec)},
-		{"mincutd_live_rounds", "gauge", "Current round gauges of running executions, summed.", i64(m.LiveRounds)},
+		{"mincutd_uptime_seconds", "gauge", "Seconds since the service started.", PromFloat(m.UptimeSec)},
+		{"mincutd_pool_size", "gauge", "Worker pool size.", PromInt(int64(m.PoolSize))},
+		{"mincutd_queue_depth", "gauge", "Jobs accepted but not yet running.", PromInt(int64(m.QueueDepth))},
+		{"mincutd_queue_capacity", "gauge", "Queue capacity (submissions beyond it are shed).", PromInt(int64(m.QueueCapacity))},
+		{"mincutd_jobs_running", "gauge", "Executions currently running a protocol.", PromInt(int64(m.Running))},
+		{"mincutd_jobs_refining", "gauge", "Tiered executions refining past a published approx answer.", PromInt(int64(m.Refining))},
+		{"mincutd_jobs_submitted_total", "counter", "Accepted submissions (bad specs and shed requests excluded).", PromInt(m.Submitted)},
+		{"mincutd_jobs_completed_total", "counter", "Executions finished with a result.", PromInt(m.Completed)},
+		{"mincutd_jobs_failed_total", "counter", "Executions finished with an error.", PromInt(m.Failed)},
+		{"mincutd_jobs_canceled_total", "counter", "Job records canceled by request or drain.", PromInt(m.Canceled)},
+		{"mincutd_jobs_deadline_total", "counter", "Job records killed by wall-clock deadline or round budget.", PromInt(m.Deadlined)},
+		{"mincutd_jobs_degraded_total", "counter", "Submissions served below their requested tier by queue pressure.", PromInt(m.Degraded)},
+		{"mincutd_jobs_shed_total", "counter", "Submissions turned away on a full queue (HTTP 503).", PromInt(m.Shed)},
+		{"mincutd_jobs_coalesced_total", "counter", "Submissions coalesced onto an in-flight execution.", PromInt(m.Coalesced)},
+		{"mincutd_admission_checks_total", "counter", "Bracket pre-passes run (or cache-served) for admission control.", PromInt(m.AdmissionChecks)},
+		{"mincutd_admission_rejected_total", "counter", "Submissions rejected over the admission ceiling (HTTP 429).", PromInt(m.AdmissionRejected)},
+		{"mincutd_admission_downtiered_total", "counter", "Over-ceiling submissions served at the approx tier instead.", PromInt(m.AdmissionDowntiered)},
+		{"mincutd_cache_hits_total", "counter", "Result-cache hits.", PromInt(m.CacheHits)},
+		{"mincutd_cache_misses_total", "counter", "Result-cache misses.", PromInt(m.CacheMisses)},
+		{"mincutd_cache_hit_ratio", "gauge", "Cache hits over lookups since start.", PromFloat(m.CacheHitRate)},
+		{"mincutd_cache_entries", "gauge", "Entries resident in the result cache.", PromInt(int64(m.CacheEntries))},
+		{"mincutd_rounds_total", "counter", "CONGEST rounds simulated by completed executions.", PromInt(m.RoundsTotal)},
+		{"mincutd_rounds_per_second", "gauge", "Completed rounds over cumulative pool busy time.", PromFloat(m.RoundsPerSec)},
+		{"mincutd_live_rounds", "gauge", "Current round gauges of running executions, summed.", PromInt(m.LiveRounds)},
 	}
 	var b strings.Builder
 	for _, pm := range ms {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", pm.name, pm.help, pm.name, pm.typ, pm.name, pm.value)
 	}
-	writeBuildInfo(&b, m.Build)
+	WriteBuildInfo(&b, "mincutd_build_info", "Build identity of the running binary (constant 1).", m.Build)
 	writePhaseCounters(&b, "mincutd_phase_rounds_total",
 		"CONGEST rounds spent per protocol phase group across completed runs.", m.PhaseRounds)
 	writePhaseCounters(&b, "mincutd_phase_messages_total",
 		"Messages delivered per protocol phase group across completed runs.", m.PhaseMessages)
-	writeHistograms(&b, m.TierLatency)
+	tiers := sortedKeys(m.TierLatency)
+	hs := make([]HistogramSnapshot, len(tiers))
+	for i, tier := range tiers {
+		hs[i] = m.TierLatency[tier]
+	}
+	WriteHistograms(&b, "mincutd_job_duration_seconds",
+		"Job latency from submission to done, per serving tier (cache hits included).", "tier", tiers, hs)
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
+// EscapeLabel escapes a label value per the exposition format.
+func EscapeLabel(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
 }
 
-// writeBuildInfo renders the conventional build-identity gauge: a
+// WriteBuildInfo renders the conventional build-identity gauge: a
 // constant 1 whose labels carry the version, commit, and toolchain.
-func writeBuildInfo(b *strings.Builder, bi BuildInfo) {
-	const name = "mincutd_build_info"
-	fmt.Fprintf(b, "# HELP %s Build identity of the running binary (constant 1).\n# TYPE %s gauge\n", name, name)
+func WriteBuildInfo(b *strings.Builder, name, help string, bi BuildInfo) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
 	fmt.Fprintf(b, "%s{version=%q,commit=%q,goversion=%q} 1\n",
-		name, escapeLabel(bi.Version), escapeLabel(bi.Commit), escapeLabel(bi.GoVersion))
+		name, EscapeLabel(bi.Version), EscapeLabel(bi.Commit), EscapeLabel(bi.GoVersion))
 }
 
 // writePhaseCounters renders one phase-labeled counter family in
@@ -89,40 +97,41 @@ func writePhaseCounters(b *strings.Builder, name, help string, vals map[string]i
 		return
 	}
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(b, "%s{phase=%q} %s\n", name, escapeLabel(k), i64(vals[k]))
+	for _, k := range sortedKeys(vals) {
+		fmt.Fprintf(b, "%s{phase=%q} %s\n", name, EscapeLabel(k), PromInt(vals[k]))
 	}
 }
 
-// writeHistograms renders the per-tier job-latency histogram family:
-// cumulative le-labeled buckets (with the mandatory +Inf), _sum and
-// _count per tier, tiers in sorted order.
-func writeHistograms(b *strings.Builder, tiers map[string]HistogramSnapshot) {
-	if len(tiers) == 0 {
-		return
-	}
-	const name = "mincutd_job_duration_seconds"
-	fmt.Fprintf(b, "# HELP %s Job latency from submission to done, per serving tier (cache hits included).\n# TYPE %s histogram\n", name, name)
-	keys := make([]string, 0, len(tiers))
-	for k := range tiers {
+// sortedKeys returns a map's keys in sorted order, which keeps scrapes
+// diffable.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, tier := range keys {
-		h := tiers[tier]
+	return keys
+}
+
+// WriteHistograms renders one latency histogram family: cumulative
+// le-labeled buckets (with the mandatory +Inf), _sum and _count per
+// series, where series i carries label=keys[i] and holds hs[i], in the
+// given order.
+func WriteHistograms(b *strings.Builder, name, help, label string, keys []string, hs []HistogramSnapshot) {
+	if len(keys) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	for i, key := range keys {
+		h, lv := hs[i], EscapeLabel(key)
 		cum := int64(0)
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(b, "%s_bucket{tier=%q,le=%q} %s\n", name, escapeLabel(tier), f64(bound), i64(cum))
+		for j, bound := range h.Bounds {
+			cum += h.Counts[j]
+			fmt.Fprintf(b, "%s_bucket{%s=%q,le=%q} %s\n", name, label, lv, PromFloat(bound), PromInt(cum))
 		}
 		cum += h.Counts[len(h.Bounds)]
-		fmt.Fprintf(b, "%s_bucket{tier=%q,le=\"+Inf\"} %s\n", name, escapeLabel(tier), i64(cum))
-		fmt.Fprintf(b, "%s_sum{tier=%q} %s\n", name, escapeLabel(tier), f64(h.SumSeconds))
-		fmt.Fprintf(b, "%s_count{tier=%q} %s\n", name, escapeLabel(tier), i64(h.Count))
+		fmt.Fprintf(b, "%s_bucket{%s=%q,le=\"+Inf\"} %s\n", name, label, lv, PromInt(cum))
+		fmt.Fprintf(b, "%s_sum{%s=%q} %s\n", name, label, lv, PromFloat(h.SumSeconds))
+		fmt.Fprintf(b, "%s_count{%s=%q} %s\n", name, label, lv, PromInt(h.Count))
 	}
 }

@@ -404,7 +404,7 @@ type Service struct {
 	queue chan *exec
 	start time.Time
 	log   *slog.Logger
-	durs  map[string]*histogram // per-tier job latency, keyed by tier
+	durs  map[string]*Histogram // per-tier job latency, keyed by tier
 
 	mu            sync.Mutex
 	jobs          map[string]*job
@@ -449,7 +449,7 @@ func New(opts Options) *Service {
 		queue:         make(chan *exec, o.QueueDepth),
 		start:         time.Now(),
 		log:           logger,
-		durs:          make(map[string]*histogram, 5),
+		durs:          make(map[string]*Histogram, 5),
 		jobs:          make(map[string]*job),
 		inflight:      make(map[string]*exec),
 		phaseRounds:   make(map[string]int64),
@@ -458,7 +458,7 @@ func New(opts Options) *Service {
 		cancelAll:     cancel,
 	}
 	for _, tier := range []string{TierBracket, TierApprox, TierExact, TierRespect, TierTiered} {
-		s.durs[tier] = newHistogram()
+		s.durs[tier] = NewHistogram()
 	}
 	s.log.Info("service started", "pool_size", o.PoolSize, "queue_depth", o.QueueDepth,
 		"version", ReadBuild().Version, "commit", ReadBuild().Commit)
@@ -668,7 +668,7 @@ func (s *Service) serveLocked(canon JobRequest, key string, budget time.Duration
 			name: "done", cat: "lifecycle", at: j.finished,
 			args: map[string]any{"cache_hit": true},
 		})
-		s.durs[canon.Tier].observe(0) // a cache hit is a zero-latency done
+		s.durs[canon.Tier].Observe(0) // a cache hit is a zero-latency done
 		s.retireLocked(j)
 		return s.viewLocked(j), true
 	}
@@ -914,7 +914,7 @@ func (s *Service) Metrics() Metrics {
 		TierLatency:         make(map[string]HistogramSnapshot, len(s.durs)),
 	}
 	for tier, h := range s.durs {
-		m.TierLatency[tier] = h.snapshot()
+		m.TierLatency[tier] = h.Snapshot()
 	}
 	if total := hits + misses; total > 0 {
 		m.CacheHitRate = float64(hits) / float64(total)
@@ -1112,7 +1112,7 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 		for _, j := range e.waiters {
 			j.result = res
 			j.setupNs = setupNs
-			s.durs[e.tier].observe(now.Sub(j.created))
+			s.durs[e.tier].Observe(now.Sub(j.created))
 		}
 		s.log.Debug("job done", "tier", e.tier, "key", e.key,
 			"rounds", e.progress.Round(), "elapsed", now.Sub(started))

@@ -9,16 +9,16 @@ import (
 func TestOptionsDefaults(t *testing.T) {
 	var o *Options
 	d := o.withDefaults()
-	if d.Seed != 1 || d.Epsilon != 0.5 || d.MaxLambda != 1<<20 || d.ApproxTauMax != 32 {
+	if d.Seed != 1 || d.Epsilon != 0.5 {
 		t.Fatalf("nil options defaults wrong: %+v", d)
 	}
 	bad := &Options{Epsilon: 3}
 	if bad.withDefaults().Epsilon != 0.5 {
 		t.Fatal("epsilon >= 1 must fall back")
 	}
-	keep := &Options{Seed: 9, Epsilon: 0.25, MaxLambda: 64, ApproxTauMax: 4}
+	keep := &Options{Seed: 9, Epsilon: 0.25}
 	k := keep.withDefaults()
-	if k.Seed != 9 || k.Epsilon != 0.25 || k.MaxLambda != 64 || k.ApproxTauMax != 4 {
+	if k.Seed != 9 || k.Epsilon != 0.25 {
 		t.Fatalf("explicit options clobbered: %+v", k)
 	}
 }
@@ -38,26 +38,6 @@ func TestGraphReexport(t *testing.T) {
 	}
 	// The alias really is the internal type.
 	var _ *graph.Graph = g
-}
-
-func TestMinCutMaxLambdaFallback(t *testing.T) {
-	// A weighted cycle with λ = 40 but MaxLambda = 4: the exact search
-	// must give up gracefully with Exact=false and a valid upper bound.
-	g := NewGraph(6)
-	for i := 0; i < 6; i++ {
-		g.MustAddEdge(NodeID(i), NodeID((i+1)%6), 20)
-	}
-	g.SortAdjacency()
-	res, err := MinCut(g, &Options{MaxLambda: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exact {
-		t.Fatal("certified exact despite MaxLambda cap")
-	}
-	if res.Value < 40 {
-		t.Fatalf("reported value %d below the true min cut 40 — not a cut", res.Value)
-	}
 }
 
 func TestOneRespectingPerNodeAgainstValue(t *testing.T) {
