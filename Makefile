@@ -69,8 +69,11 @@ determinism:
 perfbench-test:
 	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
+# vet also checks the chaos build: the tagged fault-injection registry
+# is compiled by no other ci target.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags chaos ./...
 
 # docs-check keeps the documentation layer honest: every relative link
 # in README/ROADMAP/docs must resolve (including #heading anchors into

@@ -1,6 +1,7 @@
 package distmincut_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -46,7 +47,7 @@ func BenchmarkE2Scaling(b *testing.B) {
 	d := graph.Diameter(g)
 	var rounds, messages int64
 	for i := 0; i < b.N; i++ {
-		stats, err := congest.Run(g, congest.Options{Seed: 3}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 3}, func(nd *congest.Node) {
 			tags := new(proto.Tags)
 			bfs := proto.BuildBFS(nd, 0, tags)
 			res := mst.Run(nd, bfs, nil, 0, tags)
@@ -70,7 +71,7 @@ func BenchmarkTheorem21PerTree(b *testing.B) {
 	g := graph.GNP(256, 0.04, 5)
 	var rounds int64
 	for i := 0; i < b.N; i++ {
-		stats, err := congest.Run(g, congest.Options{Seed: 4}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 4}, func(nd *congest.Node) {
 			tags := new(proto.Tags)
 			bfs := proto.BuildBFS(nd, 0, tags)
 			loads := make(map[int]int64, nd.Degree())
@@ -91,7 +92,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var delivered int64
 	for i := 0; i < b.N; i++ {
-		stats, err := congest.Run(g, congest.Options{}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 			const kind = 0x7f
 			for r := 0; r < 20; r++ {
 				nd.SendAll(congest.Message{Kind: kind, Tag: uint32(r)})

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"distmincut/internal/congest"
 	"distmincut/internal/graph"
@@ -69,18 +68,12 @@ type Options struct {
 	// Unbounded switches the runtime to unbounded per-edge bandwidth
 	// (LOCAL-model ablation, E9).
 	Unbounded bool
-	// MaxRounds overrides the runtime's safety cap. When a run trips
-	// it, the error matches congest.ErrBudgetExceeded (and
-	// congest.ErrMaxRounds) and carries the partial progress.
+	// MaxRounds overrides the runtime's safety cap: a deterministic
+	// round budget, checked per simulation. When a run trips it, the
+	// error matches congest.ErrMaxRounds and, through errors.As, a
+	// *congest.BudgetError carries the partial progress. Wall-clock
+	// limits come from the context passed to the *Context entry points.
 	MaxRounds int
-	// Deadline, when non-zero, aborts the runtime at the first round
-	// boundary past this wall-clock instant with an error matching
-	// congest.ErrBudgetExceeded. For the multi-phase entry points the
-	// deadline is absolute: every phase's simulation checks it. The
-	// context-taking entry points also derive it from the context's own
-	// deadline, so a context.WithDeadline context bounds the run even
-	// if this field is zero.
-	Deadline time.Time
 	// Engine, when non-nil, runs the protocol on this reusable runtime
 	// (congest.NewEngine) instead of a one-shot engine. A warm engine
 	// retains its slabs and port tables between runs, so repeated
@@ -144,57 +137,47 @@ type Result struct {
 	Stats    *congest.Stats
 }
 
-// engineOpts assembles the runtime options for one run. ctx.Done()
-// becomes the runtime's interrupt channel (nil for contexts that can
-// never be canceled, which keeps the uncancellable path free).
-func (o Options) engineOpts(ctx context.Context) congest.Options {
-	deadline := o.Deadline
-	if cd, ok := ctx.Deadline(); ok && (deadline.IsZero() || cd.Before(deadline)) {
-		deadline = cd
-	}
-	return congest.Options{
-		Seed:      o.Seed,
-		Unbounded: o.Unbounded,
-		MaxRounds: o.MaxRounds,
-		Interrupt: ctx.Done(),
-		Deadline:  deadline,
-		Progress:  o.Progress,
-		Observer:  o.Observer,
-	}
-}
-
 // runSim executes one distributed program — a blocking
 // func(*congest.Node) or a compiled congest.StepProgram; the engine
 // dispatches on the dynamic type — on the caller's reusable engine when
-// Options.Engine is set and on a one-shot engine otherwise.
+// Options.Engine is set and on a one-shot engine otherwise. ctx stops
+// the run at a round boundary, and the error then wraps ctx.Err().
 func (o Options) runSim(ctx context.Context, g *graph.Graph, program congest.Program) (*congest.Stats, error) {
-	eo := o.engineOpts(ctx)
+	eo := congest.Options{
+		Seed:      o.Seed,
+		Unbounded: o.Unbounded,
+		MaxRounds: o.MaxRounds,
+		Progress:  o.Progress,
+		Observer:  o.Observer,
+	}
 	if o.Engine != nil {
 		o.Engine.SetOptions(eo)
-		return o.Engine.Run(g, program)
+		return o.Engine.Run(ctx, g, program)
 	}
-	return congest.Run(g, eo, program)
+	return congest.Run(ctx, g, eo, program)
 }
 
-// ctxErr maps a runtime interrupt caused by ctx back to the context's
-// own error (context.Canceled or context.DeadlineExceeded), so callers
-// can errors.Is against the standard sentinels.
-func ctxErr(ctx context.Context, err error) error {
-	if err != nil && errors.Is(err, congest.ErrInterrupted) {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("distmincut: run canceled: %w", cerr)
-		}
-	}
-	return err
-}
-
-// collector gathers per-node outputs under a lock.
+// collector gathers per-node outputs under a lock: every node's side
+// bit, and the values every node agrees on. Only node 0's packing
+// result is kept (every node's carries its own respect state, and
+// Result reads only the globally known fields).
 type collector struct {
 	mu    sync.Mutex
 	sides []bool
-	packs []*packing.Result
+	pack  *packing.Result // node 0's
 	value int64
-	extra map[string]int64
+	// level, trees and exact are ApproxMinCut's descent outcome.
+	level, trees int
+	exact        bool
+}
+
+// record stores node id's side and, from node 0, its packing result.
+// The caller holds mu.
+func (c *collector) record(id graph.NodeID, side bool, res *packing.Result) {
+	c.sides[id] = side
+	if id == 0 {
+		c.pack = res
+	}
 }
 
 // MaxWeight bounds edge weights: the MST key comparison packs loads
@@ -233,7 +216,7 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 		return nil, err
 	}
 	o := opts.withDefaults()
-	col := &collector{sides: make([]bool, g.N()), packs: make([]*packing.Result, g.N())}
+	col := &collector{sides: make([]bool, g.N())}
 	exactAll := true
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
@@ -244,17 +227,16 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 		value := packing.EvaluateCut(nd, bfs, side, tags)
 		col.mu.Lock()
 		defer col.mu.Unlock()
-		col.sides[nd.ID()] = side
-		col.packs[nd.ID()] = res
+		col.record(nd.ID(), side, res)
 		col.value = value
 		if !exact {
 			exactAll = false
 		}
 	})
 	if err != nil {
-		return nil, ctxErr(ctx, err)
+		return nil, err
 	}
-	p := col.packs[0]
+	p := col.pack
 	return &Result{
 		Value:       col.value,
 		Side:        col.sides,
@@ -283,7 +265,7 @@ func OneRespectingCutContext(ctx context.Context, g *graph.Graph, opts *Options)
 		return nil, nil, err
 	}
 	o := opts.withDefaults()
-	col := &collector{sides: make([]bool, g.N()), packs: make([]*packing.Result, g.N())}
+	col := &collector{sides: make([]bool, g.N())}
 	perNode := make([]int64, g.N())
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
@@ -293,14 +275,13 @@ func OneRespectingCutContext(ctx context.Context, g *graph.Graph, opts *Options)
 		side := packing.MarkSide(nd, bfs, res, tags)
 		col.mu.Lock()
 		defer col.mu.Unlock()
-		col.sides[nd.ID()] = side
-		col.packs[nd.ID()] = res
+		col.record(nd.ID(), side, res)
 		perNode[nd.ID()] = res.BestOutput.CutBelow
 	})
 	if err != nil {
-		return nil, nil, ctxErr(ctx, err)
+		return nil, nil, err
 	}
-	p := col.packs[0]
+	p := col.pack
 	return &Result{
 		Value:       p.Cut,
 		Side:        col.sides,
@@ -331,25 +312,25 @@ func ApproxMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*R
 	}
 	o := opts.withDefaults()
 	kappa := sampling.Kappa(o.Epsilon, g.N())
-	col := &collector{sides: make([]bool, g.N()), packs: make([]*packing.Result, g.N()), extra: map[string]int64{}}
+	col := &collector{sides: make([]bool, g.N())}
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		approxProgram(nd, bfs, tags, g, kappa, o, col)
 	})
 	if err != nil {
-		return nil, ctxErr(ctx, err)
+		return nil, err
 	}
-	p := col.packs[0]
+	p := col.pack
 	return &Result{
 		Value:        col.value,
 		Side:         col.sides,
-		Exact:        col.extra["level"] == 0 && col.extra["exact"] == 1,
+		Exact:        col.level == 0 && col.exact,
 		BestNode:     p.CutNode,
-		TreesPacked:  int(col.extra["trees"]),
-		Levels:       int(col.extra["level"]),
+		TreesPacked:  col.trees,
+		Levels:       col.level,
 		SkeletonCut:  p.Cut,
-		SamplingProb: 1 / float64(int64(1)<<col.extra["level"]),
+		SamplingProb: 1 / float64(int64(1)<<col.level),
 		Rounds:       stats.Rounds,
 		Messages:     stats.Delivered,
 		Stats:        stats,
@@ -412,7 +393,7 @@ func BracketMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*
 		}
 	})
 	if err != nil {
-		return nil, ctxErr(ctx, err)
+		return nil, err
 	}
 	side := make([]bool, g.N())
 	side[out.MinDegreeNode] = true
@@ -513,12 +494,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 	value := packing.EvaluateCut(nd, bfs, side, tags)
 	col.mu.Lock()
 	defer col.mu.Unlock()
-	col.sides[nd.ID()] = side
-	col.packs[nd.ID()] = res
+	col.record(nd.ID(), side, res)
 	col.value = value
-	col.extra["level"] = int64(level)
-	col.extra["trees"] = int64(trees)
-	if exact {
-		col.extra["exact"] = 1
-	}
+	col.level, col.trees, col.exact = level, trees, exact
 }

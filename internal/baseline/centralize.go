@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"sync"
 
 	"distmincut/internal/congest"
@@ -18,7 +19,7 @@ import (
 func Centralize(g *graph.Graph, seed int64) (int64, *congest.Stats, error) {
 	var mu sync.Mutex
 	var value int64 = -1
-	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		// Each edge reported once, by its lower-ID endpoint.
@@ -44,7 +45,7 @@ func Centralize(g *graph.Graph, seed int64) (int64, *congest.Stats, error) {
 			}
 			cut = w
 		}
-		cut = proto.Broadcast(nd, bfs, tags, cut)
+		cut = proto.BroadcastItem(nd, bfs, tags, proto.Item{A: cut}).A
 		mu.Lock()
 		value = cut
 		mu.Unlock()

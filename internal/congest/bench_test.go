@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -119,7 +120,7 @@ func benchRun(b *testing.B, g *graph.Graph, opts Options, program Program) {
 	b.ReportAllocs()
 	var delivered int64
 	for i := 0; i < b.N; i++ {
-		stats, err := Run(g, opts, program)
+		stats, err := Run(context.Background(), g, opts, program)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func benchRunSplit(b *testing.B, g *graph.Graph, opts Options, program Program) 
 	defer eng.Close()
 	var delivered, setupTotal int64
 	for i := 0; i < b.N; i++ {
-		stats, err := eng.Run(g, program)
+		stats, err := eng.Run(context.Background(), g, program)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,11 +259,11 @@ func BenchmarkEngineMillionPathReuse(b *testing.B) {
 	defer eng.Close()
 	var cold, warm int64
 	for i := 0; i < b.N; i++ {
-		s1, err := eng.Run(g, program)
+		s1, err := eng.Run(context.Background(), g, program)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s2, err := eng.Run(g, program)
+		s2, err := eng.Run(context.Background(), g, program)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -22,23 +23,24 @@ func pingPong(iters int) func(*Node) {
 }
 
 func TestInterruptPreClosed(t *testing.T) {
-	ch := make(chan struct{})
-	close(ch)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	g := graph.Path(2)
-	stats, err := Run(g, Options{Interrupt: ch}, pingPong(1_000_000))
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("want ErrInterrupted, got %v", err)
+	stats, err := Run(ctx, g, Options{}, pingPong(1_000_000))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if stats == nil {
 		t.Fatal("want partial stats on interrupt")
 	}
 	if stats.Rounds > 2 {
-		t.Fatalf("pre-closed interrupt should abort at the first round boundary, ran %d rounds", stats.Rounds)
+		t.Fatalf("pre-canceled context should abort at the first round boundary, ran %d rounds", stats.Rounds)
 	}
 }
 
 func TestInterruptMidRun(t *testing.T) {
-	ch := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	pg := &Progress{}
 	g := graph.Path(2)
 	done := make(chan struct{})
@@ -46,9 +48,9 @@ func TestInterruptMidRun(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		stats, err = Run(g, Options{Interrupt: ch, Progress: pg}, pingPong(5_000_000))
+		stats, err = Run(ctx, g, Options{Progress: pg}, pingPong(5_000_000))
 	}()
-	// Wait until the run has visibly progressed, then interrupt it.
+	// Wait until the run has visibly progressed, then cancel it.
 	deadline := time.Now().Add(10 * time.Second)
 	for pg.Round() < 100 {
 		if time.Now().After(deadline) {
@@ -56,14 +58,14 @@ func TestInterruptMidRun(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(ch)
+	cancel()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("interrupted run did not return")
+		t.Fatal("canceled run did not return")
 	}
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("want ErrInterrupted, got %v", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if stats.Rounds < 100 {
 		t.Fatalf("interrupt fired after round 100 but stats report %d rounds", stats.Rounds)
@@ -76,7 +78,7 @@ func TestInterruptMidRun(t *testing.T) {
 func TestProgressGaugeMatchesStats(t *testing.T) {
 	pg := &Progress{}
 	g := graph.Cycle(16)
-	stats, err := Run(g, Options{Progress: pg}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{Progress: pg}, func(nd *Node) {
 		for i := 0; i < 50; i++ {
 			nd.SendAll(Message{Kind: 1, Tag: uint32(i)})
 			for k := 0; k < nd.Degree(); k++ {
@@ -100,7 +102,7 @@ func TestProgressGaugeMatchesStats(t *testing.T) {
 
 func TestCheckPayloadOverflowFailsLoudly(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			nd.Send(0, Message{Kind: 1, A: PayloadLimit + 1})
 		}
@@ -119,7 +121,7 @@ func TestCheckPayloadOverflowFailsLoudly(t *testing.T) {
 
 func TestCheckPayloadNegativeOverflow(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			nd.Send(0, Message{Kind: 1, D: -PayloadLimit - 1})
 		}
@@ -132,7 +134,7 @@ func TestCheckPayloadNegativeOverflow(t *testing.T) {
 
 func TestCheckPayloadAllowsLegitimateTraffic(t *testing.T) {
 	g := graph.Cycle(8)
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		nd.SendAll(Message{Kind: 1, A: -1, B: PayloadLimit, C: -PayloadLimit, D: math.MinInt64})
 		for i := 0; i < nd.Degree(); i++ {
 			nd.Recv(MatchKind(1))

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -25,7 +26,7 @@ var raceEnabled bool
 // activation helpers exist before a test takes a goroutine baseline.
 func warmActivation(t *testing.T) {
 	t.Helper()
-	if _, err := Run(graph.Path(4*parallelStepMin), Options{}, func(*Node) {}); err != nil {
+	if _, err := Run(context.Background(), graph.Path(4*parallelStepMin), Options{}, func(*Node) {}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -42,7 +43,7 @@ func TestImmediateExitGoroutineBound(t *testing.T) {
 	warmActivation(t)
 	base := runtime.NumGoroutine()
 	var peak atomic.Int64
-	_, err := Run(graph.Path(100_000), Options{}, func(*Node) {
+	_, err := Run(context.Background(), graph.Path(100_000), Options{}, func(*Node) {
 		n := int64(runtime.NumGoroutine())
 		for {
 			p := peak.Load()
@@ -70,13 +71,13 @@ func boundNodes(e *Engine) int {
 	return bound
 }
 
-// TestAbortReleasesCoroutines: after a MaxRounds, Interrupt, or
+// TestAbortReleasesCoroutines: after a MaxRounds, context-cancel, or
 // node-panic abort, no node still holds a coroutine (every parked
 // program was unwound), and a warm rerun on the same engine is
 // bit-identical to a fresh run.
 func TestAbortReleasesCoroutines(t *testing.T) {
 	g := graph.RandomRegular(128, 4, 3)
-	fresh, err := Run(g, Options{Seed: 9}, chatterProgram)
+	fresh, err := Run(context.Background(), g, Options{Seed: 9}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,33 +108,34 @@ func TestAbortReleasesCoroutines(t *testing.T) {
 			}
 		}
 	}
-	closed := make(chan struct{})
-	close(closed)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := []struct {
 		name    string
+		ctx     context.Context
 		opts    Options
 		panicky bool
 		want    func(error) bool
 	}{
-		{"max-rounds", Options{Seed: 9, MaxRounds: 20}, false,
+		{"max-rounds", context.Background(), Options{Seed: 9, MaxRounds: 20}, false,
 			func(err error) bool { return errors.Is(err, ErrMaxRounds) }},
-		{"interrupt", Options{Seed: 9, Interrupt: closed}, false,
-			func(err error) bool { return errors.Is(err, ErrInterrupted) }},
-		{"panic", Options{Seed: 9}, true,
+		{"interrupt", canceled, Options{Seed: 9}, false,
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"panic", context.Background(), Options{Seed: 9}, true,
 			func(err error) bool { var pe *PanicError; return errors.As(err, &pe) && pe.Node == 5 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := NewEngine(c.opts)
 			defer e.Close()
-			if _, err := e.Run(g, program(c.panicky)); !c.want(err) {
+			if _, err := e.Run(c.ctx, g, program(c.panicky)); !c.want(err) {
 				t.Fatalf("err = %v", err)
 			}
 			if b := boundNodes(e); b != 0 {
 				t.Fatalf("%d nodes still hold a coroutine after the abort", b)
 			}
 			e.SetOptions(Options{Seed: 9})
-			stats, err := e.Run(g, chatterProgram)
+			stats, err := e.Run(context.Background(), g, chatterProgram)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +176,7 @@ func TestPooledCoroutinesStopAfterGC(t *testing.T) {
 	e := NewEngine(Options{Seed: 3})
 	// 512 nodes all park in Recv at once, so the run needs 512
 	// coroutines simultaneously.
-	stats, err := e.Run(graph.Cycle(512), func(nd *Node) {
+	stats, err := e.Run(context.Background(), graph.Cycle(512), func(nd *Node) {
 		nd.SendAll(Message{Kind: kindData})
 		for i := 0; i < nd.Degree(); i++ {
 			nd.Recv(MatchKind(kindData))
@@ -203,7 +205,7 @@ func panickingProgram(nd *Node) {
 // TestPanicStackNamesProgram: a blocking program's panic is captured
 // on its own coroutine, so PanicError.Stack names the panicking frame.
 func TestPanicStackNamesProgram(t *testing.T) {
-	_, err := Run(graph.Path(3), Options{}, panickingProgram)
+	_, err := Run(context.Background(), graph.Path(3), Options{}, panickingProgram)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Node != 1 {
 		t.Fatalf("err = %v, want PanicError from node 1", err)

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func TestDeterminismAcrossModes(t *testing.T) {
 	opts := Options{Seed: 42}
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
-			stats, err := Run(g, opts, chatterProgram)
+			stats, err := Run(context.Background(), g, opts, chatterProgram)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +76,7 @@ func TestDeterminismAcrossModes(t *testing.T) {
 			if want.leftover != 0 {
 				t.Fatalf("workload left %d unconsumed messages", want.leftover)
 			}
-			if stats, err = Run(g, opts, chatterProgram); err != nil {
+			if stats, err = Run(context.Background(), g, opts, chatterProgram); err != nil {
 				t.Fatalf("again: %v", err)
 			} else if got := keyOf(stats); got != want {
 				t.Fatalf("again: stats diverged: got %+v, want %+v", got, want)
@@ -87,7 +88,7 @@ func TestDeterminismAcrossModes(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					stats, err := Run(g, opts, chatterProgram)
+					stats, err := Run(context.Background(), g, opts, chatterProgram)
 					if errs[i] = err; err == nil {
 						keys[i] = keyOf(stats)
 					}
@@ -118,7 +119,7 @@ func TestReusedEngineDeterminism(t *testing.T) {
 		// Fresh-engine baselines.
 		want := map[string]statsKey{}
 		for name, g := range families {
-			stats, err := Run(g, opts, chatterProgram)
+			stats, err := Run(context.Background(), g, opts, chatterProgram)
 			if err != nil {
 				t.Fatalf("%s fresh: %v", name, err)
 			}
@@ -129,7 +130,7 @@ func TestReusedEngineDeterminism(t *testing.T) {
 		for name, g := range families {
 			eng := NewEngine(opts)
 			for i := 0; i < 3; i++ {
-				stats, err := eng.Run(g, chatterProgram)
+				stats, err := eng.Run(context.Background(), g, chatterProgram)
 				if err != nil {
 					t.Fatalf("%s reuse run %d: %v", name, i, err)
 				}
@@ -146,7 +147,7 @@ func TestReusedEngineDeterminism(t *testing.T) {
 		order := []string{"path", "expander", "community", "complete"}
 		for round := 0; round < 2; round++ {
 			for _, name := range order {
-				stats, err := eng.Run(families[name], chatterProgram)
+				stats, err := eng.Run(context.Background(), families[name], chatterProgram)
 				if err != nil {
 					t.Fatalf("%s cross-graph round %d: %v", name, round, err)
 				}
@@ -163,17 +164,17 @@ func TestReusedEngineDeterminism(t *testing.T) {
 // a fresh engine.
 func TestReusedEngineAfterAbort(t *testing.T) {
 	g := graph.RandomRegular(64, 6, 11)
-	fresh, err := Run(g, Options{Seed: 42}, chatterProgram)
+	fresh, err := Run(context.Background(), g, Options{Seed: 42}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := NewEngine(Options{Seed: 42})
 	defer eng.Close()
 	// Deadlock abort: every node parks in Recv with no traffic.
-	if _, err := eng.Run(g, func(nd *Node) { nd.Recv(MatchKind(kindToken)) }); !errors.Is(err, ErrDeadlock) {
+	if _, err := eng.Run(context.Background(), g, func(nd *Node) { nd.Recv(MatchKind(kindToken)) }); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
-	stats, err := eng.Run(g, chatterProgram)
+	stats, err := eng.Run(context.Background(), g, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestReusedEngineAfterAbort(t *testing.T) {
 	}
 	// Panic abort mid-traffic leaves staged messages behind; the next
 	// run must still match.
-	if _, err := eng.Run(g, func(nd *Node) {
+	if _, err := eng.Run(context.Background(), g, func(nd *Node) {
 		nd.SendAll(Message{Kind: kindData})
 		if nd.ID() == 3 {
 			panic("boom")
@@ -193,7 +194,7 @@ func TestReusedEngineAfterAbort(t *testing.T) {
 	}); err == nil {
 		t.Fatal("expected panic error")
 	}
-	stats, err = eng.Run(g, chatterProgram)
+	stats, err = eng.Run(context.Background(), g, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +211,11 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 	g := graph.RandomRegular(512, 6, 5)
 	eng := NewEngine(Options{Seed: 7})
 	defer eng.Close()
-	if _, err := eng.Run(g, chatterProgram); err != nil {
+	if _, err := eng.Run(context.Background(), g, chatterProgram); err != nil {
 		t.Fatal(err)
 	}
 	q0, m0, n0 := &eng.qSlab[0], &eng.msgSlab[0], &eng.nodeSlab[0]
-	stats, err := eng.Run(g, chatterProgram)
+	stats, err := eng.Run(context.Background(), g, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestDeterminismUnbounded(t *testing.T) {
 	opts := Options{Seed: 7, Unbounded: true}
 	for name, g := range determinismFamilies() {
 		t.Run(name, func(t *testing.T) {
-			stats, err := Run(g, opts, chatterProgram)
+			stats, err := Run(context.Background(), g, opts, chatterProgram)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +242,7 @@ func TestDeterminismUnbounded(t *testing.T) {
 			eng := NewEngine(opts)
 			defer eng.Close()
 			for i := 0; i < 2; i++ {
-				stats, err := eng.Run(g, chatterProgram)
+				stats, err := eng.Run(context.Background(), g, chatterProgram)
 				if err != nil {
 					t.Fatalf("reuse run %d: %v", i, err)
 				}
@@ -258,15 +259,15 @@ func TestDeterminismUnbounded(t *testing.T) {
 // self-consistent.
 func TestDeterminismAcrossSeeds(t *testing.T) {
 	g := graph.RandomRegular(48, 4, 7)
-	a1, err := Run(g, Options{Seed: 1}, chatterProgram)
+	a1, err := Run(context.Background(), g, Options{Seed: 1}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Run(g, Options{Seed: 1}, chatterProgram)
+	a2, err := Run(context.Background(), g, Options{Seed: 1}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, Options{Seed: 2}, chatterProgram)
+	b, err := Run(context.Background(), g, Options{Seed: 2}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,11 +487,11 @@ func TestStepDifferentialChatter(t *testing.T) {
 	opts := Options{Seed: 42}
 	for fam, g := range determinismFamilies() {
 		t.Run(fam+"/serial", func(t *testing.T) {
-			bs, err := Run(g, opts, chatterProgram)
+			bs, err := Run(context.Background(), g, opts, chatterProgram)
 			if err != nil {
 				t.Fatalf("blocking path: %v", err)
 			}
-			ss, err := Run(g, opts, &stepChatter{})
+			ss, err := Run(context.Background(), g, opts, &stepChatter{})
 			if err != nil {
 				t.Fatalf("step path: %v", err)
 			}
@@ -508,11 +509,11 @@ func TestStepDifferentialMarks(t *testing.T) {
 	opts := Options{Seed: 42}
 	for fam, g := range determinismFamilies() {
 		t.Run(fam+"/serial", func(t *testing.T) {
-			bs, err := Run(g, opts, phasedProgram)
+			bs, err := Run(context.Background(), g, opts, phasedProgram)
 			if err != nil {
 				t.Fatalf("blocking path: %v", err)
 			}
-			ss, err := Run(g, opts, &stepPhased{})
+			ss, err := Run(context.Background(), g, opts, &stepPhased{})
 			if err != nil {
 				t.Fatalf("step path: %v", err)
 			}
@@ -534,11 +535,11 @@ func TestStepDifferentialMarks(t *testing.T) {
 func TestStepWarmEngineAlternatingModes(t *testing.T) {
 	g := graph.RandomRegular(64, 6, 11)
 	opts := Options{Seed: 42}
-	bs, err := Run(g, opts, chatterProgram)
+	bs, err := Run(context.Background(), g, opts, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := Run(g, opts, &stepChatter{})
+	ss, err := Run(context.Background(), g, opts, &stepChatter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,9 +554,9 @@ func TestStepWarmEngineAlternatingModes(t *testing.T) {
 		var stats *Stats
 		var err error
 		if rep%2 == 0 {
-			stats, err = eng.Run(g, chatterProgram)
+			stats, err = eng.Run(context.Background(), g, chatterProgram)
 		} else {
-			stats, err = eng.Run(g, step)
+			stats, err = eng.Run(context.Background(), g, step)
 		}
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
@@ -571,7 +572,7 @@ func TestStepWarmEngineAlternatingModes(t *testing.T) {
 func TestStepReusedEngineAfterAbort(t *testing.T) {
 	g := graph.RandomRegular(64, 6, 11)
 	opts := Options{Seed: 42}
-	fresh, err := Run(g, opts, chatterProgram)
+	fresh, err := Run(context.Background(), g, opts, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,10 +581,10 @@ func TestStepReusedEngineAfterAbort(t *testing.T) {
 	defer eng.Close()
 	// Step deadlock: every node parks in Recv with no traffic.
 	deadlock := &stepFuncProgram{step: func(nd *Node) Park { return ParkRecv(MatchAny) }}
-	if _, err := eng.Run(g, deadlock); !errors.Is(err, ErrDeadlock) {
+	if _, err := eng.Run(context.Background(), g, deadlock); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
-	stats, err := eng.Run(g, chatterProgram)
+	stats, err := eng.Run(context.Background(), g, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,10 +600,10 @@ func TestStepReusedEngineAfterAbort(t *testing.T) {
 		}
 		return ParkRecv(MatchKind(kindData))
 	}}
-	if _, err := eng.Run(g, bomber); err == nil {
+	if _, err := eng.Run(context.Background(), g, bomber); err == nil {
 		t.Fatal("expected panic error")
 	}
-	stats, err = eng.Run(g, &stepChatter{})
+	stats, err = eng.Run(context.Background(), g, &stepChatter{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package congest
 import (
 	"cmp"
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -22,27 +23,14 @@ type Options struct {
 	// bit-identical. Zero means seed 1.
 	Seed int64
 	// MaxRounds aborts runs that exceed this many rounds (safety net
-	// against protocol bugs). Zero means DefaultMaxRounds.
+	// against protocol bugs, and the deterministic budget behind service
+	// jobs) with a *BudgetError matching ErrMaxRounds. Zero means
+	// DefaultMaxRounds.
 	MaxRounds int
 	// Unbounded, if set, delivers the entire per-edge send queue each
 	// round instead of one message, i.e. a LOCAL-model network with
 	// unbounded bandwidth. Used only by the pipelining ablation (E9).
 	Unbounded bool
-	// Interrupt, when non-nil, makes the run abort with ErrInterrupted
-	// as soon as the channel is closed (or receives a value). The
-	// coordinator polls it once per round boundary, while every node is
-	// parked, so the abort is clean: every parked program unwinds and
-	// the partial Stats are returned alongside the error. This is the
-	// mechanism behind the context-cancellable distmincut entry points.
-	Interrupt <-chan struct{}
-	// Deadline, when non-zero, aborts the run with a *BudgetError
-	// (matching ErrBudgetExceeded) at the first round boundary past the
-	// wall-clock instant. Like Interrupt, the check runs while every
-	// node is parked, so the abort is clean: every parked program
-	// unwinds and the partial Stats are returned alongside the error.
-	// Combined with MaxRounds this is the engine-level watchdog behind
-	// service job deadlines.
-	Deadline time.Time
 	// Progress, when non-nil, is updated at every round boundary with
 	// the current round number and cumulative delivered-message count,
 	// so concurrent observers (e.g. a job-status endpoint) can sample a
@@ -77,26 +65,15 @@ const DefaultMaxRounds = 20_000_000
 // in flight, and no sleep deadline is pending.
 var ErrDeadlock = errors.New("congest: deadlock")
 
-// ErrMaxRounds is returned when the round cap is exceeded. Budget
-// aborts surface as *BudgetError; errors.Is(err, ErrMaxRounds) keeps
-// matching when the round cap (not the wall clock) is what tripped.
+// ErrMaxRounds matches every round-cap abort (a *BudgetError).
 var ErrMaxRounds = errors.New("congest: exceeded MaxRounds")
 
-// ErrBudgetExceeded matches any budget abort — round cap or wall-clock
-// deadline. Use errors.As with *BudgetError to see which tripped and
-// how far the run got.
-var ErrBudgetExceeded = errors.New("congest: budget exceeded")
-
 // BudgetError is the abort cause when a run exhausts its round budget
-// (Options.MaxRounds) or wall-clock deadline (Options.Deadline). It
-// carries how far the run got so callers can report partial progress.
+// (Options.MaxRounds). It carries how far the run got so callers can
+// report partial progress; errors.Is(err, ErrMaxRounds) matches it.
 type BudgetError struct {
-	// RoundLimit is the MaxRounds cap when the round budget tripped,
-	// zero when the wall clock did.
+	// RoundLimit is the MaxRounds cap that tripped.
 	RoundLimit int
-	// Deadline is the wall-clock deadline when it tripped, zero
-	// otherwise.
-	Deadline time.Time
 	// Rounds and Messages are the simulated round and cumulative
 	// delivered-message count at the abort boundary.
 	Rounds   int
@@ -104,24 +81,11 @@ type BudgetError struct {
 }
 
 func (e *BudgetError) Error() string {
-	if e.RoundLimit > 0 {
-		return fmt.Sprintf("congest: exceeded MaxRounds (%d) at %d messages", e.RoundLimit, e.Messages)
-	}
-	return fmt.Sprintf("congest: deadline exceeded at round %d (%d messages)", e.Rounds, e.Messages)
+	return fmt.Sprintf("congest: exceeded MaxRounds (%d) at %d messages", e.RoundLimit, e.Messages)
 }
 
-// Is makes errors.Is(err, ErrBudgetExceeded) match every BudgetError
-// and keeps errors.Is(err, ErrMaxRounds) matching round-cap trips.
-func (e *BudgetError) Is(target error) bool {
-	if target == ErrBudgetExceeded {
-		return true
-	}
-	return target == ErrMaxRounds && e.RoundLimit > 0
-}
-
-// ErrInterrupted is returned when Options.Interrupt fired and the run
-// aborted at a round boundary.
-var ErrInterrupted = errors.New("congest: run interrupted")
+// Is makes errors.Is(err, ErrMaxRounds) match every BudgetError.
+func (e *BudgetError) Is(target error) bool { return target == ErrMaxRounds }
 
 // PanicError wraps a panic raised by a node program.
 type PanicError struct {
@@ -386,11 +350,11 @@ func (e *Engine) Close() {
 // (generators call SortAdjacency; see graph docs). The program is
 // either a blocking func(*Node) or a compiled StepProgram (see
 // Program). One-shot form of (*Engine).Run; see Engine for the
-// reusable lifecycle.
-func Run(g *graph.Graph, opts Options, program Program) (*Stats, error) {
+// reusable lifecycle and the ctx contract.
+func Run(ctx context.Context, g *graph.Graph, opts Options, program Program) (*Stats, error) {
 	e := NewEngine(opts)
 	defer e.Close()
-	return e.Run(g, program)
+	return e.Run(ctx, g, program)
 }
 
 // Run executes program — a blocking func(*Node) or a compiled
@@ -399,7 +363,14 @@ func Run(g *graph.Graph, opts Options, program Program) (*Stats, error) {
 // seed — reuse never leaks state between runs, and an engine may
 // alternate freely between blocking and step programs. The graph must
 // not be mutated between runs that share it.
-func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
+//
+// ctx is the only way to stop a run before it finishes on its own
+// (Options.MaxRounds is a round budget, not a stop signal): it is
+// polled at every round boundary, while every node is parked, so once
+// it is done the run aborts cleanly there — every parked program
+// unwinds and the partial Stats are returned with an error wrapping
+// ctx.Err(). A run that completes is unaffected by a later cancel.
+func (e *Engine) Run(ctx context.Context, g *graph.Graph, program Program) (*Stats, error) {
 	start := time.Now()
 	e.runStart = start
 	switch p := program.(type) {
@@ -413,7 +384,7 @@ func (e *Engine) Run(g *graph.Graph, program Program) (*Stats, error) {
 	e.setupRun(g)
 	e.prog.InitRun(g.N())
 	e.setupNanos = time.Since(start).Nanoseconds()
-	err := e.coordinate()
+	err := e.coordinate(ctx)
 	stats := e.collectAndReset()
 	if err != nil {
 		// An abort can strand messages in arbitrary queues; recarve
@@ -676,8 +647,11 @@ func (e *Engine) addSender(nd *Node) {
 }
 
 // coordinate is the engine main loop; it runs on the caller goroutine.
-// It returns nil on clean completion and the abort cause otherwise.
-func (e *Engine) coordinate() error {
+// It returns nil on clean completion and the abort cause otherwise. It
+// polls ctx once per round boundary; a context that can never be
+// canceled has a nil Done channel, which skips the poll entirely.
+func (e *Engine) coordinate(ctx context.Context) error {
+	stop := ctx.Done()
 	n := len(e.nodes)
 	done := 0
 	var firstPanic error
@@ -701,17 +675,15 @@ func (e *Engine) coordinate() error {
 		if firstPanic != nil {
 			return e.abort(firstPanic)
 		}
-		// Every node is parked here, so an interrupt abort is clean.
-		if ch := e.opts.Interrupt; ch != nil {
+		chaos.Inject(chaos.SiteEngineRound)
+		// Every node is parked here, so a context abort is clean.
+		if stop != nil {
 			select {
-			case <-ch:
-				return e.abort(ErrInterrupted)
+			case <-stop:
+				return e.abort(fmt.Errorf("congest: run stopped at round %d (%d messages): %w",
+					e.round, e.delivered, ctx.Err()))
 			default:
 			}
-		}
-		chaos.Inject(chaos.SiteEngineRound)
-		if d := e.opts.Deadline; !d.IsZero() && !time.Now().Before(d) {
-			return e.abort(&BudgetError{Deadline: d, Rounds: e.round, Messages: e.delivered})
 		}
 		e.mergeSenders()
 		if done == n && len(e.senders) == 0 {

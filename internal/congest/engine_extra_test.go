@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestSingleNodeProgram(t *testing.T) {
 	g := graph.Path(1)
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.Degree() != 0 || nd.N() != 1 {
 			panic("bad topology view")
 		}
@@ -25,7 +26,7 @@ func TestSingleNodeProgram(t *testing.T) {
 
 func TestInvalidPortPanicsAsError(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		nd.Send(5, Message{})
 	})
 	var pe *PanicError
@@ -36,7 +37,7 @@ func TestInvalidPortPanicsAsError(t *testing.T) {
 
 func TestSendAllReachesEveryNeighbor(t *testing.T) {
 	g := graph.Star(6)
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		const kind = 9
 		if nd.ID() == 0 {
 			nd.SendAll(Message{Kind: kind, A: 7})
@@ -61,7 +62,7 @@ func TestSendAllReachesEveryNeighbor(t *testing.T) {
 
 func TestTryRecvEmpty(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if _, _, ok := nd.TryRecv(MatchAny); ok {
 			panic("TryRecv found a message in an empty inbox")
 		}
@@ -83,7 +84,7 @@ func TestStatsAccessors(t *testing.T) {
 
 func TestLeftoverAccounting(t *testing.T) {
 	g := graph.Path(2)
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			nd.Send(0, Message{Kind: 1})
 			nd.Send(0, Message{Kind: 2})
@@ -103,7 +104,7 @@ func TestLeftoverAccounting(t *testing.T) {
 // receive consuming other kinds in between.
 func TestMessageOrderWithinPort(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			for i := 0; i < 5; i++ {
 				nd.Send(0, Message{Kind: 1, A: int64(i)})
@@ -134,7 +135,7 @@ func TestMessageOrderWithinPort(t *testing.T) {
 // staggered deadlines.
 func TestManyConcurrentSleepers(t *testing.T) {
 	g := graph.Complete(10)
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		for k := 0; k < 3; k++ {
 			nd.Sleep(int(nd.ID())%4 + 1)
 		}

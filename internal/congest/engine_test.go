@@ -1,7 +1,9 @@
 package congest
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,7 +23,7 @@ const (
 func TestPingPongRounds(t *testing.T) {
 	g := graph.Path(2)
 	const k = 7
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		for i := 0; i < k; i++ {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken, A: int64(i)})
@@ -52,7 +54,7 @@ func TestFloodFillRounds(t *testing.T) {
 	g := graph.Grid(5, 8)
 	dist, _ := graph.BFS(g, 0)
 	got := make([]int, g.N())
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			nd.SendAll(Message{Kind: kindFlood})
 			got[0] = 0
@@ -91,7 +93,7 @@ func TestFloodFillRounds(t *testing.T) {
 func TestPipeliningCharge(t *testing.T) {
 	g := graph.Path(2)
 	const k = 25
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			for i := 0; i < k; i++ {
 				nd.Send(0, Message{Kind: kindData, A: int64(i)})
@@ -121,7 +123,7 @@ func TestPipeliningCharge(t *testing.T) {
 func TestUnboundedDelivery(t *testing.T) {
 	g := graph.Path(2)
 	const k = 25
-	stats, err := Run(g, Options{Unbounded: true}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{Unbounded: true}, func(nd *Node) {
 		if nd.ID() == 0 {
 			for i := 0; i < k; i++ {
 				nd.Send(0, Message{Kind: kindData, A: int64(i)})
@@ -145,7 +147,7 @@ func TestUnboundedDelivery(t *testing.T) {
 func TestSleepFastForward(t *testing.T) {
 	g := graph.Path(3)
 	const target = 1000
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		nd.Sleep(target)
 		if nd.Round() != target {
 			panic("woke at wrong round")
@@ -166,7 +168,7 @@ func TestSleepFastForward(t *testing.T) {
 // Recv waiting for an earlier kind, and stay buffered for later.
 func TestSelectiveReceive(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 0 {
 			nd.Send(0, Message{Kind: kindData, A: 99}) // arrives first
 			nd.Send(0, Message{Kind: kindToken, A: 1}) // arrives second
@@ -188,7 +190,7 @@ func TestSelectiveReceive(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		nd.Recv(MatchKind(kindToken)) // nobody ever sends
 	})
 	if !errors.Is(err, ErrDeadlock) {
@@ -198,7 +200,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestPanicPropagation(t *testing.T) {
 	g := graph.Cycle(4)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() == 2 {
 			panic("boom")
 		}
@@ -215,7 +217,7 @@ func TestPanicPropagation(t *testing.T) {
 
 func TestMaxRoundsAborts(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(g, Options{MaxRounds: 10}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{MaxRounds: 10}, func(nd *Node) {
 		for {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
@@ -229,15 +231,12 @@ func TestMaxRoundsAborts(t *testing.T) {
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded match", err)
-	}
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *BudgetError", err)
 	}
-	if be.RoundLimit != 10 || !be.Deadline.IsZero() {
-		t.Fatalf("BudgetError = %+v, want RoundLimit=10, zero Deadline", be)
+	if be.RoundLimit != 10 {
+		t.Fatalf("BudgetError = %+v, want RoundLimit=10", be)
 	}
 	if be.Rounds <= 10 {
 		t.Fatalf("BudgetError.Rounds = %d, want > 10", be.Rounds)
@@ -257,34 +256,30 @@ func TestDeadlineAborts(t *testing.T) {
 			}
 		}
 	}
-	deadline := time.Now().Add(20 * time.Millisecond)
-	stats, err := Run(g, Options{Deadline: deadline}, ping)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	stats, err := Run(ctx, g, Options{}, ping)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, must not match ErrMaxRounds on a wall-clock trip", err)
 	}
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BudgetError", err)
+	if stats == nil || stats.Rounds <= 0 || stats.Delivered <= 0 {
+		t.Fatalf("partial stats = %+v, want partial progress recorded", stats)
 	}
-	if !be.Deadline.Equal(deadline) || be.RoundLimit != 0 {
-		t.Fatalf("BudgetError = %+v, want Deadline=%v, RoundLimit=0", be, deadline)
-	}
-	if be.Rounds <= 0 || be.Messages <= 0 {
-		t.Fatalf("BudgetError = %+v, want partial progress recorded", be)
-	}
-	if stats == nil || stats.Rounds != be.Rounds {
-		t.Fatalf("partial stats = %+v, want Rounds=%d", stats, be.Rounds)
+	if want := fmt.Sprintf("round %d (%d messages)", stats.Rounds, stats.Delivered); !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to report %q", err, want)
 	}
 
-	// An already-expired deadline aborts at the first boundary, and the
-	// engine stays reusable: a warm rerun without the deadline matches a
-	// fresh bounded run.
-	e := NewEngine(Options{Deadline: time.Now().Add(-time.Second)})
-	if _, err := e.Run(g, ping); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("expired deadline: err = %v, want ErrBudgetExceeded", err)
+	// An already-expired context aborts at the first boundary, and the
+	// engine stays reusable: a warm rerun without it matches a fresh
+	// bounded run.
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	e := NewEngine(Options{})
+	if _, err := e.Run(expired, g, ping); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired context: err = %v, want context.DeadlineExceeded", err)
 	}
 	bounded := func(nd *Node) {
 		for i := 0; i < 5; i++ {
@@ -297,13 +292,12 @@ func TestDeadlineAborts(t *testing.T) {
 			}
 		}
 	}
-	e.SetOptions(Options{})
-	warm, err := e.Run(g, bounded)
+	warm, err := e.Run(context.Background(), g, bounded)
 	if err != nil {
 		t.Fatalf("warm rerun after deadline abort: %v", err)
 	}
 	e.Close()
-	fresh, err := Run(g, Options{}, bounded)
+	fresh, err := Run(context.Background(), g, Options{}, bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +311,7 @@ func TestDeadlineAborts(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g := graph.GNP(40, 0.2, 3)
 	run := func() *Stats {
-		stats, err := Run(g, Options{Seed: 5}, func(nd *Node) {
+		stats, err := Run(context.Background(), g, Options{Seed: 5}, func(nd *Node) {
 			// Send a random number of data messages to every neighbor,
 			// then an end marker; consume until every port delivered
 			// its marker. Terminates regardless of scheduling.
@@ -347,7 +341,7 @@ func TestDeterminism(t *testing.T) {
 // TestMarkPhases: phase accounting via begin:/end: marks.
 func TestMarkPhases(t *testing.T) {
 	g := graph.Path(2)
-	stats, err := Run(g, Options{}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() != 0 {
 			nd.RecvKindTag(kindData, 0)
 			return
@@ -426,7 +420,7 @@ func TestQueueProperty(t *testing.T) {
 // weights, and edge IDs consistent with the input graph.
 func TestWeightsAndTopologyVisible(t *testing.T) {
 	g := graph.AssignWeights(graph.Cycle(6), 2, 9, 4)
-	_, err := Run(g, Options{}, func(nd *Node) {
+	_, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		for p := 0; p < nd.Degree(); p++ {
 			e := g.Edge(nd.EdgeID(p))
 			if e.Other(nd.ID()) != nd.Peer(p) || e.W != nd.EdgeWeight(p) {

@@ -41,7 +41,9 @@
 // # Engine reuse
 //
 // An Engine is a long-lived, reusable object: NewEngine(opts) creates
-// one and (*Engine).Run(g, program) executes a simulation on it. The
+// one and (*Engine).Run(ctx, g, program) executes a simulation on it;
+// ctx, polled at every round boundary, is the one way to stop a run
+// early (Options.MaxRounds is a deterministic round budget). The
 // engine retains its slabs (node structs, queue headers, message
 // rings) and flat port tables between runs: a warm run on the same
 // graph resets only the dirty region — the queues the previous run's

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"testing"
 
 	"distmincut/internal/graph"
@@ -18,7 +19,7 @@ import (
 func TestStepObserverRecordsSumToStats(t *testing.T) {
 	g := graph.PlantedCut(16, 16, 3, 0.4, 5)
 	obs := &collectObserver{}
-	st, err := Run(g, Options{Seed: 1, Observer: obs}, &stepChatter{})
+	st, err := Run(context.Background(), g, Options{Seed: 1, Observer: obs}, &stepChatter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +71,12 @@ func TestStepObserverParity(t *testing.T) {
 	gObs, sObs := &collectObserver{}, &collectObserver{}
 	o1 := opts
 	o1.Observer = gObs
-	if _, err := Run(g, o1, phasedProgram); err != nil {
+	if _, err := Run(context.Background(), g, o1, phasedProgram); err != nil {
 		t.Fatal(err)
 	}
 	o2 := opts
 	o2.Observer = sObs
-	if _, err := Run(g, o2, &stepPhased{}); err != nil {
+	if _, err := Run(context.Background(), g, o2, &stepPhased{}); err != nil {
 		t.Fatal(err)
 	}
 	gt, st := deterministicTail(gObs.recs), deterministicTail(sObs.recs)
@@ -96,11 +97,11 @@ func TestStepFlightRecorderTailParity(t *testing.T) {
 	g := graph.RandomRegular(64, 6, 11)
 	gRec, sRec := NewFlightRecorder(8), NewFlightRecorder(8)
 	o1 := Options{Seed: 42, Observer: gRec}
-	if _, err := Run(g, o1, chatterProgram); err != nil {
+	if _, err := Run(context.Background(), g, o1, chatterProgram); err != nil {
 		t.Fatal(err)
 	}
 	o2 := Options{Seed: 42, Observer: sRec}
-	if _, err := Run(g, o2, &stepChatter{}); err != nil {
+	if _, err := Run(context.Background(), g, o2, &stepChatter{}); err != nil {
 		t.Fatal(err)
 	}
 	gt, st := deterministicTail(gRec.Tail()), deterministicTail(sRec.Tail())
@@ -124,11 +125,11 @@ func TestStepNilObserverWarmRunAllocs(t *testing.T) {
 	eng := NewEngine(Options{Seed: 7})
 	defer eng.Close()
 	prog := newStepExchange(4)
-	if _, err := eng.Run(g, prog); err != nil {
+	if _, err := eng.Run(context.Background(), g, prog); err != nil {
 		t.Fatal(err) // cold run: slabs and program state allocate here
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := eng.Run(g, prog); err != nil {
+		if _, err := eng.Run(context.Background(), g, prog); err != nil {
 			t.Fatal(err)
 		}
 	})

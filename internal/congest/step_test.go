@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func (p *stepPingPong) Step(nd *Node) Park {
 func TestStepPingPongRounds(t *testing.T) {
 	g := graph.Path(2)
 	const k = 7
-	stats, err := Run(g, Options{}, &stepPingPong{k: k})
+	stats, err := Run(context.Background(), g, Options{}, &stepPingPong{k: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestStepSleepFastForward(t *testing.T) {
 			return ParkDone()
 		},
 	}
-	stats, err := Run(g, Options{}, prog)
+	stats, err := Run(context.Background(), g, Options{}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestStepDeadlock(t *testing.T) {
 	prog := &stepFuncProgram{
 		step: func(nd *Node) Park { return ParkRecv(MatchAny) },
 	}
-	_, err := Run(g, Options{}, prog)
+	_, err := Run(context.Background(), g, Options{}, prog)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -147,7 +148,7 @@ func TestStepPanic(t *testing.T) {
 			return ParkDone()
 		},
 	}
-	_, err := Run(g, Options{}, prog)
+	_, err := Run(context.Background(), g, Options{}, prog)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -167,7 +168,7 @@ func TestStepNilMatchPark(t *testing.T) {
 			return ParkRecv(nil)
 		},
 	}
-	_, err := Run(g, Options{}, prog)
+	_, err := Run(context.Background(), g, Options{}, prog)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -188,7 +189,7 @@ func TestStepBlockingCallPanics(t *testing.T) {
 			return ParkDone()
 		},
 	}
-	_, err := Run(g, Options{}, prog)
+	_, err := Run(context.Background(), g, Options{}, prog)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -202,16 +203,16 @@ func TestStepBlockingCallPanics(t *testing.T) {
 // neither blocking functions nor StepPrograms.
 func TestStepUnknownProgramType(t *testing.T) {
 	g := graph.Path(2)
-	if _, err := Run(g, Options{}, 42); err == nil {
+	if _, err := Run(context.Background(), g, Options{}, 42); err == nil {
 		t.Fatal("Run accepted an int as a program")
 	}
 	e := NewEngine(Options{})
 	defer e.Close()
-	if _, err := e.Run(g, nil); err == nil {
+	if _, err := e.Run(context.Background(), g, nil); err == nil {
 		t.Fatal("Run accepted a nil program")
 	}
 	// The engine must remain usable after the rejection.
-	if _, err := e.Run(g, &stepPingPong{k: 1}); err != nil {
+	if _, err := e.Run(context.Background(), g, &stepPingPong{k: 1}); err != nil {
 		t.Fatalf("engine unusable after rejected program: %v", err)
 	}
 }

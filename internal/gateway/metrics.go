@@ -204,7 +204,7 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 	for _, fam := range perRep {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
 		for _, r := range m.PerReplica {
-			fmt.Fprintf(&b, "%s{replica=%q} %s\n", fam.name, service.EscapeLabel(r.Name), fam.val(r))
+			fmt.Fprintf(&b, "%s{replica=\"%s\"} %s\n", fam.name, service.EscapeLabel(r.Name), fam.val(r))
 		}
 	}
 

@@ -49,3 +49,24 @@ func TestWritePrometheusPinned(t *testing.T) {
 		t.Fatalf("exposition drifted from testdata/metrics.prom:\n%s", b.String())
 	}
 }
+
+// TestReplicaLabelEscapedOnce: a replica name carrying a quote, a
+// backslash or a line feed renders in the per-replica families with
+// exactly the exposition format's escapes.
+func TestReplicaLabelEscapedOnce(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{`r"1`, `{replica="r\"1"}`},
+		{`a\b`, `{replica="a\\b"}`},
+		{"x\ny", `{replica="x\ny"}`},
+	}
+	for _, c := range cases {
+		var b strings.Builder
+		m := Metrics{PerReplica: []ReplicaMetrics{{Name: c.in, Up: true, UpstreamLatency: pinnedLatency(0, 0)}}}
+		if err := WritePrometheus(&b, m); err != nil {
+			t.Fatal(err)
+		}
+		if want := "mincutgw_replica_up" + c.want + " 1\n"; !strings.Contains(b.String(), want) {
+			t.Errorf("replica %q: exposition lacks %s:\n%s", c.in, want, b.String())
+		}
+	}
+}

@@ -28,6 +28,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -101,7 +102,7 @@ func runSim(g *graph.Graph, opts congest.Options, program func(*congest.Node)) (
 	} else {
 		eng = congest.NewEngine(opts)
 	}
-	stats, err := eng.Run(g, program)
+	stats, err := eng.Run(context.Background(), g, program)
 	enginePool.Put(eng)
 	return stats, err
 }

@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // the pipeline deadlocks.
 func TestDebugDeadlockTrace(t *testing.T) {
 	g := graph.Cycle(24)
-	stats, err := congest.Run(g, congest.Options{Seed: 11}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 11}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		nd.Mark(fmt.Sprintf("bfs-done:%d", nd.ID()))

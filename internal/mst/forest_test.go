@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestRunWeightedForest(t *testing.T) {
 	}
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
-	stats, err := congest.Run(g, congest.Options{Seed: 3}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 3}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		weight := func(p int) int64 {
@@ -94,7 +95,7 @@ func TestRunWeightedReweightedMST(t *testing.T) {
 	}
 	var mu sync.Mutex
 	gotSet := map[int64]bool{}
-	_, err := congest.Run(g, congest.Options{Seed: 7}, func(nd *congest.Node) {
+	_, err := congest.Run(context.Background(), g, congest.Options{Seed: 7}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		res := RunWeighted(nd, bfs, nil, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, tags)

@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"testing"
@@ -111,7 +112,7 @@ func collectWeighted(t *testing.T, g *graph.Graph, loads, view []int64, seed int
 	t.Helper()
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
-	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		var local map[int]int64

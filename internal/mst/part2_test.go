@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -102,7 +103,7 @@ func TestPart2CensusOnTwoComponentView(t *testing.T) {
 	g.SortAdjacency()
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
-	stats, err := congest.Run(g, congest.Options{Seed: 9}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 9}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		weight := func(p int) int64 {

@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func TestProposalsAcrossSeeds(t *testing.T) {
 				var mu sync.Mutex
 				results := make([]*Result, g.N())
 				counters := make([]uint32, g.N())
-				stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+				stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 					tags := new(proto.Tags)
 					res := Run(nd, proto.BuildBFS(nd, 0, tags), nil, 0, tags)
 					mu.Lock()

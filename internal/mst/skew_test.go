@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -46,7 +47,7 @@ func part1ExitRounds(t *testing.T, g *graph.Graph, seed int64) []int {
 	t.Helper()
 	var mu sync.Mutex
 	exit := make([]int, g.N())
-	_, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	_, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		r := &runner{nd: nd, bfs: proto.BuildBFS(nd, 0, tags), cap: SizeCap(nd.N()), tags: tags}
 		r.part1()
@@ -97,7 +98,7 @@ func TestBackToBackRuns(t *testing.T) {
 				first := make([]*Result, g.N())
 				second := make([]*Result, g.N())
 				counters := make([]uint32, g.N())
-				stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+				stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 					tags := new(proto.Tags)
 					bfs := proto.BuildBFS(nd, 0, tags)
 					a := Run(nd, bfs, nil, 0, tags)

@@ -1,6 +1,7 @@
 package packing_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -24,7 +25,7 @@ func runDoubling(t *testing.T, g *graph.Graph, seed, maxLambda int64) (*packing.
 	sides := make([]bool, g.N())
 	used := make([]uint32, g.N())
 	var evaluated int64
-	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		res, exact := packing.ExactDoubling(nd, bfs, maxLambda, packing.Options{}, tags)
@@ -170,7 +171,7 @@ func TestPackStopBelow(t *testing.T) {
 	g := graph.Star(12) // min cut 1; the first tree already 1-respects it
 	var trees int
 	var mu sync.Mutex
-	_, err := congest.Run(g, congest.Options{}, func(nd *congest.Node) {
+	_, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		loads := make(map[int]int64)

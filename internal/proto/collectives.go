@@ -30,48 +30,15 @@ func SortItems(items []Item) {
 	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
 }
 
-// Converge aggregates one word up the overlay: each node combines its
-// own value with its children's aggregates and forwards to its parent.
-// The root returns (total, true); everyone else returns (its own
-// subtree aggregate, false). combine must be associative and
-// commutative. O(height) rounds, one message per tree edge.
-func Converge(nd *congest.Node, ov *Overlay, tags *Tags, value int64, combine func(a, b int64) int64) (int64, bool) {
-	tag := tags.Next(1)
-	acc := value
-	for range ov.ChildPorts {
-		_, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Kind == kindWord && m.Tag == tag && isChildPort(ov, p)
-		})
-		acc = combine(acc, m.A)
-	}
-	if ov.Root {
-		return acc, true
-	}
-	nd.Send(ov.ParentPort, congest.Message{Kind: kindWord, Tag: tag, A: acc})
-	return acc, false
-}
-
-// Broadcast sends one word from the root down the overlay; every node
-// returns it. O(height) rounds, one message per tree edge.
-func Broadcast(nd *congest.Node, ov *Overlay, tags *Tags, value int64) int64 {
-	tag := tags.Next(1)
-	if !ov.Root {
-		_, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Kind == kindWord && m.Tag == tag && p == ov.ParentPort
-		})
-		value = m.A
-	}
-	for _, c := range ov.ChildPorts {
-		nd.Send(c, congest.Message{Kind: kindWord, Tag: tag, A: value})
-	}
-	return value
-}
-
 // ConvergeBroadcast aggregates one word at the root and broadcasts the
-// total back; every node returns the global aggregate. 2·height rounds.
+// total back; every node returns the global aggregate. It is one
+// ConvergeItem wave up and one BroadcastItem wave down with the word in
+// the item's first slot: 2·height rounds, two messages per tree edge.
 func ConvergeBroadcast(nd *congest.Node, ov *Overlay, tags *Tags, value int64, combine func(a, b int64) int64) int64 {
-	total, _ := Converge(nd, ov, tags, value, combine)
-	return Broadcast(nd, ov, tags, total)
+	total, _ := ConvergeItem(nd, ov, tags, Item{A: value}, func(a, b Item) Item {
+		return Item{A: combine(a.A, b.A)}
+	})
+	return BroadcastItem(nd, ov, tags, total).A
 }
 
 // Sum, Min and Max are the standard combiners.

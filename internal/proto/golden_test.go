@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -99,7 +100,7 @@ func perNode[T any](t *testing.T, e *congest.Engine, g *graph.Graph, program fun
 	var mu sync.Mutex
 	out := make([]T, g.N())
 	used := make([]uint32, g.N())
-	stats, err := e.Run(g, func(nd *congest.Node) {
+	stats, err := e.Run(context.Background(), g, func(nd *congest.Node) {
 		tags := new(Tags)
 		v := program(nd, tags)
 		mu.Lock()

@@ -31,7 +31,6 @@ const (
 	kindClaim                       // BFS child claim
 	kindDecline                     // BFS non-child notice
 	kindAdopt                       // tree rooting wave, A = depth
-	kindWord                        // single-word converge/broadcast payload
 	kindItem                        // stream item (payload = 4 words)
 	kindEnd                         // stream end marker, A = item count sent
 	kindSlot                        // keyed-sum slot, A = slot index, B = sum

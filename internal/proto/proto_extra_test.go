@@ -20,8 +20,13 @@ func TestKeyedSumEmptyKeys(t *testing.T) {
 	})
 }
 
+// onWord lifts a one-word combiner to items carrying the word in A.
+func onWord(combine func(a, b int64) int64) func(a, b Item) Item {
+	return func(a, b Item) Item { return Item{A: combine(a.A, b.A)} }
+}
+
 // TestConvergeItemVecMatchesSequential: the batched vector convergecast
-// must compute exactly what sequential Converge/ConvergeItem waves do —
+// must compute exactly what sequential ConvergeItem waves do —
 // here a sum, a min, and a max ride one wave.
 func TestConvergeItemVecMatchesSequential(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
@@ -50,13 +55,13 @@ func TestConvergeItemVecMatchesSequential(t *testing.T) {
 					return a
 				}
 			})
-			s, _ := Converge(nd, ov, tags, 1, Sum)
-			lo, _ := Converge(nd, ov, tags, id, Min)
-			hi, _ := Converge(nd, ov, tags, id, Max)
+			s, _ := ConvergeItem(nd, ov, tags, Item{A: 1}, onWord(Sum))
+			lo, _ := ConvergeItem(nd, ov, tags, Item{A: id}, onWord(Min))
+			hi, _ := ConvergeItem(nd, ov, tags, Item{A: id}, onWord(Max))
 			if root {
 				mu.Lock()
 				gotVec = vec
-				want = []Item{{A: s}, {A: lo}, {A: hi}}
+				want = []Item{s, lo, hi}
 				mu.Unlock()
 			}
 		})

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ import (
 // engine error or leftover traffic.
 func runAll(t *testing.T, g *graph.Graph, program func(*congest.Node)) *congest.Stats {
 	t.Helper()
-	stats, err := congest.Run(g, congest.Options{}, program)
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestKeyedSumMatchesDirectSum(t *testing.T) {
 	}
 }
 
-// Property: Converge with Sum equals the sequential sum for random
+// Property: ConvergeItem summing one word equals the sequential sum for random
 // inputs on random graphs.
 func TestConvergeSumProperty(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
@@ -245,13 +246,13 @@ func TestConvergeSumProperty(t *testing.T) {
 		g := graph.GNP(n, 0.2, seed)
 		var mu sync.Mutex
 		var rootTotal int64
-		stats, err := congest.Run(g, congest.Options{}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 			tags := new(Tags)
 			ov := BuildBFS(nd, 0, tags)
-			v, isRoot := Converge(nd, ov, tags, int64(nd.ID())*int64(nd.ID()), Sum)
+			v, isRoot := ConvergeItem(nd, ov, tags, Item{A: int64(nd.ID()) * int64(nd.ID())}, onWord(Sum))
 			if isRoot {
 				mu.Lock()
-				rootTotal = v
+				rootTotal = v.A
 				mu.Unlock()
 			}
 		})

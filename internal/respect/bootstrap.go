@@ -87,7 +87,7 @@ func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts 
 	}
 	// The fragment of node 0 (the BFS and tree root) is the root
 	// fragment.
-	in.RootFrag = proto.Broadcast(nd, bfs, tags, fragID)
+	in.RootFrag = proto.BroadcastItem(nd, bfs, tags, proto.Item{A: fragID}).A
 	in.FragParent[in.RootFrag] = -1
 	return in
 }

@@ -1,6 +1,7 @@
 package respect
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ func runPipeline(t *testing.T, g *graph.Graph, seed int64) ([]*Output, *tree.Tre
 	outs := make([]*Output, g.N())
 	parents := make([]graph.NodeID, g.N())
 	used := make([]uint32, g.N())
-	stats, err := congest.Run(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		res := mst.Run(nd, bfs, nil, 0, tags)
@@ -209,7 +210,7 @@ func TestRoundComplexity(t *testing.T) {
 	rounds := map[int]int{}
 	for _, side := range []int{8, 16} {
 		g := graph.Torus(side, side)
-		stats, err := congest.Run(g, congest.Options{Seed: 23}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 23}, func(nd *congest.Node) {
 			tags := new(proto.Tags)
 			bfs := proto.BuildBFS(nd, 0, tags)
 			res := mst.Run(nd, bfs, nil, 0, tags)

@@ -75,17 +75,20 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 	return err
 }
 
-// EscapeLabel escapes a label value per the exposition format.
-func EscapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes the three characters the exposition format
+// escapes in a label value: backslash, double quote and line feed.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// EscapeLabel escapes a label value per the exposition format. The
+// caller writes the surrounding double quotes itself: quoting the
+// escaped value again with %q would escape every backslash twice.
+func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // WriteBuildInfo renders the conventional build-identity gauge: a
 // constant 1 whose labels carry the version, commit, and toolchain.
 func WriteBuildInfo(b *strings.Builder, name, help string, bi BuildInfo) {
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	fmt.Fprintf(b, "%s{version=%q,commit=%q,goversion=%q} 1\n",
+	fmt.Fprintf(b, "%s{version=\"%s\",commit=\"%s\",goversion=\"%s\"} 1\n",
 		name, EscapeLabel(bi.Version), EscapeLabel(bi.Commit), EscapeLabel(bi.GoVersion))
 }
 
@@ -98,7 +101,7 @@ func writePhaseCounters(b *strings.Builder, name, help string, vals map[string]i
 	}
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 	for _, k := range sortedKeys(vals) {
-		fmt.Fprintf(b, "%s{phase=%q} %s\n", name, EscapeLabel(k), PromInt(vals[k]))
+		fmt.Fprintf(b, "%s{phase=\"%s\"} %s\n", name, EscapeLabel(k), PromInt(vals[k]))
 	}
 }
 
@@ -127,11 +130,11 @@ func WriteHistograms(b *strings.Builder, name, help, label string, keys []string
 		cum := int64(0)
 		for j, bound := range h.Bounds {
 			cum += h.Counts[j]
-			fmt.Fprintf(b, "%s_bucket{%s=%q,le=%q} %s\n", name, label, lv, PromFloat(bound), PromInt(cum))
+			fmt.Fprintf(b, "%s_bucket{%s=\"%s\",le=\"%s\"} %s\n", name, label, lv, PromFloat(bound), PromInt(cum))
 		}
 		cum += h.Counts[len(h.Bounds)]
-		fmt.Fprintf(b, "%s_bucket{%s=%q,le=\"+Inf\"} %s\n", name, label, lv, PromInt(cum))
-		fmt.Fprintf(b, "%s_sum{%s=%q} %s\n", name, label, lv, PromFloat(h.SumSeconds))
-		fmt.Fprintf(b, "%s_count{%s=%q} %s\n", name, label, lv, PromInt(h.Count))
+		fmt.Fprintf(b, "%s_bucket{%s=\"%s\",le=\"+Inf\"} %s\n", name, label, lv, PromInt(cum))
+		fmt.Fprintf(b, "%s_sum{%s=\"%s\"} %s\n", name, label, lv, PromFloat(h.SumSeconds))
+		fmt.Fprintf(b, "%s_count{%s=\"%s\"} %s\n", name, label, lv, PromInt(h.Count))
 	}
 }

@@ -46,3 +46,35 @@ func TestWritePrometheusPinned(t *testing.T) {
 		t.Fatalf("exposition drifted from testdata/metrics.prom:\n%s", b.String())
 	}
 }
+
+// TestLabelValuesEscapedOnce: a label value carrying a quote, a
+// backslash or a line feed renders with exactly the exposition
+// format's escapes, in the build-info, phase-counter and histogram
+// families alike.
+func TestLabelValuesEscapedOnce(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{`r"1`, `"r\"1"`},
+		{`a\b`, `"a\\b"`},
+		{"x\ny", `"x\ny"`},
+	}
+	for _, c := range cases {
+		var b strings.Builder
+		WriteBuildInfo(&b, "x_build_info", "h", BuildInfo{Version: c.in, Commit: c.in, GoVersion: c.in})
+		writePhaseCounters(&b, "x_phase_total", "h", map[string]int64{c.in: 1})
+		WriteHistograms(&b, "x_seconds", "h", "tier", []string{c.in}, []HistogramSnapshot{pinnedHistogram(0, 1)})
+		out := b.String()
+		for _, want := range []string{
+			"version=" + c.want + ",commit=" + c.want + ",goversion=" + c.want + "}",
+			"{phase=" + c.want + "} 1\n",
+			"x_seconds_sum{tier=" + c.want + "} 1\n",
+			"x_seconds_count{tier=" + c.want + "} ",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("label %q: exposition lacks %s:\n%s", c.in, want, out)
+			}
+		}
+		if n := strings.Count(out, "tier="+c.want+","); n != len(durationBounds)+1 {
+			t.Errorf("label %q: %d bucket lines carry tier=%s, want %d", c.in, n, c.want, len(durationBounds)+1)
+		}
+	}
+}

@@ -1116,7 +1116,7 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 		}
 		s.log.Debug("job done", "tier", e.tier, "key", e.key,
 			"rounds", e.progress.Round(), "elapsed", now.Sub(started))
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, congest.ErrBudgetExceeded):
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, congest.ErrMaxRounds):
 		// Wall-clock deadline or round budget: terminal StateDeadline.
 		// The progress gauge and any published approx payload stay on
 		// the records — partial progress is the outcome, not an error —
@@ -1292,7 +1292,6 @@ func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *
 		Seed:      e.req.Seed,
 		Epsilon:   e.req.Epsilon,
 		MaxRounds: s.opts.MaxJobRounds,
-		Deadline:  e.deadlineAt,
 		Engine:    eng,
 		Progress:  e.progress,
 	}
