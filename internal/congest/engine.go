@@ -81,7 +81,7 @@ type BudgetError struct {
 }
 
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("congest: exceeded MaxRounds (%d) at %d messages", e.RoundLimit, e.Messages)
+	return fmt.Sprintf("congest: exceeded MaxRounds (%d) at round %d (%d messages)", e.RoundLimit, e.Rounds, e.Messages)
 }
 
 // Is makes errors.Is(err, ErrMaxRounds) match every BudgetError.

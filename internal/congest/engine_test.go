@@ -217,7 +217,7 @@ func TestPanicPropagation(t *testing.T) {
 
 func TestMaxRoundsAborts(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(context.Background(), g, Options{MaxRounds: 10}, func(nd *Node) {
+	stats, err := Run(context.Background(), g, Options{MaxRounds: 10}, func(nd *Node) {
 		for {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
@@ -240,6 +240,12 @@ func TestMaxRoundsAborts(t *testing.T) {
 	}
 	if be.Rounds <= 10 {
 		t.Fatalf("BudgetError.Rounds = %d, want > 10", be.Rounds)
+	}
+	if stats == nil || stats.Rounds != be.Rounds || stats.Delivered != be.Messages {
+		t.Fatalf("partial stats = %+v, want Rounds=%d Delivered=%d as in %+v", stats, be.Rounds, be.Messages, be)
+	}
+	if want := fmt.Sprintf("congest: exceeded MaxRounds (10) at round %d (%d messages)", stats.Rounds, stats.Delivered); err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 
