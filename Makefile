@@ -40,7 +40,8 @@ test-chaos:
 # It then runs, under both settings, the mst package's tests (among
 # them the Result fingerprint: every node's tree, fragment and
 # fragment-forest output), the entry-point golden test (every entry
-# point's Stats, Marks, Value and Side) and the respect package's tests.
+# point's Stats, Marks, Value and Side), the respect package's tests and
+# the sampling package's tests (the bracket's connectivity oracle).
 determinism:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/mincut" ./cmd/mincut; \
@@ -60,6 +61,8 @@ determinism:
 		echo "entry-point golden: unchanged under GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs $(GO) test ./internal/respect -count=1 > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
 		echo "respect tests: pass under GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs $(GO) test ./internal/sampling -count=1 > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
+		echo "sampling tests: pass under GOMAXPROCS=$$procs"; \
 	done
 
 # perfbench-test vets and tests the benchmark module. perfbench/ is a

@@ -365,10 +365,11 @@ type BracketResult struct {
 // rate 2^-i with a connectivity test per level — the first level whose
 // skeleton disconnects brackets λ within an O(log n) factor (after the
 // synchronous sampler of Karger [arXiv:0912.1200] as used by
-// Ghaffari–Kuhn [arXiv:1305.5520]). No tree packing runs at all, so
-// the whole protocol costs O(levels · (D + chunk)) rounds — a handful
-// of floods and convergecasts — which makes it the front tier ahead of
-// ApproxMinCut and MinCut. See sampling.Bracket for the protocol.
+// Ghaffari–Kuhn [arXiv:1305.5520]). No tree packing runs at all: each
+// sampled skeleton costs one flood with echo and one broadcast, about
+// 2·ecc + D rounds for the eccentricity ecc of node 0 in the skeleton,
+// which makes it the front tier ahead of ApproxMinCut and MinCut. See
+// sampling.Bracket for the protocol.
 func BracketMinCut(g *graph.Graph, opts *Options) (*BracketResult, error) {
 	return BracketMinCutContext(context.Background(), g, opts)
 }

@@ -56,6 +56,15 @@ func Max(a, b int64) int64 {
 	return a
 }
 
+// MinItem is the item combiner that keeps the lexicographically
+// smaller item, e.g. the lowest (value, node ID) candidate.
+func MinItem(a, b Item) Item {
+	if itemLess(b, a) {
+		return b
+	}
+	return a
+}
+
 // Gather streams every node's items to the root (upcast). Items flow up
 // concurrently on all tree paths; each edge carries its subtree's items
 // followed by one end marker, so the whole gather takes O(height + k)

@@ -491,12 +491,7 @@ func (r *respectRun) finish(out *Output) {
 	if in.ParentPort >= 0 { // the root's C(v↓) is not a cut
 		mine = proto.Item{A: out.CutBelow, B: int64(nd.ID())}
 	}
-	best, _ := proto.ConvergeItem(nd, in.BFS, r.tags, mine, func(a, b proto.Item) proto.Item {
-		if b.A < a.A || (b.A == a.A && b.B < a.B) {
-			return b
-		}
-		return a
-	})
+	best, _ := proto.ConvergeItem(nd, in.BFS, r.tags, mine, proto.MinItem)
 	best = proto.BroadcastItem(nd, in.BFS, r.tags, best)
 	out.Best = best.A
 	out.BestNode = graph.NodeID(best.B)

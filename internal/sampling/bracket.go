@@ -5,13 +5,16 @@ import (
 	"strconv"
 
 	"distmincut/internal/congest"
+	"distmincut/internal/graph"
 	"distmincut/internal/proto"
 )
 
 // Message kinds for the bracket tier (0x78 range; see proto for the
 // cross-package kind-range convention).
 const (
-	kindReach uint8 = 0x78 + iota // sampled-connectivity flood marker
+	kindReach   uint8 = 0x78 + iota // sampled-connectivity flood
+	kindEcho                        // flood echo, A = reached nodes in the sender's flood subtree
+	kindVerdict                     // connectivity verdict down the BFS tree, A = 1 if connected
 )
 
 // TrialSeed derives the deterministic per-trial seed for one bracket
@@ -29,11 +32,6 @@ func TrialSeed(seed int64, trial int) int64 {
 // tests per level. More trials sharpen the lower bound — a level only
 // counts as "connected" if every trial's skeleton is connected.
 const bracketTrials = 3
-
-// chunkRounds is how many flood rounds a connectivity test runs
-// between global termination checks. Larger chunks trade convergecast
-// barriers for idle rounds on skeletons of small diameter.
-const chunkRounds = 8
 
 // BracketOutcome is the bracket program's result, identical at every
 // node.
@@ -64,22 +62,26 @@ type BracketOutcome struct {
 // disconnects locates log₂ λ to within a constant plus O(log log n):
 // λ ≳ 2^(Level-2) w.h.p. (the graph survived every coarser level) and
 // λ ≤ min weighted degree always. The program needs no tree packing at
-// all — each level is a flood plus a few convergecasts — which is what
-// makes it the O(levels · (D + chunkRounds)) front tier ahead of the (1+ε)
-// and exact tiers.
+// all: one convergecast and broadcast find the minimum degree, and each
+// trial is one flood with echo plus a verdict broadcast, about
+// 2·ecc + height rounds (sampledConnected). That is what makes it the
+// front tier ahead of the (1+ε) and exact tiers.
 //
 // Each level tests bracketTrials skeletons drawn from seed's shared
-// coins, and the descent stops two levels past the bit length of the
-// minimum weighted degree: sampling far below the cheapest singleton
-// cut's survival threshold is pointless. All branch decisions are
-// functions of globally agreed values (convergecast totals), so every
-// node follows the same schedule in lockstep.
+// coins, one after another, and stops at the first disconnected one;
+// the descent stops two levels past the bit length of the minimum
+// weighted degree: sampling far below the cheapest singleton cut's
+// survival threshold is pointless. All branch decisions are functions
+// of globally agreed values (the broadcast minimum degree and each
+// trial's broadcast verdict), so every node follows the same schedule
+// in lockstep.
 func Bracket(nd *congest.Node, bfs *proto.Overlay, seed int64, tags *proto.Tags) BracketOutcome {
 	mark := nd.ID() == 0 // node 0 records the phase spans for observability
 
-	// Certified upper bound: the cheapest singleton cut. Two
-	// convergecasts — the minimum weighted degree, then the lowest node
-	// ID attaining it.
+	// Certified upper bound: the cheapest singleton cut. One
+	// convergecast of (weighted degree, ID) under lexicographic minimum
+	// finds the minimum degree and the lowest ID attaining it; one
+	// broadcast shares both.
 	if mark {
 		nd.Mark("begin:mindeg")
 	}
@@ -87,12 +89,9 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, seed int64, tags *proto.Tags)
 	for p := 0; p < nd.Degree(); p++ {
 		deg += nd.EdgeWeight(p)
 	}
-	minDeg := proto.ConvergeBroadcast(nd, bfs, tags, deg, proto.Min)
-	cand := int64(math.MaxInt64)
-	if deg == minDeg {
-		cand = int64(nd.ID())
-	}
-	minNode := proto.ConvergeBroadcast(nd, bfs, tags, cand, proto.Min)
+	best, _ := proto.ConvergeItem(nd, bfs, tags, proto.Item{A: deg, B: int64(nd.ID())}, proto.MinItem)
+	best = proto.BroadcastItem(nd, bfs, tags, best)
+	minDeg, minNode := best.A, best.B
 	if mark {
 		nd.Mark("end:mindeg")
 	}
@@ -114,7 +113,7 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, seed int64, tags *proto.Tags)
 		for trial := 0; trial < bracketTrials; trial++ {
 			ts := TrialSeed(seed, trial)
 			for p := range keep {
-				keep[p] = SampleWeight(ts, packPeers(nd, p), level, nd.EdgeWeight(p)) > 0
+				keep[p] = SampleWeight(ts, packPeers(nd.ID(), nd.Peer(p)), level, nd.EdgeWeight(p)) > 0
 			}
 			if !sampledConnected(nd, bfs, keep, tags) {
 				out.Level = level
@@ -151,10 +150,10 @@ func Bracket(nd *congest.Node, bfs *proto.Overlay, seed int64, tags *proto.Tags)
 	return out
 }
 
-// packPeers packs the sorted endpoint pair of the edge at port p into
-// one word, so both endpoints derive identical sampling coins.
-func packPeers(nd *congest.Node, p int) int64 {
-	u, v := int64(nd.ID()), int64(nd.Peer(p))
+// packPeers packs the sorted endpoint pair of an edge into one word,
+// so both endpoints derive identical sampling coins.
+func packPeers(a, b graph.NodeID) int64 {
+	u, v := int64(a), int64(b)
 	if u > v {
 		u, v = v, u
 	}
@@ -162,50 +161,69 @@ func packPeers(nd *congest.Node, p int) int64 {
 }
 
 // sampledConnected floods reachability from node 0 over the kept edges
-// and reports whether every node was reached. The flood advances one
-// hop per round for chunkRounds rounds, then a convergecast sums the
-// nodes newly reached in the chunk; a chunk that reaches nobody is a
-// global fixed point. Every reach message is consumed (reached or
-// not), so no traffic is left over in either outcome. Round cost is
-// O((ecc/chunkRounds + 1) · (chunkRounds + height)) for the eccentricity of node
-// 0's component in the skeleton.
+// and reports whether every node was reached. It is a flood with echo
+// (Segall's PIF). A node reached for the first time takes the port of
+// its first reach (lowest port, FIFO) as its flood parent and sends
+// reach on every other kept port. Each later reach or echo it receives
+// settles one of those ports; once all are settled it echoes the number
+// of reached nodes in its flood subtree to its parent. When node 0 has
+// settled every port it knows the size of its component, and it sends
+// the verdict down the BFS overlay. Every other node waits in one Recv
+// for this trial's reach or echo or for the verdict from its BFS
+// parent, so a node outside node 0's component sleeps until the verdict
+// arrives. Each kept edge in node 0's component carries exactly two
+// messages, one each way, so no traffic is left over in either outcome.
+// Round cost is about 2·ecc + height, for the eccentricity ecc of node
+// 0's component in the skeleton and the height of the BFS overlay.
 func sampledConnected(nd *congest.Node, bfs *proto.Overlay, keep []bool, tags *proto.Tags) bool {
 	tag := tags.Next(1)
-	reached := nd.ID() == 0
-	newly := int64(0)
-	match := congest.MatchKindTag(kindReach, tag)
-	announce := func() {
+	parent := -1      // flood parent port (none at node 0)
+	pending := -1     // kept ports not yet settled; -1 while unreached
+	count := int64(1) // reached nodes in this node's flood subtree
+	flood := func() {
+		pending = 0
 		for p, k := range keep {
-			if k {
+			if k && p != parent {
+				pending++
 				nd.Send(p, congest.Message{Kind: kindReach, Tag: tag})
 			}
 		}
 	}
-	if reached {
-		newly = 1
-		announce()
+	match := func(p int, m congest.Message) bool {
+		return m.Tag == tag && (m.Kind == kindReach || m.Kind == kindEcho ||
+			m.Kind == kindVerdict && p == bfs.ParentPort)
 	}
-	var total int64
-	for {
-		for r := 0; r < chunkRounds; r++ {
-			nd.Sleep(1)
-			for {
-				_, _, ok := nd.TryRecv(match)
-				if !ok {
-					break
-				}
-				if !reached {
-					reached = true
-					newly++
-					announce()
-				}
+	var verdict int64
+	if nd.ID() == 0 {
+		flood()
+		for ; pending > 0; pending-- {
+			_, m := nd.Recv(match)
+			count += m.A // a reach carries 0
+		}
+		if count == int64(nd.N()) {
+			verdict = 1
+		}
+	} else {
+		for {
+			p, m := nd.Recv(match)
+			if m.Kind == kindVerdict {
+				verdict = m.A
+				break
+			}
+			if pending < 0 {
+				parent = p
+				flood()
+			} else {
+				pending--
+				count += m.A
+			}
+			if pending == 0 {
+				nd.Send(parent, congest.Message{Kind: kindEcho, Tag: tag, A: count})
 			}
 		}
-		sum := proto.ConvergeBroadcast(nd, bfs, tags, newly, proto.Sum)
-		total += sum
-		newly = 0
-		if sum == 0 {
-			return total == int64(nd.N())
-		}
 	}
+	for _, c := range bfs.ChildPorts {
+		nd.Send(c, congest.Message{Kind: kindVerdict, Tag: tag, A: verdict})
+	}
+	return verdict == 1
 }

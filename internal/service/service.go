@@ -55,9 +55,9 @@ var ErrBusy = errors.New("service: queue full")
 var ErrClosed = errors.New("service: shutting down")
 
 // CostEstimate is the admission controller's verdict on an exact or
-// tiered submission: the ~100-round bracket pre-pass brackets λ in
-// [LambdaLo, LambdaHi], and EstRounds extrapolates the poly(λ) exact
-// pipeline from the upper bracket. It is the body of an admission
+// tiered submission: the bracket pre-pass (a few dozen rounds) brackets
+// λ in [LambdaLo, LambdaHi], and EstRounds extrapolates the poly(λ)
+// exact pipeline from the upper bracket. It is the body of an admission
 // rejection (HTTP 429).
 type CostEstimate struct {
 	LambdaLo      int64 `json:"lambda_lo"`
@@ -94,9 +94,9 @@ func (e *AdmissionError) Error() string {
 type AdmissionOptions struct {
 	// CeilingRounds is the estimated-round budget above which an
 	// exact/tiered submission is rejected (or down-tiered). The
-	// estimate is (√n + bracket rounds) · λhi² from a ~100-round
-	// bracket pre-pass whose result is cached under the bracket tier
-	// key, byte-identical to a direct bracket submission.
+	// estimate is (√n + bracket rounds) · λhi² from a bracket
+	// pre-pass of a few dozen rounds whose result is cached under the
+	// bracket tier key, byte-identical to a direct bracket submission.
 	CeilingRounds int64
 	// Downtier, when set, serves over-ceiling submissions at the approx
 	// tier (recorded as JobView.DegradedFrom) instead of rejecting
@@ -532,7 +532,7 @@ func (s *Service) Submit(req JobRequest) (JobView, error) {
 	s.mu.Unlock()
 
 	// Admission runs without the lock: the bracket pre-pass is a real
-	// (if ~100-round) protocol run on the submitter's goroutine.
+	// (if few-dozen-round) protocol run on the submitter's goroutine.
 	if s.opts.Admission.CeilingRounds > 0 && (canon.Tier == TierExact || canon.Tier == TierTiered) {
 		if est, ok := s.admitEstimate(canon); ok && est.EstRounds > est.Ceiling {
 			if !s.opts.Admission.Downtier {
@@ -693,7 +693,7 @@ func (s *Service) serveLocked(canon JobRequest, key string, budget time.Duration
 }
 
 // admitEstimate prices an exact/tiered submission via the bracket
-// pre-pass: λ ∈ [lo, hi] in ~100 rounds (distmincut.BracketMinCut),
+// pre-pass: λ ∈ [lo, hi] in a few dozen rounds (distmincut.BracketMinCut),
 // with the result cached under the bracket tier key — byte-identical
 // to a direct bracket submission, so pre-passes and bracket traffic
 // share cache entries in both directions. Reports ok=false to admit
@@ -1070,13 +1070,15 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 	defer cancel()
 
 	res, setupNs, err := s.executeSafe(ctx, eng, e)
+	// The execution ends here, not once the worker holds the service
+	// lock: waiting for the lock is not running time.
+	now := time.Now()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.inflight[e.key] == e {
 		delete(s.inflight, e.key)
 	}
-	now := time.Now()
 	// finalize moves every attached record to its terminal state,
 	// merging the execution's shared timeline plus the given trailing
 	// events (terminal instant first, so a flight-recorder tail renders
@@ -1262,10 +1264,7 @@ func (s *Service) execTrace(e *exec, ev traceEvent) {
 // gets its umbrella span, so partial traces show where the wall time
 // went even without protocol marks.
 func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.Stats) {
-	evs := make([]traceEvent, 0, 8)
-	evs = append(evs, traceEvent{
-		name: "run:" + tier, cat: "phase", at: t0, dur: time.Since(t0),
-	})
+	evs := make([]traceEvent, 1, 8) // evs[0] is the umbrella, timed last
 	var spans []*distmincut.Span
 	if stats != nil {
 		evs = append(evs, traceEvent{
@@ -1275,6 +1274,9 @@ func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.S
 		evs = spanEvents(t0, spans, evs)
 	}
 	s.mu.Lock()
+	// The umbrella covers the recording too, so the run's trace has no
+	// unattributed tail.
+	evs[0] = traceEvent{name: "run:" + tier, cat: "phase", at: t0, dur: time.Since(t0)}
 	e.trace = append(e.trace, evs...)
 	if spans != nil {
 		addPhaseTotals(s.phaseRounds, s.phaseMessages, spans)

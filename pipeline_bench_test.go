@@ -97,10 +97,12 @@ func BenchmarkApproxMillion(b *testing.B) {
 
 // BenchmarkBracketMillion runs the bracket serving tier at the same
 // scale. The planted bridge disconnects the very first sampled
-// skeleton, so the whole protocol is a BFS overlay, a couple of
-// degree convergecasts, and a handful of short sampled floods — the
-// few-rounds front tier the service serves ahead of the two packing
-// tiers.
+// skeleton, so the whole protocol is a BFS overlay, one degree
+// convergecast and broadcast, and a few sampled floods with echo —
+// the few-rounds front tier the service serves ahead of the two
+// packing tiers. Nodes a flood does not reach sleep in one receive
+// until the verdict arrives, so wakeups track messages, not n per
+// round.
 func BenchmarkBracketMillion(b *testing.B) {
 	pipelineGraph.once.Do(func() {
 		pipelineGraph.g = bridgedExpanders(125_000, 8, 9)
