@@ -74,8 +74,8 @@ func BenchmarkTheorem21PerTree(b *testing.B) {
 		stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 4}, func(nd *congest.Node) {
 			tags := new(proto.Tags)
 			bfs := proto.BuildBFS(nd, 0, tags)
-			loads := make(map[int]int64, nd.Degree())
-			packing.Pack(nd, bfs, 1, loads, packing.Options{}, tags, nil)
+			packing.Pack(nd, bfs, packing.Options{}, tags,
+				func(r *packing.Result) bool { return r.Trees >= 1 })
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -13,7 +13,7 @@ import (
 
 // TestCancelAtEachPhaseBoundary cancels the exact pipeline inside each
 // of its phases — BFS, first MST, packing orchestration (a later
-// tree's MST), respect sweep, and the doubling certification tail —
+// tree's MST), respect sweep, and the packing tail (the last tree) —
 // and asserts the contract the service relies on: the error wraps
 // ctx.Err() (context.Canceled), and the engine is left clean (a warm
 // rerun on the same engine completes and matches a fresh engine's
@@ -21,8 +21,9 @@ import (
 //
 // Phase targets are derived from a reference run's marks: packing
 // emits begin:/end: marks for every mst and respect span from node 0,
-// BFS is everything before the first mark, and the certification tail
-// has its own begin:certify/end:certify span.
+// BFS is everything before the first mark, and the tail runs from the
+// last tree's begin:mst to the end:pack that closes the packing. Every
+// target must fall inside the run, so no point is ever skipped.
 func TestCancelAtEachPhaseBoundary(t *testing.T) {
 	g := graph.PlantedCut(48, 48, 3, 0.4, 5)
 	opts := func() *Options { return &Options{Seed: 2} }
@@ -36,7 +37,7 @@ func TestCancelAtEachPhaseBoundary(t *testing.T) {
 		t.Fatal("reference run recorded no phase marks")
 	}
 	var firstMST, endFirstMST, laterMST, firstRespect, endRespect int
-	var beginCertify, endCertify int
+	var lastMST, tailBegin, endPack int
 	for _, m := range marks {
 		switch m.Label {
 		case "begin:mst":
@@ -47,6 +48,7 @@ func TestCancelAtEachPhaseBoundary(t *testing.T) {
 				// orchestration is interleaving trees by now.
 				laterMST = m.Round
 			}
+			lastMST = m.Round
 		case "end:mst":
 			if endFirstMST == 0 {
 				endFirstMST = m.Round
@@ -56,13 +58,11 @@ func TestCancelAtEachPhaseBoundary(t *testing.T) {
 				firstRespect = m.Round
 			}
 		case "end:respect":
-			if beginCertify == 0 {
+			if endRespect == 0 {
 				endRespect = m.Round
 			}
-		case "begin:certify":
-			beginCertify = m.Round
-		case "end:certify":
-			endCertify = m.Round
+		case "end:pack":
+			tailBegin, endPack = lastMST, m.Round
 		}
 	}
 	phases := []struct {
@@ -73,16 +73,18 @@ func TestCancelAtEachPhaseBoundary(t *testing.T) {
 		{"mst", (firstMST + endFirstMST) / 2},
 		{"packing", laterMST},
 		{"respect", (firstRespect + endRespect) / 2},
-		{"certification", (beginCertify + endCertify) / 2},
+		{"tail", (tailBegin + endPack) / 2},
+	}
+	for _, ph := range phases {
+		if ph.target < 1 || ph.target >= ref.Rounds {
+			t.Fatalf("%s: target round %d outside the run's %d rounds", ph.name, ph.target, ref.Rounds)
+		}
 	}
 
 	eng := congest.NewEngine(congest.Options{})
 	defer eng.Close()
 	for _, ph := range phases {
 		t.Run(ph.name, func(t *testing.T) {
-			if ph.target < 1 || ph.target >= ref.Rounds {
-				t.Skipf("phase window too narrow (target %d of %d rounds)", ph.target, ref.Rounds)
-			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			pg := &congest.Progress{}

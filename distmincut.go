@@ -44,18 +44,21 @@ import (
 // are not connected.
 var ErrBadInput = errors.New("distmincut: need a connected graph with at least 2 nodes")
 
-// maxExactLambda bounds MinCut's doubling search for λ: poly(λ) trees
-// are only tractable for small λ, so beyond it MinCut returns its best
-// cut found with Exact=false and ApproxMinCut is the tool.
+// maxExactLambda bounds MinCut's search for λ: poly(λ) trees are only
+// tractable for small λ, so packing.Exact certifies cuts up to 2^20 (the
+// largest power of two ≤ this bound) and beyond it MinCut returns its
+// best cut found with Exact=false, after PracticalTau(2^20, n) trees;
+// ApproxMinCut is the tool there.
 const maxExactLambda = 1 << 20
 
 // approxTauMax caps the trees ApproxMinCut packs per sampling level.
 const approxTauMax = 32
 
 // Options tune a run. The zero value is ready to use. The packing size
-// is always packing.PracticalTau, MinCut's doubling search stops past
-// λ̂ = 2^20, ApproxMinCut packs at most 32 trees per sampling level, and
-// BracketMinCut tests 3 skeletons per level.
+// is always packing.PracticalTau, MinCut certifies cuts up to 2^20,
+// ApproxMinCut's level 0 certifies cuts up to 2^⌊log₂ κ⌋ and its
+// sampled levels pack at most 32 trees each, and BracketMinCut tests
+// 3 skeletons per level.
 type Options struct {
 	// Seed drives all randomness (engine scheduling is deterministic;
 	// the seed affects MST coin flips and sampling). Zero means 1.
@@ -202,8 +205,9 @@ func validate(g *graph.Graph) error {
 }
 
 // MinCut computes the minimum cut exactly with the paper's main
-// algorithm (tree packing with a doubling guess for λ). For cuts
-// beyond 2^20 the result carries Exact=false; use ApproxMinCut there.
+// algorithm (tree packing until enough trees are packed for the best
+// cut found). For cuts beyond 2^20 the result carries Exact=false; use
+// ApproxMinCut there.
 func MinCut(g *graph.Graph, opts *Options) (*Result, error) {
 	return MinCutContext(context.Background(), g, opts)
 }
@@ -221,7 +225,7 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res, exact := packing.ExactDoubling(nd, bfs, maxExactLambda,
+		res, exact := packing.Exact(nd, bfs, maxExactLambda,
 			packing.Options{SizeCap: o.SizeCap}, tags)
 		side := packing.MarkSide(nd, bfs, res, tags)
 		value := packing.EvaluateCut(nd, bfs, side, tags)
@@ -270,8 +274,8 @@ func OneRespectingCutContext(ctx context.Context, g *graph.Graph, opts *Options)
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		loads := make(map[int]int64, nd.Degree())
-		res := packing.Pack(nd, bfs, 1, loads, packing.Options{SizeCap: o.SizeCap}, tags, nil)
+		res := packing.Pack(nd, bfs, packing.Options{SizeCap: o.SizeCap}, tags,
+			func(r *packing.Result) bool { return r.Trees >= 1 })
 		side := packing.MarkSide(nd, bfs, res, tags)
 		col.mu.Lock()
 		defer col.mu.Unlock()
@@ -298,8 +302,8 @@ func OneRespectingCutContext(ctx context.Context, g *graph.Graph, opts *Options)
 // (jumping geometrically using the observed cut) until the skeleton's
 // minimum cut falls below κ(ε) = Θ(log n/ε²), find the skeleton's
 // minimum cut with the exact machinery, and return that cut's true
-// weight in the original graph. If the graph's own cut is already
-// below κ the answer is exact.
+// weight in the original graph. If the graph's own cut is at most
+// 2^⌊log₂ κ⌋ (the largest power of two ≤ κ) the answer is exact.
 func ApproxMinCut(g *graph.Graph, opts *Options) (*Result, error) {
 	return ApproxMinCutContext(context.Background(), g, opts)
 }
@@ -431,22 +435,22 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 		if mark {
 			nd.Mark("begin:level:" + strconv.Itoa(level))
 		}
-		loads := make(map[int]int64, nd.Degree())
-		cur := packing.Pack(nd, bfs, approxTauMax, loads,
-			packing.Options{Weight: weightAt(level), StopBelow: kappa, SizeCap: o.SizeCap},
-			tags, nil)
+		cur := packing.Pack(nd, bfs,
+			packing.Options{Weight: weightAt(level), SizeCap: o.SizeCap}, tags,
+			func(r *packing.Result) bool { return r.Trees >= approxTauMax || r.Cut <= kappa })
 		if mark {
 			nd.Mark("end:level:" + strconv.Itoa(level))
 		}
 		return cur
 	}
 
-	// Level 0: try the exact algorithm capped at κ. If λ <= κ this is
-	// already the exact answer.
+	// Level 0: try the exact algorithm with its search capped at κ, so
+	// it certifies cuts up to 2^⌊log₂ κ⌋ (the largest power of two ≤ κ).
+	// If λ is at most that, this is already the exact answer.
 	if mark {
 		nd.Mark("begin:level:0")
 	}
-	res, exact := packing.ExactDoubling(nd, bfs, kappa,
+	res, exact := packing.Exact(nd, bfs, kappa,
 		packing.Options{SizeCap: o.SizeCap}, tags)
 	if mark {
 		nd.Mark("end:level:0")

@@ -49,8 +49,8 @@ const suTrees = 8
 // Karger skeleton sampled with p = min(1, Θ(log n/(ε²λ))) — descending
 // p until the skeleton's packed cut falls below the threshold κ(ε) —
 // and packs a fixed budget of suTrees trees per level with a
-// bridge-style check rather than the exact algorithm's certified
-// doubling. It therefore never certifies exactness, even when λ is
+// bridge-style check rather than the exact algorithm's certifying
+// stop rule. It therefore never certifies exactness, even when λ is
 // small (the drawback the paper notes). The found cut is evaluated
 // under the original weights.
 //
@@ -73,9 +73,8 @@ func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed 
 	level := 0
 	trees := 0
 	for ; level < 62; level++ {
-		loads := make(map[int]int64, nd.Degree())
-		cur := packing.Pack(nd, bfs, suTrees, loads,
-			packing.Options{Weight: weightAt(level)}, tags, nil)
+		cur := packing.Pack(nd, bfs, packing.Options{Weight: weightAt(level)}, tags,
+			func(r *packing.Result) bool { return r.Trees >= suTrees })
 		trees += cur.Trees
 		if !cur.Connected {
 			// Oversampled: keep the previous level's result.

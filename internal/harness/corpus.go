@@ -67,8 +67,8 @@ func ServiceCorpus(quick bool) []service.JobRequest {
 
 // OverloadCorpus returns a request mix built to saturate a small
 // worker pool: mostly expensive exact and tiered runs at sizes where
-// the doubling certification dominates, with only a thin stream of
-// cheap bracket probes. Unlike ServiceCorpus it is deliberately
+// packing the trees that certify exactness dominates, with only a thin
+// stream of cheap bracket probes. Unlike ServiceCorpus it is deliberately
 // cache-hostile across its own length (every entry is a distinct
 // canonical request), so a wrap-around pass still queues real protocol
 // runs — pair it with loadgen's -unique flag to defeat the cache

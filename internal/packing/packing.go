@@ -7,10 +7,12 @@
 //
 // The distributed driver packs trees by alternating the Kutten–Peleg
 // MST (internal/mst) and the Section-2 algorithm (internal/respect),
-// Õ(√n + D) rounds per tree. The exact algorithm does not know λ in
-// advance and doubles a guess λ̂: pack τ(λ̂) trees, and stop as soon as
-// the best cut found is ≤ λ̂ (then the packing was provably large
-// enough, so the answer is exact).
+// Õ(√n + D) rounds per tree. Pack is the one packing loop: it packs one
+// tree at a time until its caller's stop rule holds. The exact
+// algorithm does not know λ in advance, so its rule reads the best cut
+// found so far: stop once τ(min(best, cap)) trees are packed. Since
+// best ≥ λ, that many trees are provably enough when best ≤ cap, and
+// the answer is exact.
 //
 // τ policies: Thorup's theoretical bound is Θ(λ⁷ log³ n) trees —
 // correct but intractable beyond tiny λ; the driver always uses the
@@ -44,7 +46,7 @@ func TheoreticalTau(lambda int64, n int) int {
 	return int(math.Ceil(t))
 }
 
-// PracticalTau is the packing size ExactDoubling uses: c·λ·ln n + 3
+// PracticalTau is the packing size Exact uses: c·λ·ln n + 3
 // trees. Experiment E7 measures the actual number of trees needed until
 // some tree 1-respects a minimum cut; this bound exceeds it with a wide
 // margin on every workload family in the suite.
@@ -52,8 +54,8 @@ func TheoreticalTau(lambda int64, n int) int {
 // λ = 1 is special-cased to a single tree: with integer weights ≥ 1 a
 // cut of weight 1 is a single bridge, every spanning tree contains
 // every bridge, so the first packed tree already 1-respects any
-// weight-1 cut. This keeps the λ̂ = 1 doubling guess O(1) trees at any
-// scale instead of Θ(ln n).
+// weight-1 cut. This keeps a run whose first tree finds a bridge at
+// O(1) trees at any scale instead of Θ(ln n).
 func PracticalTau(lambda int64, n int) int {
 	if lambda <= 1 {
 		return 1
@@ -66,10 +68,6 @@ type Options struct {
 	// Weight optionally overrides per-port weights (sampled views);
 	// weight(p) <= 0 means the edge is absent.
 	Weight func(port int) int64
-	// StopBelow, if positive, stops packing as soon as the best cut
-	// found is <= StopBelow (used by the sampling reduction, which only
-	// needs the cut once it is below the skeleton threshold).
-	StopBelow int64
 	// SizeCap overrides the fragment size threshold (default √n); used
 	// by the E9 ablation.
 	SizeCap int
@@ -89,18 +87,17 @@ type Result struct {
 	BestOutput *respect.Output
 }
 
-// Pack packs up to tau trees and returns the best 1-respecting cut
-// over all of them. loads carries packing loads across calls (pass a
-// fresh map for a standalone run); it is updated in place. If the
-// (possibly sampled) graph is disconnected, packing aborts with
-// Connected=false and Cut untouched.
-func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, opts Options, tags *proto.Tags, prev *Result) *Result {
-	res := prev
-	if res == nil {
-		res = &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
-	}
+// Pack packs trees one at a time, each the MST under the loads of
+// those before it, until enough(res) holds, and returns the best
+// 1-respecting cut over all of them. enough must read only fields
+// every node agrees on (Trees, Cut), so all nodes stop after the same
+// tree. If the (possibly sampled) graph is disconnected, packing aborts
+// with Connected=false and Cut untouched.
+func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, enough func(*Result) bool) *Result {
+	res := &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
+	loads := make(map[int]int64, nd.Degree())
 	mark := nd.ID() == 0 // node 0 records phase spans for observability
-	for i := 0; i < tau; i++ {
+	for !enough(res) {
 		if mark {
 			nd.Mark("begin:mst")
 		}
@@ -136,81 +133,41 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, tau int, loads map[int]int64, op
 			res.BestOutput = out
 		}
 		res.Trees++
-		if opts.StopBelow > 0 && res.Cut <= opts.StopBelow {
-			return res
-		}
 	}
 	return res
 }
 
-// ExactDoubling runs the paper's main algorithm: double λ̂ and extend
-// the greedy packing until the best cut found is ≤ λ̂ with enough trees
-// behind it — at that point the packing provably contained a tree
-// 1-respecting a minimum cut, so the result is exact.
+// Exact runs the paper's main algorithm: pack until the packing holds
+// PracticalTau(min(best, cap), n) trees, where best is the best cut
+// found so far and cap the largest power of two ≤ maxLambda. Every cut
+// found is ≥ λ and PracticalTau is monotone, so when best ≤ cap the
+// packing holds PracticalTau(λ) trees or more: some packed tree
+// 1-respects a minimum cut, and best = λ is certified exact. When best
+// stays above cap the search gives up after PracticalTau(cap) trees,
+// uncertified. A bridge found by the first tree stops the run at once
+// (PracticalTau(1) = 1), which keeps λ = 1 instances O(1) trees at any
+// scale.
 //
-// Each guess packs with StopBelow = λ̂ so the expensive per-tree work
-// halts the moment a candidate ≤ λ̂ appears; certification then tops the
-// packing up one tree at a time until it holds PracticalTau(bestCut, n)
-// trees. This is sound: bestCut ≥ λ, PracticalTau is monotone, so
-// PracticalTau(bestCut) ≥ PracticalTau(λ) trees guarantee some packed
-// tree 1-respects a minimum cut and the minimum over packed trees is
-// exactly λ. It is also what makes the λ̂ = 1 guess O(1) trees on
-// million-edge instances instead of a full Θ(λ̂ ln n) schedule.
-//
-// maxLambda bounds the search: no guess past it is tried (poly(λ)
-// trees are only tractable for small λ; larger cuts are handled by the
-// sampling reduction, which passes its threshold κ here). Returns the
-// result and whether it is certified exact.
-func ExactDoubling(nd *congest.Node, bfs *proto.Overlay, maxLambda int64, opts Options, tags *proto.Tags) (*Result, bool) {
-	loads := make(map[int]int64, nd.Degree())
-	res := &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
-	mark := nd.ID() == 0 // node 0 records the guess/certify spans for observability
-	for lambda := int64(1); ; lambda *= 2 {
-		target := PracticalTau(lambda, nd.N())
-		if extra := target - res.Trees; extra > 0 {
-			guess := opts
-			if guess.StopBelow <= 0 || lambda < guess.StopBelow {
-				guess.StopBelow = lambda
-			}
-			if mark {
-				nd.Mark("begin:pack")
-			}
-			res = Pack(nd, bfs, extra, loads, guess, tags, res)
-			if mark {
-				nd.Mark("end:pack")
-			}
-			if !res.Connected {
-				return res, false
-			}
-		}
-		// Top up after an early stop: certification needs
-		// PracticalTau(bestCut) trees. One tree per step — the best cut
-		// can keep dropping while topping up, which shrinks the
-		// requirement.
-		certifying := false
-		for res.Cut <= lambda && res.Trees < PracticalTau(res.Cut, nd.N()) {
-			if mark && !certifying {
-				nd.Mark("begin:certify")
-			}
-			certifying = true
-			res = Pack(nd, bfs, 1, loads, opts, tags, res)
-			if !res.Connected {
-				if mark && certifying {
-					nd.Mark("end:certify")
-				}
-				return res, false
-			}
-		}
-		if mark && certifying {
-			nd.Mark("end:certify")
-		}
-		if res.Cut <= lambda {
-			return res, true
-		}
-		if lambda*2 > maxLambda {
-			return res, false
-		}
+// maxLambda bounds the search (poly(λ) trees are only tractable for
+// small λ; larger cuts are handled by the sampling reduction, which
+// passes its threshold κ here). Returns the result and whether it is
+// certified exact.
+func Exact(nd *congest.Node, bfs *proto.Overlay, maxLambda int64, opts Options, tags *proto.Tags) (*Result, bool) {
+	lambdaCap := int64(1)
+	for lambdaCap*2 <= maxLambda {
+		lambdaCap *= 2
 	}
+	mark := nd.ID() == 0 // node 0 records the pack span for observability
+	if mark {
+		nd.Mark("begin:pack")
+	}
+	res := Pack(nd, bfs, opts, tags, func(r *Result) bool {
+		return r.Trees >= PracticalTau(min(r.Cut, lambdaCap), nd.N())
+	})
+	if mark {
+		nd.Mark("end:pack")
+	}
+	return res, res.Connected && res.Cut <= lambdaCap
 }
 
 // Message kinds for side marking and evaluation (0x70 range).

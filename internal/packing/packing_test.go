@@ -13,11 +13,10 @@ import (
 	"distmincut/internal/verify"
 )
 
-// runDoubling runs the exact doubling algorithm distributedly with the
-// given search bound and returns the common result, whether it is
-// certified exact, each node's side bit and the evaluated true cut
-// weight.
-func runDoubling(t *testing.T, g *graph.Graph, seed, maxLambda int64) (*packing.Result, bool, []bool, int64) {
+// runExact runs the exact algorithm distributedly with the given
+// search bound and returns the common result, whether it is certified
+// exact, each node's side bit and the evaluated true cut weight.
+func runExact(t *testing.T, g *graph.Graph, seed, maxLambda int64) (*packing.Result, bool, []bool, int64) {
 	t.Helper()
 	var mu sync.Mutex
 	results := make([]*packing.Result, g.N())
@@ -28,7 +27,7 @@ func runDoubling(t *testing.T, g *graph.Graph, seed, maxLambda int64) (*packing.
 	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res, exact := packing.ExactDoubling(nd, bfs, maxLambda, packing.Options{}, tags)
+		res, exact := packing.Exact(nd, bfs, maxLambda, packing.Options{}, tags)
 		side := packing.MarkSide(nd, bfs, res, tags)
 		ev := packing.EvaluateCut(nd, bfs, side, tags)
 		mu.Lock()
@@ -76,7 +75,7 @@ func TestExactMatchesStoerWagner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, exact, sides, evaluated := runDoubling(t, g, 7, 1<<20)
+			res, exact, sides, evaluated := runExact(t, g, 7, 1<<20)
 			if !exact {
 				t.Fatal("not certified exact")
 			}
@@ -98,16 +97,16 @@ func TestExactMatchesStoerWagner(t *testing.T) {
 	}
 }
 
-// TestExactDoublingMaxLambda: on a weighted cycle with λ = 40 but
+// TestExactMaxLambda: on a weighted cycle with λ = 40 but
 // maxLambda = 4 the search gives up gracefully, uncertified and with a
 // real cut no lighter than λ.
-func TestExactDoublingMaxLambda(t *testing.T) {
+func TestExactMaxLambda(t *testing.T) {
 	g := graph.New(6)
 	for i := 0; i < 6; i++ {
 		g.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%6), 20)
 	}
 	g.SortAdjacency()
-	res, exact, sides, evaluated := runDoubling(t, g, 1, 4)
+	res, exact, sides, evaluated := runExact(t, g, 1, 4)
 	if exact {
 		t.Fatal("certified exact despite the maxLambda cap")
 	}
@@ -167,15 +166,19 @@ func TestTauPolicies(t *testing.T) {
 	}
 }
 
+// TestPackStopBelow: Pack stops on its caller's rule. On a star the
+// minimum cut is 1 and the first tree already 1-respects it, so the
+// rule "best cut ≤ 1" stops the packing after one tree.
 func TestPackStopBelow(t *testing.T) {
-	g := graph.Star(12) // min cut 1; the first tree already 1-respects it
+	g := graph.Star(12)
 	var trees int
 	var mu sync.Mutex
 	_, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		loads := make(map[int]int64)
-		res := packing.Pack(nd, bfs, 10, loads, packing.Options{StopBelow: 1}, tags, nil)
+		res := packing.Pack(nd, bfs, packing.Options{}, tags, func(r *packing.Result) bool {
+			return r.Trees >= 10 || r.Cut <= 1
+		})
 		mu.Lock()
 		trees = res.Trees
 		mu.Unlock()
@@ -184,6 +187,6 @@ func TestPackStopBelow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if trees != 1 {
-		t.Fatalf("StopBelow did not stop early: packed %d trees", trees)
+		t.Fatalf("the rule Cut <= 1 did not stop the packing early: packed %d trees", trees)
 	}
 }

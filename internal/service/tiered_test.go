@@ -10,7 +10,7 @@ import (
 )
 
 // tieredReq is a tiered job whose exact phase is slow enough (complete
-// graph, λ = n-1, hundreds of packed trees across the doubling guesses)
+// graph, λ = n-1, hundreds of packed trees before the stop rule holds)
 // that polling reliably observes the refining state, while the loose
 // ε = 0.9 approx phase caps its packing at a small κ and finishes fast.
 func tieredReq() JobRequest {

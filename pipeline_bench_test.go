@@ -11,14 +11,15 @@ import (
 
 // BenchmarkPipelineMillion runs the paper's full exact pipeline —
 // BFS overlay, distributed MST, greedy tree packing, 1-respecting
-// cuts, doubling certification, side marking, and cut evaluation —
+// cuts, the stop rule that certifies exactness, side marking, and cut
+// evaluation —
 // at the engine's headline scale: 250k nodes and a million edges.
 //
 // The instance is two 125k-node 8-regular expanders joined by a single
 // bridge, so λ = 1 with the bridge as the unique minimum cut. The
 // bridge belongs to every spanning tree, so the first packed tree
 // always 1-respects the minimum cut, and PracticalTau's λ = 1 case (one
-// tree) certifies exactness at the first doubling guess — the
+// tree) certifies exactness right after the first tree — the
 // benchmark exercises every pipeline stage exactly once instead of
 // paying E7's safety-margin tree count, which is what makes full
 // MinCut tractable as a repeatable scale proof
@@ -62,9 +63,9 @@ func TestBridgedExpandersPackOneTree(t *testing.T) {
 // BenchmarkApproxMillion runs the (1+ε) serving tier on the same
 // million-edge topology. This is the scale proof for the sampling reduction's
 // multi-level packing: λ = 1 ≤ κ, so level 0's capped exact search
-// resolves the cut exactly, and PracticalTau's λ=1 single-tree
-// schedule plus ExactDoubling's early-stop certification keep the
-// packing O(1) trees instead of Θ(ln n) full trees.
+// resolves the cut exactly, and packing.Exact's stop rule with
+// PracticalTau's λ=1 single-tree case keeps the packing O(1) trees
+// instead of Θ(ln n) full trees.
 func BenchmarkApproxMillion(b *testing.B) {
 	pipelineGraph.once.Do(func() {
 		pipelineGraph.g = bridgedExpanders(125_000, 8, 9)

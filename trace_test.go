@@ -12,7 +12,7 @@ func TestPhaseGroup(t *testing.T) {
 		"mst:part1": "mst",
 		"level:3":   "level",
 		"bracket:7": "bracket",
-		"certify":   "certify",
+		"pack":      "pack",
 	}
 	for name, want := range cases {
 		if got := PhaseGroup(name); got != want {
