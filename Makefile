@@ -40,8 +40,11 @@ test-chaos:
 # It then runs, under both settings, the mst package's tests (among
 # them the Result fingerprint: every node's tree, fragment and
 # fragment-forest output), the entry-point golden test (every entry
-# point's Stats, Marks, Value and Side), the respect package's tests and
-# the sampling package's tests (the bracket's connectivity oracle).
+# point's Stats, Marks, Value and Side), the pinned outcome tables
+# (MinCut/ApproxMinCut Value, Side, Exact, TreesPacked and Levels;
+# BracketMinCut Level, Lo, Hi, Value and BestNode), the respect
+# package's tests and the sampling package's tests (the bracket's
+# connectivity oracle).
 determinism:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/mincut" ./cmd/mincut; \
@@ -59,6 +62,8 @@ determinism:
 		echo "mst tests (fingerprint included): pass under GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs $(GO) test . -count=1 -run '^TestGoldenEntryPoints$$' > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
 		echo "entry-point golden: unchanged under GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs $(GO) test . -count=1 -run '^Test(Exact|Bracket)OutcomesPinned$$' > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
+		echo "pinned exact and bracket outcomes: unchanged under GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs $(GO) test ./internal/respect -count=1 > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \
 		echo "respect tests: pass under GOMAXPROCS=$$procs"; \
 		GOMAXPROCS=$$procs $(GO) test ./internal/sampling -count=1 > "$$tmp/fp" || { cat "$$tmp/fp"; exit 1; }; \

@@ -63,8 +63,8 @@ type CostEstimate struct {
 	LambdaLo      int64 `json:"lambda_lo"`
 	LambdaHi      int64 `json:"lambda_hi"`
 	BracketRounds int   `json:"bracket_rounds"`
-	// EstRounds ~ (√n + bracket rounds) · λhi²: τ(λ)=O(λ) trees at
-	// O(√n + D) rounds each, times O(λ) doubling guesses.
+	// EstRounds ~ (√n + bracket rounds) · λhi²: the packing's
+	// √n-scale rounds per tree times a λ² stand-in for its tree count.
 	EstRounds int64 `json:"est_rounds"`
 	// Ceiling is the configured admission ceiling EstRounds exceeded.
 	Ceiling int64 `json:"ceiling"`
@@ -296,10 +296,12 @@ type exec struct {
 	trace []traceEvent
 	// recorder is the execution's flight recorder (nil when disabled);
 	// runStart anchors its round records — and the run's phase spans —
-	// to the wall clock. Both are touched only by the worker goroutine
-	// that owns the execution.
+	// to the wall clock. ranTo is when the last run:<tier> span closed,
+	// zero if a lifecycle event followed it. All three are touched only
+	// by the worker goroutine that owns the execution.
 	recorder *congest.FlightRecorder
 	runStart time.Time
+	ranTo    time.Time
 }
 
 // JobView is an immutable snapshot of a job for API responses.
@@ -384,7 +386,7 @@ type Metrics struct {
 	// Build identifies the running binary (version, commit, toolchain).
 	Build BuildInfo `json:"build"`
 	// PhaseRounds and PhaseMessages aggregate completed runs' leaf
-	// phase spans by phase group (bfs, mst, respect, pack, certify,
+	// phase spans by phase group (bfs, mst, respect, pack,
 	// level, bracket, ...): CONGEST rounds and delivered messages spent
 	// in each protocol phase since the service started.
 	PhaseRounds   map[string]int64 `json:"phase_rounds,omitempty"`
@@ -1069,10 +1071,15 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 	defer s.running.Add(-1)
 	defer cancel()
 
-	res, setupNs, err := s.executeSafe(ctx, eng, e)
-	// The execution ends here, not once the worker holds the service
-	// lock: waiting for the lock is not running time.
-	now := time.Now()
+	res, setupNs, err := s.executeSafe(ctx, eng, e, started)
+	// The execution ends when its last run span closed, or here when a
+	// lifecycle event followed that span or no run happened. The return
+	// path and the wait for the service lock are not running time, and
+	// ending at the span's close leaves no running time outside a span.
+	now := e.ranTo
+	if now.IsZero() {
+		now = time.Now()
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1148,13 +1155,13 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 // (graph construction on a spec a validation gap let through, result
 // encoding) must fail the one job that triggered it, not take down the
 // whole process from a worker goroutine.
-func (s *Service) executeSafe(ctx context.Context, eng *congest.Engine, e *exec) (res []byte, setupNs int64, err error) {
+func (s *Service) executeSafe(ctx context.Context, eng *congest.Engine, e *exec, started time.Time) (res []byte, setupNs int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, setupNs, err = nil, 0, fmt.Errorf("service: job panicked: %v", r)
 		}
 	}()
-	res, setupNs, err = s.execute(ctx, eng, e)
+	res, setupNs, err = s.execute(ctx, eng, e, started)
 	// Finalization fault point: still behind this barrier, so an
 	// injected panic here fails the one job, never the process.
 	chaos.Inject(chaos.SiteWorkerFinalize)
@@ -1163,8 +1170,12 @@ func (s *Service) executeSafe(ctx context.Context, eng *congest.Engine, e *exec)
 
 // execute builds the graph and runs the requested tier on the worker's
 // warm engine, returning canonical result bytes plus the engine setup
-// time of the run (for JobView.SetupNs).
-func (s *Service) execute(ctx context.Context, eng *congest.Engine, e *exec) ([]byte, int64, error) {
+// time of the run (for JobView.SetupNs). The build span opens at
+// started, the job's started lifecycle instant, and the first run span
+// opens where it closes, so the worker's steps from that stamp to the
+// protocol run (the service lock, the trace append) fall inside a
+// phase span.
+func (s *Service) execute(ctx context.Context, eng *congest.Engine, e *exec, started time.Time) ([]byte, int64, error) {
 	// Fast-fail before the (possibly large) graph build: after a
 	// deadline-forced shutdown the queue may still hold jobs, and the
 	// drain budget must not be spent constructing graphs that would
@@ -1182,19 +1193,19 @@ func (s *Service) execute(ctx context.Context, eng *congest.Engine, e *exec) ([]
 		return nil, 0, err
 	}
 	chaos.Inject(chaos.SiteWorkerExecute)
-	t0 := time.Now()
 	g, err := Build(e.req.Graph)
+	built := time.Now()
 	s.execTrace(e, traceEvent{
-		name: "build", cat: "phase", at: t0, dur: time.Since(t0),
+		name: "build", cat: "phase", at: started, dur: built.Sub(started),
 		args: map[string]any{"n": e.req.Graph.N, "m": len(e.req.Graph.Edges)},
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	if e.tier == TierTiered {
-		return s.executeTiered(ctx, eng, e, g)
+		return s.executeTiered(ctx, eng, e, g, built)
 	}
-	return s.runTier(ctx, eng, e, g, e.tier, e.key)
+	return s.runTier(ctx, eng, e, g, e.tier, e.key, built)
 }
 
 // executeTiered runs the approximation-first flow: the (1+ε) phase is
@@ -1203,14 +1214,15 @@ func (s *Service) execute(ctx context.Context, eng *congest.Engine, e *exec) ([]
 // phase runs the genuine exact pipeline — never a re-encoding of the
 // approx phase, so the bytes cached under the exact tier key are
 // byte-identical to a direct exact submission's — and becomes the
-// job's final result.
-func (s *Service) executeTiered(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph) ([]byte, int64, error) {
+// job's final result. built is the end of the build span, where the
+// first run span opens.
+func (s *Service) executeTiered(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph, built time.Time) ([]byte, int64, error) {
 	var setupNs int64
 	approx, ok := s.cache.get(e.approxKey, true)
 	if !ok {
 		var err error
 		var ns int64
-		approx, ns, err = s.runTier(ctx, eng, e, g, TierApprox, e.approxKey)
+		approx, ns, err = s.runTier(ctx, eng, e, g, TierApprox, e.approxKey, built)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1222,7 +1234,7 @@ func (s *Service) executeTiered(ctx context.Context, eng *congest.Engine, e *exe
 	if !ok {
 		var err error
 		var ns int64
-		exact, ns, err = s.runTier(ctx, eng, e, g, TierExact, e.exactKey)
+		exact, ns, err = s.runTier(ctx, eng, e, g, TierExact, e.exactKey, time.Now())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1239,6 +1251,7 @@ func (s *Service) publishRefining(e *exec, approx []byte) {
 	defer s.mu.Unlock()
 	e.state = StateRefining
 	e.approx = approx
+	e.ranTo = time.Time{}
 	e.trace = append(e.trace, traceEvent{
 		name: "refining", cat: "lifecycle", at: time.Now(),
 		args: map[string]any{"approx_bytes": len(approx)},
@@ -1262,25 +1275,28 @@ func (s *Service) execTrace(e *exec, ev traceEvent) {
 // the leaf spans into the service-wide per-phase counters. A run
 // killed before it produced stats (deadline, budget, cancel) still
 // gets its umbrella span, so partial traces show where the wall time
-// went even without protocol marks.
-func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.Stats) {
+// went even without protocol marks. The umbrella opens at opened; the
+// engine's spans are anchored at e.runStart.
+func (s *Service) recordRun(e *exec, tier string, opened time.Time, stats *congest.Stats) {
 	evs := make([]traceEvent, 1, 8) // evs[0] is the umbrella, timed last
 	var spans []*distmincut.Span
 	if stats != nil {
 		evs = append(evs, traceEvent{
-			name: "setup", cat: "phase", at: t0, dur: time.Duration(stats.SetupNanos),
+			name: "setup", cat: "phase", at: e.runStart, dur: time.Duration(stats.SetupNanos),
 		})
 		spans = distmincut.Spans(stats)
-		evs = spanEvents(t0, spans, evs)
+		evs = spanEvents(e.runStart, spans, evs)
 	}
 	s.mu.Lock()
-	// The umbrella covers the recording too, so the run's trace has no
-	// unattributed tail.
-	evs[0] = traceEvent{name: "run:" + tier, cat: "phase", at: t0, dur: time.Since(t0)}
-	e.trace = append(e.trace, evs...)
 	if spans != nil {
 		addPhaseTotals(s.phaseRounds, s.phaseMessages, spans)
 	}
+	// The umbrella covers the recording too and closes last, so the
+	// run's trace has no unattributed tail.
+	at := len(e.trace)
+	e.trace = append(e.trace, evs...)
+	e.ranTo = time.Now()
+	e.trace[at] = traceEvent{name: "run:" + tier, cat: "phase", at: opened, dur: e.ranTo.Sub(opened)}
 	s.mu.Unlock()
 }
 
@@ -1288,8 +1304,10 @@ func (s *Service) recordRun(e *exec, tier string, t0 time.Time, stats *congest.S
 // result bytes under the given key. The run is observed end to end:
 // the execution's flight recorder (reset per run) rides along as the
 // engine observer, and the run's phase spans land on the timeline via
-// recordRun whether the run finishes or aborts.
-func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph, tier, key string) ([]byte, int64, error) {
+// recordRun whether the run finishes or aborts. The run:<tier> umbrella
+// opens at opened, which a caller sets to where the previous span
+// closed so the two tile the timeline.
+func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *graph.Graph, tier, key string, opened time.Time) ([]byte, int64, error) {
 	opts := &distmincut.Options{
 		Seed:      e.req.Seed,
 		Epsilon:   e.req.Epsilon,
@@ -1301,10 +1319,9 @@ func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *
 		e.recorder.Reset()
 		opts.Observer = e.recorder
 	}
-	t0 := time.Now()
-	e.runStart = t0
+	e.runStart = time.Now()
 	var stats *congest.Stats
-	defer func() { s.recordRun(e, tier, t0, stats) }()
+	defer func() { s.recordRun(e, tier, opened, stats) }()
 	if tier == TierBracket {
 		br, err := distmincut.BracketMinCutContext(ctx, g, opts)
 		if err != nil {
