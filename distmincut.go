@@ -45,10 +45,9 @@ import (
 var ErrBadInput = errors.New("distmincut: need a connected graph with at least 2 nodes")
 
 // maxExactLambda bounds MinCut's search for λ: poly(λ) trees are only
-// tractable for small λ, so packing.Exact certifies cuts up to 2^20 (the
-// largest power of two ≤ this bound) and beyond it MinCut returns its
-// best cut found with Exact=false, after PracticalTau(2^20, n) trees;
-// ApproxMinCut is the tool there.
+// tractable for small λ, so for cuts beyond it MinCut returns its best
+// cut found with Exact=false, after PracticalTau(2^20, n) trees, and
+// ApproxMinCut is the tool.
 const maxExactLambda = 1 << 20
 
 // approxTauMax caps the trees ApproxMinCut packs per sampling level.

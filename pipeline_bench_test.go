@@ -12,8 +12,8 @@ import (
 // BenchmarkPipelineMillion runs the paper's full exact pipeline —
 // BFS overlay, distributed MST, greedy tree packing, 1-respecting
 // cuts, the stop rule that certifies exactness, side marking, and cut
-// evaluation —
-// at the engine's headline scale: 250k nodes and a million edges.
+// evaluation — at the engine's headline scale: 250k nodes and a
+// million edges.
 //
 // The instance is two 125k-node 8-regular expanders joined by a single
 // bridge, so λ = 1 with the bridge as the unique minimum cut. The
