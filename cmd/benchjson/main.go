@@ -18,7 +18,7 @@
 // Usage:
 //
 //	go test ./internal/congest -bench BenchmarkEngine -benchmem | benchjson > BENCH_engine.json
-//	benchjson -compare BENCH_engine.json new.json [-threshold 0.20] [-match 'BenchmarkEngine(Million)?(Step)?Expander|BenchmarkSampleWeight'] [-allow-missing]
+//	benchjson -compare BENCH_engine.json new.json [-threshold 0.20] [-match 'BenchmarkEngine(Million)?Expander|BenchmarkSampleWeight'] [-allow-missing]
 package main
 
 import (
@@ -54,12 +54,11 @@ type Report struct {
 func main() {
 	compare := flag.Bool("compare", false, "compare two report files (old new) instead of converting stdin")
 	threshold := flag.Float64("threshold", 0.20, "relative regression tolerated by -compare (0.20 = 20%)")
-	// The default gate covers the expander rows of both execution paths
-	// at both scales (BenchmarkEngineExpander*, BenchmarkEngineStepExpander*,
-	// BenchmarkEngineMillionExpander*, BenchmarkEngineMillionStepExpander*)
-	// and the skeleton sampler's BenchmarkSampleWeight, whose zero
-	// allocs/op baseline fails the gate on any allocation.
-	match := flag.String("match", "BenchmarkEngine(Million)?(Step)?Expander|BenchmarkSampleWeight", "regexp of benchmark names gated by -compare")
+	// The default gate covers the expander rows at both scales
+	// (BenchmarkEngineExpander*, BenchmarkEngineMillionExpander*) and the
+	// skeleton sampler's BenchmarkSampleWeight, whose zero allocs/op
+	// baseline fails the gate on any allocation.
+	match := flag.String("match", "BenchmarkEngine(Million)?Expander|BenchmarkSampleWeight", "regexp of benchmark names gated by -compare")
 	allowMissing := flag.Bool("allow-missing", false, "exit 0 when the baseline has no benchmarks matching -match (new-metric grace)")
 	flag.Parse()
 	if *compare {

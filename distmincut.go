@@ -139,12 +139,11 @@ type Result struct {
 	Stats    *congest.Stats
 }
 
-// runSim executes one distributed program — a blocking
-// func(*congest.Node) or a compiled congest.StepProgram; the engine
-// dispatches on the dynamic type — on the caller's reusable engine when
-// Options.Engine is set and on a one-shot engine otherwise. ctx stops
-// the run at a round boundary, and the error then wraps ctx.Err().
-func (o Options) runSim(ctx context.Context, g *graph.Graph, program congest.Program) (*congest.Stats, error) {
+// runSim executes one node program on every node of g, on the
+// caller's reusable engine when Options.Engine is set and on a one-shot
+// engine otherwise. ctx stops the run at a round boundary, and the
+// error then wraps ctx.Err().
+func (o Options) runSim(ctx context.Context, g *graph.Graph, program func(*congest.Node)) (*congest.Stats, error) {
 	eo := congest.Options{
 		Seed:      o.Seed,
 		Unbounded: o.Unbounded,

@@ -97,7 +97,7 @@ func TestAbortReleasesCoroutines(t *testing.T) {
 					nd.Send(p, Message{Kind: kindToken})
 				}
 				for {
-					_, m := nd.RecvKindTag(kindToken, 0)
+					_, m := nd.Recv(MatchKindTag(kindToken, 0))
 					nd.Send(p, m)
 				}
 			case panicky && nd.ID() == 5:

@@ -111,9 +111,9 @@ func (e *PanicError) Error() string {
 // its methods are safe for concurrent use. The one-shot package-level
 // Run wraps NewEngine + Run + Close.
 //
-// Every program runs on one scheduler: activations are calls to a
-// StepProgram's Step, and a blocking func(*Node) is hosted as one, on
-// a pooled coroutine bound to the node only while its program runs.
+// A program is a blocking func(*Node). Each node's program runs on a
+// pooled coroutine bound to the node only while the program is live;
+// an activation resumes it until its next Recv or Sleep, or its return.
 // The round loop allocates nothing in steady state: the sender
 // registry, receiver set, wake list, and park notifications all live
 // in reusable per-engine buffers, every queue's initial ring is carved
@@ -130,9 +130,8 @@ func (e *PanicError) Error() string {
 type Engine struct {
 	g    *graph.Graph
 	opts Options
-	// prog is the running program; Run wraps a blocking func(*Node)
-	// as a hosted StepProgram (see step.go).
-	prog  StepProgram
+	// prog is the running program (see activate.go).
+	prog  func(*Node)
 	nodes []*Node
 
 	round     int
@@ -347,22 +346,19 @@ func (e *Engine) Close() {
 
 // Run simulates program on every node of g and returns run statistics.
 // The graph must be connected and have deterministic port numbering
-// (generators call SortAdjacency; see graph docs). The program is
-// either a blocking func(*Node) or a compiled StepProgram (see
-// Program). One-shot form of (*Engine).Run; see Engine for the
-// reusable lifecycle and the ctx contract.
-func Run(ctx context.Context, g *graph.Graph, opts Options, program Program) (*Stats, error) {
+// (generators call SortAdjacency; see graph docs). One-shot form of
+// (*Engine).Run; see Engine for the reusable lifecycle and the ctx
+// contract.
+func Run(ctx context.Context, g *graph.Graph, opts Options, program func(*Node)) (*Stats, error) {
 	e := NewEngine(opts)
 	defer e.Close()
 	return e.Run(ctx, g, program)
 }
 
-// Run executes program — a blocking func(*Node) or a compiled
-// StepProgram (see Program) — on every node of g. Stats are
-// bit-identical to a fresh engine's for the same graph, options, and
-// seed — reuse never leaks state between runs, and an engine may
-// alternate freely between blocking and step programs. The graph must
-// not be mutated between runs that share it.
+// Run executes program on every node of g. Stats are bit-identical to
+// a fresh engine's for the same graph, options, and seed — reuse never
+// leaks state between runs. The graph must not be mutated between runs
+// that share it.
 //
 // ctx is the only way to stop a run before it finishes on its own
 // (Options.MaxRounds is a round budget, not a stop signal): it is
@@ -370,19 +366,11 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, program Program) (*S
 // it is done the run aborts cleanly there — every parked program
 // unwinds and the partial Stats are returned with an error wrapping
 // ctx.Err(). A run that completes is unaffected by a later cancel.
-func (e *Engine) Run(ctx context.Context, g *graph.Graph, program Program) (*Stats, error) {
+func (e *Engine) Run(ctx context.Context, g *graph.Graph, program func(*Node)) (*Stats, error) {
 	start := time.Now()
 	e.runStart = start
-	switch p := program.(type) {
-	case func(*Node):
-		e.prog = hosted(p)
-	case StepProgram:
-		e.prog = p
-	default:
-		return nil, fmt.Errorf("congest: program must be a func(*congest.Node) or a congest.StepProgram, got %T", program)
-	}
+	e.prog = program
 	e.setupRun(g)
-	e.prog.InitRun(g.N())
 	e.setupNanos = time.Since(start).Nanoseconds()
 	err := e.coordinate(ctx)
 	stats := e.collectAndReset()
@@ -391,8 +379,8 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, program Program) (*Sta
 		// everything next time rather than trusting the dirty list.
 		e.needFullInit = true
 	}
-	// Drop the program references so a retained engine does not pin the
-	// caller's closures or state slabs between runs.
+	// Drop the program reference so a retained engine does not pin the
+	// caller's closure between runs.
 	e.prog = nil
 	return stats, err
 }
@@ -938,8 +926,7 @@ func (e *Engine) matches(nd *Node) bool {
 
 // abort unwinds every program still parked on a coroutine (see
 // Node.unwind), so no node keeps a coroutine past the run, and returns
-// the causing error. Step programs' parked nodes are plain state and
-// need no teardown. It must only be called from coordinate, i.e. while
+// the causing error. It must only be called from coordinate, i.e. while
 // no activation is running.
 func (e *Engine) abort(cause error) error {
 	e.aborted.Store(true)

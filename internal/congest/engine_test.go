@@ -27,12 +27,12 @@ func TestPingPongRounds(t *testing.T) {
 		for i := 0; i < k; i++ {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken, A: int64(i)})
-				_, m := nd.RecvKindTag(kindToken, 0)
+				_, m := nd.Recv(MatchKindTag(kindToken, 0))
 				if m.A != int64(i) {
 					panic("token payload corrupted")
 				}
 			} else {
-				_, m := nd.RecvKindTag(kindToken, 0)
+				_, m := nd.Recv(MatchKindTag(kindToken, 0))
 				nd.Send(0, m)
 			}
 		}
@@ -215,15 +215,60 @@ func TestPanicPropagation(t *testing.T) {
 	}
 }
 
+// TestRecvNilMatchFails: Recv(nil) fails the run at the call with a
+// *PanicError naming the node, whether its inbox is empty or already
+// holds a message.
+func TestRecvNilMatchFails(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		buffered bool
+	}{{"empty", false}, {"buffered", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run(context.Background(), graph.Path(2), Options{}, func(nd *Node) {
+				if nd.ID() == 0 {
+					nd.Send(0, Message{Kind: kindData})
+					return
+				}
+				if tc.buffered {
+					nd.Sleep(2) // node 0's message arrives meanwhile
+				}
+				nd.Recv(nil)
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *PanicError", err)
+			}
+			if pe.Node != 1 || !strings.Contains(pe.Error(), "nil match") {
+				t.Fatalf("panic error = %v, want node 1 and a nil match", pe)
+			}
+		})
+	}
+}
+
+// TestSleepAtLeastOneRound: Sleep with a non-positive count parks for
+// one round.
+func TestSleepAtLeastOneRound(t *testing.T) {
+	stats, err := Run(context.Background(), graph.Path(3), Options{}, func(nd *Node) {
+		nd.Sleep(-5)
+		nd.Sleep(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", stats.Rounds)
+	}
+}
+
 func TestMaxRoundsAborts(t *testing.T) {
 	g := graph.Path(2)
 	stats, err := Run(context.Background(), g, Options{MaxRounds: 10}, func(nd *Node) {
 		for {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(MatchKindTag(kindToken, 0))
 			} else {
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(MatchKindTag(kindToken, 0))
 				nd.Send(0, Message{Kind: kindToken})
 			}
 		}
@@ -255,9 +300,9 @@ func TestDeadlineAborts(t *testing.T) {
 		for {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(MatchKindTag(kindToken, 0))
 			} else {
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(MatchKindTag(kindToken, 0))
 				nd.Send(0, Message{Kind: kindToken})
 			}
 		}
@@ -291,9 +336,9 @@ func TestDeadlineAborts(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			if nd.ID() == 0 {
 				nd.Send(0, Message{Kind: kindToken})
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(MatchKindTag(kindToken, 0))
 			} else {
-				nd.RecvKindTag(kindToken, 0)
+				nd.Recv(MatchKindTag(kindToken, 0))
 				nd.Send(0, Message{Kind: kindToken})
 			}
 		}
@@ -349,7 +394,7 @@ func TestMarkPhases(t *testing.T) {
 	g := graph.Path(2)
 	stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.ID() != 0 {
-			nd.RecvKindTag(kindData, 0)
+			nd.Recv(MatchKindTag(kindData, 0))
 			return
 		}
 		nd.Mark("begin:xfer")

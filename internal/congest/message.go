@@ -17,21 +17,16 @@
 // nodes with staged traffic rather than all n nodes, so simulation cost
 // is proportional to messages moved plus nodes woken — not n x rounds.
 //
-// The scheduler has one dispatch: an activation is a call to a
-// StepProgram's Step, which returns a Park (ParkRecv, ParkSleep, or
-// ParkDone). A blocking func(*Node) program is hosted as a step
-// program on a coroutine (iter.Pull) taken from a process-wide pool at
-// the node's first activation: its Recv and Sleep yield the Park, the
-// next activation resumes it, and when it returns the coroutine goes
-// back to the pool — so a coroutine is bound to a node only while the
-// node's program runs. Idle pooled coroutines outlive engines and are
-// stopped once the garbage collector trims them from the pool. A
-// program can also be written directly as a StepProgram, an explicit
-// state machine that consumes messages with StepRecv; calling the
-// blocking Recv or Sleep from one panics. Large wake sets are
-// activated on GOMAXPROCS workers claiming chunks of the wake list
-// through an atomic cursor, which is safe because an activation
-// touches only its own node's state.
+// Every program is a blocking func(*Node). Each node's program runs on
+// a coroutine (iter.Pull) taken from a process-wide pool at the node's
+// first activation: its Recv and Sleep yield a park to the scheduler,
+// the next activation resumes it, and when it returns the coroutine
+// goes back to the pool — so a coroutine is bound to a node only while
+// the node's program runs. Idle pooled coroutines outlive engines and
+// are stopped once the garbage collector trims them from the pool.
+// Large wake sets are activated on GOMAXPROCS workers claiming chunks
+// of the wake list through an atomic cursor, which is safe because an
+// activation touches only its own node's state.
 //
 // The round loop reuses per-engine scratch buffers (an epoch-stamped
 // receiver array, a wake list, an ID-ordered sender registry) and
@@ -129,9 +124,4 @@ func MatchKind(kind uint8) MatchFunc {
 // MatchKindTag accepts messages with the given kind and tag.
 func MatchKindTag(kind uint8, tag uint32) MatchFunc {
 	return func(_ int, m Message) bool { return m.Kind == kind && m.Tag == tag }
-}
-
-// MatchPort accepts any message arriving on the given port.
-func MatchPort(port int) MatchFunc {
-	return func(p int, _ Message) bool { return p == port }
 }

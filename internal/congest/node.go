@@ -36,7 +36,7 @@ type Node struct {
 	match    MatchFunc // valid while phase == phaseRecv
 	wakeAt   int       // valid while phase == phaseSleep
 	parkGen  int       // incremented on every park; invalidates stale sleeper heap entries
-	co       *coHandle // the coroutine hosting a blocking program while it runs
+	co       *coHandle // the coroutine running the node's program while it is live
 	panicVal any
 
 	// Match hint: when the scheduler wakes this node from Recv, it has
@@ -174,54 +174,37 @@ func (nd *Node) TryRecv(match MatchFunc) (int, Message, bool) {
 	return 0, Message{}, false
 }
 
-// StepRecv is TryRecv for step programs, consuming the scheduler's
-// match hint when one is pending: a node woken from ParkRecv has
-// already had its first matching message located (lowest port, FIFO
-// within a port) by the wake predicate, so its Step can consume it
-// directly instead of rescanning every port — the exact counterpart of
-// the blocking Recv's post-wake hint path. The hint is revalidated
-// against match before use, so calling StepRecv with a different
-// predicate than the one parked on is safe (it falls back to a scan).
-func (nd *Node) StepRecv(match MatchFunc) (int, Message, bool) {
-	if p := int(nd.hintPort); p >= 0 {
-		i := int(nd.hintIdx)
-		nd.hintPort = -1
-		q := &nd.inQ[p]
-		if i < q.n && match(p, q.at(i)) {
-			return p, q.removeAt(&msgBufPool, i), true
-		}
-	}
-	return nd.TryRecv(match)
-}
-
 // Recv blocks until a message matching match is available, then
 // consumes and returns it. Non-matching messages stay buffered for
-// later Recv calls (selective receive). Blocking is only possible in a
-// blocking program: calling Recv from a step program panics (use
-// StepRecv + ParkRecv instead).
+// later Recv calls (selective receive). A nil match fails the node.
 func (nd *Node) Recv(match MatchFunc) (int, Message) {
+	if match == nil {
+		panic(fmt.Sprintf("congest: node %d Recv with a nil match", nd.id))
+	}
 	if p, m, ok := nd.TryRecv(match); ok {
 		return p, m
 	}
-	nd.park(ParkRecv(match))
-	// The scheduler woke this node because the predicate held and left
-	// the match position as a hint, which StepRecv consumes.
-	p, m, ok := nd.StepRecv(match)
-	if !ok {
-		panic(fmt.Sprintf("congest: node %d woken from Recv with no matching message", nd.id))
+	nd.park(park{status: parkRecv, match: match})
+	// The scheduler woke this node because the predicate held, and left
+	// the first matching message's position (lowest port, FIFO within a
+	// port) as a hint: consume it directly instead of rescanning.
+	if p := int(nd.hintPort); p >= 0 {
+		i := int(nd.hintIdx)
+		nd.hintPort = -1
+		if q := &nd.inQ[p]; i < q.n && match(p, q.at(i)) {
+			return p, q.removeAt(&msgBufPool, i)
+		}
 	}
-	return p, m
-}
-
-// RecvKindTag is Recv with a MatchKindTag predicate.
-func (nd *Node) RecvKindTag(kind uint8, tag uint32) (int, Message) {
-	return nd.Recv(MatchKindTag(kind, tag))
+	panic(fmt.Sprintf("congest: node %d woken from Recv with no matching message", nd.id))
 }
 
 // Sleep parks the node for the given number of rounds (at least one).
 // It is the mechanism for "wait out" protocol phases with known bounds.
 func (nd *Node) Sleep(rounds int) {
-	nd.park(ParkSleep(rounds))
+	if rounds < 1 {
+		rounds = 1
+	}
+	nd.park(park{status: parkSleep, rounds: rounds})
 }
 
 // Mark records a named timestamp (current round) in the run's stats.
@@ -230,22 +213,17 @@ func (nd *Node) Mark(label string) {
 	nd.eng.mark(label, nd.id)
 }
 
-// park yields the activation's Park to the scheduler and returns when
-// the node is activated again. An abort resumes the node only to unwind
-// it: park then panics with errAborted, which the coroutine absorbs.
-func (nd *Node) park(p Park) {
-	h := nd.co
-	if h == nil {
-		panic(fmt.Sprintf(
-			"congest: node %d called blocking Recv/Sleep from a step program; return ParkRecv/ParkSleep instead", nd.id))
-	}
-	if nd.eng.aborted.Load() || !h.c.yield(p) || nd.eng.aborted.Load() {
+// park yields p to the scheduler and returns when the node is
+// activated again. An abort resumes the node only to unwind it: park
+// then panics with errAborted, which the coroutine absorbs.
+func (nd *Node) park(p park) {
+	if nd.eng.aborted.Load() || !nd.co.c.yield(p) || nd.eng.aborted.Load() {
 		panic(errAborted)
 	}
 }
 
-// errAborted is the sentinel panic value used to unwind parked blocking
-// programs when the engine aborts (a node panicked or a limit tripped).
+// errAborted is the sentinel panic value used to unwind parked programs
+// when the engine aborts (a node panicked or a limit tripped).
 var errAborted = &abortSentinel{}
 
 type abortSentinel struct{}

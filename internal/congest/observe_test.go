@@ -196,3 +196,41 @@ func TestWarmReuseAccountingAfterSparseRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestNilObserverWarmRunAllocs: with no observer, a warm engine
+// re-running an exchange must allocate only the returned Stats — round
+// handoff, park bookkeeping, coroutine reuse and the wake scan are
+// allocation-free. The program shares one match predicate across nodes
+// so the workload itself allocates nothing.
+func TestNilObserverWarmRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled coroutines at random")
+	}
+	const rounds = 4
+	g := graph.RandomRegular(128, 6, 9)
+	match := MatchKind(benchKind)
+	prog := func(nd *Node) {
+		for r := 0; r < rounds; r++ {
+			nd.SendAll(Message{Kind: benchKind, Tag: uint32(r)})
+		}
+		for i := rounds * nd.Degree(); i > 0; i-- {
+			nd.Recv(match)
+		}
+	}
+	eng := NewEngine(Options{Seed: 7})
+	defer eng.Close()
+	if _, err := eng.Run(context.Background(), g, prog); err != nil {
+		t.Fatal(err) // cold run: slabs and coroutines allocate here
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := eng.Run(context.Background(), g, prog); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One allocation for the returned *Stats; a tiny slack for the
+	// runtime's occasional map/stack bookkeeping.
+	if avg > 3 {
+		t.Fatalf("warm nil-observer run allocated %.1f times, want <= 3", avg)
+	}
+	t.Logf("warm run allocations: %.1f", avg)
+}
