@@ -215,6 +215,102 @@ func TestReusedEngineAfterAbort(t *testing.T) {
 	}
 }
 
+// TestStepWarmEngineAlternatingModes: one retained engine alternating
+// the chatter and phased programs while also switching graphs
+// run-over-run must reproduce the fresh fingerprints every time —
+// neither the warm same-graph reset nor the cross-graph rebuild may
+// carry one program's marks, dirty set or staged traffic into the next.
+func TestStepWarmEngineAlternatingModes(t *testing.T) {
+	families := determinismFamilies()
+	opts := Options{Seed: 42}
+	type run struct {
+		graph  string
+		phased bool
+	}
+	runs := []run{
+		{"expander", false}, {"expander", true}, {"path", true},
+		{"path", false}, {"community", true}, {"expander", true},
+	}
+	want := map[run]fullKey{}
+	for _, r := range runs {
+		prog := chatterProgram
+		if r.phased {
+			prog = phasedProgram
+		}
+		want[r] = fullKeyOf(mustRun(t, families[r.graph], opts, prog))
+	}
+	eng := NewEngine(opts)
+	defer eng.Close()
+	for rep, r := range runs {
+		prog := chatterProgram
+		if r.phased {
+			prog = phasedProgram
+		}
+		stats, err := eng.Run(context.Background(), families[r.graph], prog)
+		if err != nil {
+			t.Fatalf("rep %d (%+v): %v", rep, r, err)
+		}
+		if got := fullKeyOf(stats); got != want[r] {
+			t.Fatalf("rep %d (%+v) diverged: got %+v, want %+v", rep, r, got, want[r])
+		}
+	}
+}
+
+// TestStepReusedEngineAfterAbort: runs aborted at a round boundary
+// rather than inside a program — a round-cap trip and a context
+// cancelled mid-traffic — must not poison a retained engine: the next
+// runs match fresh fingerprints.
+func TestStepReusedEngineAfterAbort(t *testing.T) {
+	g := graph.RandomRegular(64, 6, 11)
+	opts := Options{Seed: 42, MaxRounds: 200}
+	want := fullKeyOf(mustRun(t, g, opts, chatterProgram))
+	wantPhased := fullKeyOf(mustRun(t, g, opts, phasedProgram))
+	// endless keeps every port busy each round until the run is stopped
+	// from outside, so the abort leaves messages staged and in flight.
+	endless := func(nd *Node) {
+		for {
+			nd.SendAll(Message{Kind: kindData})
+			for i := 0; i < nd.Degree(); i++ {
+				nd.Recv(MatchKind(kindData))
+			}
+		}
+	}
+	eng := NewEngine(opts)
+	defer eng.Close()
+	if _, err := eng.Run(context.Background(), g, endless); !errors.Is(err, ErrMaxRounds) {
+		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	}
+	stats, err := eng.Run(context.Background(), g, phasedProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fullKeyOf(stats); got != wantPhased {
+		t.Fatalf("phased run after round-cap abort diverged: got %+v, want %+v", got, wantPhased)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Node 0 cancels the run from inside once traffic is flowing.
+	if _, err := eng.Run(ctx, g, func(nd *Node) {
+		for {
+			if nd.ID() == 0 && nd.Round() >= 5 {
+				cancel()
+			}
+			nd.SendAll(Message{Kind: kindData})
+			for i := 0; i < nd.Degree(); i++ {
+				nd.Recv(MatchKind(kindData))
+			}
+		}
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats, err = eng.Run(context.Background(), g, chatterProgram); err != nil {
+		t.Fatal(err)
+	}
+	if got := fullKeyOf(stats); got != want {
+		t.Fatalf("chatter run after cancelled run diverged: got %+v, want %+v", got, want)
+	}
+}
+
 // mustRun is a one-shot Run that fails the test on error.
 func mustRun(t *testing.T, g *graph.Graph, opts Options, program func(*Node)) *Stats {
 	t.Helper()
