@@ -44,3 +44,53 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupeKeepsEachMinimum: three -count runs of the expander row
+// where the fastest one also rebuilt its pools after a GC (29,678
+// allocs/op against 10,090). The collapsed row keeps the fastest
+// run's ns/op and iterations, and B/op and allocs/op at their own
+// minimum, so it passes the 20% allocs/op gate against a 10,091
+// baseline instead of reading as a regression.
+func TestDedupeKeepsEachMinimum(t *testing.T) {
+	const name = "BenchmarkEngineExpanderExchange-2"
+	in := []Benchmark{
+		{Name: name, Iterations: 10, Metrics: map[string]float64{"ns/op": 131e6, "B/op": 1955363, "allocs/op": 10090, "msgs/s": 4.9e6}},
+		{Name: name, Iterations: 12, Metrics: map[string]float64{"ns/op": 119e6, "B/op": 4012790, "allocs/op": 29678, "msgs/s": 5.4e6}},
+		{Name: name, Iterations: 10, Metrics: map[string]float64{"ns/op": 126e6, "B/op": 1955371, "allocs/op": 10090, "msgs/s": 5.1e6}},
+		{Name: "BenchmarkSampleWeight-2", Iterations: 1e7, Metrics: map[string]float64{"ns/op": 100, "allocs/op": 0}},
+	}
+	out := dedupeBest(in)
+	if len(out) != 2 {
+		t.Fatalf("got %d rows, want 2", len(out))
+	}
+	got := out[0]
+	want := map[string]float64{"ns/op": 119e6, "B/op": 1955363, "allocs/op": 10090, "msgs/s": 5.4e6}
+	if got.Iterations != 12 || len(got.Metrics) != len(want) {
+		t.Fatalf("got %+v, want iterations 12 and metrics %v", got, want)
+	}
+	for m, v := range want {
+		if got.Metrics[m] != v {
+			t.Errorf("%s = %v, want %v", m, got.Metrics[m], v)
+		}
+	}
+	if in[1].Metrics["allocs/op"] != 29678 {
+		t.Error("dedupeBest modified its input")
+	}
+
+	dir := t.TempDir()
+	write := func(file string, b Benchmark) string {
+		data, err := json.Marshal(Report{Benchmarks: []Benchmark{b}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", Benchmark{Name: name, Iterations: 12, Metrics: map[string]float64{"ns/op": 110e6, "allocs/op": 10091}})
+	if code := runCompare([]string{base, write("new.json", got)}, 0.20, "BenchmarkEngineExpander", false); code != 0 {
+		t.Fatalf("allocs/op gate: exit %d on an unchanged-allocation row, want 0", code)
+	}
+}

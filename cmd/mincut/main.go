@@ -93,7 +93,11 @@ func run() int {
 		}
 	}
 	norm := math.Sqrt(float64(g.N())) + float64(d)
-	fmt.Printf("mode %s: cut value = %d (exact certified: %v)\n", *mode, res.Value, res.Exact)
+	by := ""
+	if res.Certificate != "" {
+		by = ", by " + res.Certificate
+	}
+	fmt.Printf("mode %s: cut value = %d (exact certified: %v%s)\n", *mode, res.Value, res.Exact, by)
 	fmt.Printf("cut side: %d vs %d nodes, defined by subtree of node %d\n", inside, g.N()-inside, res.BestNode)
 	fmt.Printf("trees packed: %d   sampling levels: %d\n", res.TreesPacked, res.Levels)
 	fmt.Printf("CONGEST cost: %d rounds (%.1fx (√n+D)), %d messages\n",

@@ -46,15 +46,16 @@ var ErrBadInput = errors.New("distmincut: need a connected graph with at least 2
 
 // maxExactLambda bounds MinCut's search for λ: poly(λ) trees are only
 // tractable for small λ, so for cuts beyond it MinCut returns its best
-// cut found with Exact=false, after PracticalTau(2^20, n) trees, and
-// ApproxMinCut is the tool.
+// cut found with Exact=false, after PracticalTau(2^20, n) trees or once
+// the loads prove λ > 2^20, and ApproxMinCut is the tool.
 const maxExactLambda = 1 << 20
 
 // approxTauMax caps the trees ApproxMinCut packs per sampling level.
 const approxTauMax = 32
 
-// Options tune a run. The zero value is ready to use. The packing size
-// is always packing.PracticalTau, MinCut certifies cuts up to 2^20,
+// Options tune a run. The zero value is ready to use. The packing stops
+// at packing.PracticalTau trees or once the loads prove the best cut
+// (packing.Result.Proves), MinCut certifies cuts up to 2^20,
 // ApproxMinCut's level 0 certifies cuts up to 2^⌊log₂ κ⌋ and its
 // sampled levels pack at most 32 trees each, and BracketMinCut tests
 // 3 skeletons per level.
@@ -122,6 +123,11 @@ type Result struct {
 	// algorithm converged, or the approximate one resolved the cut at
 	// sampling level 0).
 	Exact bool
+	// Certificate names what made an exact Value exact: "duality" when
+	// the packed trees' loads prove λ ≥ Value (see packing.Result.Proves),
+	// "trees" when the packing reached PracticalTau(Value) trees without
+	// that proof. It is "" when Exact is false.
+	Certificate string
 	// BestNode is the tree node v whose subtree v↓ defines the cut, and
 	// TreesPacked how many trees the packing used.
 	BestNode    graph.NodeID
@@ -181,6 +187,20 @@ func (c *collector) record(id graph.NodeID, side bool, res *packing.Result) {
 	}
 }
 
+// certificate names the stop that made an exact packing result exact:
+// the duality proof when the loads prove λ ≥ Cut, the tree count
+// otherwise.
+func certificate(p *packing.Result, exact bool) string {
+	switch {
+	case !exact:
+		return ""
+	case p.Proves(p.Cut):
+		return "duality"
+	default:
+		return "trees"
+	}
+}
+
 // MaxWeight bounds edge weights: the MST key comparison packs loads
 // and weights into single words and cross-multiplies them in int64, so
 // weights must stay below 2^31.
@@ -204,8 +224,9 @@ func validate(g *graph.Graph) error {
 
 // MinCut computes the minimum cut exactly with the paper's main
 // algorithm (tree packing until enough trees are packed for the best
-// cut found). For cuts beyond 2^20 the result carries Exact=false; use
-// ApproxMinCut there.
+// cut found, or until the packed trees' loads prove it minimum; see
+// Result.Certificate). For cuts beyond 2^20 the result carries
+// Exact=false; use ApproxMinCut there.
 func MinCut(g *graph.Graph, opts *Options) (*Result, error) {
 	return MinCutContext(context.Background(), g, opts)
 }
@@ -243,6 +264,7 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 		Value:       col.value,
 		Side:        col.sides,
 		Exact:       exactAll,
+		Certificate: certificate(p, exactAll),
 		BestNode:    p.CutNode,
 		TreesPacked: p.Trees,
 		Rounds:      stats.Rounds,
@@ -324,10 +346,12 @@ func ApproxMinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*R
 		return nil, err
 	}
 	p := col.pack
+	exact := col.level == 0 && col.exact
 	return &Result{
 		Value:        col.value,
 		Side:         col.sides,
-		Exact:        col.level == 0 && col.exact,
+		Exact:        exact,
+		Certificate:  certificate(p, exact),
 		BestNode:     p.CutNode,
 		TreesPacked:  col.trees,
 		Levels:       col.level,
@@ -428,14 +452,16 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 		}
 	}
 	// packLevel packs one sampling level under its own span, so the
-	// trace attributes the descent's cost level by level.
+	// trace attributes the descent's cost level by level. It stops at
+	// approxTauMax trees, at a skeleton cut ≤ κ, or once the loads prove
+	// the best cut is the skeleton's minimum (no later tree can beat it).
 	packLevel := func(level int) *packing.Result {
 		if mark {
 			nd.Mark("begin:level:" + strconv.Itoa(level))
 		}
 		cur := packing.Pack(nd, bfs,
 			packing.Options{Weight: weightAt(level), SizeCap: o.SizeCap}, tags,
-			func(r *packing.Result) bool { return r.Trees >= approxTauMax || r.Cut <= kappa })
+			func(r *packing.Result) bool { return r.Trees >= approxTauMax || r.Cut <= kappa || r.Proves(r.Cut) })
 		if mark {
 			nd.Mark("end:level:" + strconv.Itoa(level))
 		}
@@ -444,7 +470,8 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 
 	// Level 0: try the exact algorithm with its search capped at κ, so
 	// it certifies cuts up to 2^⌊log₂ κ⌋ (the largest power of two ≤ κ).
-	// If λ is at most that, this is already the exact answer.
+	// If λ is at most that, this is already the exact answer; once the
+	// loads prove λ is above it, level 0 gives up early.
 	if mark {
 		nd.Mark("begin:level:0")
 	}

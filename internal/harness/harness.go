@@ -15,7 +15,8 @@
 //   - E6 (E6Diameter): both terms of √n + D are real — fix n, grow D.
 //   - E7 (E7Packing): Thorup's theorem in practice — trees packed until
 //     one 1-respects a minimum cut, against the practical and
-//     theoretical τ bounds.
+//     theoretical τ bounds, and until the loads also prove it (the
+//     exact search's duality stop).
 //   - E8 (E8Figure1): the paper's only figure — fragments, merging
 //     nodes and T'_F for the Figure-1 tree, plus the O(√n) structural
 //     bounds on random trees.

@@ -10,9 +10,21 @@
 // Õ(√n + D) rounds per tree. Pack is the one packing loop: it packs one
 // tree at a time until its caller's stop rule holds. The exact
 // algorithm does not know λ in advance, so its rule reads the best cut
-// found so far: stop once τ(min(best, cap)) trees are packed. Since
-// best ≥ λ, that many trees are provably enough when best ≤ cap, and
-// the answer is exact.
+// found so far, and it has two stops:
+//
+//   - the τ rule: stop once τ(min(best, cap)) trees are packed. Since
+//     best ≥ λ, that many trees are enough when best ≤ cap, and the
+//     answer is exact;
+//   - the duality proof: stop once the loads prove λ ≥ best. With
+//     M = maxₑ load(e)/w(e), the τ packed trees, each weighted 1/M,
+//     put at most w(e) on every edge, and every cut crosses every
+//     tree, so λ ≥ τ/M (weak duality, as in Tutte–Nash-Williams).
+//     Weights are integers, so τ·w(e) > (c−1)·load(e) on every edge
+//     proves λ ≥ c, and c = best makes best = λ.
+//
+// The ratio M rides the C/D words of the respect algorithm's final
+// convergecast and broadcast (internal/respect), so the proof costs no
+// rounds or messages.
 //
 // τ policies: Thorup's theoretical bound is Θ(λ⁷ log³ n) trees —
 // correct but intractable beyond tiny λ; the driver always uses the
@@ -76,23 +88,38 @@ type Options struct {
 // Result is one node's view of a packing run. Scalar fields are
 // identical at every node; BestInput/BestOutput are the node's local
 // state under the winning tree (used to mark the cut side).
+// MaxLoad/MaxLoadWeight is the largest load(e)/w(e) over all edges
+// after Trees trees, in lowest terms.
 type Result struct {
-	Cut        int64
-	CutNode    graph.NodeID
-	TreeIndex  int
-	Trees      int
-	PerTree    []int64
-	Connected  bool
-	BestInput  *respect.Input
-	BestOutput *respect.Output
+	Cut                    int64
+	CutNode                graph.NodeID
+	TreeIndex              int
+	Trees                  int
+	PerTree                []int64
+	Connected              bool
+	MaxLoad, MaxLoadWeight int64
+	BestInput              *respect.Input
+	BestOutput             *respect.Output
+}
+
+// Proves reports whether the packed trees' loads prove λ ≥ c by weak
+// duality: Trees·w(e) > (c−1)·load(e) on every edge, that is
+// Trees·MaxLoadWeight > (c−1)·MaxLoad. The products are compared in
+// 128 bits. No trees prove nothing.
+func (r *Result) Proves(c int64) bool {
+	if r.Trees == 0 {
+		return false
+	}
+	return proto.MulLess(max(c-1, 0), r.MaxLoad, int64(r.Trees), r.MaxLoadWeight)
 }
 
 // Pack packs trees one at a time, each the MST under the loads of
 // those before it, until enough(res) holds, and returns the best
 // 1-respecting cut over all of them. enough must read only fields
-// every node agrees on (Trees, Cut), so all nodes stop after the same
-// tree. If the (possibly sampled) graph is disconnected, packing aborts
-// with Connected=false and Cut untouched.
+// every node agrees on (Trees, Cut, the load ratio and so Proves), so
+// all nodes stop after the same tree. If the (possibly sampled) graph
+// is disconnected, packing aborts with Connected=false and Cut
+// untouched.
 func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, enough func(*Result) bool) *Result {
 	res := &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
 	loads := make(map[int]int64, nd.Degree())
@@ -117,6 +144,7 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 		}
 		in := respect.FromMST(mres, bfs)
 		in.Weight = opts.Weight
+		in.MaxLoad, in.MaxLoadWeight = maxLoadRatio(nd, loads, opts.Weight)
 		if mark {
 			nd.Mark("begin:respect")
 		}
@@ -125,6 +153,7 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 			nd.Mark("end:respect")
 		}
 		res.PerTree = append(res.PerTree, out.Best)
+		res.MaxLoad, res.MaxLoadWeight = out.MaxLoad, out.MaxLoadWeight
 		if out.Best < res.Cut {
 			res.Cut = out.Best
 			res.CutNode = out.BestNode
@@ -139,14 +168,17 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 
 // Exact runs the paper's main algorithm: pack until the packing holds
 // PracticalTau(min(best, cap), n) trees, where best is the best cut
-// found so far and cap the largest power of two ≤ maxLambda. Every cut
-// found is ≥ λ and PracticalTau is monotone, so when best ≤ cap the
-// packing holds PracticalTau(λ) trees or more: some packed tree
-// 1-respects a minimum cut, and best = λ is certified exact. When best
-// stays above cap the search gives up after PracticalTau(cap) trees,
-// uncertified. A bridge found by the first tree stops the run at once
-// (PracticalTau(1) = 1), which keeps λ = 1 instances O(1) trees at any
-// scale.
+// found so far and cap the largest power of two ≤ maxLambda, or until
+// the loads prove the answer (Result.Proves). Every cut found is ≥ λ
+// and PracticalTau is monotone, so when best ≤ cap the packing holds
+// PracticalTau(λ) trees or more: some packed tree 1-respects a minimum
+// cut, and best = λ is certified exact. A proof of λ ≥ best with
+// best ≤ cap stops sooner and certifies the same answer: Pack replaces
+// its best only on a strict improvement, and none can follow. When
+// best stays above cap the search gives up after PracticalTau(cap)
+// trees, or as soon as the loads prove λ > cap, uncertified. A bridge
+// found by the first tree stops the run at once (PracticalTau(1) = 1),
+// which keeps λ = 1 instances O(1) trees at any scale.
 //
 // maxLambda bounds the search (poly(λ) trees are only tractable for
 // small λ; larger cuts are handled by the sampling reduction, which
@@ -162,12 +194,42 @@ func Exact(nd *congest.Node, bfs *proto.Overlay, maxLambda int64, opts Options, 
 		nd.Mark("begin:pack")
 	}
 	res := Pack(nd, bfs, opts, tags, func(r *Result) bool {
-		return r.Trees >= PracticalTau(min(r.Cut, lambdaCap), nd.N())
+		return r.Trees >= PracticalTau(min(r.Cut, lambdaCap), nd.N()) ||
+			r.Cut <= lambdaCap && r.Proves(r.Cut) ||
+			r.Proves(lambdaCap+1)
 	})
 	if mark {
 		nd.Mark("end:pack")
 	}
 	return res, res.Connected && res.Cut <= lambdaCap
+}
+
+// maxLoadRatio returns the largest load(e)/w(e) over this node's live
+// edges (w(e) > 0 under weight, or the edge weight when weight is nil),
+// in lowest terms so that equal ratios are equal pairs.
+func maxLoadRatio(nd *congest.Node, loads map[int]int64, weight func(port int) int64) (int64, int64) {
+	l, w := int64(0), int64(1)
+	for p := 0; p < nd.Degree(); p++ {
+		we := nd.EdgeWeight(p)
+		if weight != nil {
+			we = weight(p)
+		}
+		if we <= 0 {
+			continue
+		}
+		if le := loads[nd.EdgeID(p)]; proto.MulLess(l, we, le, w) {
+			l, w = le, we
+		}
+	}
+	g := gcd(l, w)
+	return l / g, w / g
+}
+
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Message kinds for side marking and evaluation (0x70 range).

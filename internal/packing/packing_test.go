@@ -46,7 +46,8 @@ func runExact(t *testing.T, g *graph.Graph, seed, maxLambda int64) (*packing.Res
 	}
 	for v := 1; v < g.N(); v++ {
 		if results[v].Cut != results[0].Cut || results[v].CutNode != results[0].CutNode ||
-			results[v].Trees != results[0].Trees || exacts[v] != exacts[0] {
+			results[v].Trees != results[0].Trees || exacts[v] != exacts[0] ||
+			results[v].MaxLoad != results[0].MaxLoad || results[v].MaxLoadWeight != results[0].MaxLoadWeight {
 			t.Fatalf("node %d disagrees on result", v)
 		}
 		if used[v] != used[0] {
@@ -188,5 +189,83 @@ func TestPackStopBelow(t *testing.T) {
 	}
 	if trees != 1 {
 		t.Fatalf("the rule Cut <= 1 did not stop the packing early: packed %d trees", trees)
+	}
+}
+
+// TestProvesLargeWeights: the duality test Trees·W > (c−1)·L is exact
+// for weights near 2^62 and loads in the hundreds, where the int64
+// products overflow.
+func TestProvesLargeWeights(t *testing.T) {
+	const w = 1<<62 - 1
+	r := &packing.Result{Trees: 300, MaxLoad: 300, MaxLoadWeight: w}
+	// 300·w > (c−1)·300 ⟺ c−1 < w.
+	if !r.Proves(w) {
+		t.Fatalf("300 trees at load 300 on weight %d must prove λ ≥ %d", int64(w), int64(w))
+	}
+	if r.Proves(w + 1) {
+		t.Fatalf("300 trees at load 300 on weight %d must not prove λ ≥ %d", int64(w), int64(w)+1)
+	}
+	// 200·(201·2^54) > (c−1)·201 ⟺ c ≤ 200·2^54.
+	r = &packing.Result{Trees: 200, MaxLoad: 201, MaxLoadWeight: 201 << 54}
+	if !r.Proves(200 << 54) {
+		t.Fatal("200 trees at load 201 on weight 201·2^54 must prove λ ≥ 200·2^54")
+	}
+	if r.Proves(200<<54 + 1) {
+		t.Fatal("200 trees at load 201 on weight 201·2^54 must not prove λ ≥ 200·2^54 + 1")
+	}
+	if (&packing.Result{}).Proves(1) {
+		t.Fatal("no trees must prove nothing")
+	}
+}
+
+// TestExactLoadRatioMatchesSequential: the load ratio every node ends
+// Exact with is the maximum load(e)/w(e) of the sequential packing of
+// as many trees, and a duality-certified run stops at
+// TreesUntilCertified's count.
+func TestExactLoadRatioMatchesSequential(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"planted3": graph.PlantedCut(12, 10, 3, 0.6, 4),
+		"weighted": graph.AssignWeights(graph.GNP(16, 0.4, 3), 1, 6, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			lambda, _, err := baseline.StoerWagner(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, exact, _, _ := runExact(t, g, 7, 1<<20)
+			if !exact || res.Cut != lambda {
+				t.Fatalf("cut %d (exact %v), want %d", res.Cut, exact, lambda)
+			}
+			trees, err := packing.GreedySequential(g, res.Trees)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loads := make([]int64, g.M())
+			for _, tr := range trees {
+				for v := 0; v < tr.N(); v++ {
+					if id := tr.ParentEdge(graph.NodeID(v)); id >= 0 {
+						loads[id]++
+					}
+				}
+			}
+			var l, w int64 = 0, 1
+			for _, e := range g.Edges() {
+				if loads[e.ID]*w > l*e.W {
+					l, w = loads[e.ID], e.W
+				}
+			}
+			if l*res.MaxLoadWeight != res.MaxLoad*w {
+				t.Fatalf("distributed max load ratio %d/%d, sequential %d/%d", res.MaxLoad, res.MaxLoadWeight, l, w)
+			}
+			if res.Proves(res.Cut) {
+				cert, err := packing.TreesUntilCertified(g, lambda, res.Trees)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cert != res.Trees {
+					t.Fatalf("Exact stopped at %d trees on the duality proof, TreesUntilCertified says %d", res.Trees, cert)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package packing
 import (
 	"distmincut/internal/graph"
 	"distmincut/internal/mst"
+	"distmincut/internal/proto"
 	"distmincut/internal/tree"
 	"distmincut/internal/verify"
 )
@@ -71,4 +72,51 @@ func TreesUntilHit(g *graph.Graph, lambda int64, maxTrees int) (int, error) {
 		}
 	}
 	return maxTrees + 1, nil
+}
+
+// TreesUntilCertified packs trees like TreesUntilHit and returns the
+// first tree count τ at which some tree so far has hit lambda and the
+// loads prove λ ≥ lambda by weak duality, τ·w(e) > (lambda−1)·load(e)
+// on every edge (or maxTrees+1 if that never happens). This is the
+// count at which Exact's duality stop fires. The proof is not monotone
+// in τ: one more tree adds w(e) to τ·w(e) but lambda−1 to
+// (lambda−1)·load(e) on each of its edges, so it can break the
+// inequality on an edge with w(e) < lambda−1. Hence the first such
+// count, not a threshold.
+func TreesUntilCertified(g *graph.Graph, lambda int64, maxTrees int) (int, error) {
+	loads := make([]int64, g.M())
+	hit := false
+	for i := 1; i <= maxTrees; i++ {
+		ids, err := mst.Kruskal(g, loads)
+		if err != nil {
+			return 0, err
+		}
+		for _, id := range ids {
+			loads[id]++
+		}
+		if !hit {
+			t, err := mst.TreeOf(g, ids, 0)
+			if err != nil {
+				return 0, err
+			}
+			q := verify.OneRespectOracle(g, t)
+			c, _ := verify.BestOneRespect(q, t)
+			hit = c == lambda
+		}
+		if hit && loadsProve(g, loads, i, lambda) {
+			return i, nil
+		}
+	}
+	return maxTrees + 1, nil
+}
+
+// loadsProve reports whether trees trees with these loads prove
+// λ ≥ c: trees·w(e) > (c−1)·load(e) on every edge.
+func loadsProve(g *graph.Graph, loads []int64, trees int, c int64) bool {
+	for _, e := range g.Edges() {
+		if !proto.MulLess(c-1, loads[e.ID], int64(trees), e.W) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"math/bits"
 	"sort"
 
 	"distmincut/internal/congest"
@@ -63,6 +64,15 @@ func MinItem(a, b Item) Item {
 		return b
 	}
 	return a
+}
+
+// MulLess reports whether a·b < c·d for nonnegative words. It compares
+// the 128-bit products, so a ratio test by cross-multiplication cannot
+// overflow whatever the words' size.
+func MulLess(a, b, c, d int64) bool {
+	hi1, lo1 := bits.Mul64(uint64(a), uint64(b))
+	hi2, lo2 := bits.Mul64(uint64(c), uint64(d))
+	return hi1 < hi2 || hi1 == hi2 && lo1 < lo2
 }
 
 // Gather streams every node's items to the root (upcast). Items flow up

@@ -79,6 +79,12 @@ type Input struct {
 	// uses the underlying edge weights. The tree and fragments must
 	// have been built under the same view.
 	Weight func(port int) int64
+	// MaxLoad/MaxLoadWeight is the largest packing load(e)/w(e) over
+	// this node's live edges, in lowest terms (see packing.Pack). Run
+	// carries the global maximum to every node in the same waves that
+	// find the best cut, at no extra rounds. A zero weight counts as
+	// the ratio 0.
+	MaxLoad, MaxLoadWeight int64
 }
 
 // FromMST adapts the distributed MST result into a respect input.
@@ -104,6 +110,9 @@ type Output struct {
 	// Identical at every node.
 	Best     int64
 	BestNode graph.NodeID
+	// MaxLoad/MaxLoadWeight is the largest Input ratio over all nodes,
+	// in lowest terms. Identical at every node.
+	MaxLoad, MaxLoadWeight int64
 	// Intermediate quantities, exposed for verification and reuse.
 	Delta        int64
 	DeltaDown    int64

@@ -228,3 +228,26 @@ func TestRoundComplexity(t *testing.T) {
 			ratio, rounds[8], rounds[16])
 	}
 }
+
+// TestMinCutMaxLoadCombiner: finish's combiner keeps the smaller
+// (cut, node) and the larger load ratio, compares ratios exactly for
+// weights near 2^62 (where cross-multiplying in int64 overflows), and
+// does not depend on argument order.
+func TestMinCutMaxLoadCombiner(t *testing.T) {
+	// 200/(2^62−1) is just above 100/2^61 = 200/2^62.
+	a := proto.Item{A: 7, B: 3, C: 200, D: 1<<62 - 1}
+	b := proto.Item{A: 5, B: 9, C: 100, D: 1 << 61}
+	want := proto.Item{A: 5, B: 9, C: 200, D: 1<<62 - 1}
+	if got := minCutMaxLoad(a, b); got != want {
+		t.Fatalf("combine(a, b) = %+v, want %+v", got, want)
+	}
+	if got := minCutMaxLoad(b, a); got != want {
+		t.Fatalf("combine(b, a) = %+v, want %+v", got, want)
+	}
+	// 199/(2^62−2) is just below 200/(2^62−1).
+	c := proto.Item{A: 5, B: 1, C: 199, D: 1<<62 - 2}
+	want = proto.Item{A: 5, B: 1, C: 200, D: 1<<62 - 1}
+	if got := minCutMaxLoad(a, c); got != want {
+		t.Fatalf("combine(a, c) = %+v, want %+v", got, want)
+	}
+}

@@ -482,17 +482,35 @@ func (r *respectRun) fragAncestorSum(tokens map[graph.NodeID]int64) int64 {
 	return result
 }
 
-// finish computes C(v↓) and the global minimum.
+// finish computes C(v↓), the global minimum and, in the same two waves
+// (C/D words), the global maximum load ratio.
 func (r *respectRun) finish(out *Output) {
 	nd, in := r.nd, r.in
 	out.CutBelow = out.DeltaDown - 2*out.RhoDown
 
-	mine := proto.Item{A: math.MaxInt64, B: int64(nd.ID())}
+	mine := proto.Item{A: math.MaxInt64, B: int64(nd.ID()), C: in.MaxLoad, D: in.MaxLoadWeight}
 	if in.ParentPort >= 0 { // the root's C(v↓) is not a cut
-		mine = proto.Item{A: out.CutBelow, B: int64(nd.ID())}
+		mine.A = out.CutBelow
 	}
-	best, _ := proto.ConvergeItem(nd, in.BFS, r.tags, mine, proto.MinItem)
+	if mine.D <= 0 {
+		mine.C, mine.D = 0, 1
+	}
+	best, _ := proto.ConvergeItem(nd, in.BFS, r.tags, mine, minCutMaxLoad)
 	best = proto.BroadcastItem(nd, in.BFS, r.tags, best)
 	out.Best = best.A
 	out.BestNode = graph.NodeID(best.B)
+	out.MaxLoad, out.MaxLoadWeight = best.C, best.D
+}
+
+// minCutMaxLoad is finish's combiner: the smaller (cut, node) in A/B
+// and the larger ratio C/D. Ratios arrive in lowest terms, so equal
+// ratios are equal pairs and the result does not depend on the order
+// children report in.
+func minCutMaxLoad(a, b proto.Item) proto.Item {
+	out := proto.MinItem(proto.Item{A: a.A, B: a.B}, proto.Item{A: b.A, B: b.B})
+	out.C, out.D = a.C, a.D
+	if proto.MulLess(a.C, b.D, b.C, a.D) {
+		out.C, out.D = b.C, b.D
+	}
+	return out
 }

@@ -217,15 +217,18 @@ type Result struct {
 	// Value is the weight of the returned cut. For the bracket tier it
 	// is the certified witness cut (minimum weighted degree) and Lo/Hi
 	// bracket the true λ; for other tiers Lo/Hi are omitted.
-	Value       int64 `json:"value"`
-	Lo          int64 `json:"lo,omitempty"`
-	Hi          int64 `json:"hi,omitempty"`
-	Exact       bool  `json:"exact"`
-	BestNode    int64 `json:"best_node"`
-	TreesPacked int   `json:"trees_packed"`
-	Levels      int   `json:"levels"`
-	Rounds      int   `json:"rounds"`
-	Messages    int64 `json:"messages"`
+	Value int64 `json:"value"`
+	Lo    int64 `json:"lo,omitempty"`
+	Hi    int64 `json:"hi,omitempty"`
+	Exact bool  `json:"exact"`
+	// Certificate says what proved an exact value: "duality" (the
+	// packing's loads) or "trees" (the tree count); omitted otherwise.
+	Certificate string `json:"certificate,omitempty"`
+	BestNode    int64  `json:"best_node"`
+	TreesPacked int    `json:"trees_packed"`
+	Levels      int    `json:"levels"`
+	Rounds      int    `json:"rounds"`
+	Messages    int64  `json:"messages"`
 	// SideIn is the size of the cut side marked true; Side is the full
 	// side assignment as a base64 bitset (node i = bit i%8 of byte
 	// i/8).
@@ -1382,6 +1385,7 @@ func encodeResult(key, tier string, n, m int, res *distmincut.Result) ([]byte, e
 		M:           m,
 		Value:       res.Value,
 		Exact:       res.Exact,
+		Certificate: res.Certificate,
 		BestNode:    int64(res.BestNode),
 		TreesPacked: res.TreesPacked,
 		Levels:      res.Levels,

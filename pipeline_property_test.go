@@ -1,12 +1,15 @@
 package distmincut
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"distmincut/internal/baseline"
 	"distmincut/internal/graph"
+	"distmincut/internal/packing"
+	"distmincut/internal/sampling"
 	"distmincut/internal/verify"
 )
 
@@ -84,6 +87,135 @@ func TestMinCutPropertyAgainstStoerWagner(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDualityCertificateAgreesWithStoerWagner checks the packing's
+// duality stop end to end. Over random weighted graphs and planted
+// cuts, whenever MinCut or ApproxMinCut reports Certificate "duality",
+// Stoer–Wagner agrees on Value and the side weighs Value. Graphs whose
+// fractional packing number stays below λ−1 within the tree budget
+// (cycle, torus, regular, complete) can never be proved that way: they
+// report "trees" after PracticalTau(λ, n) trees, as before the stop
+// existed. Weighted GNP with λ = 32 at ε = 0.5 lies past level 0's cap
+// of 16, where the loads prove λ > cap long before PracticalTau(cap)
+// trees: level 0 gives up early and the descent still lands on the
+// same Value at level 1.
+func TestDualityCertificateAgreesWithStoerWagner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow property test")
+	}
+	fired := 0
+	check := func(name string, g *graph.Graph, seed int64) {
+		t.Helper()
+		want, _, err := baseline.StoerWagner(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, tier := range []struct {
+			name string
+			run  func(*graph.Graph, *Options) (*Result, error)
+		}{{"exact", MinCut}, {"approx", ApproxMinCut}} {
+			r, err := tier.run(g, &Options{Seed: seed, Epsilon: 0.5})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, tier.name, err)
+			}
+			if r.Certificate != "duality" {
+				continue
+			}
+			fired++
+			if !r.Exact || r.Value != want {
+				t.Errorf("%s %s: duality-certified %d (exact %v), Stoer–Wagner %d", name, tier.name, r.Value, r.Exact, want)
+			}
+			if w, err := verify.CutSides(g, r.Side); err != nil || w != r.Value {
+				t.Errorf("%s %s: side weighs %d (err %v), reported %d", name, tier.name, w, err, r.Value)
+			}
+		}
+	}
+	for seed := int64(0); seed < 24; seed++ {
+		n := 10 + int(seed%12)
+		wHi := 1 + seed%6
+		check(fmt.Sprintf("gnp-%d-seed%d", n, seed),
+			graph.AssignWeights(graph.GNP(n, 0.3+0.05*float64(seed%4), seed), 1, wHi, seed+1), seed+2)
+		planted := graph.PlantedCut(8+int(seed%6), 8+int(seed%5), 1+int(seed%4), 0.6, seed)
+		check(fmt.Sprintf("planted-seed%d", seed), planted, seed+2)
+		check(fmt.Sprintf("planted-w-seed%d", seed), graph.AssignWeights(planted, 1, wHi, seed+3), seed+2)
+	}
+	if fired == 0 {
+		t.Fatal("the duality certificate never fired")
+	}
+	t.Logf("duality certificate fired on %d runs", fired)
+
+	for name, g := range map[string]*graph.Graph{
+		"cycle-40":      graph.Cycle(40),
+		"torus-6x6":     graph.Torus(6, 6),
+		"regular-40-12": graph.RandomRegular(40, 12, 3),
+		"complete-8":    graph.Complete(8),
+	} {
+		want, _, err := baseline.StoerWagner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := MinCut(g, &Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Value != want || r.Certificate != "trees" || r.TreesPacked != packing.PracticalTau(want, g.N()) {
+			t.Errorf("%s: value %d, certificate %q, %d trees; want %d, \"trees\", %d",
+				name, r.Value, r.Certificate, r.TreesPacked, want, packing.PracticalTau(want, g.N()))
+		}
+	}
+
+	g := graph.AssignWeights(graph.GNP(30, 0.2, 5), 1, 50, 6)
+	lambdaCap := int64(1)
+	for lambdaCap*2 <= sampling.Kappa(0.5, g.N()) {
+		lambdaCap *= 2
+	}
+	r, err := ApproxMinCut(g, &Options{Seed: 1, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Value != 32 || r.Levels != 1 || r.Exact || r.Certificate != "" {
+		t.Errorf("weighted GNP at ε = 0.5: value %d at level %d (exact %v, certificate %q), want 32 at level 1, inexact",
+			r.Value, r.Levels, r.Exact, r.Certificate)
+	}
+	if r.TreesPacked >= packing.PracticalTau(lambdaCap, g.N()) {
+		t.Errorf("weighted GNP at ε = 0.5: %d trees, want level 0 stopped by the λ > %d proof before %d trees",
+			r.TreesPacked, lambdaCap, packing.PracticalTau(lambdaCap, g.N()))
+	}
+}
+
+// TestTreesPackedMatchesSequentialCertificate: on planted cuts where
+// the sequential reference certifies λ before PracticalTau(λ) trees,
+// MinCut stops on the duality proof at exactly that count.
+func TestTreesPackedMatchesSequentialCertificate(t *testing.T) {
+	below := 0
+	for seed := int64(0); seed < 6; seed++ {
+		g := graph.PlantedCut(12, 12, 2+int(seed%3), 0.6, seed+20)
+		lambda, _, err := baseline.StoerWagner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tau := packing.PracticalTau(lambda, g.N())
+		cert, err := packing.TreesUntilCertified(g, lambda, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cert >= tau {
+			continue
+		}
+		below++
+		r, err := MinCut(g, &Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Value != lambda || r.TreesPacked != cert || r.Certificate != "duality" {
+			t.Errorf("seed %d: value %d after %d trees (certificate %q), want %d after TreesUntilCertified's %d, \"duality\"",
+				seed, r.Value, r.TreesPacked, r.Certificate, lambda, cert)
+		}
+	}
+	if below == 0 {
+		t.Fatal("no planted graph certified below the τ rule")
 	}
 }
 
