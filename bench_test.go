@@ -47,10 +47,10 @@ func BenchmarkE2Scaling(b *testing.B) {
 	d := graph.Diameter(g)
 	var rounds, messages int64
 	for i := 0; i < b.N; i++ {
-		stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 3}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 			tags := new(proto.Tags)
 			bfs := proto.BuildBFS(nd, 0, tags)
-			res := mst.Run(nd, bfs, nil, 0, tags)
+			res := mst.Run(nd, bfs, nil, 0, 3, tags)
 			respect.Run(nd, respect.FromMST(res, bfs), tags)
 		})
 		if err != nil {
@@ -71,10 +71,10 @@ func BenchmarkTheorem21PerTree(b *testing.B) {
 	g := graph.GNP(256, 0.04, 5)
 	var rounds int64
 	for i := 0; i < b.N; i++ {
-		stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 4}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 			tags := new(proto.Tags)
 			bfs := proto.BuildBFS(nd, 0, tags)
-			packing.Pack(nd, bfs, packing.Options{}, tags,
+			packing.Pack(nd, bfs, packing.Options{Seed: 4}, tags,
 				func(r *packing.Result) bool { return r.Trees >= 1 })
 		})
 		if err != nil {

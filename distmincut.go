@@ -60,8 +60,12 @@ const approxTauMax = 32
 // sampled levels pack at most 32 trees each, and BracketMinCut tests
 // 3 skeletons per level.
 type Options struct {
-	// Seed drives all randomness (engine scheduling is deterministic;
-	// the seed affects MST coin flips and sampling). Zero means 1.
+	// Seed drives the only randomness the protocols use: the MST merge
+	// coin and the skeleton samplers hash it, and nothing else reads it
+	// (the CONGEST engine has no random state). Through the coin it
+	// moves round and message counts but never a cut: MinCut's and
+	// OneRespectingCut's Value and Side do not depend on it; the
+	// sampled tiers' cuts do. Zero means 1.
 	Seed int64
 	// Epsilon is the approximation parameter for ApproxMinCut
 	// (default 0.5).
@@ -151,7 +155,6 @@ type Result struct {
 // error then wraps ctx.Err().
 func (o Options) runSim(ctx context.Context, g *graph.Graph, program func(*congest.Node)) (*congest.Stats, error) {
 	eo := congest.Options{
-		Seed:      o.Seed,
 		Unbounded: o.Unbounded,
 		MaxRounds: o.MaxRounds,
 		Progress:  o.Progress,
@@ -162,6 +165,12 @@ func (o Options) runSim(ctx context.Context, g *graph.Graph, program func(*conge
 		return o.Engine.Run(ctx, g, program)
 	}
 	return congest.Run(ctx, g, eo, program)
+}
+
+// packOpts configures one packing run: the sampled view weight (nil for
+// the graph itself), the fragment size cap and the MST coin's seed.
+func (o Options) packOpts(weight func(p int) int64) packing.Options {
+	return packing.Options{Weight: weight, SizeCap: o.SizeCap, Seed: o.Seed}
 }
 
 // collector gathers per-node outputs under a lock: every node's side
@@ -244,8 +253,7 @@ func MinCutContext(ctx context.Context, g *graph.Graph, opts *Options) (*Result,
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res, exact := packing.Exact(nd, bfs, maxExactLambda,
-			packing.Options{SizeCap: o.SizeCap}, tags)
+		res, exact := packing.Exact(nd, bfs, maxExactLambda, o.packOpts(nil), tags)
 		side := packing.MarkSide(nd, bfs, res, tags)
 		value := packing.EvaluateCut(nd, bfs, side, tags)
 		col.mu.Lock()
@@ -294,7 +302,7 @@ func OneRespectingCutContext(ctx context.Context, g *graph.Graph, opts *Options)
 	stats, err := o.runSim(ctx, g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res := packing.Pack(nd, bfs, packing.Options{SizeCap: o.SizeCap}, tags,
+		res := packing.Pack(nd, bfs, o.packOpts(nil), tags,
 			func(r *packing.Result) bool { return r.Trees >= 1 })
 		side := packing.MarkSide(nd, bfs, res, tags)
 		col.mu.Lock()
@@ -459,8 +467,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 		if mark {
 			nd.Mark("begin:level:" + strconv.Itoa(level))
 		}
-		cur := packing.Pack(nd, bfs,
-			packing.Options{Weight: weightAt(level), SizeCap: o.SizeCap}, tags,
+		cur := packing.Pack(nd, bfs, o.packOpts(weightAt(level)), tags,
 			func(r *packing.Result) bool { return r.Trees >= approxTauMax || r.Cut <= kappa || r.Proves(r.Cut) })
 		if mark {
 			nd.Mark("end:level:" + strconv.Itoa(level))
@@ -475,8 +482,7 @@ func approxProgram(nd *congest.Node, bfs *proto.Overlay, tags *proto.Tags, g *gr
 	if mark {
 		nd.Mark("begin:level:0")
 	}
-	res, exact := packing.Exact(nd, bfs, kappa,
-		packing.Options{SizeCap: o.SizeCap}, tags)
+	res, exact := packing.Exact(nd, bfs, kappa, o.packOpts(nil), tags)
 	if mark {
 		nd.Mark("end:level:0")
 	}

@@ -16,10 +16,10 @@ import (
 // Θ(m) rounds where the paper's algorithm pays Õ(√n + D).
 //
 // Returns the cut value (identical at every node) and the run stats.
-func Centralize(g *graph.Graph, seed int64) (int64, *congest.Stats, error) {
+func Centralize(g *graph.Graph) (int64, *congest.Stats, error) {
 	var mu sync.Mutex
 	var value int64 = -1
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		// Each edge reported once, by its lower-ID endpoint.

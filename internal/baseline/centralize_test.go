@@ -17,7 +17,7 @@ func TestCentralizeExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := Centralize(g, 7)
+		got, stats, err := Centralize(g)
 		if err != nil {
 			t.Fatal(err)
 		}

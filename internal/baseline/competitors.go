@@ -73,7 +73,7 @@ func Su(nd *congest.Node, bfs *proto.Overlay, g *graph.Graph, eps float64, seed 
 	level := 0
 	trees := 0
 	for ; level < 62; level++ {
-		cur := packing.Pack(nd, bfs, packing.Options{Weight: weightAt(level)}, tags,
+		cur := packing.Pack(nd, bfs, packing.Options{Weight: weightAt(level), Seed: seed}, tags,
 			func(r *packing.Result) bool { return r.Trees >= suTrees })
 		trees += cur.Trees
 		if !cur.Connected {

@@ -102,7 +102,7 @@ func TestSuApproximation(t *testing.T) {
 	}
 	var mu sync.Mutex
 	results := make([]*SuResult, g.N())
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 5}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		r := Su(nd, bfs, g, 0.5, 7, tags)

@@ -77,7 +77,7 @@ func boundNodes(e *Engine) int {
 // bit-identical to a fresh run.
 func TestAbortReleasesCoroutines(t *testing.T) {
 	g := graph.RandomRegular(128, 4, 3)
-	fresh, err := Run(context.Background(), g, Options{Seed: 9}, chatterProgram)
+	fresh, err := Run(context.Background(), g, Options{}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestAbortReleasesCoroutines(t *testing.T) {
 		panicky bool
 		want    func(error) bool
 	}{
-		{"max-rounds", context.Background(), Options{Seed: 9, MaxRounds: 20}, false,
+		{"max-rounds", context.Background(), Options{MaxRounds: 20}, false,
 			func(err error) bool { return errors.Is(err, ErrMaxRounds) }},
-		{"interrupt", canceled, Options{Seed: 9}, false,
+		{"interrupt", canceled, Options{}, false,
 			func(err error) bool { return errors.Is(err, context.Canceled) }},
-		{"panic", context.Background(), Options{Seed: 9}, true,
+		{"panic", context.Background(), Options{}, true,
 			func(err error) bool { var pe *PanicError; return errors.As(err, &pe) && pe.Node == 5 }},
 	}
 	for _, c := range cases {
@@ -134,7 +134,7 @@ func TestAbortReleasesCoroutines(t *testing.T) {
 			if b := boundNodes(e); b != 0 {
 				t.Fatalf("%d nodes still hold a coroutine after the abort", b)
 			}
-			e.SetOptions(Options{Seed: 9})
+			e.SetOptions(Options{})
 			stats, err := e.Run(context.Background(), g, chatterProgram)
 			if err != nil {
 				t.Fatal(err)
@@ -173,7 +173,7 @@ func TestPooledCoroutinesStopAfterGC(t *testing.T) {
 	// Let coroutines pooled by earlier tests drain first; the
 	// baseline is whatever remains.
 	base := settle(0)
-	e := NewEngine(Options{Seed: 3})
+	e := NewEngine(Options{})
 	// 512 nodes all park in Recv at once, so the run needs 512
 	// coroutines simultaneously.
 	stats, err := e.Run(context.Background(), graph.Cycle(512), func(nd *Node) {

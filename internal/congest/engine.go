@@ -19,9 +19,6 @@ import (
 
 // Options configures a simulation run.
 type Options struct {
-	// Seed derives every node's private RNG. Runs with equal seeds are
-	// bit-identical. Zero means seed 1.
-	Seed int64
 	// MaxRounds aborts runs that exceed this many rounds (safety net
 	// against protocol bugs, and the deterministic budget behind service
 	// jobs) with a *BudgetError matching ErrMaxRounds. Zero means
@@ -49,9 +46,6 @@ type Options struct {
 
 // normalize fills Options defaults.
 func normalize(opts Options) Options {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
@@ -138,10 +132,6 @@ type Engine struct {
 	delivered int64
 	wakeups   int64
 	aborted   atomic.Bool
-
-	// runGen numbers the engine's runs; per-node RNGs compare it to
-	// reseed lazily on their first use in each run.
-	runGen uint32
 
 	// needFullInit forces the next Run to rebuild port tables, recarve
 	// every queue, and reinitialize every node: set on engine creation,
@@ -284,24 +274,13 @@ func getNodeSlab(n int) []Node {
 	return make([]Node, 1<<c)[:n]
 }
 
-// putNodeSlab releases a node slab, clearing every field that points
-// outside the slab's own reusable state (graph adjacency, engine,
-// queue slices, match closures, coroutine handles) so a pooled slab
-// cannot pin the last run's graph or engine until sync.Pool eviction.
-// Per-node RNGs are deliberately kept: they reference only their own
-// generator state and are reseeded on reuse.
+// putNodeSlab releases a node slab, zeroing every node so a pooled
+// slab cannot pin the last run's graph or engine (adjacency, queue
+// slices, match closures, coroutine handles) until sync.Pool eviction.
+// A node holds no state that outlives its run: the full setup pass
+// rebuilds each one from scratch.
 func putNodeSlab(slab []Node) {
-	slab = slab[:cap(slab)]
-	for i := range slab {
-		nd := &slab[i]
-		nd.eng = nil
-		nd.adj = nil
-		nd.outQ = nil
-		nd.inQ = nil
-		nd.match = nil
-		nd.co = nil
-		nd.panicVal = nil
-	}
+	clear(slab[:cap(slab)])
 	nodeSlabPool[slabClass(cap(slab))].Put(slab) //nolint:staticcheck // slice header cost is amortized over the slab
 }
 
@@ -356,7 +335,7 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, program func(*Node))
 }
 
 // Run executes program on every node of g. Stats are bit-identical to
-// a fresh engine's for the same graph, options, and seed — reuse never
+// a fresh engine's for the same graph and options — reuse never
 // leaks state between runs. The graph must not be mutated between runs
 // that share it.
 //
@@ -396,7 +375,6 @@ func (e *Engine) setupRun(g *graph.Graph) {
 	e.delivered = 0
 	e.wakeups = 0
 	e.aborted.Store(false)
-	e.runGen++
 	e.marks = nil
 	e.timing = e.opts.Observer != nil
 	e.obsDelivered = 0
@@ -499,12 +477,10 @@ func (e *Engine) setupRun(g *graph.Graph) {
 		adj := g.Adj(graph.NodeID(i))
 		off := int(e.portOff[i])
 		nd := &e.nodeSlab[i]
-		rng := nd.rng // survives reinit; reseeded lazily via runGen
 		*nd = Node{
 			id:       graph.NodeID(i),
 			eng:      e,
 			adj:      adj,
-			rng:      rng,
 			outQ:     qSlab[off : off+len(adj)],
 			inQ:      qSlab[ports+off : ports+off+len(adj)],
 			hintPort: -1,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -358,15 +359,16 @@ func TestDeadlineAborts(t *testing.T) {
 }
 
 // TestDeterminism: identical runs produce identical stats, including on
-// graphs where many nodes are active simultaneously with RNG use.
+// graphs where many nodes are active simultaneously and each draws from
+// its own seeded generator.
 func TestDeterminism(t *testing.T) {
 	g := graph.GNP(40, 0.2, 3)
 	run := func() *Stats {
-		stats, err := Run(context.Background(), g, Options{Seed: 5}, func(nd *Node) {
+		stats, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 			// Send a random number of data messages to every neighbor,
 			// then an end marker; consume until every port delivered
 			// its marker. Terminates regardless of scheduling.
-			reps := 2 + nd.Rand().Intn(3)
+			reps := 2 + rand.New(rand.NewPCG(5, uint64(nd.ID()))).IntN(3)
 			for i := 0; i < reps; i++ {
 				nd.SendAll(Message{Kind: kindData, Tag: uint32(i), A: int64(nd.ID())})
 			}

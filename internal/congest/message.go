@@ -48,9 +48,9 @@
 // whose capacity fits. Stats.SetupNanos reports what setup remains.
 // Close releases the slabs to process-wide pools; the package-level Run
 // is the one-shot NewEngine + Run + Close. Reuse never leaks state:
-// per-node RNGs reseed lazily per run, an abort unwinds every parked
+// the engine holds no random state, an abort unwinds every parked
 // program, and a reused engine's Stats are bit-identical to a fresh
-// engine's for the same graph, options, and seed.
+// engine's for the same graph, options, and program.
 //
 // # Determinism
 //
@@ -58,12 +58,14 @@
 // message delivery and round advancement happen while all nodes are
 // parked, and each (sender, port) pair feeds its own per-port FIFO at
 // the receiver, so queue contents are independent of delivery and
-// activation order. Per-node RNGs are seeded from Options.Seed and the
-// node ID. Two runs with the same graph, options, and program produce
-// identical Stats (rounds, sent, delivered, wakeups, leftover) under
-// any GOMAXPROCS. The one scheduling-dependent quantity is the
-// interleaving of Marks recorded by different nodes within the same
-// round.
+// activation order. The engine draws no randomness and offers none to
+// programs: a protocol that needs coins derives them from a seed it
+// carries itself (the MST merge coin and the skeleton samplers hash
+// theirs; see proto.SeedHash). Two runs with the same graph, options,
+// and program produce identical Stats (rounds, sent, delivered,
+// wakeups, leftover) under any GOMAXPROCS. The one scheduling-dependent
+// quantity is the interleaving of Marks recorded by different nodes
+// within the same round.
 //
 // # Model fidelity
 //

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"fmt"
-	"math/rand"
 
 	"distmincut/internal/graph"
 )
@@ -22,12 +21,6 @@ type Node struct {
 	id  graph.NodeID
 	eng *Engine
 	adj []graph.Half
-	rng *rand.Rand // created lazily on first Rand call; reseeded per run
-
-	// rngGen is the engine run the RNG was last seeded for; comparing
-	// it to the engine's run counter reseeds lazily, so reused engines
-	// stay bit-identical to fresh ones without an O(n) reseed pass.
-	rngGen uint32
 
 	outQ []queue // staged sends, one FIFO per port; head transmitted each round
 	inQ  []queue // received but not yet consumed, one FIFO per port
@@ -80,23 +73,6 @@ func (nd *Node) PortTo(v graph.NodeID) int {
 		}
 	}
 	return -1
-}
-
-// Rand returns this node's private deterministic RNG. It is seeded from
-// Options.Seed and the node ID on first use in each run, so programs
-// that never draw randomness pay nothing for it and reused engines draw
-// the same stream as fresh ones.
-func (nd *Node) Rand() *rand.Rand {
-	if e := nd.eng; nd.rng == nil || nd.rngGen != e.runGen {
-		seed := e.opts.Seed*1_000_003 + int64(nd.id)
-		if nd.rng == nil {
-			nd.rng = rand.New(rand.NewSource(seed))
-		} else {
-			nd.rng.Seed(seed)
-		}
-		nd.rngGen = e.runGen
-	}
-	return nd.rng
 }
 
 // Round returns the current global round number.

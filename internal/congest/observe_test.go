@@ -20,7 +20,7 @@ func (c *collectObserver) ObserveRound(r RoundRecord) { c.recs = append(c.recs, 
 func TestObserverRecordsSumToStats(t *testing.T) {
 	g := graph.PlantedCut(16, 16, 3, 0.4, 5)
 	obs := &collectObserver{}
-	st, err := Run(context.Background(), g, Options{Seed: 1, Observer: obs}, chatterProgram)
+	st, err := Run(context.Background(), g, Options{Observer: obs}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestObserverRecordsSumToStats(t *testing.T) {
 // bit-identical with and without an observer attached.
 func TestObserverDoesNotPerturbRun(t *testing.T) {
 	for name, g := range determinismFamilies() {
-		base, err := Run(context.Background(), g, Options{Seed: 7}, chatterProgram)
+		base, err := Run(context.Background(), g, Options{}, chatterProgram)
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs, err := Run(context.Background(), g, Options{Seed: 7, Observer: NewFlightRecorder(0)}, chatterProgram)
+		obs, err := Run(context.Background(), g, Options{Observer: NewFlightRecorder(0)}, chatterProgram)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestFlightRecorderDefaultSize(t *testing.T) {
 func TestFlightRecorderEndToEnd(t *testing.T) {
 	g := graph.Path(48)
 	fr := NewFlightRecorder(8)
-	st, err := Run(context.Background(), g, Options{Seed: 3, Observer: fr}, chatterProgram)
+	st, err := Run(context.Background(), g, Options{Observer: fr}, chatterProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDirtyNodesSparseWake(t *testing.T) {
 	// Only the two path endpoints send (one unread message each to
 	// their interior neighbor); everyone else returns untouched. The
 	// teardown walk must find the leftover via the two dirty senders.
-	st, err := Run(context.Background(), g, Options{Seed: 1}, func(nd *Node) {
+	st, err := Run(context.Background(), g, Options{}, func(nd *Node) {
 		if nd.Degree() != 1 {
 			return
 		}
@@ -179,7 +179,7 @@ func TestDirtyNodesSparseWake(t *testing.T) {
 // teardown only walks dirty senders.
 func TestWarmReuseAccountingAfterSparseRuns(t *testing.T) {
 	g := graph.PlantedCut(24, 24, 3, 0.3, 9)
-	eng := NewEngine(Options{Seed: 5})
+	eng := NewEngine(Options{})
 	defer eng.Close()
 	var first statsKey
 	for i := 0; i < 4; i++ {
@@ -217,7 +217,7 @@ func TestNilObserverWarmRunAllocs(t *testing.T) {
 			nd.Recv(match)
 		}
 	}
-	eng := NewEngine(Options{Seed: 7})
+	eng := NewEngine(Options{})
 	defer eng.Close()
 	if _, err := eng.Run(context.Background(), g, prog); err != nil {
 		t.Fatal(err) // cold run: slabs and coroutines allocate here

@@ -104,7 +104,7 @@ func E2Scaling(cfg Config) *Table {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: %v", name, err))
 			return
 		}
-		_, central, err := baseline.Centralize(g, cfg.seed())
+		_, central, err := baseline.Centralize(g)
 		centralRounds := "-"
 		if err == nil {
 			centralRounds = itoa(int64(central.Rounds))
@@ -250,14 +250,14 @@ func E5Baselines(cfg Config) *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"Paper claim: (1+ε) beats GK13's (2+ε) at the same Õ(√n+D) round order; Su matches the approximation but (unlike ours) cannot certify exactness on small cuts. GK13 rounds are billed from their published bound (DESIGN.md §4).")
+		"Paper claim: (1+ε) beats GK13's (2+ε) at the same Õ(√n+D) round order; Su matches the approximation but (unlike ours) cannot certify exactness on small cuts. GK13 rounds are billed from their published bound, instantiated as (√n + D)·ln²n/ε (see baseline.GhaffariKuhnEmulated).")
 	return t
 }
 
 func runSu(g *graph.Graph, eps float64, seed int64) (int64, int) {
 	var mu sync.Mutex
 	var value int64
-	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := runSim(g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		r := baseline.Su(nd, bfs, g, eps, seed+5, tags)

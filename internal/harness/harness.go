@@ -94,14 +94,14 @@ func (c Config) seed() int64 {
 // slabs simply stop circulating.
 var enginePool sync.Pool
 
-// runSim is congest.Run on a pooled, reusable engine.
-func runSim(g *graph.Graph, opts congest.Options, program func(*congest.Node)) (*congest.Stats, error) {
+// runSim is congest.Run, with default options, on a pooled, reusable
+// engine.
+func runSim(g *graph.Graph, program func(*congest.Node)) (*congest.Stats, error) {
 	var eng *congest.Engine
 	if v := enginePool.Get(); v != nil {
 		eng = v.(*congest.Engine)
-		eng.SetOptions(opts)
 	} else {
-		eng = congest.NewEngine(opts)
+		eng = congest.NewEngine(congest.Options{})
 	}
 	stats, err := eng.Run(context.Background(), g, program)
 	enginePool.Put(eng)
@@ -157,10 +157,10 @@ func pipelineOnce(g *graph.Graph, seed int64) (*congest.Stats, int64, []graph.No
 	var mu sync.Mutex
 	parents := make([]graph.NodeID, g.N())
 	var best int64
-	stats, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := runSim(g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res := mst.Run(nd, bfs, nil, 0, tags)
+		res := mst.Run(nd, bfs, nil, 0, seed, tags)
 		out := respect.Run(nd, respect.FromMST(res, bfs), tags)
 		mu.Lock()
 		defer mu.Unlock()
@@ -181,10 +181,10 @@ func pipelineOnce(g *graph.Graph, seed int64) (*congest.Stats, int64, []graph.No
 // node's C(v↓) to fn (called under a lock).
 func runPipelineCollect(g *graph.Graph, seed int64, fn func(v graph.NodeID, cut int64)) error {
 	var mu sync.Mutex
-	_, err := runSim(g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	_, err := runSim(g, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res := mst.Run(nd, bfs, nil, 0, tags)
+		res := mst.Run(nd, bfs, nil, 0, seed, tags)
 		out := respect.Run(nd, respect.FromMST(res, bfs), tags)
 		mu.Lock()
 		fn(nd.ID(), out.CutBelow)

@@ -16,11 +16,11 @@ import (
 // the pipeline deadlocks.
 func TestDebugDeadlockTrace(t *testing.T) {
 	g := graph.Cycle(24)
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 11}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		nd.Mark(fmt.Sprintf("bfs-done:%d", nd.ID()))
-		r := &runner{nd: nd, bfs: bfs, cap: SizeCap(nd.N()), tags: tags}
+		r := &runner{nd: nd, bfs: bfs, cap: SizeCap(nd.N()), seed: 11, tags: tags}
 		st := r.part1()
 		nd.Mark(fmt.Sprintf("part1-done:%d frag=%d", nd.ID(), st.fragID))
 		inter, allFrags, rootFrag := r.part2(st)

@@ -81,9 +81,12 @@ func SizeCap(n int) int {
 // (controlled Borůvka up to the size cap), Part 2 (root-coordinated
 // Borůvka over the fragment graph), and the Õ(√n + D) rooting of the
 // resulting tree at node 0. bfs must be a BFS overlay rooted at node 0.
-// loads maps incident edge IDs to packing loads (may be nil).
-func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int, tags *proto.Tags) *Result {
-	return RunWeighted(nd, bfs, loads, nil, sizeCap, tags)
+// loads maps incident edge IDs to packing loads (may be nil). seed
+// drives Part 1's merge coin (see part1); every node must pass the same
+// seed. The tree does not depend on it, only the fragments and the
+// round count do.
+func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
+	return RunWeighted(nd, bfs, loads, nil, sizeCap, seed, tags)
 }
 
 // RunWeighted is Run with a per-port weight override: weight(p) <= 0
@@ -91,8 +94,8 @@ func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int,
 // graphs, which may be disconnected — the result is then a rooted
 // spanning forest with Connected = false). A nil weight uses the
 // underlying edge weights.
-func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weight func(p int) int64, sizeCap int, tags *proto.Tags) *Result {
-	r := &runner{nd: nd, bfs: bfs, loads: loads, weight: weight, cap: sizeCap, tags: tags}
+func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weight func(p int) int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
+	r := &runner{nd: nd, bfs: bfs, loads: loads, weight: weight, cap: sizeCap, seed: seed, tags: tags}
 	if r.cap < 1 {
 		r.cap = SizeCap(nd.N())
 	}
@@ -124,6 +127,7 @@ type runner struct {
 	loads  map[int]int64
 	weight func(p int) int64
 	cap    int
+	seed   int64
 	tags   *proto.Tags
 
 	// Per-port state Part 1 builds and Part 2 reads, allocated once per
@@ -404,15 +408,16 @@ func (r *runner) part1() *p1state {
 
 		// The root now holds size and MOE together: saturation, the merge
 		// coin, the proposal and the stop decision come out of one place.
-		// The coin is drawn before the stop decision, once per iteration
-		// the fragment runs. A fragment with no MOE has no live port, so
-		// it stops; isolated small fragments (possible under sampled
-		// views) thus stop growing.
+		// The coin is a hash of the seed, the root's ID and the tag
+		// counter, which no other fragment or iteration of this run
+		// shares, so the engine needs no random state. A fragment with no
+		// MOE has no live port, so it stops; isolated small fragments
+		// (possible under sampled views) thus stop growing.
 		var ctl, rootMoeUV int64
 		if ov.Root {
 			size, moe := up[0].A, up[1]
 			sat := size >= int64(r.cap)
-			coinTail := nd.Rand().Intn(2) == 1
+			coinTail := proto.SeedHash(r.seed, uint64(nd.ID()), uint64(tags.Next(0)))&1 == 1
 			stop := isNone(moe)
 			ctl = b2i(sat) | b2i(coinTail)<<1 | b2i(coinTail && !sat && !stop)<<2 | b2i(stop)<<3
 			rootMoeUV = moe.C

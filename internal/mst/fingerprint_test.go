@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"distmincut/internal/graph"
+	"distmincut/internal/proto"
 	"distmincut/internal/sampling"
 )
 
@@ -147,7 +148,7 @@ func TestRunWeightedSparseView(t *testing.T) {
 	view := make([]int64, g.M())
 	kept := 0
 	for i, e := range g.Edges() {
-		if splitmixTest(uint64(e.ID))%10 >= 7 {
+		if proto.SplitMix64(uint64(e.ID))%10 >= 7 {
 			view[i] = e.W
 			kept++
 		}
@@ -200,13 +201,4 @@ func TestRunWeightedSparseView(t *testing.T) {
 	if roots != components {
 		t.Fatalf("forest has %d roots, view has %d components", roots, components)
 	}
-}
-
-// splitmixTest scatters edge IDs so the erased set is not a prefix of
-// the generator's edge order.
-func splitmixTest(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -29,7 +29,7 @@ func TestRunWeightedForest(t *testing.T) {
 	}
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 3}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		weight := func(p int) int64 {
@@ -38,7 +38,7 @@ func TestRunWeightedForest(t *testing.T) {
 			}
 			return nd.EdgeWeight(p)
 		}
-		res := RunWeighted(nd, bfs, nil, weight, 0, tags)
+		res := RunWeighted(nd, bfs, nil, weight, 0, 3, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		mu.Unlock()
@@ -95,10 +95,10 @@ func TestRunWeightedReweightedMST(t *testing.T) {
 	}
 	var mu sync.Mutex
 	gotSet := map[int64]bool{}
-	_, err := congest.Run(context.Background(), g, congest.Options{Seed: 7}, func(nd *congest.Node) {
+	_, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res := RunWeighted(nd, bfs, nil, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, tags)
+		res := RunWeighted(nd, bfs, nil, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, 7, tags)
 		mu.Lock()
 		defer mu.Unlock()
 		if res.ParentPort >= 0 {

@@ -5,7 +5,9 @@
 //
 //   - Part 1 ("controlled Borůvka"): grow MST fragments with a size cap
 //     s (≈√n). Unsaturated fragments propose along their minimum
-//     outgoing edge with coin-flip symmetry breaking; heads and
+//     outgoing edge with coin-flip symmetry breaking (a stateless
+//     proto.SeedHash coin, so the seed moves the fragments and the
+//     round count but never the tree); heads and
 //     saturated fragments accept, so merge structures are depth-one
 //     stars and fragment trees stay subtrees of the MST. A proposal
 //     crosses only the MOE edge, and no message says "no proposal":

@@ -112,7 +112,7 @@ func collectWeighted(t *testing.T, g *graph.Graph, loads, view []int64, seed int
 	t.Helper()
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		var local map[int]int64
@@ -124,9 +124,9 @@ func collectWeighted(t *testing.T, g *graph.Graph, loads, view []int64, seed int
 		}
 		var res *Result
 		if view == nil {
-			res = Run(nd, bfs, local, 0, tags)
+			res = Run(nd, bfs, local, 0, seed, tags)
 		} else {
-			res = RunWeighted(nd, bfs, local, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, tags)
+			res = RunWeighted(nd, bfs, local, func(p int) int64 { return view[nd.EdgeID(p)] }, 0, seed, tags)
 		}
 		mu.Lock()
 		results[nd.ID()] = res

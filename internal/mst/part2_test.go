@@ -103,7 +103,7 @@ func TestPart2CensusOnTwoComponentView(t *testing.T) {
 	g.SortAdjacency()
 	var mu sync.Mutex
 	results := make([]*Result, g.N())
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 9}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		weight := func(p int) int64 {
@@ -112,7 +112,7 @@ func TestPart2CensusOnTwoComponentView(t *testing.T) {
 			}
 			return 1 + int64(nd.EdgeID(p)%7)
 		}
-		res := RunWeighted(nd, bfs, nil, weight, 0, tags)
+		res := RunWeighted(nd, bfs, nil, weight, 0, 9, tags)
 		mu.Lock()
 		results[nd.ID()] = res
 		mu.Unlock()

@@ -38,9 +38,9 @@ func TestProposalsAcrossSeeds(t *testing.T) {
 				var mu sync.Mutex
 				results := make([]*Result, g.N())
 				counters := make([]uint32, g.N())
-				stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+				stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 					tags := new(proto.Tags)
-					res := Run(nd, proto.BuildBFS(nd, 0, tags), nil, 0, tags)
+					res := Run(nd, proto.BuildBFS(nd, 0, tags), nil, 0, seed, tags)
 					mu.Lock()
 					results[nd.ID()], counters[nd.ID()] = res, tags.Next(0)
 					mu.Unlock()

@@ -47,9 +47,9 @@ func part1ExitRounds(t *testing.T, g *graph.Graph, seed int64) []int {
 	t.Helper()
 	var mu sync.Mutex
 	exit := make([]int, g.N())
-	_, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	_, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
-		r := &runner{nd: nd, bfs: proto.BuildBFS(nd, 0, tags), cap: SizeCap(nd.N()), tags: tags}
+		r := &runner{nd: nd, bfs: proto.BuildBFS(nd, 0, tags), cap: SizeCap(nd.N()), seed: seed, tags: tags}
 		r.part1()
 		mu.Lock()
 		exit[nd.ID()] = nd.Round()
@@ -98,15 +98,15 @@ func TestBackToBackRuns(t *testing.T) {
 				first := make([]*Result, g.N())
 				second := make([]*Result, g.N())
 				counters := make([]uint32, g.N())
-				stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+				stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 					tags := new(proto.Tags)
 					bfs := proto.BuildBFS(nd, 0, tags)
-					a := Run(nd, bfs, nil, 0, tags)
+					a := Run(nd, bfs, nil, 0, seed, tags)
 					loads := make(map[int]int64)
 					for _, p := range a.TreePorts() {
 						loads[nd.EdgeID(p)] = 1
 					}
-					b := Run(nd, bfs, loads, 0, tags)
+					b := Run(nd, bfs, loads, 0, seed, tags)
 					mu.Lock()
 					first[nd.ID()], second[nd.ID()], counters[nd.ID()] = a, b, tags.Next(0)
 					mu.Unlock()

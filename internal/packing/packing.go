@@ -83,6 +83,9 @@ type Options struct {
 	// SizeCap overrides the fragment size threshold (default √n); used
 	// by the E9 ablation.
 	SizeCap int
+	// Seed drives the MST merge coin (see mst.Run). It moves the round
+	// count, never the trees.
+	Seed int64
 }
 
 // Result is one node's view of a packing run. Scalar fields are
@@ -128,7 +131,7 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 		if mark {
 			nd.Mark("begin:mst")
 		}
-		mres := mst.RunWeighted(nd, bfs, loads, opts.Weight, opts.SizeCap, tags)
+		mres := mst.RunWeighted(nd, bfs, loads, opts.Weight, opts.SizeCap, opts.Seed, tags)
 		if mark {
 			nd.Mark("end:mst")
 		}

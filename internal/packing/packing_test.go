@@ -24,10 +24,10 @@ func runExact(t *testing.T, g *graph.Graph, seed, maxLambda int64) (*packing.Res
 	sides := make([]bool, g.N())
 	used := make([]uint32, g.N())
 	var evaluated int64
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res, exact := packing.Exact(nd, bfs, maxLambda, packing.Options{}, tags)
+		res, exact := packing.Exact(nd, bfs, maxLambda, packing.Options{Seed: seed}, tags)
 		side := packing.MarkSide(nd, bfs, res, tags)
 		ev := packing.EvaluateCut(nd, bfs, side, tags)
 		mu.Lock()

@@ -41,7 +41,7 @@ func diffFamilies() map[string]*graph.Graph {
 
 // diffOptions is the engine configuration each family runs under; case
 // names keep the "serial" suffix they were recorded with.
-var diffOptions = congest.Options{Seed: 5}
+var diffOptions = congest.Options{}
 
 // statsFingerprint is the deterministic portion of a run's Stats, its
 // normalized mark stream, and the protocol's per-node results.
@@ -275,7 +275,7 @@ func TestDiffKeyedSum(t *testing.T) {
 // trees (no BFS phase) matches its recording.
 func TestDiffFixedOverlays(t *testing.T) {
 	g := graph.Path(32)
-	e := congest.NewEngine(congest.Options{Seed: 5})
+	e := congest.NewEngine(congest.Options{})
 	defer e.Close()
 	fp := perNode(t, e, g, func(nd *congest.Node, tags *Tags) int64 {
 		// Orient the path as a tree rooted at node 0 by construction.

@@ -41,7 +41,7 @@ func runOnTree(t *testing.T, g *graph.Graph, tr *tree.Tree, s int, seed int64) [
 	}
 	var mu sync.Mutex
 	outs := make([]*Output, g.N())
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], d.FragOf[nd.ID()], tags)

@@ -21,10 +21,10 @@ func runPipeline(t *testing.T, g *graph.Graph, seed int64) ([]*Output, *tree.Tre
 	outs := make([]*Output, g.N())
 	parents := make([]graph.NodeID, g.N())
 	used := make([]uint32, g.N())
-	stats, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		res := mst.Run(nd, bfs, nil, 0, tags)
+		res := mst.Run(nd, bfs, nil, 0, seed, tags)
 		out := Run(nd, FromMST(res, bfs), tags)
 		mu.Lock()
 		outs[nd.ID()] = out
@@ -210,10 +210,10 @@ func TestRoundComplexity(t *testing.T) {
 	rounds := map[int]int{}
 	for _, side := range []int{8, 16} {
 		g := graph.Torus(side, side)
-		stats, err := congest.Run(context.Background(), g, congest.Options{Seed: 23}, func(nd *congest.Node) {
+		stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 			tags := new(proto.Tags)
 			bfs := proto.BuildBFS(nd, 0, tags)
-			res := mst.Run(nd, bfs, nil, 0, tags)
+			res := mst.Run(nd, bfs, nil, 0, 23, tags)
 			Run(nd, FromMST(res, bfs), tags)
 		})
 		if err != nil {

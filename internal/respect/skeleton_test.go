@@ -34,7 +34,7 @@ func checkStep4(t *testing.T, g *graph.Graph, tr *tree.Tree, d *partition.Decomp
 	}
 	var mu sync.Mutex
 	outs := make([]*Output, g.N())
-	_, err := congest.Run(context.Background(), g, congest.Options{Seed: seed}, func(nd *congest.Node) {
+	_, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], d.FragOf[nd.ID()], tags)

@@ -20,11 +20,11 @@ const (
 // TrialSeed derives the deterministic per-trial seed for one bracket
 // connectivity trial. Trials must be independent of each other and of
 // the (1+ε) tier's skeleton stream, but identical at both endpoints of
-// every edge; hashing (seed, trial) through splitmix64 gives exactly
+// every edge; hashing (seed, trial) through proto.SplitMix64 gives exactly
 // that under the same public-coins assumption as SampleWeight.
 func TrialSeed(seed int64, trial int) int64 {
-	h := splitmix64(uint64(seed) ^ 0xa076_1d64_78bd_642f)
-	h = splitmix64(h ^ uint64(trial+1)*0x9e3779b97f4a7c15)
+	h := proto.SplitMix64(uint64(seed) ^ 0xa076_1d64_78bd_642f)
+	h = proto.SplitMix64(h ^ uint64(trial+1)*0x9e3779b97f4a7c15)
 	return int64(h >> 1)
 }
 

@@ -9,7 +9,7 @@
 //
 // Both endpoints of an edge must sample identically without
 // communication; SampleWeight therefore derives its randomness from a
-// splitmix64 hash of (seed, packed endpoints, level) — shared
+// proto.SeedHash of (seed, packed endpoints, level) — shared
 // deterministic randomness, the standard public-coins assumption. The
 // hash seeds math/rand's Go 1 value stream, which Go 1 compatibility
 // freezes; SampleWeight evaluates that stream in closed form (goStream)
@@ -29,7 +29,11 @@
 // singleton cut that doubles as the bracket's witness.
 package sampling
 
-import "math"
+import (
+	"math"
+
+	"distmincut/internal/proto"
+)
 
 // Kappa returns the skeleton threshold κ(ε, n): descent stops when the
 // sampled graph's minimum cut is at most κ. The ln n factor is
@@ -44,22 +48,10 @@ func Kappa(eps float64, n int) int64 {
 	return k
 }
 
-// splitmix64 is the standard 64-bit mixer; good avalanche behavior for
-// seed derivation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // edgeSeed derives a deterministic per-(edge, level) RNG seed shared by
 // both endpoints.
 func edgeSeed(seed int64, uv int64, level int) int64 {
-	h := splitmix64(uint64(seed))
-	h = splitmix64(h ^ uint64(uv))
-	h = splitmix64(h ^ uint64(level)<<32)
-	return int64(h >> 1)
+	return int64(proto.SeedHash(seed, uint64(uv), uint64(level)) >> 1)
 }
 
 // SampleWeight draws Binomial(w, 2^-level): the skeleton weight of an
