@@ -3,6 +3,7 @@ package mst
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"distmincut/internal/congest"
@@ -228,9 +229,15 @@ func b2i(b bool) int64 {
 const part1TagsPerIter = 7
 
 // part1 grows MST fragments until every fragment has at least cap
-// nodes (or spans the graph). Merge structures are depth-one stars:
-// unsaturated tail fragments propose along their minimum outgoing
-// edge; saturated fragments and unsaturated heads accept.
+// nodes (or spans the graph). Merge structures are depth-one stars: an
+// unsaturated fragment proposes along its minimum outgoing edge when
+// its coin shows tails or when the far end reported saturation at the
+// last exchange; proposers reject, and every other fragment (saturated
+// ones and heads that do not propose) accepts. A heads fragment that
+// proposes must reject: in a chain T→F→S it merges into S, so
+// accepting T would leave T's nodes holding F's old ID. A saturated
+// fragment keeps its ID and stays saturated, so a proposal to a peer
+// that reported saturation always lands on an acceptor.
 //
 // Fragment-ID exchanges and proposals cross only live ports (see
 // portState). A port turns inner once its exchange returns the node's
@@ -239,8 +246,11 @@ const part1TagsPerIter = 7
 // saturation as of its last decision broadcast; a port whose two ends
 // both report saturation settles, and both ends see that at the same
 // exchange. Saturated fragments never propose, so they keep their ID
-// and no proposal can cross a settled port. Every fragment starts as
-// its node's ID, so iteration 0 skips the exchange.
+// and no proposal can cross a settled port. Each node keeps every live
+// port's last saturation bit and puts it into the MOE candidate's D
+// word above the peer's fragment ID, so the fragment root learns it
+// with the MOE. Every fragment starts as its node's ID, so iteration 0
+// skips the exchange.
 //
 // A PROPOSE goes out only on the MOE port, and nothing marks "no
 // proposal": the next exchange on each port closes that port's
@@ -253,7 +263,7 @@ const part1TagsPerIter = 7
 // An accepted port joins childPorts right there, before the next
 // fragment waves. While a proposing node waits for its reply, it
 // rejects the PROPOSEs of the same iteration that reach it (a proposer
-// is a tail); the others wait for the next exchange loop.
+// never accepts); the others wait for the next exchange loop.
 //
 // No wait forms a cycle, by induction over iterations. Once every node
 // has finished an iteration's exchange loop, each fragment finishes its
@@ -261,13 +271,16 @@ const part1TagsPerIter = 7
 // proposing node waits across fragments, for the fragment its MOE
 // points to; the other nodes of a proposing fragment wait only for its
 // outcome wave. A proposing node rejects a PROPOSE on receipt, and a
-// non-proposing node answers in its next exchange loop, which it enters
-// right after its fragment's waves. Proposals follow MOE edges, so the
-// waits-for graph is a forest plus mutual pairs: with unique keys, two
-// fragments' MOEs point at each other only over one shared edge, whose
-// two ends are both proposing nodes. Every chain of waits thus ends at
-// a node that answers, every proposer hears back, every node sends its
-// next exchange, and the next exchange loop finishes too.
+// node of a non-proposing fragment answers in its next exchange loop,
+// which it enters right after its fragment's waves. A saturated
+// fragment never proposes, so a proposal sent because the target
+// reported saturation waits on a non-proposing fragment, which
+// answers. Proposals follow MOE edges, so the waits-for graph is a
+// forest plus mutual pairs: with unique keys, two fragments' MOEs point
+// at each other only over one shared edge, whose two ends are both
+// proposing nodes. Every chain of waits thus ends at a node that
+// answers, every proposer hears back, every node sends its next
+// exchange, and the next exchange loop finishes too.
 //
 // Each iteration costs exactly two fragment-tree waves: one batched
 // convergecast (size and minimum outgoing edge ride the same wave via
@@ -326,6 +339,8 @@ func (r *runner) part1() *p1state {
 	r.port = make([]portState, deg)
 	r.peerFrag = make([]int64, deg)
 	port, peerFrag := r.port, r.peerFrag
+	// peerSat[p] is the saturation bit of the last exchange on port p.
+	peerSat := make([]bool, deg)
 	live := 0
 	for p := 0; p < deg; p++ {
 		peerFrag[p] = int64(nd.Peer(p))
@@ -363,7 +378,7 @@ func (r *runner) part1() *p1state {
 					continue
 				}
 				pending--
-				peerFrag[p] = m.A
+				peerFrag[p], peerSat[p] = m.A, m.B == 1
 				switch {
 				case m.A == st.fragID:
 					port[p] = portInner
@@ -379,6 +394,8 @@ func (r *runner) part1() *p1state {
 		// Local minimum outgoing edge: every live port is one, so the
 		// fragment's MOE is none exactly when it has no live port. Only a
 		// saturated fragment has settled ports, and it does not propose.
+		// D carries the peer's saturation bit above its fragment ID;
+		// betterCand never reads D.
 		cand, candPort := noneItem, -1
 		for p := 0; p < deg; p++ {
 			if port[p] != portLive {
@@ -388,7 +405,7 @@ func (r *runner) part1() *p1state {
 				A: r.load(p),
 				B: r.w(p),
 				C: PackUV(nd.ID(), nd.Peer(p)),
-				D: peerFrag[p],
+				D: b2i(peerSat[p])<<31 | peerFrag[p],
 			}
 			if isNone(cand) || betterCand(cand, it) == it {
 				cand, candPort = it, p
@@ -408,6 +425,8 @@ func (r *runner) part1() *p1state {
 
 		// The root now holds size and MOE together: saturation, the merge
 		// coin, the proposal and the stop decision come out of one place.
+		// An unsaturated fragment proposes on tails, or on heads when its
+		// MOE leads to a fragment that reported saturation.
 		// The coin is a hash of the seed, the root's ID and the tag
 		// counter, which no other fragment or iteration of this run
 		// shares, so the engine needs no random state. A fragment with no
@@ -419,7 +438,8 @@ func (r *runner) part1() *p1state {
 			sat := size >= int64(r.cap)
 			coinTail := proto.SeedHash(r.seed, uint64(nd.ID()), uint64(tags.Next(0)))&1 == 1
 			stop := isNone(moe)
-			ctl = b2i(sat) | b2i(coinTail)<<1 | b2i(coinTail && !sat && !stop)<<2 | b2i(stop)<<3
+			targetSat := moe.D>>31 == 1
+			ctl = b2i(sat) | b2i(coinTail)<<1 | b2i((coinTail || targetSat) && !sat && !stop)<<2 | b2i(stop)<<3
 			rootMoeUV = moe.C
 		}
 
@@ -430,8 +450,8 @@ func (r *runner) part1() *p1state {
 			return st
 		}
 		saturated = dec.A&1 != 0
-		accept = saturated || dec.A&2 == 0
 		proposing := dec.A&4 != 0
+		accept = saturated || (dec.A&2 == 0 && !proposing)
 
 		// The node holding the MOE proposes over it and waits for the
 		// reply; the whole proposing fragment then runs the outcome wave
@@ -509,16 +529,18 @@ func (r *runner) outcomeWave(st *p1state, proposePort int, merged bool, newFrag 
 	}
 }
 
-// Part 2 item kinds. The BFS root's flood leads with the remap items,
-// sorted by B, then the chosen edges, the census (only in the last
-// flood) and one done item.
+// Part 2 item kinds. The BFS root's flood carries the chosen edges,
+// sorted by packed endpoints, then the census (only at a disconnected
+// end) and one done item.
 const (
 	itemCensus int64 = -1 // gather, iteration 0 only: B = a physical fragment root's fragment ID
-	itemRemap  int64 = 3  // flood: B = old logical ID, C = new logical ID
-	itemEdge   int64 = 4  // flood: chosen MST edge, B = u, C = v, D = physU<<31|physV
-	itemDone   int64 = 5  // flood: B = 1 if Part 2 is over, then C = node 0's fragment
-	itemFrag   int64 = 6  // flood: census entry, B = a physical fragment ID
+	itemEdge   int64 = 4  // flood: chosen MST edge, B = u<<31|v, C = physU<<31|physV, D = logicalU<<31|logicalV
+	itemDone   int64 = 5  // flood: B = 1 if Part 2 is over, then C = node 0's fragment, D = 1 if the view is connected
+	itemFrag   int64 = 6  // flood, disconnected end only: census entry, B = a physical fragment ID
 )
+
+// low31 masks the low half of a word that packs two 31-bit values.
+const low31 = 1<<31 - 1
 
 // part2 merges the O(√n) Part-1 fragments into the MST using logical
 // fragment IDs coordinated at the BFS root. It returns, identical at
@@ -529,16 +551,19 @@ const (
 // an exchange, with no relabel after it, so peerFrag holds every live
 // peer's physical fragment ID, and inner peers share the node's own. A
 // settled peer's ID was final when its port settled.
-// Logical IDs start equal to physical ones, and each iteration's Flood
-// hands every node the root's full logical remap, so each node relabels
-// its peers locally.
+// Logical IDs start equal to physical ones. Each iteration's Flood
+// hands every node the chosen edges with both ends' logical IDs, and
+// every node, the root included, derives the same relabel from them
+// (unionRelabel), so each node relabels itself and its peers locally.
 //
 // The census rides along: in iteration 0 every physical fragment root
-// adds a marker with its fragment ID to the Gather, and the flood that
-// ends Part 2 carries the sorted census and node 0's fragment. Part 2
-// ends in the iteration whose unions leave one logical fragment, or,
-// when the view is disconnected, in the first iteration without any
-// candidate.
+// adds a marker with its fragment ID to the Gather. Part 2 ends in the
+// iteration whose unions leave one logical fragment, or, when the view
+// is disconnected, in the first iteration without any candidate; the
+// done item of that flood carries node 0's fragment. At a connected end
+// the inter-fragment edges span every fragment, so each node derives
+// the census from them (connectedCensus); only a disconnected end
+// floods it.
 func (r *runner) part2(st *p1state) (inter []InterEdge, allFrags []int64, rootFrag int64) {
 	nd := r.nd
 	fragOv := st.overlay()
@@ -606,52 +631,93 @@ func (r *runner) part2(st *p1state) (inter []InterEdge, allFrags []int64, rootFr
 		}
 		gathered := proto.Gather(nd, r.bfs, r.tags, mine)
 
-		// The BFS root (node 0) runs the Borůvka merge locally.
+		// The BFS root (node 0) picks the chosen edges locally.
 		var flood []proto.Item
 		if root != nil {
 			flood = root.merge(gathered, iter)
 		}
 		got := proto.Flood(nd, r.bfs, r.tags, flood)
 
-		nRemap := 0
-		for nRemap < len(got) && got[nRemap].A == itemRemap {
-			nRemap++
+		ids, to := unionRelabel(got)
+		logical = relabel(ids, to, logical)
+		for p, l := range peerLogical {
+			peerLogical[p] = relabel(ids, to, l)
 		}
-		if remap := got[:nRemap]; len(remap) > 0 {
-			logical = relabel(remap, logical)
-			for p := range peerLogical {
-				if port[p] != portInner {
-					peerLogical[p] = relabel(remap, peerLogical[p])
-				}
-			}
-		}
-		done := false
-		for _, it := range got[nRemap:] {
+		for _, it := range got {
 			switch it.A {
 			case itemEdge:
-				u, v := graph.NodeID(it.B), graph.NodeID(it.C)
-				inter = append(inter, InterEdge{U: u, V: v, FragU: it.D >> 31, FragV: it.D & ((1 << 31) - 1)})
+				inter = append(inter, InterEdge{
+					U: graph.NodeID(it.B >> 31), V: graph.NodeID(it.B & low31),
+					FragU: it.C >> 31, FragV: it.C & low31,
+				})
 			case itemFrag:
 				allFrags = append(allFrags, it.B)
 			case itemDone:
-				done = it.B == 1
-				rootFrag = it.C
+				if it.B == 1 {
+					rootFrag = it.C
+					if it.D == 1 {
+						allFrags = connectedCensus(inter, rootFrag)
+					}
+					return inter, allFrags, rootFrag
+				}
 			}
-		}
-		if done {
-			return inter, allFrags, rootFrag
 		}
 	}
 }
 
-// relabel maps logical ID l through remap, the root's itemRemap items
-// sorted by B; an ID the remap does not list is unchanged.
-func relabel(remap []proto.Item, l int64) int64 {
-	i := sort.Search(len(remap), func(i int) bool { return remap[i].B >= l })
-	if i < len(remap) && remap[i].B == l {
-		return remap[i].C
+// unionRelabel derives one Part 2 iteration's relabel from the flooded
+// chosen edges: it unions the two logical IDs of every edge and maps
+// each joined ID to the minimum ID of its component. It returns the
+// joined IDs sorted and, aligned with them, their new IDs; relabel
+// looks an ID up in the pair.
+func unionRelabel(flood []proto.Item) (ids, to []int64) {
+	for _, it := range flood {
+		if it.A == itemEdge {
+			ids = append(ids, it.D>>31, it.D&low31)
+		}
+	}
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	// ids is sorted, so each set's root, its minimum index, is the
+	// component's minimum ID.
+	uf := newUnionFind(len(ids))
+	for _, it := range flood {
+		if it.A == itemEdge {
+			a, _ := slices.BinarySearch(ids, it.D>>31)
+			b, _ := slices.BinarySearch(ids, it.D&low31)
+			uf.union(a, b)
+		}
+	}
+	to = make([]int64, len(ids))
+	for i := range ids {
+		to[i] = ids[uf.find(i)]
+	}
+	return ids, to
+}
+
+// relabel maps logical ID l through unionRelabel's (ids, to); an ID
+// that ids does not list is unchanged.
+func relabel(ids, to []int64, l int64) int64 {
+	if i, ok := slices.BinarySearch(ids, l); ok {
+		return to[i]
 	}
 	return l
+}
+
+// connectedCensus derives the census at a connected end: the
+// inter-fragment edges span every fragment, so the census is node 0's
+// fragment plus every edge's two fragments, sorted.
+func connectedCensus(inter []InterEdge, rootFrag int64) []int64 {
+	frags := make([]int64, 0, 2*len(inter)+1)
+	frags = append(frags, rootFrag)
+	for _, ie := range inter {
+		frags = append(frags, ie.FragU, ie.FragV)
+	}
+	slices.Sort(frags)
+	return slices.Compact(frags)
 }
 
 // cand2 is a reassembled Part-2 candidate at the BFS root.
@@ -672,9 +738,9 @@ type part2Root struct {
 }
 
 // merge takes one iteration's gathered items, picks each logical
-// fragment's best candidate, unions along chosen edges, and returns the
-// flood: remap items, chosen edges, and the done item — preceded by the
-// census once Part 2 is over.
+// fragment's best candidate, and returns the flood: the chosen edges
+// and the done item, with the census before it when Part 2 ends on a
+// disconnected view.
 func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
 	if iter == 0 {
 		for _, it := range items {
@@ -682,7 +748,7 @@ func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
 				s.census = append(s.census, it.B)
 			}
 		}
-		sort.Slice(s.census, func(i, j int) bool { return s.census[i] < s.census[j] })
+		slices.Sort(s.census)
 		s.logical = append([]int64(nil), s.census...)
 	}
 	best := make(map[int64]cand2) // per myLogical
@@ -698,13 +764,13 @@ func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
 			u, v = v, u // align u with the proposing fragment
 		}
 		c := cand2{
-			key:           Key{Load: it.A >> 31, W: it.A & ((1 << 31) - 1), UV: uv},
+			key:           Key{Load: it.A >> 31, W: it.A & low31, UV: uv},
 			u:             u,
 			v:             v,
 			myLogical:     it.C >> 31,
-			myPhys:        it.C & ((1 << 31) - 1),
+			myPhys:        it.C & low31,
 			targetLogical: d >> 31,
-			targetPhys:    d & ((1 << 31) - 1),
+			targetPhys:    d & low31,
 		}
 		if cur, ok := best[c.myLogical]; !ok || c.key.Less(cur.key) {
 			best[c.myLogical] = c
@@ -716,20 +782,6 @@ func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
 		// ends at its last union instead, one iteration earlier.
 		return s.done(nil)
 	}
-	// Union along chosen edges (dedup mutual MOEs by packed edge).
-	parent := make(map[int64]int64)
-	var find func(x int64) int64
-	find = func(x int64) int64 {
-		if p, ok := parent[x]; ok && p != x {
-			r := find(p)
-			parent[x] = r
-			return r
-		}
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
-		}
-		return parent[x]
-	}
 	// A mutual MOE arrives from both sides; keep the side with the
 	// smaller logical ID so the emitted (U, V, FragU, FragV) orientation
 	// does not follow map iteration order.
@@ -738,63 +790,57 @@ func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
 		if cur, ok := chosen[c.key.UV]; !ok || c.myLogical < cur.myLogical {
 			chosen[c.key.UV] = c
 		}
-		find(c.myLogical)
-		find(c.targetLogical)
 	}
-	for _, c := range chosen {
-		ra, rb := find(c.myLogical), find(c.targetLogical)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	// Canonical representative: minimum logical ID per component.
-	rep := make(map[int64]int64)
-	for l := range parent {
-		r := find(l)
-		if cur, ok := rep[r]; !ok || l < cur {
-			rep[r] = l
-		}
-	}
-	var flood []proto.Item
-	var logicals []int64
-	for l := range parent {
-		logicals = append(logicals, l)
-	}
-	sort.Slice(logicals, func(i, j int) bool { return logicals[i] < logicals[j] })
-	for _, l := range logicals {
-		flood = append(flood, proto.Item{A: itemRemap, B: l, C: rep[find(l)]})
-	}
-	var uvs []int64
+	uvs := make([]int64, 0, len(chosen))
 	for uv := range chosen {
 		uvs = append(uvs, uv)
 	}
-	sort.Slice(uvs, func(i, j int) bool { return uvs[i] < uvs[j] })
+	slices.Sort(uvs)
+	flood := make([]proto.Item, 0, len(uvs)+1)
 	for _, uv := range uvs {
 		c := chosen[uv]
-		flood = append(flood, proto.Item{A: itemEdge, B: int64(c.u), C: int64(c.v), D: c.myPhys<<31 | c.targetPhys})
+		flood = append(flood, proto.Item{
+			A: itemEdge,
+			B: int64(c.u)<<31 | int64(c.v),
+			C: c.myPhys<<31 | c.targetPhys,
+			D: c.myLogical<<31 | c.targetLogical,
+		})
 	}
-	// Track the census through the remap; once every fragment shares
-	// one logical ID, no candidate can appear again.
-	one := true
+	// Track the census through the relabel every node derives; once
+	// every fragment shares one logical ID, no candidate can appear
+	// again.
+	ids, to := unionRelabel(flood)
 	for i, l := range s.logical {
-		if _, ok := parent[l]; ok {
-			s.logical[i] = rep[find(l)]
-		}
-		one = one && s.logical[i] == s.logical[0]
+		s.logical[i] = relabel(ids, to, l)
 	}
-	if one {
+	if s.connected() {
 		return s.done(flood)
 	}
 	return append(flood, proto.Item{A: itemDone})
 }
 
-// done appends the census and the done item (carrying the root's
-// fragment) to the last flood of Part 2.
-func (s *part2Root) done(flood []proto.Item) []proto.Item {
-	for _, f := range s.census {
-		flood = append(flood, proto.Item{A: itemFrag, B: f})
+// connected reports whether every census fragment shares one logical ID.
+func (s *part2Root) connected() bool {
+	for _, l := range s.logical {
+		if l != s.logical[0] {
+			return false
+		}
 	}
-	return append(flood, proto.Item{A: itemDone, B: 1, C: s.rootFrag})
+	return true
+}
+
+// done appends the last flood's done item, carrying the root's fragment
+// and whether the view is connected. A disconnected view's census does
+// not follow from the inter-fragment edges, so it precedes the done
+// item.
+func (s *part2Root) done(flood []proto.Item) []proto.Item {
+	connected := s.connected()
+	if !connected {
+		for _, f := range s.census {
+			flood = append(flood, proto.Item{A: itemFrag, B: f})
+		}
+	}
+	return append(flood, proto.Item{A: itemDone, B: 1, C: s.rootFrag, D: b2i(connected)})
 }
 
 // root orients the MST (or spanning forest, under a sampled view) in

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,6 +32,16 @@ type resultFingerprint struct {
 
 func fingerprintOf(t *testing.T, results []*Result) resultFingerprint {
 	t.Helper()
+	// The census (derived from the inter-fragment edges on a connected
+	// view, flooded on a disconnected one) is exactly the FragIDs.
+	var frags []int64
+	for _, r := range results {
+		frags = append(frags, r.FragID)
+	}
+	slices.Sort(frags)
+	if want, got := fmt.Sprint(slices.Compact(frags)), fmt.Sprint(results[0].AllFrags); got != want {
+		t.Fatalf("census %s, the nodes' FragIDs are %s", got, want)
+	}
 	fp := resultFingerprint{Nodes: make([]string, len(results))}
 	for v, r := range results {
 		// fmt prints maps with sorted keys, so FragParent is canonical.

@@ -110,12 +110,13 @@ func (u *unionFind) find(x int) int {
 	return x
 }
 
-// union merges the sets of a and b; returns false if already joined.
+// union merges the sets of a and b under the smaller root, so every
+// set's root is its minimum element; returns false if already joined.
 func (u *unionFind) union(a, b int) bool {
 	ra, rb := u.find(a), u.find(b)
 	if ra == rb {
 		return false
 	}
-	u.parent[rb] = ra
+	u.parent[max(ra, rb)] = min(ra, rb)
 	return true
 }

@@ -14,13 +14,20 @@ import (
 // proposalWorkloads mix shapes where Part 1 proposals meet in
 // different ways: the clique has many mutual MOEs between equal-weight
 // tails, the clique path and the cycle long chains of proposals, and
-// the random graph a bit of both.
+// the random graph a bit of both. In the star, the small-clique path
+// and the grid, fragments saturate early next to ones that have not,
+// so unsaturated heads propose to saturated neighbours and chains
+// T→F→S (a tail proposing to a heads fragment that itself proposes to
+// a saturated one) form.
 func proposalWorkloads() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
-		"clique":     graph.Complete(16),
-		"cliquepath": graph.CliquePath(4, 6, 2),
-		"cycle":      graph.Cycle(40),
-		"gnp":        graph.GNP(60, 0.1, 2),
+		"clique":       graph.Complete(16),
+		"cliquepath":   graph.CliquePath(4, 6, 2),
+		"cycle":        graph.Cycle(40),
+		"gnp":          graph.GNP(60, 0.1, 2),
+		"star":         graph.Star(30),
+		"smallcliques": graph.CliquePath(12, 3, 1),
+		"grid":         graph.Grid(7, 7),
 	}
 }
 

@@ -140,12 +140,33 @@ func Run(nd *congest.Node, in *Input, tags *proto.Tags) *Output {
 	r.cross = r.interChildPorts()
 
 	out := &Output{Delta: r.weightedDegree()}
+	// Node 0 records one span per step for observability; step 3 rides
+	// step 5, and together the spans tile the sweep.
+	mark := nd.ID() == 0
+	if mark {
+		nd.Mark("begin:respect:step2")
+	}
 	r.step2a(out)
 	r.step2b(out)
 	r.step2c(out)
+	if mark {
+		nd.Mark("end:respect:step2")
+		nd.Mark("begin:respect:step4")
+	}
 	r.step4(out)
+	if mark {
+		nd.Mark("end:respect:step4")
+		nd.Mark("begin:respect:step5")
+	}
 	r.step5(out)
+	if mark {
+		nd.Mark("end:respect:step5")
+		nd.Mark("begin:respect:finish")
+	}
 	r.finish(out)
+	if mark {
+		nd.Mark("end:respect:finish")
+	}
 	return out
 }
 

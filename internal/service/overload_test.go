@@ -324,8 +324,10 @@ func TestDrainDeadlinePublishesCachedApprox(t *testing.T) {
 
 	// Occupy the single worker with a short-deadline slow job, then
 	// queue the tiered job with a deadline that lapses in the queue.
+	// The slow job needs about 0.3 s on one 2-core Xeon worker, so its
+	// deadline sits well below that and well above the tiered job's.
 	big := bigExactReq(52)
-	big.DeadlineMS = 300
+	big.DeadlineMS = 150
 	b, err := s.Submit(big)
 	if err != nil {
 		t.Fatal(err)

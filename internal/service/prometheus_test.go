@@ -23,7 +23,7 @@ func TestWritePrometheusPinned(t *testing.T) {
 	m := Metrics{
 		UptimeSec: 12.5, PoolSize: 2, QueueDepth: 3, QueueCapacity: 64, Running: 1, Refining: 1,
 		Submitted: 40, Completed: 30, Failed: 2, Canceled: 3, Deadlined: 4, Degraded: 5, Shed: 6,
-		AdmissionChecks: 7, AdmissionRejected: 8, AdmissionDowntiered: 9, Coalesced: 10,
+		AdmissionChecks: 7, AdmissionRejected: 8, AdmissionDowntiered: 9, Coalesced: 10, AuditMismatch: 14,
 		CacheHits: 11, CacheMisses: 12, CacheHitRate: 11.0 / 23, CacheEntries: 13,
 		RoundsTotal: 123456, RoundsPerSec: 9876.25, LiveRounds: 77,
 		Build:         BuildInfo{Version: "v1.2.3", Commit: "0123456789ab+dirty", GoVersion: "go1.24.0"},

@@ -18,6 +18,7 @@ import (
 	"distmincut/internal/chaos"
 	"distmincut/internal/congest"
 	"distmincut/internal/graph"
+	"distmincut/internal/verify"
 )
 
 // State is a job's lifecycle phase.
@@ -369,6 +370,9 @@ type Metrics struct {
 	Deadlined int64 `json:"jobs_deadline"`
 	Degraded  int64 `json:"jobs_degraded"`
 	Shed      int64 `json:"jobs_shed"`
+	// AuditMismatch counts library results whose side did not weigh
+	// their value; those jobs fail and nothing is cached for them.
+	AuditMismatch int64 `json:"audit_mismatch"`
 	// AdmissionChecks counts bracket pre-passes run (or served from
 	// cache) for admission; AdmissionRejected the resulting 429s;
 	// AdmissionDowntiered over-ceiling submissions served at approx.
@@ -435,6 +439,7 @@ type Service struct {
 	admRejected   atomic.Int64
 	admDowntiered atomic.Int64
 	coalesced     atomic.Int64
+	auditMismatch atomic.Int64
 	submitted     atomic.Int64
 	rounds        atomic.Int64
 	busyNanos     atomic.Int64
@@ -724,7 +729,7 @@ func (s *Service) admitEstimate(canon JobRequest) (est CostEstimate, ok bool) {
 			return CostEstimate{}, false
 		}
 		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{Seed: canon.Seed})
-		if err != nil {
+		if err != nil || s.audit(g, br.Value, br.Side) != nil {
 			return CostEstimate{}, false
 		}
 		if data, err = encodeBracket(bracketKey, g.N(), g.M(), br); err != nil {
@@ -911,6 +916,7 @@ func (s *Service) Metrics() Metrics {
 		AdmissionRejected:   s.admRejected.Load(),
 		AdmissionDowntiered: s.admDowntiered.Load(),
 		Coalesced:           s.coalesced.Load(),
+		AuditMismatch:       s.auditMismatch.Load(),
 		CacheHits:           hits,
 		CacheMisses:         misses,
 		CacheEntries:        entries,
@@ -1331,6 +1337,9 @@ func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *
 			return nil, 0, err
 		}
 		stats = br.Stats
+		if err := s.audit(g, br.Value, br.Side); err != nil {
+			return nil, 0, err
+		}
 		data, err := encodeBracket(key, g.N(), g.M(), br)
 		if err != nil {
 			return nil, 0, err
@@ -1353,11 +1362,30 @@ func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *
 		return nil, 0, err
 	}
 	stats = res.Stats
+	if err := s.audit(g, res.Value, res.Side); err != nil {
+		return nil, 0, err
+	}
 	data, err := encodeResult(key, tier, g.N(), g.M(), res)
 	if err != nil {
 		return nil, 0, err
 	}
 	return data, res.Stats.SetupNanos, nil
+}
+
+// audit checks a library result before anything can cache it: side
+// must be a proper cut of g that weighs value (verify.CutSides, O(m)).
+// A mismatch is counted in AuditMismatch and returned as the job's
+// error, so the job fails and its bytes never reach the cache.
+func (s *Service) audit(g *graph.Graph, value int64, side []bool) error {
+	w, err := verify.CutSides(g, side)
+	if err == nil && w != value {
+		err = fmt.Errorf("side weighs %d", w)
+	}
+	if err != nil {
+		s.auditMismatch.Add(1)
+		return fmt.Errorf("service: audit of value %d failed: %w", value, err)
+	}
+	return nil
 }
 
 // sideBits packs a side assignment into the canonical base64 bitset.

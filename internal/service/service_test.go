@@ -97,6 +97,34 @@ func TestSubmitRunsJobToCompletion(t *testing.T) {
 	if n != res.SideIn || n == 0 || n == res.N {
 		t.Fatalf("side bitset population %d vs side_in %d (n=%d)", n, res.SideIn, res.N)
 	}
+	if m := s.Metrics(); m.AuditMismatch != 0 {
+		t.Fatalf("a correct run counted %d audit mismatches", m.AuditMismatch)
+	}
+}
+
+// TestAuditRejectsMismatchedSide: a result whose side does not weigh
+// its value, or is no proper cut, fails the audit that guards every
+// cache put, and each failure counts in AuditMismatch.
+func TestAuditRejectsMismatchedSide(t *testing.T) {
+	s := New(Options{PoolSize: 1})
+	defer shutdown(t, s)
+	g, err := Build(GraphSpec{Family: "cycle", N: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := []bool{true, false, false, false, false, false} // weighs 2
+	if err := s.audit(g, 2, single); err != nil {
+		t.Fatalf("matching side failed the audit: %v", err)
+	}
+	if err := s.audit(g, 1, single); err == nil {
+		t.Fatal("a side weighing 2 passed as value 1")
+	}
+	if err := s.audit(g, 0, make([]bool, 6)); err == nil {
+		t.Fatal("an empty side passed the audit")
+	}
+	if m := s.Metrics(); m.AuditMismatch != 2 {
+		t.Fatalf("AuditMismatch %d, want 2", m.AuditMismatch)
+	}
 }
 
 func TestRepeatSubmissionServedFromCache(t *testing.T) {

@@ -21,6 +21,11 @@ type traceEvent struct {
 	at   time.Time
 	dur  time.Duration // zero for instant events
 	args map[string]any
+	// span marks a protocol phase span. Its args (rounds, messages and
+	// phase group) are built from these fields only when the trace
+	// renders, so retained timelines hold no map per span.
+	span             bool
+	rounds, messages int64
 }
 
 // spanEvents flattens a phase-span tree into phase trace events
@@ -30,15 +35,13 @@ type traceEvent struct {
 func spanEvents(anchor time.Time, spans []*distmincut.Span, out []traceEvent) []traceEvent {
 	for _, sp := range spans {
 		out = append(out, traceEvent{
-			name: sp.Name,
-			cat:  "phase",
-			at:   anchor.Add(time.Duration(sp.StartNanos)),
-			dur:  time.Duration(sp.Nanos()),
-			args: map[string]any{
-				"rounds":   sp.Rounds(),
-				"messages": sp.Messages(),
-				"group":    distmincut.PhaseGroup(sp.Name),
-			},
+			name:     sp.Name,
+			cat:      "phase",
+			at:       anchor.Add(time.Duration(sp.StartNanos)),
+			dur:      time.Duration(sp.Nanos()),
+			span:     true,
+			rounds:   int64(sp.Rounds()),
+			messages: sp.Messages(),
 		})
 		out = spanEvents(anchor, sp.Children, out)
 	}
@@ -135,6 +138,9 @@ func renderTrace(id string, created time.Time, events []traceEvent) []byte {
 			Ts:   float64(ev.at.Sub(created).Nanoseconds()) / 1e3,
 			Pid:  1,
 			Args: ev.args,
+		}
+		if ev.span {
+			ce.Args = map[string]any{"rounds": ev.rounds, "messages": ev.messages, "group": distmincut.PhaseGroup(ev.name)}
 		}
 		switch ev.cat {
 		case "phase":
