@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-chaos fuzz-smoke determinism perfbench-test vet fmt-check docs-check loc bench bench-service bench-gate ci
+.PHONY: build test test-short test-chaos fuzz-smoke determinism perfbench-test vet fmt-check docs-check loc bench bench-million bench-service bench-gate ci
 
 build:
 	$(GO) build ./...
@@ -106,30 +106,37 @@ loc:
 # (BENCH_engine.txt) and a machine-readable BENCH_engine.json, seeding
 # the performance trajectory across PRs. The regular workloads run 3x
 # and benchjson keeps each benchmark's fastest run (co-tenant noise
-# only ever slows a run down); the million-scale workloads run
-# separately at one iteration each (they exist to prove the scale, not
-# to average, and they report the setup-ns/round-ns split so the gate
-# can watch round time alone). BenchmarkPipelineMillion is the full
-# MinCut pipeline at 250k nodes / 1M edges — a scale proof (~600M
-# CONGEST messages; ~30 min on a 1-core box, scaling with cores), kept
-# out of the regression gate by the benchjson -match default.
-# BenchmarkApproxMillion and BenchmarkBracketMillion are the serving
-# tiers at the same scale: the (1+ε) tier under the default τ policy
-# and the sampled-connectivity bracket tier. benchjson's default -match
-# gates the expander exchange rows at both scales.
-# BenchmarkSampleWeight is the skeleton sampler every sampled tier draws
-# edge weights through; it must stay at 0 allocs/op, and the default
-# -match gates it too.
+# only ever slows a run down); BenchmarkEngineMillion runs separately
+# at one iteration (it exists to prove the scale, not to average, and
+# reports the setup-ns/round-ns split so the gate can watch round time
+# alone). benchjson's default -match gates the expander exchange rows
+# at both scales, and BenchmarkSampleWeight, the skeleton sampler every
+# sampled tier draws edge weights through: it must stay at 0 allocs/op.
+# The million-scale library rows, which no gate reads, live in
+# bench-million.
 # No pipe here: a panicking benchmark must fail the target, and `go
 # test | tee` would hide its exit status under sh (no pipefail).
 bench: bench-service
 	$(GO) test ./internal/congest -run '^$$' -bench 'BenchmarkEngine(Path|Expander|Community)' -benchmem -count 3 > BENCH_engine.txt
 	$(GO) test ./internal/sampling -run '^$$' -bench BenchmarkSampleWeight -benchmem -count 3 >> BENCH_engine.txt
 	$(GO) test ./internal/congest -run '^$$' -bench BenchmarkEngineMillion -benchmem -benchtime 1x -count 1 >> BENCH_engine.txt
-	$(GO) test . -run '^$$' -bench 'Benchmark(Pipeline|Approx|Bracket)Million' -benchmem -benchtime 1x -count 1 -timeout 150m >> BENCH_engine.txt
 	@cat BENCH_engine.txt
 	$(GO) run ./cmd/benchjson < BENCH_engine.txt > BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
+
+# bench-million is run by hand: the serving tiers at 250k nodes / 1M
+# edges, one iteration each, written to BENCH_million.txt and
+# BENCH_million.json. BenchmarkPipelineMillion is the full MinCut
+# pipeline, BenchmarkApproxMillion the (1+ε) tier under the default τ
+# policy and BenchmarkBracketMillion the sampled-connectivity bracket
+# tier. They are scale proofs that no gate reads, and together they
+# take well over an hour on a 2-core box, so neither `make bench` nor
+# CI runs them.
+bench-million:
+	$(GO) test . -run '^$$' -bench 'Benchmark(Pipeline|Approx|Bracket)Million' -benchmem -benchtime 1x -count 1 -timeout 150m > BENCH_million.txt
+	@cat BENCH_million.txt
+	$(GO) run ./cmd/benchjson < BENCH_million.txt > BENCH_million.json
+	@echo "wrote BENCH_million.json"
 
 # bench-service runs a short closed-loop load against a self-hosted
 # in-process mincutd (cmd/loadgen with no -addr) and renders the

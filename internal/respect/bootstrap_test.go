@@ -26,6 +26,14 @@ func runOnTree(t *testing.T, g *graph.Graph, tr *tree.Tree, s int, seed int64) [
 	if err := partition.Validate(tr, d); err != nil {
 		t.Fatal(err)
 	}
+	return runBootstrap(t, g, tr, d.FragOf)
+}
+
+// runBootstrap runs Bootstrap and Run on tr with the fragment
+// assignment fragOf (connected fragments, each named by its topmost
+// node) and returns every node's output.
+func runBootstrap(t *testing.T, g *graph.Graph, tr *tree.Tree, fragOf []int64) []*Output {
+	t.Helper()
 	// Local views.
 	parentPorts := make([]int, g.N())
 	childPorts := make([][]int, g.N())
@@ -44,7 +52,7 @@ func runOnTree(t *testing.T, g *graph.Graph, tr *tree.Tree, s int, seed int64) [
 	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], d.FragOf[nd.ID()], tags)
+		in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], fragOf[nd.ID()], tags)
 		out := Run(nd, in, tags)
 		mu.Lock()
 		outs[nd.ID()] = out

@@ -24,9 +24,12 @@
 //     (node, T'_F parent, merging bit) makes T'_F and the merging list
 //     global knowledge.
 //  5. Every edge's endpoint LCA is computed by the paper's three-case
-//     exchange over the edge itself (on a same-fragment edge only the
-//     larger-ID endpoint sends its ancestor chain, to the smaller-ID
-//     endpoint, which holds the edge's token); the per-LCA weights ρ(v)
+//     exchange over the edge itself. On a same-fragment edge the first
+//     exchange carries each endpoint's preorder number within the
+//     fragment, and the smaller-ID endpoint, which holds the edge's
+//     token, takes its deepest in-fragment ancestor whose preorder
+//     interval (sizes ride step 2a's upcast, offsets step 2b's stream)
+//     contains the peer's number; the per-LCA weights ρ(v)
 //     are aggregated by a keyed global sum (type i, skipped when no node
 //     is merging) and a pipelined intra-fragment ancestor sum (type ii);
 //     then δ↓ and ρ↓ come out of one pass (step 3's machinery), and
@@ -45,14 +48,12 @@ import (
 // Message kinds (0x50 range).
 const (
 	kindFragList uint8 = 0x50 + iota // step 2a: child-fragment upcast item, A=fragID
-	kindFragEnd                      // step 2a: end marker
-	kindAncID                        // step 2b: ancestor ID stream, A=node ID, B=crossed
+	kindFragEnd                      // step 2a: end marker, A=sender's in-fragment subtree size
+	kindAncID                        // step 2b: ancestor ID stream, A=node ID, B=crossed, C=preorder offset under A of the next chain node, D=A's in-fragment subtree size
 	kindAncEnd                       // step 2b: end marker
 	kindFPair                        // step 2c: (ancestor, fragment) pair, A=node, B=frag, C=crossed
 	kindFEnd                         // step 2c: end marker
-	kindLCA1                         // step 5a: first exchange, A=fragID
-	kindChain                        // step 5a case 1: ancestor chain item, A=node ID
-	kindChainEnd                     // step 5a case 1: end marker
+	kindLCA1                         // step 5a: first exchange, A=fragID, B=sender's preorder number in its fragment
 	kindLCA2                         // step 5a: second exchange, A=lowest T'F ancestor, B=case-3 z or -1
 	kindSlotFrag                     // step 5b type ii: ancestor-sum slot, A=index, B=value
 )
@@ -123,6 +124,10 @@ type Output struct {
 	Merging      bool
 	MergingNodes []graph.NodeID                // global sorted list
 	TPrime       map[graph.NodeID]graph.NodeID // T'F: node -> parent (root maps to -1)
+	// FragPre/FragSize give the preorder interval [pre, pre+size)
+	// within this node's fragment of each in-fragment ancestor, aligned
+	// with the in-fragment prefix of Ancestors (self first).
+	FragPre, FragSize []int64
 }
 
 // Run executes the five steps.
@@ -186,6 +191,8 @@ type respectRun struct {
 	// step 2a results.
 	directChildFrags []int64      // fragments attached directly below me
 	childDirHasFrag  map[int]bool // tree child port -> subtree contains a fragment
+	subSize          int64        // my in-fragment subtree size
+	childOff         []int64      // per FragChildPorts entry: that child's preorder offset below me
 	// step 2b result: the prefix of Ancestors within my own fragment
 	// (self first).
 	sameFragAnc []graph.NodeID

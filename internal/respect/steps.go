@@ -29,7 +29,11 @@ func (r *respectRun) interChildPorts() []int {
 // within each fragment (pipelined, O(√n + frag diameter) rounds), then
 // closed under fragment-tree descendants locally. It also records, per
 // tree-child direction, whether that direction contains a fragment —
-// the raw material for merging-node detection in step 4.
+// the raw material for merging-node detection in step 4. Each end
+// marker carries its sender's in-fragment subtree size in A, so every
+// node learns its own size and, for each fragment child in
+// FragChildPorts order, that child's preorder offset below it (1 plus
+// the sizes of the earlier children); step 2b hands both down.
 func (r *respectRun) step2a(out *Output) {
 	nd, in := r.nd, r.in
 	tag := r.tags.Next(1)
@@ -55,15 +59,18 @@ func (r *respectRun) step2a(out *Output) {
 	r.childDirHasFrag = make(map[int]bool, len(in.ChildPorts))
 	subFrags := append([]int64(nil), r.directChildFrags...)
 	pending := len(in.FragChildPorts)
-	inFragChild := make(map[int]bool, pending)
-	for _, p := range in.FragChildPorts {
-		inFragChild[p] = true
+	childAt := make(map[int]int, pending) // fragment child port -> index in FragChildPorts
+	for i, p := range in.FragChildPorts {
+		childAt[p] = i
 	}
+	childSize := make([]int64, pending)
 	for pending > 0 {
 		p, m := nd.Recv(func(p int, m congest.Message) bool {
-			return m.Tag == tag && (m.Kind == kindFragList || m.Kind == kindFragEnd) && inFragChild[p]
+			_, ok := childAt[p]
+			return m.Tag == tag && (m.Kind == kindFragList || m.Kind == kindFragEnd) && ok
 		})
 		if m.Kind == kindFragEnd {
+			childSize[childAt[p]] = m.A
 			pending--
 			continue
 		}
@@ -73,8 +80,14 @@ func (r *respectRun) step2a(out *Output) {
 			nd.Send(in.FragParentPort, m)
 		}
 	}
+	r.subSize = 1
+	r.childOff = make([]int64, len(childSize))
+	for i, sz := range childSize {
+		r.childOff[i] = r.subSize
+		r.subSize += sz
+	}
 	if in.FragParentPort >= 0 {
-		nd.Send(in.FragParentPort, congest.Message{Kind: kindFragEnd, Tag: tag})
+		nd.Send(in.FragParentPort, congest.Message{Kind: kindFragEnd, Tag: tag, A: r.subSize})
 	}
 	// Child-fragment attachment directions always contain a fragment.
 	for _, p := range r.cross {
@@ -94,7 +107,13 @@ func (r *respectRun) step2a(out *Output) {
 // through its own fragment and one level into child fragments. The
 // stream is ordered structurally — each node forwards its own ID before
 // relaying its parent's stream — so arrival order is exactly
-// nearest-to-farthest regardless of timing.
+// nearest-to-farthest regardless of timing. A node's own ID goes down
+// fragment child port FragChildPorts[i] with C = childOff[i] and D =
+// its subtree size, and relays forward both words unchanged, so the
+// uncrossed item for an in-fragment ancestor u carries u's size and the
+// offset, under u, of the chain node just below u. Summing the offsets
+// from the fragment root (preorder 0) down gives every in-fragment
+// ancestor's preorder interval [pre, pre+size), self included.
 func (r *respectRun) step2b(out *Output) {
 	nd, in := r.nd, r.in
 	tag := r.tags.Next(1)
@@ -102,20 +121,29 @@ func (r *respectRun) step2b(out *Output) {
 
 	out.Ancestors = []graph.NodeID{nd.ID()}
 	r.sameFragAnc = []graph.NodeID{nd.ID()}
+	// Until the stream ends, FragPre[k] holds sameFragAnc[k]'s offset
+	// under sameFragAnc[k+1] (0 for the fragment root).
+	out.FragPre, out.FragSize = []int64{0}, []int64{r.subSize}
 
-	send := func(id int64, crossed int64) {
+	send := func(m congest.Message) {
 		for _, p := range down {
-			nd.Send(p, congest.Message{Kind: kindAncID, Tag: tag, A: id, B: crossed})
+			nd.Send(p, m)
 		}
-		if crossed == 0 {
+		if m.B == 0 {
+			m.B = 1
 			for _, p := range cross {
-				nd.Send(p, congest.Message{Kind: kindAncID, Tag: tag, A: id, B: 1})
+				nd.Send(p, m)
 			}
 		}
 	}
-	// My own ID enters my fragment uncrossed; send() marks it crossed
-	// on child-fragment attachment ports.
-	send(int64(nd.ID()), 0)
+	// My own ID enters my fragment uncrossed, with each child's offset;
+	// send() marks it crossed on child-fragment attachment ports.
+	for i, p := range down {
+		nd.Send(p, congest.Message{Kind: kindAncID, Tag: tag, A: int64(nd.ID()), C: r.childOff[i], D: r.subSize})
+	}
+	for _, p := range cross {
+		nd.Send(p, congest.Message{Kind: kindAncID, Tag: tag, A: int64(nd.ID()), B: 1})
+	}
 
 	if in.ParentPort >= 0 {
 		for {
@@ -128,8 +156,11 @@ func (r *respectRun) step2b(out *Output) {
 			out.Ancestors = append(out.Ancestors, graph.NodeID(m.A))
 			if m.B == 0 {
 				r.sameFragAnc = append(r.sameFragAnc, graph.NodeID(m.A))
+				out.FragPre[len(out.FragPre)-1] = m.C
+				out.FragPre = append(out.FragPre, 0)
+				out.FragSize = append(out.FragSize, m.D)
 			}
-			send(m.A, m.B)
+			send(m)
 		}
 	}
 	for _, p := range down {
@@ -137,6 +168,11 @@ func (r *respectRun) step2b(out *Output) {
 	}
 	for _, p := range cross {
 		nd.Send(p, congest.Message{Kind: kindAncEnd, Tag: tag})
+	}
+	// The fragment root sits at preorder 0, and each node below it at
+	// its parent's preorder number plus its offset.
+	for k := len(out.FragPre) - 2; k >= 0; k-- {
+		out.FragPre[k] += out.FragPre[k+1]
 	}
 }
 
@@ -280,6 +316,17 @@ func (r *respectRun) step4(out *Output) {
 	}
 }
 
+// fragLCA returns my deepest in-fragment ancestor (self included) whose
+// preorder interval contains pre, or -1.
+func (r *respectRun) fragLCA(out *Output, pre int64) graph.NodeID {
+	for k, u := range r.sameFragAnc {
+		if lo := out.FragPre[k]; lo <= pre && pre < lo+out.FragSize[k] {
+			return u
+		}
+	}
+	return -1
+}
+
 // tprimeLCA computes the LCA of two T'F nodes locally on the global
 // T'F topology.
 func tprimeLCA(tp map[graph.NodeID]graph.NodeID, a, b graph.NodeID) graph.NodeID {
@@ -312,8 +359,10 @@ func tprimeLCA(tp map[graph.NodeID]graph.NodeID, a, b graph.NodeID) graph.NodeID
 func (r *respectRun) step5(out *Output) {
 	nd, in := r.nd, r.in
 	// The exchange tags are drawn up front: the loops below run per
-	// port, so how often a node enters each one is local.
-	lca1Tag, chainTag, lca2Tag := r.tags.Next(1), r.tags.Next(1), r.tags.Next(1)
+	// port, so how often a node enters each one is local. The middle
+	// draw is spare: it keeps the tag sequence, and with it every later
+	// MST merge coin (a hash of the tag), where it was.
+	lca1Tag, _, lca2Tag := r.tags.Next(1), r.tags.Next(1), r.tags.Next(1)
 
 	tokens := make(map[graph.NodeID]int64) // type ii: keyed by in-fragment LCA
 	globalTokens := make(map[int64]int64)  // type i: keyed by merging node
@@ -333,47 +382,19 @@ func (r *respectRun) step5(out *Output) {
 		}
 	}
 	for _, p := range nonTree {
-		nd.Send(p, congest.Message{Kind: kindLCA1, Tag: lca1Tag, A: in.FragID})
+		nd.Send(p, congest.Message{Kind: kindLCA1, Tag: lca1Tag, A: in.FragID, B: out.FragPre[0]})
 	}
 	peerFrag := make(map[int]int64, len(nonTree))
 	for range nonTree {
 		p, m := nd.Recv(congest.MatchKindTag(kindLCA1, lca1Tag))
 		peerFrag[p] = m.A
-	}
-
-	// Same-fragment edges: the smaller-ID endpoint holds the token, so
-	// only the larger-ID endpoint streams its in-fragment ancestor chain,
-	// and only the smaller-ID endpoint takes it in and finds the LCA z.
-	for _, p := range nonTree {
-		if peerFrag[p] != in.FragID || nd.ID() < nd.Peer(p) {
+		// Same-fragment edge: the LCA is my deepest in-fragment ancestor
+		// whose preorder interval holds the peer's preorder number. The
+		// smaller-ID endpoint holds the token.
+		if m.A != in.FragID || nd.ID() > nd.Peer(p) {
 			continue
 		}
-		for _, u := range r.sameFragAnc {
-			nd.Send(p, congest.Message{Kind: kindChain, Tag: chainTag, A: int64(u)})
-		}
-		nd.Send(p, congest.Message{Kind: kindChainEnd, Tag: chainTag})
-	}
-	for _, p := range nonTree {
-		if peerFrag[p] != in.FragID || nd.ID() > nd.Peer(p) {
-			continue
-		}
-		peerSet := make(map[graph.NodeID]bool)
-		for {
-			_, m := nd.Recv(func(q int, m congest.Message) bool {
-				return m.Tag == chainTag && (m.Kind == kindChain || m.Kind == kindChainEnd) && q == p
-			})
-			if m.Kind == kindChainEnd {
-				break
-			}
-			peerSet[graph.NodeID(m.A)] = true
-		}
-		var z graph.NodeID = -1
-		for _, u := range r.sameFragAnc {
-			if peerSet[u] {
-				z = u
-				break
-			}
-		}
+		z := r.fragLCA(out, m.B)
 		if z < 0 {
 			panic("respect: same-fragment edge with no common in-fragment ancestor")
 		}

@@ -2,8 +2,10 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -274,6 +276,70 @@ func TestTraceCacheHit(t *testing.T) {
 	}
 	if hit, _ := done.Args["cache_hit"].(bool); !hit {
 		t.Fatalf("done event args %v lack cache_hit", done.Args)
+	}
+}
+
+// TestTraceCoalescedWaitersShareTimeline: two jobs coalesced onto one
+// execution render the same execution events after their own, shifted
+// only by the gap between their creation times, and both finished
+// records hold that one timeline by reference.
+func TestTraceCoalescedWaitersShareTimeline(t *testing.T) {
+	s := New(Options{PoolSize: 1})
+	defer shutdown(t, s)
+	a, err := s.Submit(tierReq(TierExact, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Submit(tierReq(TierExact, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
+	}
+	waitState(t, s, a.ID, StateDone, 2*time.Minute)
+	waitState(t, s, b.ID, StateDone, 2*time.Minute)
+
+	// Each job's own events come first: queued, plus coalesced for b.
+	own := func(id string, names ...string) []chromeJSONEvent {
+		var evs []chromeJSONEvent
+		for _, e := range parseTrace(t, s, id).TraceEvents {
+			if e.Ph != "M" {
+				evs = append(evs, e)
+			}
+		}
+		for i, name := range names {
+			if i >= len(evs) || evs[i].Name != name {
+				t.Fatalf("job %s: event %d is not %q: %+v", id, i, name, evs)
+			}
+		}
+		return evs[len(names):]
+	}
+	ea, eb := own(a.ID, "queued"), own(b.ID, "queued", "coalesced")
+	if len(ea) != len(eb) {
+		t.Fatalf("execution events: %d for %s, %d for %s", len(ea), a.ID, len(eb), b.ID)
+	}
+	var phases int
+	for i := range ea {
+		x, y := ea[i], eb[i]
+		shift := (x.Ts - y.Ts) - (ea[0].Ts - eb[0].Ts)
+		if x.Name != y.Name || x.Cat != y.Cat || x.Ph != y.Ph || x.Dur != y.Dur || x.Tid != y.Tid ||
+			!reflect.DeepEqual(x.Args, y.Args) || math.Abs(shift) > 0.01 {
+			t.Fatalf("execution event %d differs:\n%s: %+v\n%s: %+v", i, a.ID, x, b.ID, y)
+		}
+		if x.Ph == "X" {
+			phases++
+		}
+	}
+	if phases == 0 || ea[len(ea)-1].Name != string(StateDone) {
+		t.Fatalf("execution events lack phase spans or do not end with done: %+v", ea)
+	}
+
+	s.mu.Lock()
+	ja, jb := s.jobs[a.ID].execTrace, s.jobs[b.ID].execTrace
+	s.mu.Unlock()
+	if len(ja) == 0 || len(ja) != len(jb) || &ja[0] != &jb[0] {
+		t.Fatal("coalesced records do not share one execution timeline")
 	}
 }
 
