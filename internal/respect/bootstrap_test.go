@@ -26,13 +26,14 @@ func runOnTree(t *testing.T, g *graph.Graph, tr *tree.Tree, s int, seed int64) [
 	if err := partition.Validate(tr, d); err != nil {
 		t.Fatal(err)
 	}
-	return runBootstrap(t, g, tr, d.FragOf)
+	outs, _ := runBootstrap(t, g, tr, d.FragOf)
+	return outs
 }
 
 // runBootstrap runs Bootstrap and Run on tr with the fragment
 // assignment fragOf (connected fragments, each named by its topmost
-// node) and returns every node's output.
-func runBootstrap(t *testing.T, g *graph.Graph, tr *tree.Tree, fragOf []int64) []*Output {
+// node) and returns every node's output and run state.
+func runBootstrap(t *testing.T, g *graph.Graph, tr *tree.Tree, fragOf []int64) ([]*Output, []*respectRun) {
 	t.Helper()
 	// Local views.
 	parentPorts := make([]int, g.N())
@@ -49,13 +50,15 @@ func runBootstrap(t *testing.T, g *graph.Graph, tr *tree.Tree, fragOf []int64) [
 	}
 	var mu sync.Mutex
 	outs := make([]*Output, g.N())
+	runs := make([]*respectRun, g.N())
 	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
 		in := Bootstrap(nd, bfs, parentPorts[nd.ID()], childPorts[nd.ID()], fragOf[nd.ID()], tags)
-		out := Run(nd, in, tags)
+		r := newRespectRun(nd, in, tags)
+		out := r.run()
 		mu.Lock()
-		outs[nd.ID()] = out
+		outs[nd.ID()], runs[nd.ID()] = out, r
 		mu.Unlock()
 	})
 	if err != nil {
@@ -64,7 +67,7 @@ func runBootstrap(t *testing.T, g *graph.Graph, tr *tree.Tree, fragOf []int64) [
 	if stats.Leftover != 0 {
 		t.Fatalf("left %d unconsumed messages", stats.Leftover)
 	}
-	return outs
+	return outs, runs
 }
 
 func TestTheorem21OnArbitraryTrees(t *testing.T) {

@@ -25,8 +25,8 @@ func TestPreorderIntervalsAndLCA(t *testing.T) {
 		density := []float64{0.05, 0.3, 1}[i/12%3] // chance of each non-tree edge
 		name := fmt.Sprintf("%d/%s/split=%.2f/density=%.2f", i, shape, split, density)
 		g, tr, fragOf := randomFragmentedTree(rng, 2+rng.Intn(30), shape, split, density)
-		outs := runBootstrap(t, g, tr, fragOf)
-		checkIntervals(t, name, tr, fragOf, outs)
+		outs, runs := runBootstrap(t, g, tr, fragOf)
+		checkIntervals(t, name, tr, fragOf, runs)
 		rho := make([]int64, g.N())
 		for _, e := range g.Edges() {
 			rho[tr.LCA(e.U, e.V)] += e.W
@@ -95,12 +95,12 @@ func randomFragmentedTree(rng *rand.Rand, n int, shape string, split, density fl
 // to that ancestor's own; size(u) counts u's in-fragment descendants;
 // and for every u in v's fragment, u is an ancestor of v exactly when
 // pre(v) lies in u's interval.
-func checkIntervals(t *testing.T, name string, tr *tree.Tree, fragOf []int64, outs []*Output) {
+func checkIntervals(t *testing.T, name string, tr *tree.Tree, fragOf []int64, runs []*respectRun) {
 	t.Helper()
-	n := len(outs)
-	pre := func(u int) int64 { return outs[u].FragPre[0] }
-	size := func(u int) int64 { return outs[u].FragSize[0] }
-	for v, o := range outs {
+	n := len(runs)
+	pre := func(u int) int64 { return runs[u].ancPre[0] }
+	size := func(u int) int64 { return runs[u].ancSize[0] }
+	for v, r := range runs {
 		var chain []graph.NodeID
 		for _, u := range tr.AncestorChain(graph.NodeID(v), -1) {
 			if fragOf[u] != fragOf[v] {
@@ -108,14 +108,14 @@ func checkIntervals(t *testing.T, name string, tr *tree.Tree, fragOf []int64, ou
 			}
 			chain = append(chain, u)
 		}
-		if len(o.FragPre) != len(chain) || len(o.FragSize) != len(chain) {
-			t.Fatalf("%s: node %d: %d pre / %d size entries for %d in-fragment ancestors",
-				name, v, len(o.FragPre), len(o.FragSize), len(chain))
+		if len(r.sameFragAnc) != len(chain) || len(r.ancPre) != len(chain) || len(r.ancSize) != len(chain) {
+			t.Fatalf("%s: node %d: %d ancestors / %d pre / %d size entries for %d in-fragment ancestors",
+				name, v, len(r.sameFragAnc), len(r.ancPre), len(r.ancSize), len(chain))
 		}
 		for k, u := range chain {
-			if o.Ancestors[k] != u || o.FragPre[k] != pre(int(u)) || o.FragSize[k] != size(int(u)) {
+			if r.sameFragAnc[k] != u || r.ancPre[k] != pre(int(u)) || r.ancSize[k] != size(int(u)) {
 				t.Fatalf("%s: node %d: entry %d is (%d, [%d,+%d)), ancestor %d has [%d,+%d)",
-					name, v, k, o.Ancestors[k], o.FragPre[k], o.FragSize[k], u, pre(int(u)), size(int(u)))
+					name, v, k, r.sameFragAnc[k], r.ancPre[k], r.ancSize[k], u, pre(int(u)), size(int(u)))
 			}
 		}
 		var desc int64

@@ -124,14 +124,15 @@ type Output struct {
 	Merging      bool
 	MergingNodes []graph.NodeID                // global sorted list
 	TPrime       map[graph.NodeID]graph.NodeID // T'F: node -> parent (root maps to -1)
-	// FragPre/FragSize give the preorder interval [pre, pre+size)
-	// within this node's fragment of each in-fragment ancestor, aligned
-	// with the in-fragment prefix of Ancestors (self first).
-	FragPre, FragSize []int64
 }
 
 // Run executes the five steps.
 func Run(nd *congest.Node, in *Input, tags *proto.Tags) *Output {
+	return newRespectRun(nd, in, tags).run()
+}
+
+// newRespectRun sets up one node's run state from its local view.
+func newRespectRun(nd *congest.Node, in *Input, tags *proto.Tags) *respectRun {
 	r := &respectRun{nd: nd, in: in, tags: tags}
 	r.fragOv = proto.NewOverlay(in.FragParentPort, in.FragChildPorts, 0)
 	r.treePortSet = make(map[int]bool, len(in.ChildPorts)+1)
@@ -143,7 +144,12 @@ func Run(nd *congest.Node, in *Input, tags *proto.Tags) *Output {
 	}
 	r.fragDesc = fragDescendants(in.FragParent)
 	r.cross = r.interChildPorts()
+	return r
+}
 
+// run executes the five steps.
+func (r *respectRun) run() *Output {
+	nd := r.nd
 	out := &Output{Delta: r.weightedDegree()}
 	// Node 0 records one span per step for observability; step 3 rides
 	// step 5, and together the spans tile the sweep.
@@ -193,9 +199,11 @@ type respectRun struct {
 	childDirHasFrag  map[int]bool // tree child port -> subtree contains a fragment
 	subSize          int64        // my in-fragment subtree size
 	childOff         []int64      // per FragChildPorts entry: that child's preorder offset below me
-	// step 2b result: the prefix of Ancestors within my own fragment
-	// (self first).
-	sameFragAnc []graph.NodeID
+	// step 2b results: the prefix of Ancestors within my own fragment
+	// (self first), and each entry's preorder interval
+	// [ancPre[k], ancPre[k]+ancSize[k]) within the fragment.
+	sameFragAnc     []graph.NodeID
+	ancPre, ancSize []int64
 	// step 2c result: fragment sets of my in-fragment ancestors, as
 	// increments along the chain (see step2c).
 	fragOfAncestor map[graph.NodeID]map[int64]bool

@@ -121,9 +121,9 @@ func (r *respectRun) step2b(out *Output) {
 
 	out.Ancestors = []graph.NodeID{nd.ID()}
 	r.sameFragAnc = []graph.NodeID{nd.ID()}
-	// Until the stream ends, FragPre[k] holds sameFragAnc[k]'s offset
+	// Until the stream ends, ancPre[k] holds sameFragAnc[k]'s offset
 	// under sameFragAnc[k+1] (0 for the fragment root).
-	out.FragPre, out.FragSize = []int64{0}, []int64{r.subSize}
+	r.ancPre, r.ancSize = []int64{0}, []int64{r.subSize}
 
 	send := func(m congest.Message) {
 		for _, p := range down {
@@ -156,9 +156,9 @@ func (r *respectRun) step2b(out *Output) {
 			out.Ancestors = append(out.Ancestors, graph.NodeID(m.A))
 			if m.B == 0 {
 				r.sameFragAnc = append(r.sameFragAnc, graph.NodeID(m.A))
-				out.FragPre[len(out.FragPre)-1] = m.C
-				out.FragPre = append(out.FragPre, 0)
-				out.FragSize = append(out.FragSize, m.D)
+				r.ancPre[len(r.ancPre)-1] = m.C
+				r.ancPre = append(r.ancPre, 0)
+				r.ancSize = append(r.ancSize, m.D)
 			}
 			send(m)
 		}
@@ -171,8 +171,8 @@ func (r *respectRun) step2b(out *Output) {
 	}
 	// The fragment root sits at preorder 0, and each node below it at
 	// its parent's preorder number plus its offset.
-	for k := len(out.FragPre) - 2; k >= 0; k-- {
-		out.FragPre[k] += out.FragPre[k+1]
+	for k := len(r.ancPre) - 2; k >= 0; k-- {
+		r.ancPre[k] += r.ancPre[k+1]
 	}
 }
 
@@ -318,9 +318,9 @@ func (r *respectRun) step4(out *Output) {
 
 // fragLCA returns my deepest in-fragment ancestor (self included) whose
 // preorder interval contains pre, or -1.
-func (r *respectRun) fragLCA(out *Output, pre int64) graph.NodeID {
+func (r *respectRun) fragLCA(pre int64) graph.NodeID {
 	for k, u := range r.sameFragAnc {
-		if lo := out.FragPre[k]; lo <= pre && pre < lo+out.FragSize[k] {
+		if lo := r.ancPre[k]; lo <= pre && pre < lo+r.ancSize[k] {
 			return u
 		}
 	}
@@ -382,7 +382,7 @@ func (r *respectRun) step5(out *Output) {
 		}
 	}
 	for _, p := range nonTree {
-		nd.Send(p, congest.Message{Kind: kindLCA1, Tag: lca1Tag, A: in.FragID, B: out.FragPre[0]})
+		nd.Send(p, congest.Message{Kind: kindLCA1, Tag: lca1Tag, A: in.FragID, B: r.ancPre[0]})
 	}
 	peerFrag := make(map[int]int64, len(nonTree))
 	for range nonTree {
@@ -394,7 +394,7 @@ func (r *respectRun) step5(out *Output) {
 		if m.A != in.FragID || nd.ID() > nd.Peer(p) {
 			continue
 		}
-		z := r.fragLCA(out, m.B)
+		z := r.fragLCA(m.B)
 		if z < 0 {
 			panic("respect: same-fragment edge with no common in-fragment ancestor")
 		}

@@ -195,7 +195,9 @@ func TestHTTPQueueFull(t *testing.T) {
 
 func TestHTTPCancel(t *testing.T) {
 	_, ts := newTestServer(t, Options{PoolSize: 1})
-	_, slow := postJob(t, ts, plantedBody)
+	// The one worker's job (planted 128+128, a few hundred ms) must
+	// outlast the DELETE, so the second job is still queued when it lands.
+	_, slow := postJob(t, ts, `{"graph":{"family":"planted","n1":128,"n2":128,"k":3,"in_p":0.2,"seed":4},"mode":"exact"}`)
 	_, queued := postJob(t, ts, `{"graph":{"family":"planted","n1":16,"n2":16,"k":2,"in_p":0.5,"seed":77},"mode":"exact"}`)
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
 	resp, err := http.DefaultClient.Do(req)

@@ -263,15 +263,12 @@ type job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	// trace holds the job's own events (queued, degraded, coalesced),
-	// served by Service.Trace followed by the execution's timeline:
-	// exec.trace while the job is attached, then execTrace.
+	// trace is the job's event timeline (see traceEvent), served by
+	// Service.Trace. Job-local events (queued, degraded, terminal state,
+	// flight-recorder tail) live here; while the job is attached to an
+	// execution the shared execution's events are appended at snapshot
+	// time, and at finalization they are merged in permanently.
 	trace []traceEvent
-	// execTrace is the finished execution's timeline (its events, the
-	// terminal state, any flight-recorder tail), shared read-only by
-	// every job record that waited on it; nil if the job never finished
-	// attached to an execution.
-	execTrace []traceEvent
 }
 
 // exec is one protocol execution, shared by every job record coalesced
@@ -1098,22 +1095,22 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 	if s.inflight[e.key] == e {
 		delete(s.inflight, e.key)
 	}
-	// finalize moves every attached record to its terminal state. The
-	// execution's timeline closes with the terminal instant and the
-	// given trailing events (so a flight-recorder tail renders after
-	// it), and every record keeps that one slice by reference.
+	// finalize moves every attached record to its terminal state,
+	// merging the execution's shared timeline plus the given trailing
+	// events (terminal instant first, so a flight-recorder tail renders
+	// after it) into each job's permanent trace.
 	finalize := func(state State, errText string, tailEvents []traceEvent) {
-		e.trace = append(e.trace, traceEvent{
-			name: string(state), cat: "lifecycle", at: now,
-			args: map[string]any{"rounds": e.progress.Round(), "delivered": e.progress.Delivered()},
-		})
-		e.trace = append(e.trace, tailEvents...)
 		for _, j := range e.waiters {
 			j.state = state
 			j.err = errText
 			j.finished = now
 			j.exec = nil
-			j.execTrace = e.trace
+			j.trace = append(j.trace, e.trace...)
+			j.trace = append(j.trace, traceEvent{
+				name: string(state), cat: "lifecycle", at: now,
+				args: map[string]any{"rounds": e.progress.Round(), "delivered": e.progress.Delivered()},
+			})
+			j.trace = append(j.trace, tailEvents...)
 			s.retireLocked(j)
 		}
 	}

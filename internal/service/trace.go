@@ -177,15 +177,12 @@ func (s *Service) Trace(id string) ([]byte, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	// The execution's events follow the job's own: live while the job
-	// is in flight, the shared finished timeline after.
-	shared := j.execTrace
-	if j.exec != nil {
-		shared = j.exec.trace
-	}
-	events := make([]traceEvent, 0, len(j.trace)+len(shared))
+	events := make([]traceEvent, 0, len(j.trace)+8)
 	events = append(events, j.trace...)
-	events = append(events, shared...)
+	if j.exec != nil {
+		// In flight: the shared execution's events follow the job's own.
+		events = append(events, j.exec.trace...)
+	}
 	created := j.created
 	s.mu.Unlock()
 	return renderTrace(id, created, events), true

@@ -279,11 +279,11 @@ func TestTraceCacheHit(t *testing.T) {
 	}
 }
 
-// TestTraceCoalescedWaitersShareTimeline: two jobs coalesced onto one
-// execution render the same execution events after their own, shifted
-// only by the gap between their creation times, and both finished
-// records hold that one timeline by reference.
-func TestTraceCoalescedWaitersShareTimeline(t *testing.T) {
+// TestTraceCoalescedWaitersRenderSameTimeline: two jobs coalesced onto
+// one execution render the same execution events after their own,
+// shifted only by the gap between their creation times, ending with the
+// terminal state.
+func TestTraceCoalescedWaitersRenderSameTimeline(t *testing.T) {
 	s := New(Options{PoolSize: 1})
 	defer shutdown(t, s)
 	a, err := s.Submit(tierReq(TierExact, 5))
@@ -333,13 +333,6 @@ func TestTraceCoalescedWaitersShareTimeline(t *testing.T) {
 	}
 	if phases == 0 || ea[len(ea)-1].Name != string(StateDone) {
 		t.Fatalf("execution events lack phase spans or do not end with done: %+v", ea)
-	}
-
-	s.mu.Lock()
-	ja, jb := s.jobs[a.ID].execTrace, s.jobs[b.ID].execTrace
-	s.mu.Unlock()
-	if len(ja) == 0 || len(ja) != len(jb) || &ja[0] != &jb[0] {
-		t.Fatal("coalesced records do not share one execution timeline")
 	}
 }
 
