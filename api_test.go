@@ -143,21 +143,3 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("same seed, different runs: %+v vs %+v", a, b)
 	}
 }
-
-func TestUnboundedAblationFasterOrEqual(t *testing.T) {
-	g := graph.PlantedCut(10, 12, 2, 0.6, 17)
-	bounded, err := MinCut(g, &Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unbounded, err := MinCut(g, &Options{Seed: 2, Unbounded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unbounded.Value != bounded.Value {
-		t.Fatalf("ablation changed the answer: %d vs %d", unbounded.Value, bounded.Value)
-	}
-	if unbounded.Rounds > bounded.Rounds {
-		t.Fatalf("unbounded bandwidth used more rounds (%d > %d)", unbounded.Rounds, bounded.Rounds)
-	}
-}

@@ -58,7 +58,8 @@ const approxTauMax = 32
 // (packing.Result.Proves), MinCut certifies cuts up to 2^20,
 // ApproxMinCut's level 0 certifies cuts up to 2^⌊log₂ κ⌋ and its
 // sampled levels pack at most 32 trees each, and BracketMinCut tests
-// 3 skeletons per level.
+// 3 skeletons per level. Every run simulates CONGEST bandwidth: one
+// message per edge direction per round, with no option to relax it.
 type Options struct {
 	// Seed drives the only randomness the protocols use: the MST merge
 	// coin and the skeleton samplers hash it, and nothing else reads it
@@ -72,9 +73,6 @@ type Options struct {
 	Epsilon float64
 	// SizeCap overrides the √n fragment size threshold (E9 ablation).
 	SizeCap int
-	// Unbounded switches the runtime to unbounded per-edge bandwidth
-	// (LOCAL-model ablation, E9).
-	Unbounded bool
 	// MaxRounds overrides the runtime's safety cap: a deterministic
 	// round budget, checked per simulation. When a run trips it, the
 	// error matches congest.ErrMaxRounds and, through errors.As, a
@@ -155,7 +153,6 @@ type Result struct {
 // error then wraps ctx.Err().
 func (o Options) runSim(ctx context.Context, g *graph.Graph, program func(*congest.Node)) (*congest.Stats, error) {
 	eo := congest.Options{
-		Unbounded: o.Unbounded,
 		MaxRounds: o.MaxRounds,
 		Progress:  o.Progress,
 		Observer:  o.Observer,

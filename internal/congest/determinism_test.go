@@ -349,32 +349,6 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 	t.Logf("warm setup: %d ns", stats.SetupNanos)
 }
 
-// TestDeterminismUnbounded: the span-copy delivery of Unbounded mode
-// must be bit-identical run after run, on a fresh and a reused engine.
-func TestDeterminismUnbounded(t *testing.T) {
-	opts := Options{Unbounded: true}
-	for name, g := range determinismFamilies() {
-		t.Run(name, func(t *testing.T) {
-			stats, err := Run(context.Background(), g, opts, chatterProgram)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := keyOf(stats)
-			eng := NewEngine(opts)
-			defer eng.Close()
-			for i := 0; i < 2; i++ {
-				stats, err := eng.Run(context.Background(), g, chatterProgram)
-				if err != nil {
-					t.Fatalf("reuse run %d: %v", i, err)
-				}
-				if got := keyOf(stats); got != want {
-					t.Fatalf("reuse run %d stats diverged: got %+v, want %+v", i, got, want)
-				}
-			}
-		})
-	}
-}
-
 // phasedProgram is a two-phase exchange whose phase boundaries node 0
 // records as begin:/end: marks, with a sleep separating the phases — a
 // miniature of how the pipeline instruments its steps.

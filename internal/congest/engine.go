@@ -24,10 +24,6 @@ type Options struct {
 	// jobs) with a *BudgetError matching ErrMaxRounds. Zero means
 	// DefaultMaxRounds.
 	MaxRounds int
-	// Unbounded, if set, delivers the entire per-edge send queue each
-	// round instead of one message, i.e. a LOCAL-model network with
-	// unbounded bandwidth. Used only by the pipelining ablation (E9).
-	Unbounded bool
 	// Progress, when non-nil, is updated at every round boundary with
 	// the current round number and cumulative delivered-message count,
 	// so concurrent observers (e.g. a job-status endpoint) can sample a
@@ -114,13 +110,13 @@ func (e *PanicError) Error() string {
 // out of one retained message slab, and grown rings come from a shared
 // size-class pool. Per round the coordinator (1) merges newly
 // registered senders into the ID-ordered sender registry, (2) delivers
-// — moving one message (or, in Unbounded mode, the whole ring span) per
-// staged port and stamping receivers into an epoch-numbered generation
-// array, (3) computes the wake list from satisfied Recv predicates and
-// due sleepers, and (4) activates it — inline when small, otherwise
-// shared with GOMAXPROCS-1 process-wide activation helpers. Activation
-// is the engine's only parallel phase; delivery and matching run on the
-// coordinator.
+// — moving exactly one message per staged port (the CONGEST bandwidth
+// bound: one message per edge direction per round) and stamping
+// receivers into an epoch-numbered generation array, (3) computes the
+// wake list from satisfied Recv predicates and due sleepers, and (4)
+// activates it — inline when small, otherwise shared with GOMAXPROCS-1
+// process-wide activation helpers. Activation is the engine's only
+// parallel phase; delivery and matching run on the coordinator.
 type Engine struct {
 	g    *graph.Graph
 	opts Options
@@ -750,15 +746,13 @@ func (e *Engine) mergeSenders() {
 	}
 }
 
-// deliver transmits the head (or, in Unbounded mode, the whole span) of
-// every staged edge queue, collects the round's receiver set in node-ID
-// order, and compacts the sender registry in place. The single-message
-// transfer is inlined — one ring read, one ring write — and
-// multi-message rounds move whole ring spans with bulk copies. Delivery
-// order never affects message state: each (sender, port) pair feeds
-// exactly one per-port FIFO at its peer.
+// deliver transmits the head message of every staged edge queue — one
+// message per edge direction per round, the CONGEST bandwidth bound —
+// collects the round's receiver set in node-ID order, and compacts the
+// sender registry in place. The transfer is inlined: one ring read,
+// one ring write. Delivery order never affects message state: each
+// (sender, port) pair feeds exactly one per-port FIFO at its peer.
 func (e *Engine) deliver() {
-	unbounded := e.opts.Unbounded
 	// Hot-path locals: the peer's inQ ring is addressed straight through
 	// the flat port tables and the segregated queue slab (the receive
 	// queue for port rp of node v is inSlab[portOff[v]+rp]), so
@@ -786,26 +780,19 @@ func (e *Engine) deliver() {
 			}
 			v := nd.adj[p].Peer
 			inq := &inSlab[int(portOff[v])+int(rev[p])]
-			if unbounded {
-				k := q.n
-				q.moveTo(&msgBufPool, inq, k)
-				delivered += int64(k)
+			m := q.buf[q.head]
+			q.head = (q.head + 1) & (len(q.buf) - 1)
+			q.n--
+			if q.n == 0 {
+				q.maybeRelease(&msgBufPool)
 				nd.nonEmptyOut--
-			} else {
-				m := q.buf[q.head]
-				q.head = (q.head + 1) & (len(q.buf) - 1)
-				q.n--
-				if q.n == 0 {
-					q.maybeRelease(&msgBufPool)
-					nd.nonEmptyOut--
-				}
-				if inq.n == len(inq.buf) {
-					inq.grow(&msgBufPool)
-				}
-				inq.buf[(inq.head+inq.n)&(len(inq.buf)-1)] = m
-				inq.n++
-				delivered++
 			}
+			if inq.n == len(inq.buf) {
+				inq.grow(&msgBufPool)
+			}
+			inq.buf[(inq.head+inq.n)&(len(inq.buf)-1)] = m
+			inq.n++
+			delivered++
 			if recvGen[v] != cur {
 				recvGen[v] = cur
 				receivers = append(receivers, e.nodes[v])

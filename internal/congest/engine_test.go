@@ -119,30 +119,6 @@ func TestPipeliningCharge(t *testing.T) {
 	}
 }
 
-// TestUnboundedDelivery: with Options.Unbounded the same transfer takes
-// one round (LOCAL-model ablation).
-func TestUnboundedDelivery(t *testing.T) {
-	g := graph.Path(2)
-	const k = 25
-	stats, err := Run(context.Background(), g, Options{Unbounded: true}, func(nd *Node) {
-		if nd.ID() == 0 {
-			for i := 0; i < k; i++ {
-				nd.Send(0, Message{Kind: kindData, A: int64(i)})
-			}
-			return
-		}
-		for i := 0; i < k; i++ {
-			nd.Recv(MatchKind(kindData))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 1 {
-		t.Fatalf("unbounded transfer rounds = %d, want 1", stats.Rounds)
-	}
-}
-
 // TestSleepFastForward: idle sleeping must advance the round counter
 // without per-round work, and Sleep must wake at the exact round.
 func TestSleepFastForward(t *testing.T) {
@@ -414,21 +390,32 @@ func TestMarkPhases(t *testing.T) {
 }
 
 // Property test: queue preserves FIFO order under interleaved push/pop
-// and removeAt of matching elements.
+// and removeAt of matching elements. Each run starts on a slab-carved
+// ring, as every receive queue does, and pushes outnumber removals, so
+// the ring wraps and grows out of its carve into pooled classes; the
+// test fails if no run pushed onto a wrapped ring or grew a wrapped
+// one.
 func TestQueueProperty(t *testing.T) {
+	var wrappedPushes, wrappedGrows int
 	f := func(ops []uint8) bool {
-		var q queue
+		q := queue{buf: make([]Message, slabInCap)}
 		var pool bufPool
 		var model []Message
 		next := int64(0)
 		for _, op := range ops {
-			switch op % 3 {
-			case 0:
+			switch op % 5 {
+			case 0, 1, 2:
+				switch {
+				case q.n == len(q.buf) && q.head != 0:
+					wrappedGrows++
+				case q.n < len(q.buf) && q.head+q.n >= len(q.buf):
+					wrappedPushes++
+				}
 				m := Message{A: next}
 				next++
 				q.push(&pool, m)
 				model = append(model, m)
-			case 1:
+			case 3:
 				gm, gok := q.pop(&pool)
 				if len(model) == 0 {
 					if gok {
@@ -441,7 +428,7 @@ func TestQueueProperty(t *testing.T) {
 				if !gok || gm != wm {
 					return false
 				}
-			case 2:
+			case 4:
 				if q.len() == 0 {
 					continue
 				}
@@ -466,6 +453,9 @@ func TestQueueProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+	if wrappedPushes == 0 || wrappedGrows == 0 {
+		t.Fatalf("ring coverage: %d pushes onto a wrapped ring, %d grows of a wrapped ring; want both > 0", wrappedPushes, wrappedGrows)
 	}
 }
 

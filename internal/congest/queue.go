@@ -66,21 +66,11 @@ func (q *queue) removeAt(p *bufPool, i int) Message {
 	return m
 }
 
-func (q *queue) grow(p *bufPool) {
-	q.growTo(p, len(q.buf)+1)
-}
-
-// growTo replaces the ring with one of power-of-two capacity >= need,
+// grow replaces the full ring with one of twice the capacity,
 // preserving FIFO order. Growth jumps straight to the smallest pooled
 // class, so leaving a slab ring costs no intermediate allocations.
-func (q *queue) growTo(p *bufPool, need int) {
-	newCap := 2 * len(q.buf)
-	if newCap < minPoolCap {
-		newCap = minPoolCap
-	}
-	for newCap < need {
-		newCap *= 2
-	}
+func (q *queue) grow(p *bufPool) {
+	newCap := max(2*len(q.buf), minPoolCap)
 	nb := p.get(newCap)
 	mask := len(q.buf) - 1
 	for i := 0; i < q.n; i++ {
@@ -91,40 +81,6 @@ func (q *queue) growTo(p *bufPool, need int) {
 	}
 	q.buf = nb
 	q.head = 0
-}
-
-// moveTo transfers the k oldest messages from q's head to dst's tail in
-// FIFO order using bulk copies of contiguous ring spans (at most three
-// copy calls: the source span and the destination free space each wrap
-// at most once) instead of k pop/push round trips. It is the vectorized
-// delivery primitive for Unbounded and other multi-message rounds.
-func (q *queue) moveTo(p *bufPool, dst *queue, k int) {
-	if k > q.n {
-		k = q.n
-	}
-	if k == 0 {
-		return
-	}
-	if dst.n+k > len(dst.buf) {
-		dst.growTo(p, dst.n+k)
-	}
-	mask, dmask := len(q.buf)-1, len(dst.buf)-1
-	for k > 0 {
-		chunk := k
-		if c := len(q.buf) - q.head; c < chunk {
-			chunk = c // contiguous span at the source head
-		}
-		t := (dst.head + dst.n) & dmask
-		if c := len(dst.buf) - t; c < chunk {
-			chunk = c // contiguous free space at the destination tail
-		}
-		copy(dst.buf[t:t+chunk], q.buf[q.head:q.head+chunk])
-		q.head = (q.head + chunk) & mask
-		q.n -= chunk
-		dst.n += chunk
-		k -= chunk
-	}
-	q.maybeRelease(p)
 }
 
 // maybeRelease returns a fully drained buffer to the pool when it is

@@ -416,8 +416,8 @@ func E8Figure1(cfg Config) *Table {
 	return t
 }
 
-// E9Ablation — design choices: fragment size s (√n should minimize
-// rounds) and CONGEST pipelining vs unbounded bandwidth.
+// E9Ablation — the fragment size cap s, swept around the paper's
+// s = √n on a torus, with every cap checked against Stoer–Wagner.
 func E9Ablation(cfg Config) *Table {
 	side := 16
 	if cfg.Quick {
@@ -429,7 +429,7 @@ func E9Ablation(cfg Config) *Table {
 	caps := []int{2, sqrtN / 2, sqrtN, 2 * sqrtN, n / 4}
 	t := &Table{
 		ID:     "E9",
-		Title:  fmt.Sprintf("Ablations on torus %dx%d: fragment size cap and pipelining", side, side),
+		Title:  fmt.Sprintf("Ablation on torus %dx%d: fragment size cap", side, side),
 		Header: []string{"variant", "rounds", "messages", "value ok"},
 	}
 	lambda, _, err := baseline.StoerWagner(g)
@@ -450,14 +450,7 @@ func E9Ablation(cfg Config) *Table {
 			fmt.Sprintf("%v", res.Value == lambda),
 		})
 	}
-	res, err := distmincut.MinCut(g, &distmincut.Options{Seed: cfg.seed(), Unbounded: true})
-	if err == nil {
-		t.Rows = append(t.Rows, []string{
-			"unbounded bandwidth (LOCAL)", itoa(int64(res.Rounds)), itoa(res.Messages),
-			fmt.Sprintf("%v", res.Value == lambda),
-		})
-	}
 	t.Notes = append(t.Notes,
-		"The paper's s=√n balances the n/s fragment count against the s fragment diameter; extreme caps must cost more rounds. The unbounded-bandwidth run shows how much of the cost is CONGEST pipelining.")
+		"The paper's s=√n balances the n/s fragment count against the s fragment diameter; extreme caps must cost more rounds.")
 	return t
 }

@@ -20,9 +20,8 @@
 //   - E8 (E8Figure1): the paper's only figure — fragments, merging
 //     nodes and T'_F for the Figure-1 tree, plus the O(√n) structural
 //     bounds on random trees.
-//   - E9 (E9Ablation): design choices — fragment size s (√n should
-//     minimize rounds) and CONGEST pipelining against unbounded
-//     bandwidth.
+//   - E9 (E9Ablation): the fragment size cap s, swept around the
+//     paper's √n.
 //
 // cmd/bench renders all tables; bench_test.go exposes one testing.B
 // benchmark per experiment.

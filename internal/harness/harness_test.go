@@ -59,6 +59,23 @@ func TestE3AllExact(t *testing.T) {
 	}
 }
 
+// TestE9AblationExact: every fragment size cap of the E9 sweep finds
+// the exact minimum cut, and each cap yields its own row.
+func TestE9AblationExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	tb := E9Ablation(Config{Quick: true, Seed: 5})
+	if len(tb.Rows) != 5 {
+		t.Fatalf("E9 has %d rows, want one per size cap (5): %v (notes %v)", len(tb.Rows), tb.Rows, tb.Notes)
+	}
+	for _, row := range tb.Rows {
+		if row[3] != "true" { // value ok
+			t.Fatalf("E9 row not exact: %v", row)
+		}
+	}
+}
+
 func TestTableMarkdown(t *testing.T) {
 	tb := &Table{
 		ID: "EX", Title: "T", Header: []string{"a", "b"},

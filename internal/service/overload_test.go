@@ -324,12 +324,15 @@ func TestDrainDeadlinePublishesCachedApprox(t *testing.T) {
 
 	// Occupy the single worker with a short-deadline slow job, then
 	// queue the tiered job with a deadline that lapses in the queue.
-	// The slow job (2,000 rounds, 497,367 messages) takes 0.30–0.36 s
-	// from submission to done on one worker of a 2-core Xeon, so its
-	// 150 ms deadline sits at under half of that and well above the
-	// tiered job's.
-	big := bigExactReq(52)
-	big.DeadlineMS = 150
+	// Left to finish, the slow job (planted 320+320, 2,358 rounds,
+	// 2,777,710 messages) takes 1.15–1.36 s from submission to done on
+	// one worker of a 2-core Xeon, so its 150 ms deadline sits at under
+	// an eighth of that and well above the tiered job's.
+	big := JobRequest{
+		Graph:      GraphSpec{Family: "planted", N1: 320, N2: 320, K: 3, InP: 0.2, Seed: 52},
+		Mode:       "exact",
+		DeadlineMS: 150,
+	}
 	b, err := s.Submit(big)
 	if err != nil {
 		t.Fatal(err)

@@ -769,6 +769,28 @@ func (s *Service) retireLocked(j *job) {
 	}
 }
 
+// finishLocked moves j, still attached to execution e, to a terminal
+// state at instant at: it detaches the record, merges the execution
+// events it waited through and then the terminal lifecycle instant
+// into its permanent trace, followed by tail (a flight-recorder tail
+// renders after the terminal instant), and retires the record. Both
+// a DELETE of one waiter and the end of the execution end records
+// here, so every finished trace ends in its terminal state. Caller
+// holds mu.
+func (s *Service) finishLocked(j *job, e *exec, state State, errText string, at time.Time, tail []traceEvent) {
+	j.state = state
+	j.err = errText
+	j.finished = at
+	j.exec = nil
+	j.trace = append(j.trace, e.trace...)
+	j.trace = append(j.trace, traceEvent{
+		name: string(state), cat: "lifecycle", at: at,
+		args: map[string]any{"rounds": e.progress.Round(), "delivered": e.progress.Delivered()},
+	})
+	j.trace = append(j.trace, tail...)
+	s.retireLocked(j)
+}
+
 // newJobLocked allocates and registers a job record. Caller holds mu.
 func (s *Service) newJobLocked(key, tier string) *job {
 	s.nextID++
@@ -830,12 +852,8 @@ func (s *Service) Cancel(id string) (JobView, bool) {
 	if e == nil { // already terminal (or a cache-hit record)
 		return s.viewLocked(j), true
 	}
-	j.state = StateCanceled
-	j.err = "canceled by request"
-	j.finished = time.Now()
-	j.exec = nil
 	s.canceled.Add(1)
-	s.retireLocked(j)
+	s.finishLocked(j, e, StateCanceled, "canceled by request", time.Now(), nil)
 	for i, w := range e.waiters {
 		if w == j {
 			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
@@ -1095,23 +1113,10 @@ func (s *Service) runExec(eng *congest.Engine, e *exec) {
 	if s.inflight[e.key] == e {
 		delete(s.inflight, e.key)
 	}
-	// finalize moves every attached record to its terminal state,
-	// merging the execution's shared timeline plus the given trailing
-	// events (terminal instant first, so a flight-recorder tail renders
-	// after it) into each job's permanent trace.
+	// finalize moves every attached record to its terminal state.
 	finalize := func(state State, errText string, tailEvents []traceEvent) {
 		for _, j := range e.waiters {
-			j.state = state
-			j.err = errText
-			j.finished = now
-			j.exec = nil
-			j.trace = append(j.trace, e.trace...)
-			j.trace = append(j.trace, traceEvent{
-				name: string(state), cat: "lifecycle", at: now,
-				args: map[string]any{"rounds": e.progress.Round(), "delivered": e.progress.Delivered()},
-			})
-			j.trace = append(j.trace, tailEvents...)
-			s.retireLocked(j)
+			s.finishLocked(j, e, state, errText, now, tailEvents)
 		}
 	}
 	switch {

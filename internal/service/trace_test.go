@@ -336,6 +336,62 @@ func TestTraceCoalescedWaitersRenderSameTimeline(t *testing.T) {
 	}
 }
 
+// lastEvent returns a trace's final non-metadata event.
+func lastEvent(t *testing.T, s *Service, id string) chromeJSONEvent {
+	t.Helper()
+	evs := parseTrace(t, s, id).TraceEvents
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Ph != "M" {
+			return evs[i]
+		}
+	}
+	t.Fatalf("job %s: empty trace", id)
+	return chromeJSONEvent{}
+}
+
+// TestTraceCanceledJobsEndInCanceled: a DELETE ends the job's trace in
+// a canceled lifecycle event, whether the job ran alone or waited,
+// coalesced, on a run another job keeps; that other job's trace still
+// ends in done.
+func TestTraceCanceledJobsEndInCanceled(t *testing.T) {
+	s := New(Options{PoolSize: 1})
+	defer shutdown(t, s)
+	endsIn := func(id string, want State) {
+		t.Helper()
+		if e := lastEvent(t, s, id); e.Cat != "lifecycle" || e.Name != string(want) {
+			t.Fatalf("job %s: trace ends with %s/%s, want lifecycle/%s", id, e.Cat, e.Name, want)
+		}
+	}
+
+	lone, err := s.Submit(bigExactReq(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, lone.ID)
+	s.Cancel(lone.ID)
+	endsIn(lone.ID, StateCanceled)
+
+	kept, err := s.Submit(bigExactReq(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, kept.ID)
+	waiter, err := s.Submit(bigExactReq(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
+	}
+	s.Cancel(waiter.ID)
+	endsIn(waiter.ID, StateCanceled)
+	if _, ok := eventByName(parseTrace(t, s, waiter.ID), "started"); !ok {
+		t.Fatalf("coalesced job %s: trace lacks the execution events it waited through", waiter.ID)
+	}
+	waitState(t, s, kept.ID, StateDone, 2*time.Minute)
+	endsIn(kept.ID, StateDone)
+}
+
 // TestTraceUnknownJob: unknown IDs report false.
 func TestTraceUnknownJob(t *testing.T) {
 	s := New(Options{PoolSize: 2})
