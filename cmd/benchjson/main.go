@@ -10,6 +10,12 @@
 // engine rows (round-ns present) gate round-ns and allocs/op, everything
 // else gates ns/op and allocs/op.
 //
+// Every report records the GOMAXPROCS its benchmarks ran at (the `-N`
+// suffix go test appends to each name; 1 when there is none) and the
+// CPU count of the machine that converted it. -compare prints both
+// sides' values and warns when they differ, since wall-time rows are
+// only comparable at equal parallelism.
+//
 // With -allow-missing, a -compare run whose baseline has no benchmarks
 // matching -match warns and exits 0 instead of 2 — used for gates over
 // metrics the base ref may predate (the open-loop service rows), so the
@@ -26,10 +32,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -43,12 +51,15 @@ type Benchmark struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Report is the whole document.
+// Report is the whole document. GOMAXPROCS and NProc read 0 in reports
+// written before they were recorded.
 type Report struct {
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	NProc      int         `json:"nproc"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -68,8 +79,8 @@ func main() {
 	os.Exit(run(os.Stdin, os.Stdout))
 }
 
-func run(in *os.File, out *os.File) int {
-	var rep Report
+func run(in io.Reader, out io.Writer) int {
+	rep := Report{GOMAXPROCS: 1, NProc: runtime.NumCPU()}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -84,6 +95,9 @@ func run(in *os.File, out *os.File) int {
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
+				if m := procsSuffix.FindStringSubmatch(b.Name); m != nil && len(rep.Benchmarks) == 0 {
+					rep.GOMAXPROCS, _ = strconv.Atoi(m[1])
+				}
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}
@@ -105,6 +119,10 @@ func run(in *os.File, out *os.File) int {
 	}
 	return 0
 }
+
+// procsSuffix matches the GOMAXPROCS suffix go test appends to a
+// benchmark name when it is above 1.
+var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 func parseLine(line string) (Benchmark, bool) {
 	f := strings.Fields(line)
@@ -200,6 +218,13 @@ func loadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
+// hostNote renders both reports' GOMAXPROCS and CPU counts, and
+// reports whether they differ.
+func hostNote(oldRep, newRep *Report) (string, bool) {
+	return fmt.Sprintf("gomaxprocs %d -> %d, nproc %d -> %d", oldRep.GOMAXPROCS, newRep.GOMAXPROCS, oldRep.NProc, newRep.NProc),
+		oldRep.GOMAXPROCS != newRep.GOMAXPROCS || oldRep.NProc != newRep.NProc
+}
+
 // runCompare exits 0 when every gated benchmark present in both reports
 // stays within threshold on every gated metric, 1 on regression, 2 on
 // usage or I/O errors. Benchmarks present on only one side are reported
@@ -225,6 +250,11 @@ func runCompare(args []string, threshold float64, match string, allowMissing boo
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
+	}
+	if note, differ := hostNote(oldRep, newRep); differ {
+		fmt.Fprintln(os.Stderr, "benchjson: warning: the reports ran on different hosts or settings:", note)
+	} else {
+		fmt.Println(note)
 	}
 	oldBy := map[string]Benchmark{}
 	for _, b := range oldRep.Benchmarks {

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -92,5 +95,66 @@ func TestDedupeKeepsEachMinimum(t *testing.T) {
 	base := write("base.json", Benchmark{Name: name, Iterations: 12, Metrics: map[string]float64{"ns/op": 110e6, "allocs/op": 10091}})
 	if code := runCompare([]string{base, write("new.json", got)}, 0.20, "BenchmarkEngineExpander", false); code != 0 {
 		t.Fatalf("allocs/op gate: exit %d on an unchanged-allocation row, want 0", code)
+	}
+}
+
+// TestReportRecordsProcs: a converted report records GOMAXPROCS from
+// the names' -N suffix (1 without one) and this machine's CPU count,
+// and -compare's host note shows both sides and flags a difference
+// without failing the gate.
+func TestReportRecordsProcs(t *testing.T) {
+	convert := func(in string) Report {
+		t.Helper()
+		var out bytes.Buffer
+		if code := run(strings.NewReader(in), &out); code != 0 {
+			t.Fatalf("run exited %d", code)
+		}
+		var rep Report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	two := convert("BenchmarkSampleWeight-2 \t 100 \t 90 ns/op \t 0 allocs/op\n")
+	one := convert("BenchmarkServiceLoadgen/corpus=quick/conc=8 \t 128 \t 23044779 ns/op \t 355288 p50-ns\n")
+	if two.GOMAXPROCS != 2 || one.GOMAXPROCS != 1 {
+		t.Fatalf("gomaxprocs %d and %d, want 2 and 1", two.GOMAXPROCS, one.GOMAXPROCS)
+	}
+	if two.NProc != runtime.NumCPU() || one.NProc != runtime.NumCPU() {
+		t.Fatalf("nproc %d and %d, want %d", two.NProc, one.NProc, runtime.NumCPU())
+	}
+
+	for _, tc := range []struct {
+		old, new Report
+		note     string
+		differ   bool
+	}{
+		{Report{GOMAXPROCS: 2, NProc: 2}, Report{GOMAXPROCS: 2, NProc: 2}, "gomaxprocs 2 -> 2, nproc 2 -> 2", false},
+		{Report{GOMAXPROCS: 2, NProc: 2}, Report{GOMAXPROCS: 4, NProc: 2}, "gomaxprocs 2 -> 4, nproc 2 -> 2", true},
+		{Report{GOMAXPROCS: 2, NProc: 2}, Report{GOMAXPROCS: 2, NProc: 8}, "gomaxprocs 2 -> 2, nproc 2 -> 8", true},
+		{Report{}, Report{GOMAXPROCS: 2, NProc: 2}, "gomaxprocs 0 -> 2, nproc 0 -> 2", true},
+	} {
+		note, differ := hostNote(&tc.old, &tc.new)
+		if note != tc.note || differ != tc.differ {
+			t.Errorf("hostNote = %q, %v; want %q, %v", note, differ, tc.note, tc.differ)
+		}
+	}
+
+	dir := t.TempDir()
+	write := func(file string, rep Report) string {
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	wider := two
+	wider.GOMAXPROCS = 4
+	if code := runCompare([]string{write("old.json", two), write("new.json", wider)}, 0.20, "BenchmarkSampleWeight", false); code != 0 {
+		t.Fatalf("a GOMAXPROCS difference failed the gate: exit %d", code)
 	}
 }

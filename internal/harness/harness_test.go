@@ -66,10 +66,15 @@ func TestE9AblationExact(t *testing.T) {
 		t.Skip("slow")
 	}
 	tb := E9Ablation(Config{Quick: true, Seed: 5})
-	if len(tb.Rows) != 5 {
-		t.Fatalf("E9 has %d rows, want one per size cap (5): %v (notes %v)", len(tb.Rows), tb.Rows, tb.Notes)
+	// At n = 64 the caps 2, √n/2, √n, 2√n and n/4 are 2, 4, 8, 16, 16.
+	want := []string{"s=2 ", "s=4 ", "s=8 ", "s=16 "}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("E9 has %d rows, want one per distinct size cap (%d): %v (notes %v)", len(tb.Rows), len(want), tb.Rows, tb.Notes)
 	}
-	for _, row := range tb.Rows {
+	for i, row := range tb.Rows {
+		if !strings.HasPrefix(row[0], want[i]) {
+			t.Fatalf("E9 row %d is %q, want cap %q", i, row[0], want[i])
+		}
 		if row[3] != "true" { // value ok
 			t.Fatalf("E9 row not exact: %v", row)
 		}

@@ -23,9 +23,9 @@ func TestDebugDeadlockTrace(t *testing.T) {
 		r := &runner{nd: nd, bfs: bfs, cap: SizeCap(nd.N()), seed: 11, tags: tags}
 		st := r.part1()
 		nd.Mark(fmt.Sprintf("part1-done:%d frag=%d", nd.ID(), st.fragID))
-		inter, allFrags, rootFrag := r.part2(st)
+		inter, rootFrag, _ := r.part2(st)
 		nd.Mark(fmt.Sprintf("part2-done:%d inter=%d", nd.ID(), len(inter)))
-		r.root(st, inter, allFrags, rootFrag)
+		r.root(st, inter, rootFrag)
 		nd.Mark(fmt.Sprintf("root-done:%d", nd.ID()))
 	})
 	if err != nil {

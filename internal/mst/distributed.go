@@ -18,17 +18,21 @@ const (
 	kindAccept                      // proposal accepted: A = acceptor fragment ID
 	kindReject                      // proposal rejected
 	kindWave                        // intra-fragment outcome wave: A=1 reorient, B=new frag ID
+	kindUpEdge                      // Part 2 upcast edge: A=load<<31|weight, B=packed endpoints, C=fragU<<31|fragV
+	kindUpEnd                       // Part 2 upcast end: A=Part-1 fragment roots in the sender's subtree
 )
 
-// InterEdge is one MST edge between two Part-1 fragments. After Run,
-// every node holds the identical sorted list of all inter-fragment
-// edges — the fragment tree T_F of the paper's Step 1.
+// InterEdge is one MST edge between two Part-1 fragments; U is its
+// smaller-ID endpoint and lies in FragU. After Run, every node holds
+// the identical list of all inter-fragment edges in key order — the
+// fragment tree T_F of the paper's Step 1.
 type InterEdge struct {
 	U, V         graph.NodeID
 	FragU, FragV int64
 }
 
 // Result is one node's local output of the distributed MST+rooting.
+// On a disconnected view only Connected (false) is set.
 type Result struct {
 	// ParentPort/ChildPorts orient the MST rooted at node 0 (ParentPort
 	// is -1 at node 0).
@@ -48,14 +52,11 @@ type Result struct {
 	InterEdges []InterEdge
 	RootFrag   int64
 	// FragParent maps each fragment to its parent fragment in the
-	// rooted fragment forest (component roots map to -1). Identical at
+	// fragment tree rooted at RootFrag (which maps to -1). Identical at
 	// every node.
 	FragParent map[int64]int64
-	// AllFrags is the census of every fragment ID, identical at every
-	// node. Connected reports whether the (possibly reweighted) graph
-	// was connected; if false, the result is a rooted spanning forest
-	// and ParentPort is -1 at each component's root.
-	AllFrags  []int64
+	// Connected reports whether the (possibly reweighted) graph was
+	// connected.
 	Connected bool
 }
 
@@ -79,21 +80,21 @@ func SizeCap(n int) int {
 }
 
 // Run executes the full distributed MST pipeline on one node: Part 1
-// (controlled Borůvka up to the size cap), Part 2 (root-coordinated
-// Borůvka over the fragment graph), and the Õ(√n + D) rooting of the
-// resulting tree at node 0. bfs must be a BFS overlay rooted at node 0.
-// loads maps incident edge IDs to packing loads (may be nil). seed
-// drives Part 1's merge coin (see part1); every node must pass the same
-// seed. The tree does not depend on it, only the fragments and the
-// round count do.
+// (controlled Borůvka up to the size cap), Part 2 (one pipelined,
+// cycle-filtered upcast of the fragment graph), and the Õ(√n + D)
+// rooting of the resulting tree at node 0. bfs must be a BFS overlay
+// rooted at node 0. loads maps incident edge IDs to packing loads (may
+// be nil). seed drives Part 1's merge coin (see part1); every node must
+// pass the same seed. The tree does not depend on it, only the
+// fragments and the round count do.
 func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
 	return RunWeighted(nd, bfs, loads, nil, sizeCap, seed, tags)
 }
 
 // RunWeighted is Run with a per-port weight override: weight(p) <= 0
 // means the edge at port p is absent (used by Karger-sampled skeleton
-// graphs, which may be disconnected — the result is then a rooted
-// spanning forest with Connected = false). A nil weight uses the
+// graphs, which may be disconnected: every node then returns right
+// after Part 2 with Connected = false). A nil weight uses the
 // underlying edge weights.
 func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weight func(p int) int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
 	r := &runner{nd: nd, bfs: bfs, loads: loads, weight: weight, cap: sizeCap, seed: seed, tags: tags}
@@ -109,12 +110,17 @@ func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weig
 		nd.Mark("end:mst:part1")
 		nd.Mark("begin:mst:part2")
 	}
-	inter, allFrags, rootFrag := r.part2(st)
+	inter, rootFrag, connected := r.part2(st)
 	if mark {
 		nd.Mark("end:mst:part2")
+	}
+	if !connected {
+		return &Result{}
+	}
+	if mark {
 		nd.Mark("begin:mst:root")
 	}
-	res := r.root(st, inter, allFrags, rootFrag)
+	res := r.root(st, inter, rootFrag)
 	if mark {
 		nd.Mark("end:mst:root")
 	}
@@ -139,6 +145,8 @@ type runner struct {
 	// fragment ID on every outer (live or settled) port.
 	port     []portState
 	peerFrag []int64
+	// upSent counts the edges this node forwarded in Part 2's upcast.
+	upSent int
 }
 
 // portState is what a node knows about the far end of one port.
@@ -176,7 +184,8 @@ func (r *runner) w(port int) int64 {
 }
 
 // keyItem encodes an MOE candidate as a 4-word item:
-// A=load, B=weight, C=packed endpoints, D=packed target (logical<<31|phys).
+// A=load, B=weight, C=packed endpoints, D=the peer's saturation
+// bit<<31|its fragment ID.
 var noneItem = proto.Item{A: math.MaxInt64}
 
 func isNone(it proto.Item) bool { return it.A == math.MaxInt64 }
@@ -529,375 +538,150 @@ func (r *runner) outcomeWave(st *p1state, proposePort int, merged bool, newFrag 
 	}
 }
 
-// Part 2 item kinds. The BFS root's flood carries the chosen edges,
-// sorted by packed endpoints, then the census (only at a disconnected
-// end) and one done item.
-const (
-	itemCensus int64 = -1 // gather, iteration 0 only: B = a physical fragment root's fragment ID
-	itemEdge   int64 = 4  // flood: chosen MST edge, B = u<<31|v, C = physU<<31|physV, D = logicalU<<31|logicalV
-	itemDone   int64 = 5  // flood: B = 1 if Part 2 is over, then C = node 0's fragment, D = 1 if the view is connected
-	itemFrag   int64 = 6  // flood, disconnected end only: census entry, B = a physical fragment ID
-)
-
 // low31 masks the low half of a word that packs two 31-bit values.
 const low31 = 1<<31 - 1
 
-// part2 merges the O(√n) Part-1 fragments into the MST using logical
-// fragment IDs coordinated at the BFS root. It returns, identical at
-// every node, the inter-fragment MST edges, the fragment census sorted
-// by ID and node 0's fragment.
+// upKey reads the Key of a Part 2 upcast item: A = load<<31|weight,
+// B = packed endpoints.
+func upKey(it proto.Item) Key {
+	return Key{Load: it.A >> 31, W: it.A & low31, UV: it.B}
+}
+
+// part2 connects the Part-1 fragments with one pipelined,
+// cycle-filtered upcast over the BFS tree (Kutten–Peleg; see upcast),
+// after which node 0 holds the fragment graph's minimum spanning forest
+// in Kruskal order and the fragment count. It floods the edges, then
+// one item with its fragment and whether the forest is one tree.
 //
 // Part 2 sends nothing between neighbors. Part 1 returns right after
 // an exchange, with no relabel after it, so peerFrag holds every live
-// peer's physical fragment ID, and inner peers share the node's own. A
-// settled peer's ID was final when its port settled.
-// Logical IDs start equal to physical ones. Each iteration's Flood
-// hands every node the chosen edges with both ends' logical IDs, and
-// every node, the root included, derives the same relabel from them
-// (unionRelabel), so each node relabels itself and its peers locally.
-//
-// The census rides along: in iteration 0 every physical fragment root
-// adds a marker with its fragment ID to the Gather. Part 2 ends in the
-// iteration whose unions leave one logical fragment, or, when the view
-// is disconnected, in the first iteration without any candidate; the
-// done item of that flood carries node 0's fragment. At a connected end
-// the inter-fragment edges span every fragment, so each node derives
-// the census from them (connectedCensus); only a disconnected end
-// floods it.
-func (r *runner) part2(st *p1state) (inter []InterEdge, allFrags []int64, rootFrag int64) {
-	nd := r.nd
-	fragOv := st.overlay()
-	physID := st.fragID
-	logical := physID
-	maxIter := 4 + 2*bitlen(nd.N())
-	port, peerPhys := r.port, r.peerFrag
-	peerLogical := append([]int64(nil), peerPhys...)
-	var root *part2Root
-	if r.bfs.Root {
-		root = &part2Root{rootFrag: physID}
+// peer's fragment ID, and a settled peer's ID was final when its port
+// settled.
+func (r *runner) part2(st *p1state) (inter []InterEdge, rootFrag int64, connected bool) {
+	var flood []proto.Item
+	if forest, frags := r.upcast(st); r.bfs.Root {
+		flood = append(forest, proto.Item{A: st.fragID, B: b2i(int64(len(forest)) == frags-1)})
 	}
-	for iter := 0; ; iter++ {
-		if iter > maxIter {
-			panic(fmt.Sprintf("mst: part 2 did not converge after %d iterations", iter))
-		}
-		// Fragment MOE w.r.t. logical IDs. The packed endpoints are
-		// canonical (for key uniqueness and mutual-MOE dedup at the
-		// root), so a swap flag records whether the canonical U is the
-		// far endpoint — the root needs (U,V) aligned with
-		// (FragU,FragV) when it emits inter-fragment edges. The flag
-		// rides in D's sign (bitwise NOT of the 62-bit pack), keeping
-		// the word within the runtime's ±2^62 payload budget
-		// (congest.PayloadLimit).
-		cand := noneItem
-		for p := 0; p < nd.Degree(); p++ {
-			if port[p] == portInner || peerLogical[p] == logical {
-				continue
-			}
-			d := peerLogical[p]<<31 | peerPhys[p]
-			if nd.ID() > nd.Peer(p) {
-				d = ^d
-			}
-			it := proto.Item{
-				A: r.load(p),
-				B: r.w(p),
-				C: PackUV(nd.ID(), nd.Peer(p)),
-				D: d,
-			}
-			if isNone(cand) || betterCand(cand, it) == it {
-				cand = it
-			}
-		}
-		moe, _ := proto.ConvergeItem(nd, fragOv, r.tags, cand, betterCand)
+	got := proto.Flood(r.nd, r.bfs, r.tags, flood)
+	for _, it := range got[:len(got)-1] {
+		u, v := UnpackUV(it.B)
+		inter = append(inter, InterEdge{U: u, V: v, FragU: it.C >> 31, FragV: it.C & low31})
+	}
+	last := got[len(got)-1]
+	return inter, last.A, last.B == 1
+}
 
-		// Physical-fragment roots upcast their candidate to the BFS
-		// root as one packed item: A = load<<31|weight, B = packed
-		// endpoints, C = packed (myLogical, myPhys), D = packed
-		// (targetLogical, targetPhys) with the swap flag in the sign.
-		// Loads and weights stay below 2^31 in every workload, so the
-		// packing is lossless, and A is never negative.
-		var mine []proto.Item
-		if fragOv.Root {
-			if iter == 0 {
-				mine = append(mine, proto.Item{A: itemCensus, B: physID})
-			}
-			if !isNone(moe) {
-				mine = append(mine, proto.Item{
-					A: moe.A<<31 | moe.B,
-					B: moe.C,
-					C: logical<<31 | physID,
-					D: moe.D,
-				})
-			}
+// upcast streams outer edges up the BFS tree. The smaller-ID endpoint
+// of each reports it as the item A = load<<31|weight (both stay below
+// 2^31 in every workload), B = packed endpoints, C = fragU<<31|fragV
+// with U the reporter. Each node merges its own edges with its
+// children's streams in key order and forwards an edge only when it
+// joins two fragments its earlier forwards do not already connect, so
+// every stream is sorted, no node forwards more than F−1 edges for F
+// fragments, and the whole upcast takes O(D + F) rounds. Each stream
+// ends in a marker counting the Part-1 fragment roots below it. Node 0
+// returns the edges it kept and the fragment count; every other node
+// returns nil, 0.
+func (r *runner) upcast(st *p1state) (forest []proto.Item, frags int64) {
+	nd, bfs := r.nd, r.bfs
+	tag := r.tags.Next(1)
+	var own []proto.Item
+	for p := 0; p < nd.Degree(); p++ {
+		if r.port[p] != portInner && nd.Peer(p) > nd.ID() {
+			own = append(own, proto.Item{A: r.load(p)<<31 | r.w(p), B: PackUV(nd.ID(), nd.Peer(p)), C: st.fragID<<31 | r.peerFrag[p]})
 		}
-		gathered := proto.Gather(nd, r.bfs, r.tags, mine)
-
-		// The BFS root (node 0) picks the chosen edges locally.
-		var flood []proto.Item
-		if root != nil {
-			flood = root.merge(gathered, iter)
+	}
+	slices.SortFunc(own, func(a, b proto.Item) int {
+		if upKey(a).Less(upKey(b)) {
+			return -1
 		}
-		got := proto.Flood(nd, r.bfs, r.tags, flood)
-
-		ids, to := unionRelabel(got)
-		logical = relabel(ids, to, logical)
-		for p, l := range peerLogical {
-			peerLogical[p] = relabel(ids, to, l)
+		return 1
+	})
+	frags = b2i(st.parentPort < 0) // a Part-1 fragment has one root
+	// head[i] is child i's next unmerged item once have[i] is set.
+	kids := bfs.ChildPorts
+	head := make([]proto.Item, len(kids))
+	have, ended := make([]bool, len(kids)), make([]bool, len(kids))
+	var port int // one closure for the whole stream
+	match := func(p int, m congest.Message) bool {
+		return p == port && m.Tag == tag && (m.Kind == kindUpEdge || m.Kind == kindUpEnd)
+	}
+	joined := fragUnion{}
+	for {
+		// Every stream is sorted, so once each child's head is known the
+		// least of them and own[0] is the next edge in key order.
+		it, from, ok := proto.Item{}, -1, len(own) > 0
+		if ok {
+			it = own[0]
 		}
-		for _, it := range got {
-			switch it.A {
-			case itemEdge:
-				inter = append(inter, InterEdge{
-					U: graph.NodeID(it.B >> 31), V: graph.NodeID(it.B & low31),
-					FragU: it.C >> 31, FragV: it.C & low31,
-				})
-			case itemFrag:
-				allFrags = append(allFrags, it.B)
-			case itemDone:
-				if it.B == 1 {
-					rootFrag = it.C
-					if it.D == 1 {
-						allFrags = connectedCensus(inter, rootFrag)
-					}
-					return inter, allFrags, rootFrag
+		for i, c := range kids {
+			if !have[i] && !ended[i] {
+				port = c
+				_, m := nd.Recv(match)
+				head[i], have[i], ended[i] = proto.Item{A: m.A, B: m.B, C: m.C}, m.Kind == kindUpEdge, m.Kind == kindUpEnd
+				if ended[i] {
+					frags += m.A
 				}
 			}
-		}
-	}
-}
-
-// unionRelabel derives one Part 2 iteration's relabel from the flooded
-// chosen edges: it unions the two logical IDs of every edge and maps
-// each joined ID to the minimum ID of its component. It returns the
-// joined IDs sorted and, aligned with them, their new IDs; relabel
-// looks an ID up in the pair.
-func unionRelabel(flood []proto.Item) (ids, to []int64) {
-	for _, it := range flood {
-		if it.A == itemEdge {
-			ids = append(ids, it.D>>31, it.D&low31)
-		}
-	}
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	// ids is sorted, so each set's root, its minimum index, is the
-	// component's minimum ID.
-	uf := newUnionFind(len(ids))
-	for _, it := range flood {
-		if it.A == itemEdge {
-			a, _ := slices.BinarySearch(ids, it.D>>31)
-			b, _ := slices.BinarySearch(ids, it.D&low31)
-			uf.union(a, b)
-		}
-	}
-	to = make([]int64, len(ids))
-	for i := range ids {
-		to[i] = ids[uf.find(i)]
-	}
-	return ids, to
-}
-
-// relabel maps logical ID l through unionRelabel's (ids, to); an ID
-// that ids does not list is unchanged.
-func relabel(ids, to []int64, l int64) int64 {
-	if i, ok := slices.BinarySearch(ids, l); ok {
-		return to[i]
-	}
-	return l
-}
-
-// connectedCensus derives the census at a connected end: the
-// inter-fragment edges span every fragment, so the census is node 0's
-// fragment plus every edge's two fragments, sorted.
-func connectedCensus(inter []InterEdge, rootFrag int64) []int64 {
-	frags := make([]int64, 0, 2*len(inter)+1)
-	frags = append(frags, rootFrag)
-	for _, ie := range inter {
-		frags = append(frags, ie.FragU, ie.FragV)
-	}
-	slices.Sort(frags)
-	return slices.Compact(frags)
-}
-
-// cand2 is a reassembled Part-2 candidate at the BFS root.
-type cand2 struct {
-	key                       Key
-	u, v                      graph.NodeID
-	myLogical, myPhys         int64
-	targetLogical, targetPhys int64
-}
-
-// part2Root is the BFS root's Part 2 state across iterations: the
-// fragment census sorted by physical ID, each census fragment's current
-// logical ID, and the root's own fragment.
-type part2Root struct {
-	rootFrag int64
-	census   []int64
-	logical  []int64
-}
-
-// merge takes one iteration's gathered items, picks each logical
-// fragment's best candidate, and returns the flood: the chosen edges
-// and the done item, with the census before it when Part 2 ends on a
-// disconnected view.
-func (s *part2Root) merge(items []proto.Item, iter int) []proto.Item {
-	if iter == 0 {
-		for _, it := range items {
-			if it.A == itemCensus {
-				s.census = append(s.census, it.B)
+			if have[i] && (!ok || upKey(head[i]).Less(upKey(it))) {
+				it, from, ok = head[i], i, true
 			}
 		}
-		slices.Sort(s.census)
-		s.logical = append([]int64(nil), s.census...)
-	}
-	best := make(map[int64]cand2) // per myLogical
-	for _, it := range items {
-		if it.A == itemCensus {
+		if !ok {
+			break
+		}
+		if from < 0 {
+			own = own[1:]
+		} else {
+			have[from] = false
+		}
+		if !joined.union(it.C>>31, it.C&low31) {
+			continue // closes a cycle with edges already forwarded
+		}
+		if bfs.Root {
+			forest = append(forest, it)
 			continue
 		}
-		uv := it.B
-		u, v := UnpackUV(uv)
-		d := it.D
-		if d < 0 {
-			d = ^d
-			u, v = v, u // align u with the proposing fragment
-		}
-		c := cand2{
-			key:           Key{Load: it.A >> 31, W: it.A & low31, UV: uv},
-			u:             u,
-			v:             v,
-			myLogical:     it.C >> 31,
-			myPhys:        it.C & low31,
-			targetLogical: d >> 31,
-			targetPhys:    d & low31,
-		}
-		if cur, ok := best[c.myLogical]; !ok || c.key.Less(cur.key) {
-			best[c.myLogical] = c
-		}
+		r.upSent++
+		nd.Send(bfs.ParentPort, congest.Message{Kind: kindUpEdge, Tag: tag, A: it.A, B: it.B, C: it.C})
 	}
-	if len(best) == 0 {
-		// No logical fragment has an outgoing edge: each component is
-		// one logical fragment. A connected view with several fragments
-		// ends at its last union instead, one iteration earlier.
-		return s.done(nil)
+	if !bfs.Root {
+		nd.Send(bfs.ParentPort, congest.Message{Kind: kindUpEnd, Tag: tag, A: frags})
+		return nil, 0
 	}
-	// A mutual MOE arrives from both sides; keep the side with the
-	// smaller logical ID so the emitted (U, V, FragU, FragV) orientation
-	// does not follow map iteration order.
-	chosen := make(map[int64]cand2)
-	for _, c := range best {
-		if cur, ok := chosen[c.key.UV]; !ok || c.myLogical < cur.myLogical {
-			chosen[c.key.UV] = c
-		}
-	}
-	uvs := make([]int64, 0, len(chosen))
-	for uv := range chosen {
-		uvs = append(uvs, uv)
-	}
-	slices.Sort(uvs)
-	flood := make([]proto.Item, 0, len(uvs)+1)
-	for _, uv := range uvs {
-		c := chosen[uv]
-		flood = append(flood, proto.Item{
-			A: itemEdge,
-			B: int64(c.u)<<31 | int64(c.v),
-			C: c.myPhys<<31 | c.targetPhys,
-			D: c.myLogical<<31 | c.targetLogical,
-		})
-	}
-	// Track the census through the relabel every node derives; once
-	// every fragment shares one logical ID, no candidate can appear
-	// again.
-	ids, to := unionRelabel(flood)
-	for i, l := range s.logical {
-		s.logical[i] = relabel(ids, to, l)
-	}
-	if s.connected() {
-		return s.done(flood)
-	}
-	return append(flood, proto.Item{A: itemDone})
+	return forest, frags
 }
 
-// connected reports whether every census fragment shares one logical ID.
-func (s *part2Root) connected() bool {
-	for _, l := range s.logical {
-		if l != s.logical[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// done appends the last flood's done item, carrying the root's fragment
-// and whether the view is connected. A disconnected view's census does
-// not follow from the inter-fragment edges, so it precedes the done
-// item.
-func (s *part2Root) done(flood []proto.Item) []proto.Item {
-	connected := s.connected()
-	if !connected {
-		for _, f := range s.census {
-			flood = append(flood, proto.Item{A: itemFrag, B: f})
-		}
-	}
-	return append(flood, proto.Item{A: itemDone, B: 1, C: s.rootFrag, D: b2i(connected)})
-}
-
-// root orients the MST (or spanning forest, under a sampled view) in
-// Õ(√n + D): the fragment forest is known to every node (InterEdges +
-// census, both from Part 2), so orientation between fragments is a
-// local computation, and each fragment re-roots internally at its
-// attachment node with one O(√n)-round adopt wave — the phase's only
-// communication. Node 0 roots its component; every other component is
-// rooted at its minimum fragment ID.
-func (r *runner) root(st *p1state, inter []InterEdge, allFrags []int64, rootFrag int64) *Result {
+// root orients the MST in Õ(√n + D): the fragment tree is known to
+// every node (InterEdges, from Part 2), so orientation between
+// fragments is a local computation, and each fragment re-roots
+// internally at its attachment node with one O(√n)-round adopt wave —
+// the phase's only communication. Node 0's fragment roots at node 0.
+func (r *runner) root(st *p1state, inter []InterEdge, rootFrag int64) *Result {
 	nd := r.nd
-	myPhys := st.fragID
-
-	// Locally orient the fragment forest.
-	fragParent, attach := orientForest(inter, allFrags, rootFrag)
-	components := 0
-	for _, p := range fragParent {
-		if p == -1 {
-			components++
-		}
-	}
-
-	// Re-root my fragment at its attachment node; component-root
-	// fragments re-root at node 0 (root component) or at the node whose
-	// ID equals the fragment ID (its Part-1 root, a member by
-	// construction).
-	var internalRoot graph.NodeID
-	switch {
-	case myPhys == rootFrag:
-		internalRoot = 0
-	case fragParent[myPhys] == -1:
-		internalRoot = graph.NodeID(myPhys)
-	default:
-		internalRoot = attach[myPhys].inner
+	myFrag := st.fragID
+	fragParent, attach := orientFragments(inter, rootFrag)
+	internalRoot := graph.NodeID(0)
+	if myFrag != rootFrag {
+		internalRoot = attach[myFrag].inner
 	}
 	wave := proto.AdoptWave(nd, st.ports(), nd.ID() == internalRoot, r.tags)
 
 	res := &Result{
-		FragID:         myPhys,
+		FragID:         myFrag,
 		FragRootID:     internalRoot,
 		FragParentPort: wave.ParentPort,
 		FragChildPorts: append([]int(nil), wave.ChildPorts...),
 		InterEdges:     inter,
 		RootFrag:       rootFrag,
 		FragParent:     fragParent,
-		AllFrags:       allFrags,
-		Connected:      components == 1,
+		Connected:      true,
 	}
 
 	// Assemble the global tree ports.
 	res.ParentPort = wave.ParentPort
-	if nd.ID() == internalRoot {
-		if fragParent[myPhys] == -1 {
-			res.ParentPort = -1
-		} else {
-			res.ParentPort = nd.PortTo(attach[myPhys].outer)
-		}
+	if nd.ID() == internalRoot && myFrag != rootFrag {
+		res.ParentPort = nd.PortTo(attach[myFrag].outer)
 	}
 	res.ChildPorts = append([]int(nil), wave.ChildPorts...)
 	for _, ie := range inter {
@@ -921,50 +705,57 @@ type attachment struct {
 	outer graph.NodeID
 }
 
-// orientForest builds parent pointers for the fragment forest: node 0's
-// component is rooted at rootFrag, every other component at its minimum
-// fragment ID. Pure local computation on globally known data.
-func orientForest(inter []InterEdge, allFrags []int64, rootFrag int64) (map[int64]int64, map[int64]attachment) {
+// orientFragments builds parent pointers for the fragment tree rooted
+// at rootFrag. Pure local computation on globally known data.
+func orientFragments(inter []InterEdge, rootFrag int64) (map[int64]int64, map[int64]attachment) {
 	adj := make(map[int64][]InterEdge)
 	for _, ie := range inter {
 		adj[ie.FragU] = append(adj[ie.FragU], ie)
 		adj[ie.FragV] = append(adj[ie.FragV], ie)
 	}
-	fragParent := make(map[int64]int64, len(allFrags))
-	attach := make(map[int64]attachment)
-	seen := make(map[int64]bool, len(allFrags))
-
-	orient := func(root int64) {
-		fragParent[root] = -1
-		seen[root] = true
-		queue := []int64{root}
-		for len(queue) > 0 {
-			f := queue[0]
-			queue = queue[1:]
-			for _, ie := range adj[f] {
-				child, childInner, childOuter := ie.FragV, ie.V, ie.U
-				if ie.FragV == f {
-					child, childInner, childOuter = ie.FragU, ie.U, ie.V
-				}
-				if seen[child] {
-					continue
-				}
-				seen[child] = true
-				fragParent[child] = f
-				attach[child] = attachment{inner: childInner, outer: childOuter}
-				queue = append(queue, child)
+	fragParent := map[int64]int64{rootFrag: -1}
+	attach := make(map[int64]attachment, len(inter))
+	for queue := []int64{rootFrag}; len(queue) > 0; queue = queue[1:] {
+		f := queue[0]
+		for _, ie := range adj[f] {
+			child, childInner, childOuter := ie.FragV, ie.V, ie.U
+			if ie.FragV == f {
+				child, childInner, childOuter = ie.FragU, ie.U, ie.V
 			}
-		}
-	}
-	orient(rootFrag)
-	// Remaining components, smallest fragment ID first (allFrags is
-	// sorted by the AllGather).
-	for _, f := range allFrags {
-		if !seen[f] {
-			orient(f)
+			if _, seen := fragParent[child]; seen {
+				continue
+			}
+			fragParent[child] = f
+			attach[child] = attachment{inner: childInner, outer: childOuter}
+			queue = append(queue, child)
 		}
 	}
 	return fragParent, attach
+}
+
+// fragUnion is a union-find over fragment IDs; an ID it does not hold
+// is a root.
+type fragUnion map[int64]int64
+
+func (u fragUnion) find(x int64) int64 {
+	for p, ok := u[x]; ok; p, ok = u[x] {
+		if gp, ok := u[p]; ok {
+			u[x] = gp // path halving
+		}
+		x = p
+	}
+	return x
+}
+
+// union joins the sets of a and b; it returns false if they already
+// were one.
+func (u fragUnion) union(a, b int64) bool {
+	ra, rb := u.find(a), u.find(b)
+	if ra == rb {
+		return false
+	}
+	u[ra] = rb
+	return true
 }
 
 // bitlen returns the number of bits of n (≈ log2 n + 1).

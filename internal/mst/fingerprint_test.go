@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"testing"
 
@@ -32,21 +31,11 @@ type resultFingerprint struct {
 
 func fingerprintOf(t *testing.T, results []*Result) resultFingerprint {
 	t.Helper()
-	// The census (derived from the inter-fragment edges on a connected
-	// view, flooded on a disconnected one) is exactly the FragIDs.
-	var frags []int64
-	for _, r := range results {
-		frags = append(frags, r.FragID)
-	}
-	slices.Sort(frags)
-	if want, got := fmt.Sprint(slices.Compact(frags)), fmt.Sprint(results[0].AllFrags); got != want {
-		t.Fatalf("census %s, the nodes' FragIDs are %s", got, want)
-	}
 	fp := resultFingerprint{Nodes: make([]string, len(results))}
 	for v, r := range results {
 		// fmt prints maps with sorted keys, so FragParent is canonical.
-		shared := fmt.Sprintf("inter=%v root=%d parent=%v frags=%v connected=%v",
-			r.InterEdges, r.RootFrag, r.FragParent, r.AllFrags, r.Connected)
+		shared := fmt.Sprintf("inter=%v root=%d parent=%v connected=%v",
+			r.InterEdges, r.RootFrag, r.FragParent, r.Connected)
 		if v == 0 {
 			fp.Shared = shared
 		} else if shared != fp.Shared {
@@ -58,13 +47,13 @@ func fingerprintOf(t *testing.T, results []*Result) resultFingerprint {
 	return fp
 }
 
-// sampledView is a level-1 Karger skeleton of a 6-regular graph: about
-// half the edges survive, and the view may split into a forest.
+// sampledView is a level-1 Karger skeleton of a 6-regular graph: 83 of
+// its 144 edges survive, and the skeleton stays connected.
 func sampledView() (*graph.Graph, []int64) {
 	g := graph.RandomRegular(48, 6, 2)
 	view := make([]int64, g.M())
 	for i, e := range g.Edges() {
-		view[i] = sampling.SampleWeight(3, PackUV(e.U, e.V), 1, e.W)
+		view[i] = sampling.SampleWeight(1, PackUV(e.U, e.V), 1, e.W)
 	}
 	return g, view
 }
@@ -77,7 +66,11 @@ func TestMSTResultFingerprint(t *testing.T) {
 	g, loads := loadsWorkload()
 	got["loads"] = fingerprintOf(t, collectDistributed(t, g, loads, 13))
 	g, view := sampledView()
-	got["sampled"] = fingerprintOf(t, collectWeighted(t, g, nil, view, 7))
+	sampled := collectWeighted(t, g, nil, view, 7)
+	if !sampled[0].Connected {
+		t.Fatal("the sampled view is disconnected, so it pins no tree")
+	}
+	got["sampled"] = fingerprintOf(t, sampled)
 
 	raw, err := os.ReadFile(fingerprintFile)
 	if os.IsNotExist(err) {
@@ -130,10 +123,8 @@ func TestMSTResultFingerprint(t *testing.T) {
 	}
 }
 
-// TestInterEdgesDeterministic: a mutual minimum outgoing edge reaches
-// the Part-2 merge from both fragments; the emitted orientation must
-// not depend on map iteration order, so repeated identical runs return
-// identical InterEdges.
+// TestInterEdgesDeterministic: repeated identical runs return
+// identical InterEdges, in the same order and orientation.
 func TestInterEdgesDeterministic(t *testing.T) {
 	g := graph.GNP(120, 0.08, 17)
 	var ref []InterEdge
@@ -150,66 +141,74 @@ func TestInterEdgesDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunWeightedSparseView: a view that erases about 70% of a
-// 6-regular graph's edges (chosen by edge ID) leaves many components
-// and many absent ports. The result must be exactly the view's
-// Kruskal forest, with no unconsumed messages and no deadlock.
-func TestRunWeightedSparseView(t *testing.T) {
-	g := graph.RandomRegular(64, 6, 4)
+// sparseView keeps about 30% of g's edges, chosen by a hash of the
+// edge ID, and every edge of span (edge IDs).
+func sparseView(g *graph.Graph, span []int) []int64 {
 	view := make([]int64, g.M())
-	kept := 0
 	for i, e := range g.Edges() {
 		if proto.SplitMix64(uint64(e.ID))%10 >= 7 {
 			view[i] = e.W
-			kept++
 		}
 	}
-	if kept == 0 || kept > g.M()/2 {
-		t.Fatalf("view keeps %d of %d edges, want about 30%%", kept, g.M())
+	for _, id := range span {
+		view[id] = g.Edge(id).W
+	}
+	return view
+}
+
+// TestRunWeightedSparseView: a view that erases about 70% of a
+// 6-regular graph's edges (chosen by edge ID) leaves many components
+// and many absent ports; every node must report Connected=false, with
+// no message left unconsumed. The same 30% plus a spanning tree stays
+// connected, and the result must then be exactly the view's Kruskal
+// tree.
+func TestRunWeightedSparseView(t *testing.T) {
+	g := graph.RandomRegular(64, 6, 4)
+	view := sparseView(g, nil)
+	h, _ := g.Reweight(view)
+	_, components := graph.Components(h)
+	if components < 2 {
+		t.Fatalf("the sparse view is connected")
+	}
+	for v, r := range collectWeighted(t, g, nil, view, 9) {
+		if r.Connected {
+			t.Fatalf("node %d reports a %d-component view as connected", v, components)
+		}
+	}
+
+	_, parentEdge := graph.RandomSpanningTree(g, 0, 4)
+	var span []int
+	for _, id := range parentEdge {
+		if id >= 0 {
+			span = append(span, id)
+		}
+	}
+	view = sparseView(g, span)
+	h, _ = g.Reweight(view)
+	h.SortAdjacency()
+	ids, err := Kruskal(h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]bool{}
+	for _, id := range ids {
+		e := h.Edge(id)
+		want[PackUV(e.U, e.V)] = true
 	}
 	results := collectWeighted(t, g, nil, view, 9)
-
-	// Reference: Kruskal over the kept edges only.
-	order := make([]int, 0, kept)
-	for i := range view {
-		if view[i] > 0 {
-			order = append(order, i)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := g.Edge(order[a]), g.Edge(order[b])
-		return Key{W: view[ea.ID], UV: PackUV(ea.U, ea.V)}.Less(Key{W: view[eb.ID], UV: PackUV(eb.U, eb.V)})
-	})
-	uf := newUnionFind(g.N())
-	want := map[int64]bool{}
-	for _, id := range order {
-		e := g.Edge(id)
-		if uf.union(int(e.U), int(e.V)) {
-			want[PackUV(e.U, e.V)] = true
-		}
-	}
-	components := g.N() - len(want)
-
 	got := treeEdgesOf(g, results)
-	if len(got) != len(want) {
-		t.Fatalf("distributed forest has %d edges, view's Kruskal forest %d", len(got), len(want))
+	if len(got) != len(want) || len(got) != g.N()-1 {
+		t.Fatalf("distributed tree has %d edges, view's Kruskal tree %d", len(got), len(want))
 	}
 	for uv := range got {
 		if !want[uv] {
 			u, v := UnpackUV(uv)
-			t.Fatalf("distributed forest contains non-forest edge {%d,%d}", u, v)
+			t.Fatalf("distributed tree contains non-MST edge {%d,%d}", u, v)
 		}
 	}
-	roots := 0
 	for v, r := range results {
-		if r.ParentPort < 0 {
-			roots++
+		if !r.Connected {
+			t.Fatalf("node %d reports the spanning view as disconnected", v)
 		}
-		if r.Connected != (components == 1) {
-			t.Fatalf("node %d reports Connected=%v with %d components", v, r.Connected, components)
-		}
-	}
-	if roots != components {
-		t.Fatalf("forest has %d roots, view has %d components", roots, components)
 	}
 }

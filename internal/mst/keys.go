@@ -17,17 +17,18 @@
 //     is saturated (or has no outgoing edge) and every neighbor fragment
 //     is saturated too; no global wave ends the part. Terminates w.h.p.
 //     in O(log n) iterations with at most n/s fragments.
-//   - Part 2 ("pipelined Borůvka"): the at most √n remaining fragments
-//     are merged logically. Each iteration, every physical fragment
-//     convergecasts its minimum outgoing edge w.r.t. *logical* fragment
-//     IDs, the candidates are upcast over the BFS tree to node 0, which
-//     runs the merge locally and floods the new logical IDs and chosen
-//     MST edges back. O(log n) iterations of O(√n + D) rounds. The
-//     fragment census rides the first upcast, and Part 2 ends in the
-//     flood whose unions leave one logical fragment (a disconnected
-//     view ends at the first iteration without candidates); that flood
-//     also carries the census and node 0's fragment, so rooting the
-//     tree afterwards needs only one adopt wave per fragment.
+//   - Part 2 (Kutten–Peleg's pipelined upcast): the smaller-ID end of
+//     each outer edge reports it up the BFS tree, and every node merges
+//     its own edges with its children's sorted streams, forwarding an
+//     edge only when it joins two fragments its earlier forwards do not
+//     already connect (a local union-find over fragment IDs). No node
+//     forwards more than F−1 edges for F fragments, so node 0 receives
+//     the fragment graph's minimum spanning forest in Kruskal order in
+//     O(D + √n) rounds. The end markers count the fragments, so node 0
+//     knows whether the forest is one tree; it floods the edges, its
+//     own fragment and that bit once. On a disconnected view every
+//     node returns Connected=false right there; otherwise rooting the
+//     tree needs only one adopt wave per fragment.
 //
 // Neighbor-to-neighbor messages cross only outer edges (far endpoint in
 // another fragment, edge present in the view): what would cross an

@@ -44,7 +44,7 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 		{"mincutd_jobs_degraded_total", "counter", "Submissions served below their requested tier by queue pressure.", PromInt(m.Degraded)},
 		{"mincutd_jobs_shed_total", "counter", "Submissions turned away on a full queue (HTTP 503).", PromInt(m.Shed)},
 		{"mincutd_jobs_coalesced_total", "counter", "Submissions coalesced onto an in-flight execution.", PromInt(m.Coalesced)},
-		{"mincutd_audit_mismatch_total", "counter", "Results failed because their side did not weigh their value (never cached).", PromInt(m.AuditMismatch)},
+		{"mincutd_audit_mismatch_total", "counter", "Results failed by the pre-cache audit: a side that does not weigh its value, or a wrong bracket witness (never cached).", PromInt(m.AuditMismatch)},
 		{"mincutd_admission_checks_total", "counter", "Bracket pre-passes run (or cache-served) for admission control.", PromInt(m.AdmissionChecks)},
 		{"mincutd_admission_rejected_total", "counter", "Submissions rejected over the admission ceiling (HTTP 429).", PromInt(m.AdmissionRejected)},
 		{"mincutd_admission_downtiered_total", "counter", "Over-ceiling submissions served at the approx tier instead.", PromInt(m.AdmissionDowntiered)},

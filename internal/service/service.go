@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -371,7 +372,9 @@ type Metrics struct {
 	Degraded  int64 `json:"jobs_degraded"`
 	Shed      int64 `json:"jobs_shed"`
 	// AuditMismatch counts library results whose side did not weigh
-	// their value; those jobs fail and nothing is cached for them.
+	// their value, and bracket results whose witness or bracket was
+	// wrong (auditBracket); those jobs fail and nothing is cached for
+	// them.
 	AuditMismatch int64 `json:"audit_mismatch"`
 	// AdmissionChecks counts bracket pre-passes run (or served from
 	// cache) for admission; AdmissionRejected the resulting 429s;
@@ -729,7 +732,7 @@ func (s *Service) admitEstimate(canon JobRequest) (est CostEstimate, ok bool) {
 			return CostEstimate{}, false
 		}
 		br, err := distmincut.BracketMinCutContext(s.baseCtx, g, &distmincut.Options{Seed: canon.Seed})
-		if err != nil || s.audit(g, br.Value, br.Side) != nil {
+		if err != nil || s.auditBracket(g, br) != nil {
 			return CostEstimate{}, false
 		}
 		if data, err = encodeBracket(bracketKey, g.N(), g.M(), br); err != nil {
@@ -1342,7 +1345,7 @@ func (s *Service) runTier(ctx context.Context, eng *congest.Engine, e *exec, g *
 			return nil, 0, err
 		}
 		stats = br.Stats
-		if err := s.audit(g, br.Value, br.Side); err != nil {
+		if err := s.auditBracket(g, br); err != nil {
 			return nil, 0, err
 		}
 		data, err := encodeBracket(key, g.N(), g.M(), br)
@@ -1389,6 +1392,28 @@ func (s *Service) audit(g *graph.Graph, value int64, side []bool) error {
 	if err != nil {
 		s.auditMismatch.Add(1)
 		return fmt.Errorf("service: audit of value %d failed: %w", value, err)
+	}
+	return nil
+}
+
+// auditBracket is audit for a bracket result, which also promises
+// which cut it returns: Value must be g's minimum weighted degree, Side
+// the singleton of the lowest-ID node attaining it, and Lo ≤ Hi ≤
+// Value. That singleton weighs its degree, so this subsumes audit's
+// check; it is O(m) too, and a mismatch counts and fails the same way.
+func (s *Service) auditBracket(g *graph.Graph, br *distmincut.BracketResult) error {
+	w := graph.NodeID(0)
+	for u := graph.NodeID(1); int(u) < g.N(); u++ {
+		if g.WeightedDegree(u) < g.WeightedDegree(w) {
+			w = u
+		}
+	}
+	want := make([]bool, g.N())
+	want[w] = true
+	if br.Value != g.WeightedDegree(w) || !slices.Equal(br.Side, want) || br.Lo > br.Hi || br.Hi > br.Value {
+		s.auditMismatch.Add(1)
+		return fmt.Errorf("service: audit of bracket [%d, %d] with value %d failed: the witness is node %d of weighted degree %d",
+			br.Lo, br.Hi, br.Value, w, g.WeightedDegree(w))
 	}
 	return nil
 }

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"distmincut"
 	"distmincut/internal/congest"
+	"distmincut/internal/graph"
 )
 
 func plantedReq(seed int64) JobRequest {
@@ -121,6 +123,53 @@ func TestAuditRejectsMismatchedSide(t *testing.T) {
 	}
 	if err := s.audit(g, 0, make([]bool, 6)); err == nil {
 		t.Fatal("an empty side passed the audit")
+	}
+	if m := s.Metrics(); m.AuditMismatch != 2 {
+		t.Fatalf("AuditMismatch %d, want 2", m.AuditMismatch)
+	}
+}
+
+// TestAuditBracketChecksTheWitness: a bracket result must name the
+// minimum weighted degree singleton of its lowest-ID attaining node,
+// with Lo ≤ Hi ≤ Value. A tampered result whose side does weigh its
+// value passes the plain cut audit but not the bracket audit, and each
+// rejection counts in AuditMismatch.
+func TestAuditBracketChecksTheWitness(t *testing.T) {
+	s := New(Options{PoolSize: 1})
+	defer shutdown(t, s)
+	g, err := Build(GraphSpec{Family: "planted", N1: 12, N2: 12, K: 2, InP: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := distmincut.BracketMinCut(g, &distmincut.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.auditBracket(g, br); err != nil {
+		t.Fatalf("the library's bracket failed the audit: %v", err)
+	}
+	// The heaviest node's singleton weighs its degree, a proper cut.
+	heavy := graph.NodeID(0)
+	for u := graph.NodeID(1); int(u) < g.N(); u++ {
+		if g.WeightedDegree(u) > g.WeightedDegree(heavy) {
+			heavy = u
+		}
+	}
+	side := make([]bool, g.N())
+	side[heavy] = true
+	tampered := *br
+	tampered.Value, tampered.Hi, tampered.Side = g.WeightedDegree(heavy), g.WeightedDegree(heavy), side
+	if err := s.audit(g, tampered.Value, tampered.Side); err != nil {
+		t.Fatalf("the cut audit rejected a side that weighs its value: %v", err)
+	}
+	if err := s.auditBracket(g, &tampered); err == nil {
+		t.Fatal("a non-minimum node's singleton passed the bracket audit")
+	}
+	// The right witness with an unordered bracket.
+	unordered := *br
+	unordered.Lo = br.Value + 1
+	if err := s.auditBracket(g, &unordered); err == nil {
+		t.Fatalf("bracket [%d, %d] above value %d passed the audit", unordered.Lo, unordered.Hi, unordered.Value)
 	}
 	if m := s.Metrics(); m.AuditMismatch != 2 {
 		t.Fatalf("AuditMismatch %d, want 2", m.AuditMismatch)
