@@ -10,9 +10,11 @@
 // engine rows (round-ns present) gate round-ns and allocs/op, everything
 // else gates ns/op and allocs/op.
 //
-// Every report records the GOMAXPROCS its benchmarks ran at (the `-N`
-// suffix go test appends to each name; 1 when there is none) and the
-// CPU count of the machine that converted it. -compare prints both
+// Every report records the GOMAXPROCS its benchmarks ran at and the
+// CPU count of the machine that converted it. A `gomaxprocs: N` header
+// line (cmd/loadgen writes one; its row names carry no suffix) sets it;
+// otherwise it is the `-N` suffix go test appends to the first name, 1
+// when there is none. -compare prints both
 // sides' values and warns when they differ, since wall-time rows are
 // only comparable at equal parallelism.
 //
@@ -81,6 +83,7 @@ func main() {
 
 func run(in io.Reader, out io.Writer) int {
 	rep := Report{GOMAXPROCS: 1, NProc: runtime.NumCPU()}
+	procsHeader := false
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -93,9 +96,13 @@ func run(in io.Reader, out io.Writer) int {
 			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "gomaxprocs:"):
+			if n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "gomaxprocs:"))); err == nil && n > 0 {
+				rep.GOMAXPROCS, procsHeader = n, true
+			}
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
-				if m := procsSuffix.FindStringSubmatch(b.Name); m != nil && len(rep.Benchmarks) == 0 {
+				if m := procsSuffix.FindStringSubmatch(b.Name); m != nil && len(rep.Benchmarks) == 0 && !procsHeader {
 					rep.GOMAXPROCS, _ = strconv.Atoi(m[1])
 				}
 				rep.Benchmarks = append(rep.Benchmarks, b)

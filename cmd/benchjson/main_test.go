@@ -123,6 +123,18 @@ func TestReportRecordsProcs(t *testing.T) {
 	if two.NProc != runtime.NumCPU() || one.NProc != runtime.NumCPU() {
 		t.Fatalf("nproc %d and %d, want %d", two.NProc, one.NProc, runtime.NumCPU())
 	}
+	// cmd/loadgen's rows carry no suffix; its gomaxprocs header sets the
+	// field and leaves the row names as they are, and a header wins over
+	// a suffix.
+	loadgen := convert("goos: linux\ngomaxprocs: 4\npkg: distmincut/cmd/loadgen\n" +
+		"BenchmarkServiceLoadgen/corpus=quick/conc=8 \t 128 \t 23044779 ns/op \t 355288 p50-ns\n")
+	if loadgen.GOMAXPROCS != 4 || loadgen.Benchmarks[0].Name != "BenchmarkServiceLoadgen/corpus=quick/conc=8" {
+		t.Fatalf("loadgen report gomaxprocs %d, row %q; want 4 and the row name unchanged",
+			loadgen.GOMAXPROCS, loadgen.Benchmarks[0].Name)
+	}
+	if both := convert("gomaxprocs: 3\nBenchmarkSampleWeight-2 \t 100 \t 90 ns/op\n"); both.GOMAXPROCS != 3 {
+		t.Fatalf("header 3 and suffix -2 give gomaxprocs %d, want the header's 3", both.GOMAXPROCS)
+	}
 
 	for _, tc := range []struct {
 		old, new Report

@@ -568,13 +568,16 @@ func report(w io.Writer, res *outcome, o options) {
 }
 
 // emitBench renders the outcome as one `go test -bench`-style line per
-// metric family, consumable by cmd/benchjson.
+// metric family, consumable by cmd/benchjson. The row names carry no
+// `-N` suffix, so a `gomaxprocs:` header records the GOMAXPROCS this
+// process ran at.
 func emitBench(w io.Writer, res *outcome, o options) {
 	if res.completed == 0 {
 		return
 	}
 	fmt.Fprintf(w, "goos: %s\n", runtime.GOOS)
 	fmt.Fprintf(w, "goarch: %s\n", runtime.GOARCH)
+	fmt.Fprintf(w, "gomaxprocs: %d\n", runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "pkg: distmincut/cmd/loadgen\n")
 	name := fmt.Sprintf("BenchmarkServiceLoadgen/corpus=%s/conc=%d", o.corpus, o.conc)
 	first := fmt.Sprintf("BenchmarkServiceFirstAnswer/corpus=%s/conc=%d", o.corpus, o.conc)

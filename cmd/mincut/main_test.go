@@ -45,3 +45,27 @@ func TestCheckRejectsInconsistentResults(t *testing.T) {
 		t.Fatal("exact: cut above λ accepted")
 	}
 }
+
+// TestBusyRoundsMergesOverlap: a packing's forked mst overlaps the
+// respect beside it, so busyRounds counts the union of their rounds,
+// not the sum.
+func TestBusyRoundsMergesOverlap(t *testing.T) {
+	span := func(name string, lo, hi int, kids ...*distmincut.Span) *distmincut.Span {
+		return &distmincut.Span{Name: name, StartRound: lo, EndRound: hi, Children: kids}
+	}
+	spans := []*distmincut.Span{
+		span("bfs", 0, 4),
+		span("pack", 4, 40,
+			span("mst", 4, 14, span("mst:part1", 4, 12)),
+			span("mst", 14, 26),
+			span("respect", 14, 22),
+			span("respect", 26, 30)),
+		span("markside", 40, 45),
+	}
+	if got := busyRounds(spans); got != 26 {
+		t.Fatalf("busyRounds = %d, want 26 ([4,26) and [26,30))", got)
+	}
+	if m, r := spanRounds(spans, "mst"), spanRounds(spans, "respect"); m+r != 34 {
+		t.Fatalf("mst %d + respect %d rounds, want 34", m, r)
+	}
+}

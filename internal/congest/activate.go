@@ -7,10 +7,11 @@ import (
 	"sync"
 )
 
-// park is what a program's Recv or Sleep yields to the engine: the node
-// waits for a message satisfying match (parkRecv) or for a number of
-// rounds (parkSleep). The zero value, yielded when the program returns,
-// means done.
+// park is what a lane's Recv, Sleep, Fork or join yields to the
+// engine: the lane waits for a message satisfying match (parkRecv), for
+// a number of rounds (parkSleep), for the forked lane's first park
+// (parkFork) or for its return (parkJoin). The zero value, yielded when
+// the lane's function returns, means done.
 type park struct {
 	status parkStatus
 	match  MatchFunc
@@ -23,6 +24,8 @@ const (
 	parkDone parkStatus = iota
 	parkRecv
 	parkSleep
+	parkFork
+	parkJoin
 )
 
 // coroutine is an iter.Pull coroutine that runs node programs one after
@@ -80,14 +83,19 @@ func (c *coroutine) run() {
 	c.prog(nd)
 }
 
-// unwind ends a parked program at an engine abort: its Recv or Sleep
-// panics with errAborted on resume, the program's deferred calls run,
-// and the coroutine returns to the pool.
+// unwind ends a node's parked lanes at an engine abort: each lane's
+// Recv, Sleep or join panics with errAborted on resume, its deferred
+// calls run, and its coroutine returns to the pool.
 func (nd *Node) unwind() {
-	if h := nd.co; h != nil {
-		nd.co = nil
-		if _, ok := h.c.next(); ok {
-			coPool.Put(h)
+	for i := range nd.lanes {
+		l := &nd.lanes[i]
+		l.prog = nil // a retained engine must not pin the caller's closure
+		if h := l.co; h != nil {
+			l.co = nil
+			nd.cur = i
+			if _, ok := h.c.next(); ok {
+				coPool.Put(h)
+			}
 		}
 	}
 }
@@ -193,42 +201,93 @@ func (e *Engine) stepChunks(notified *[]*Node) {
 	}
 }
 
-// stepNode runs one activation of nd and applies the park it ends in.
-// A node's first activation binds a coroutine from the process-wide
-// pool and starts the program on it; each later one resumes the
-// program where its Recv or Sleep yielded. When the program returns,
-// the coroutine goes back to the pool, so a coroutine (and its stack)
-// is bound to a node only while the node's program is live: a
-// million-node graph whose programs exit at once cycles a handful of
-// coroutines instead of holding a million. parkGen increments on every
-// park (invalidating stale sleeper-heap entries), sleep and done
-// notifications queue for the coordinator, and Recv parks need no
-// attention.
+// stepNode runs one activation of nd: it runs the lowest due lane until
+// no lane is due, so due lanes run in lane order (a fork makes the
+// forked lane due at once and the forking lane due again once the
+// forked one parks; the forked lane's return makes a joining lane due).
+// It stops at the first panic. Sleep and done notifications queue the
+// node once for the coordinator; Recv parks need no attention.
 func (e *Engine) stepNode(nd *Node, notified *[]*Node) {
-	h := nd.co
+	notify := false
+	for nd.panicVal == nil {
+		i := 0
+		if !e.due(nd, 0) {
+			if !e.due(nd, 1) {
+				break
+			}
+			i = 1
+		}
+		notify = e.stepLane(nd, i) || notify
+	}
+	if notify {
+		*notified = append(*notified, nd)
+	}
+}
+
+// due reports whether lane i of an activated node should run now.
+func (e *Engine) due(nd *Node, i int) bool {
+	l := &nd.lanes[i]
+	switch l.phase {
+	case phaseRunning:
+		return true
+	case phaseRecv:
+		return l.hintPort >= 0
+	case phaseSleep:
+		return l.wakeAt <= e.round
+	case phaseFork:
+		return nd.lanes[1].phase != phaseRunning
+	case phaseJoin:
+		return nd.lanes[1].phase == phaseDone
+	}
+	return false
+}
+
+// stepLane resumes lane i until its next park and applies the park; it
+// reports whether the coordinator must look at the lane (a sleep or a
+// return). A lane's first activation binds a coroutine from the
+// process-wide pool and starts its function on it; each later one
+// resumes it where it parked. When the function returns, the
+// coroutine goes back to the pool, so a coroutine (and its stack) is
+// bound to a lane only while the lane is live: a million-node graph
+// whose programs exit at once cycles a handful of coroutines instead
+// of holding a million. parkGen increments on every Recv and Sleep
+// park, invalidating stale sleeper-heap entries.
+func (e *Engine) stepLane(nd *Node, i int) bool {
+	l := &nd.lanes[i]
+	h := l.co
 	if h == nil {
 		h = coPool.Get().(*coHandle)
-		h.c.nd, h.c.prog = nd, e.prog
-		nd.co = h
+		h.c.nd, h.c.prog = nd, l.prog
+		l.co = h
 	}
+	nd.cur = i
+	l.phase = phaseRunning
 	pk, ok := h.c.next()
 	switch pk.status {
 	case parkRecv:
-		nd.match = pk.match
-		nd.parkGen++
-		nd.phase = phaseRecv
+		l.match = pk.match
+		l.parkGen++
+		l.phase = phaseRecv
 	case parkSleep:
-		nd.wakeAt = e.round + pk.rounds
-		nd.parkGen++
-		nd.phase = phaseSleep
-		*notified = append(*notified, nd)
+		l.wakeAt = e.round + pk.rounds
+		l.parkGen++
+		l.phase = phaseSleep
+		l.notify = true
+	case parkFork:
+		l.phase = phaseFork
+	case parkJoin:
+		l.phase = phaseJoin
 	default: // parkDone
-		nd.co = nil
+		l.co = nil
 		if ok {
 			coPool.Put(h)
 		}
-		nd.phase = phaseDone
-		nd.match = nil
-		*notified = append(*notified, nd)
+		l.phase = phaseDone
+		l.match, l.prog = nil, nil
+		l.notify = true
+		if i == 0 && nd.lanes[1].phase != phaseDone && nd.panicVal == nil {
+			nd.panicVal = &PanicError{Node: nd.id, Value: "congest: program returned without joining its fork"}
+		}
 	}
+	return l.notify
 }

@@ -64,7 +64,7 @@ func TestImmediateExitGoroutineBound(t *testing.T) {
 func boundNodes(e *Engine) int {
 	bound := 0
 	for _, nd := range e.nodes {
-		if nd.co != nil {
+		if nd.lanes[0].co != nil || nd.lanes[1].co != nil {
 			bound++
 		}
 	}

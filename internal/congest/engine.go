@@ -118,10 +118,8 @@ func (e *PanicError) Error() string {
 // process-wide activation helpers. Activation is the engine's only
 // parallel phase; delivery and matching run on the coordinator.
 type Engine struct {
-	g    *graph.Graph
-	opts Options
-	// prog is the running program (see activate.go).
-	prog  func(*Node)
+	g     *graph.Graph
+	opts  Options
 	nodes []*Node
 
 	round     int
@@ -344,19 +342,15 @@ func Run(ctx context.Context, g *graph.Graph, opts Options, program func(*Node))
 func (e *Engine) Run(ctx context.Context, g *graph.Graph, program func(*Node)) (*Stats, error) {
 	start := time.Now()
 	e.runStart = start
-	e.prog = program
 	e.setupRun(g)
 	e.setupNanos = time.Since(start).Nanoseconds()
-	err := e.coordinate(ctx)
+	err := e.coordinate(ctx, program)
 	stats := e.collectAndReset()
 	if err != nil {
 		// An abort can strand messages in arbitrary queues; recarve
 		// everything next time rather than trusting the dirty list.
 		e.needFullInit = true
 	}
-	// Drop the program reference so a retained engine does not pin the
-	// caller's closure between runs.
-	e.prog = nil
 	return stats, err
 }
 
@@ -474,12 +468,15 @@ func (e *Engine) setupRun(g *graph.Graph) {
 		off := int(e.portOff[i])
 		nd := &e.nodeSlab[i]
 		*nd = Node{
-			id:       graph.NodeID(i),
-			eng:      e,
-			adj:      adj,
-			outQ:     qSlab[off : off+len(adj)],
-			inQ:      qSlab[ports+off : ports+off+len(adj)],
-			hintPort: -1,
+			id:   graph.NodeID(i),
+			eng:  e,
+			adj:  adj,
+			outQ: qSlab[off : off+len(adj)],
+			inQ:  qSlab[ports+off : ports+off+len(adj)],
+			lanes: [2]lane{
+				{hintPort: -1},
+				{phase: phaseDone, hintPort: -1},
+			},
 		}
 		e.nodes[i] = nd
 	}
@@ -537,8 +534,8 @@ func (e *Engine) resetDirtyQueues() {
 // a dirty sender fed — each (sender, port) pair feeds exactly one
 // per-port FIFO at its peer, so summing over the dirty nodes' fed
 // queues counts every leftover exactly once. The other per-node run
-// state needs no teardown pass at all: every node is activated at the
-// start of each run, which sets its phase; a done node drops its match
+// state needs no teardown pass at all: every node's program lane is
+// made due at the start of each run; a done lane drops its match
 // predicate and coroutine; a consumed hint always resets itself; and
 // aborts force a full reinitialization.
 func (e *Engine) collectAndReset() *Stats {
@@ -606,11 +603,12 @@ func (e *Engine) addSender(nd *Node) {
 	e.newSenders[e.newCount.Add(1)-1] = nd
 }
 
-// coordinate is the engine main loop; it runs on the caller goroutine.
-// It returns nil on clean completion and the abort cause otherwise. It
-// polls ctx once per round boundary; a context that can never be
-// canceled has a nil Done channel, which skips the poll entirely.
-func (e *Engine) coordinate(ctx context.Context) error {
+// coordinate is the engine main loop; it runs on the caller goroutine
+// and starts program on every node. It returns nil on clean completion
+// and the abort cause otherwise. It polls ctx once per round boundary;
+// a context that can never be canceled has a nil Done channel, which
+// skips the poll entirely.
+func (e *Engine) coordinate(ctx context.Context, program func(*Node)) error {
 	stop := ctx.Done()
 	n := len(e.nodes)
 	done := 0
@@ -619,16 +617,26 @@ func (e *Engine) coordinate(ctx context.Context) error {
 	// Initial activation: every node starts (not counted in Wakeups,
 	// matching the historical accounting of the engine).
 	e.wake = append(e.wake[:0], e.nodes...)
+	for _, nd := range e.wake {
+		nd.lanes[0].phase, nd.lanes[0].prog = phaseRunning, program
+	}
 	for {
 		e.dispatch(e.wake)
 		for _, nd := range e.notified {
-			if nd.phase == phaseDone {
-				done++
-				if pe, ok := nd.panicVal.(*PanicError); ok && firstPanic == nil {
-					firstPanic = pe
+			if pe, ok := nd.panicVal.(*PanicError); ok && firstPanic == nil {
+				firstPanic = pe
+			}
+			for i := range nd.lanes {
+				l := &nd.lanes[i]
+				if !l.notify {
+					continue
 				}
-			} else { // phaseSleep
-				heap.Push(&e.sleepers, sleepEntry{at: nd.wakeAt, gen: nd.parkGen, nd: nd})
+				l.notify = false
+				if l.phase == phaseSleep {
+					heap.Push(&e.sleepers, sleepEntry{at: l.wakeAt, gen: l.parkGen, nd: nd, lane: i})
+				} else if i == 0 { // the program returned; a forked lane's return needs nothing
+					done++
+				}
 			}
 		}
 		e.notified = e.notified[:0]
@@ -764,6 +772,9 @@ func (e *Engine) deliver() {
 	e.curGen++
 	if e.curGen == 0 { // generation wrapped: restart the epoch space
 		clear(recvGen)
+		for _, nd := range e.nodes {
+			nd.wakeGen = 0
+		}
 		e.curGen = 1
 	}
 	cur := e.curGen
@@ -835,22 +846,23 @@ func (e *Engine) orderReceivers() {
 	}
 }
 
-// buildWakeSet fills e.wake with receivers whose Recv predicate is now
-// satisfied plus sleepers whose deadline has passed (wake-list order
-// never affects Stats; see the package docs).
+// buildWakeSet fills e.wake with receivers that have a lane whose Recv
+// predicate is now satisfied plus nodes with a lane whose sleep
+// deadline has passed, each node once (wake-list order never affects
+// Stats; see the package docs).
 func (e *Engine) buildWakeSet() {
 	e.wake = e.wake[:0]
+	cur := e.curGen
 	for _, nd := range e.receivers {
-		if nd.phase != phaseRecv {
-			continue // running sleeper accounting separately; done nodes keep leftovers
-		}
 		if e.matches(nd) {
+			nd.wakeGen = cur
 			e.wake = append(e.wake, nd)
 		}
 	}
 	for e.sleepers.Len() > 0 && e.sleepers[0].at <= e.round {
 		entry := heap.Pop(&e.sleepers).(sleepEntry)
-		if entry.live() {
+		if entry.live() && entry.nd.wakeGen != cur {
+			entry.nd.wakeGen = cur
 			e.wake = append(e.wake, entry.nd)
 		}
 	}
@@ -864,27 +876,42 @@ func (e *Engine) purgeStaleSleepers() {
 	}
 }
 
-// matches reports whether nd's pending Recv predicate is satisfied,
-// recording the matching (port, index) as a hint so the woken node's
-// Recv can consume the message directly instead of rescanning. The scan
-// order (lowest port, FIFO within a port) is exactly TryRecv's, so the
-// hint is the message TryRecv would find.
+// matches reports whether a lane of nd parked in Recv has its
+// predicate satisfied, recording each such lane's matching port as a
+// hint so its Recv can consume the message directly instead of
+// rescanning. Only each port's newest message can match: a lane parks
+// in Recv only when no buffered message matches (Recv tries first), its
+// predicate is stable while it is parked, the other lane only removes
+// messages, and a port receives at most one message per round, which
+// this check sees in the round it arrives. So the first port whose
+// newest message matches holds the message TryRecv would find (lowest
+// port, FIFO within a port). Done lanes keep leftovers and are never
+// woken.
 func (e *Engine) matches(nd *Node) bool {
+	l0, l1 := &nd.lanes[0], &nd.lanes[1]
+	want0, want1 := l0.phase == phaseRecv, l1.phase == phaseRecv
+	if !want0 && !want1 {
+		return false
+	}
+	woke := false
 	for p := range nd.inQ {
 		q := &nd.inQ[p]
-		n := q.n
-		if n == 0 {
+		if q.n == 0 {
 			continue
 		}
-		mask := len(q.buf) - 1
-		for i := 0; i < n; i++ {
-			if nd.match(p, q.buf[(q.head+i)&mask]) {
-				nd.hintPort, nd.hintIdx = int32(p), int32(i)
-				return true
-			}
+		m := q.at(q.n - 1)
+		// A message matches at most one lane: the lanes' predicates
+		// accept disjoint messages.
+		if want0 && l0.match(p, m) {
+			l0.hintPort, want0, woke = p, false, true
+		} else if want1 && l1.match(p, m) {
+			l1.hintPort, want1, woke = p, false, true
+		}
+		if !want0 && !want1 {
+			break
 		}
 	}
-	return false
+	return woke
 }
 
 // abort unwinds every program still parked on a coroutine (see
@@ -902,7 +929,7 @@ func (e *Engine) abort(cause error) error {
 func (e *Engine) deadlockError(done int) error {
 	var stuck []graph.NodeID
 	for _, nd := range e.nodes {
-		if nd.phase == phaseRecv {
+		if nd.lanes[0].phase == phaseRecv || nd.lanes[0].phase == phaseJoin {
 			stuck = append(stuck, nd.id)
 			if len(stuck) >= 8 {
 				break
@@ -913,13 +940,14 @@ func (e *Engine) deadlockError(done int) error {
 		ErrDeadlock, e.round, done, len(e.nodes), stuck)
 }
 
-func (e *Engine) mark(label string, id graph.NodeID) {
+func (e *Engine) mark(label string, id graph.NodeID, lane int) {
 	e.marksMu.Lock()
 	defer e.marksMu.Unlock()
 	e.marks = append(e.marks, Mark{
 		Label:     label,
 		Round:     e.round,
 		Node:      id,
+		Lane:      lane,
 		Delivered: e.delivered,
 		Nanos:     time.Since(e.runStart).Nanoseconds(),
 	})
@@ -927,15 +955,17 @@ func (e *Engine) mark(label string, id graph.NodeID) {
 
 // sleepEntry and sleepHeap implement the sleeper priority queue.
 type sleepEntry struct {
-	at  int
-	gen int
-	nd  *Node
+	at   int
+	gen  int
+	nd   *Node
+	lane int
 }
 
-// live reports whether the entry still refers to the node's current
-// park (the node has not been woken and re-parked since).
+// live reports whether the entry still refers to its lane's current
+// park (the lane has not been woken and re-parked since).
 func (s sleepEntry) live() bool {
-	return s.nd.phase == phaseSleep && s.nd.parkGen == s.gen
+	l := &s.nd.lanes[s.lane]
+	return l.phase == phaseSleep && l.parkGen == s.gen
 }
 
 type sleepHeap []sleepEntry

@@ -24,9 +24,12 @@
 // goes back to the pool — so a coroutine is bound to a node only while
 // the node's program runs. Idle pooled coroutines outlive engines and
 // are stopped once the garbage collector trims them from the pool.
-// Large wake sets are activated on GOMAXPROCS workers claiming chunks
-// of the wake list through an atomic cursor, which is safe because an
-// activation touches only its own node's state.
+// A program may fork one function onto a second lane of its node
+// (Node.Fork): a second pooled coroutine that shares the node's ports
+// and FIFOs and parks on its own; the node wakes when either lane is
+// due. Large wake sets are activated on GOMAXPROCS workers claiming
+// chunks of the wake list through an atomic cursor, which is safe
+// because an activation touches only its own node's state.
 //
 // The round loop reuses per-engine scratch buffers (an epoch-stamped
 // receiver array, a wake list, an ID-ordered sender registry) and

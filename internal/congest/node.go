@@ -9,14 +9,17 @@ import (
 type nodePhase int
 
 const (
-	phaseRunning nodePhase = iota
+	phaseRunning nodePhase = iota // running, or due to (re)start in this activation
 	phaseRecv
 	phaseSleep
+	phaseFork // the program's lane waits for the forked lane's first park
+	phaseJoin // the program's lane waits for the forked lane to return
 	phaseDone
 )
 
 // Node is the per-processor handle passed to the node program. All
-// methods must be called only from that node's own program.
+// methods must be called only from that node's own program or from a
+// function it forked (see Fork).
 type Node struct {
 	id  graph.NodeID
 	eng *Engine
@@ -25,25 +28,39 @@ type Node struct {
 	outQ []queue // staged sends, one FIFO per port; head transmitted each round
 	inQ  []queue // received but not yet consumed, one FIFO per port
 
-	phase    nodePhase
-	match    MatchFunc // valid while phase == phaseRecv
-	wakeAt   int       // valid while phase == phaseSleep
-	parkGen  int       // incremented on every park; invalidates stale sleeper heap entries
-	co       *coHandle // the coroutine running the node's program while it is live
+	// lanes[0] runs the node's program; lanes[1] runs the function the
+	// program forked, and is phaseDone when there is none. cur is the
+	// lane running now. Both lanes share the node's ports and queues.
+	lanes    [2]lane
+	cur      int
+	wakeGen  uint32 // the delivery epoch in which the node last joined the wake list
 	panicVal any
-
-	// Match hint: when the scheduler wakes this node from Recv, it has
-	// already found the first matching message (lowest port, FIFO within
-	// a port) while evaluating the wake predicate; it records that
-	// position here so the woken Recv consumes it directly instead of
-	// rescanning every port. hintPort is -1 whenever no hint is pending.
-	hintPort int32
-	hintIdx  int32
 
 	nonEmptyOut int   // number of ports with staged messages (node-local view)
 	outDirty    bool  // registered in the engine's sender set
 	everDirty   bool  // sent at least once this run (on the engine's dirty-node list)
 	sent        int64 // messages staged by this node (summed into Stats.Sent)
+}
+
+// lane is one coroutine of a node: the program, or the function it
+// forked. Each lane parks on its own.
+type lane struct {
+	phase   nodePhase
+	notify  bool        // parked in Sleep or finished since the coordinator last looked
+	match   MatchFunc   // valid while phase == phaseRecv
+	wakeAt  int         // valid while phase == phaseSleep
+	parkGen int         // incremented on every Recv or Sleep park; invalidates stale sleeper heap entries
+	co      *coHandle   // the coroutine running the lane while it is live
+	prog    func(*Node) // the lane's function while it is live
+
+	// Match hint: when the scheduler wakes a lane from Recv, it has
+	// already found the first matching message (lowest port, FIFO within
+	// a port) while evaluating the wake predicate: the newest message of
+	// port hintPort (see Engine.matches). The woken Recv consumes it
+	// directly instead of rescanning every port. hintPort is -1 whenever
+	// no hint is pending, and a pending hint is what makes a lane in
+	// Recv due to run.
+	hintPort int
 }
 
 // ID returns this node's unique identifier.
@@ -161,20 +178,24 @@ func (nd *Node) Recv(match MatchFunc) (int, Message) {
 		return p, m
 	}
 	nd.park(park{status: parkRecv, match: match})
-	// The scheduler woke this node because the predicate held, and left
-	// the first matching message's position (lowest port, FIFO within a
-	// port) as a hint: consume it directly instead of rescanning.
-	if p := int(nd.hintPort); p >= 0 {
-		i := int(nd.hintIdx)
-		nd.hintPort = -1
-		if q := &nd.inQ[p]; i < q.n && match(p, q.at(i)) {
-			return p, q.removeAt(&msgBufPool, i)
+	// The scheduler woke this lane because the predicate held, and left
+	// the port whose newest message is the first match (lowest port,
+	// FIFO within a port) as a hint: consume it directly instead of
+	// rescanning. The other lane of the node may have run first, but it
+	// only removes messages its own predicate accepts, so the hinted one
+	// is still the newest of its port.
+	l := &nd.lanes[nd.cur]
+	if p := l.hintPort; p >= 0 {
+		l.hintPort = -1
+		if q := &nd.inQ[p]; q.n > 0 && match(p, q.at(q.n-1)) {
+			return p, q.removeAt(&msgBufPool, q.n-1)
 		}
 	}
 	panic(fmt.Sprintf("congest: node %d woken from Recv with no matching message", nd.id))
 }
 
-// Sleep parks the node for the given number of rounds (at least one).
+// Sleep parks the calling lane for the given number of rounds (at
+// least one).
 // It is the mechanism for "wait out" protocol phases with known bounds.
 func (nd *Node) Sleep(rounds int) {
 	if rounds < 1 {
@@ -183,17 +204,51 @@ func (nd *Node) Sleep(rounds int) {
 	nd.park(park{status: parkSleep, rounds: rounds})
 }
 
-// Mark records a named timestamp (current round) in the run's stats.
-// Typically called by one designated node at phase boundaries.
+// Mark records a named timestamp (current round) in the run's stats,
+// tagged with the lane that records it. Typically called by one
+// designated node at phase boundaries.
 func (nd *Node) Mark(label string) {
-	nd.eng.mark(label, nd.id)
+	nd.eng.mark(label, nd.id, nd.cur)
 }
 
-// park yields p to the scheduler and returns when the node is
-// activated again. An abort resumes the node only to unwind it: park
+// Fork starts f on this node's second lane and returns join, which
+// parks the calling lane until f has returned. f runs as a second
+// coroutine of the same node: it shares the node's ports and per-port
+// FIFOs, so the engine still moves one message per port per round
+// whichever lane staged it, and it parks on its own Recv matches and
+// Sleep deadlines. The node wakes when either lane is due, and its due
+// lanes run in a fixed order, the program's lane first. f starts at
+// once, in the current activation, and the calling lane resumes when f
+// first parks. Only the program's lane may fork, and only while no
+// fork is live: a nested Fork panics. Messages for the two lanes must
+// be told apart by their match functions (distinct tags). The program
+// must call join before it returns.
+func (nd *Node) Fork(f func(*Node)) (join func()) {
+	if nd.cur != 0 || nd.lanes[1].phase != phaseDone {
+		panic(fmt.Sprintf("congest: node %d nested Fork", nd.id))
+	}
+	// parkGen carries over, so a sleeper entry from an earlier fork
+	// never matches this one.
+	nd.lanes[1] = lane{phase: phaseRunning, parkGen: nd.lanes[1].parkGen, prog: f, hintPort: -1}
+	nd.park(park{status: parkFork})
+	return nd.join
+}
+
+// join parks the program's lane until the forked lane has returned.
+func (nd *Node) join() {
+	if nd.cur != 0 {
+		panic(fmt.Sprintf("congest: node %d joined its fork from the forked lane", nd.id))
+	}
+	if nd.lanes[1].phase != phaseDone {
+		nd.park(park{status: parkJoin})
+	}
+}
+
+// park yields p to the scheduler and returns when the lane is
+// activated again. An abort resumes the lane only to unwind it: park
 // then panics with errAborted, which the coroutine absorbs.
 func (nd *Node) park(p park) {
-	if nd.eng.aborted.Load() || !nd.co.c.yield(p) || nd.eng.aborted.Load() {
+	if nd.eng.aborted.Load() || !nd.lanes[nd.cur].co.c.yield(p) || nd.eng.aborted.Load() {
 		panic(errAborted)
 	}
 }

@@ -29,6 +29,9 @@ type Mark struct {
 	Label string
 	Round int
 	Node  graph.NodeID
+	// Lane is the node lane that recorded the mark: 0 for the node's
+	// program, 1 for a function it forked (see Node.Fork).
+	Lane int
 	// Delivered is the run's cumulative delivered-message count when
 	// the mark was recorded; the delta between an end: and begin: mark
 	// is the phase's message cost.

@@ -19,7 +19,7 @@ const (
 	kindReject                      // proposal rejected
 	kindWave                        // intra-fragment outcome wave: A=1 reorient, B=new frag ID
 	kindUpEdge                      // Part 2 upcast edge: A=load<<31|weight, B=packed endpoints, C=fragU<<31|fragV
-	kindUpEnd                       // Part 2 upcast end: A=Part-1 fragment roots in the sender's subtree
+	kindUpEnd                       // Part 2 upcast end: A=Part-1 fragment roots in the sender's subtree, B/C=its largest load ratio
 )
 
 // InterEdge is one MST edge between two Part-1 fragments; U is its
@@ -58,6 +58,10 @@ type Result struct {
 	// Connected reports whether the (possibly reweighted) graph was
 	// connected.
 	Connected bool
+	// MaxLoad/MaxLoadWeight is the largest load(e)/w(e) over the view's
+	// edges once this tree's edges count one load more (the packing
+	// loads after this tree), in lowest terms. Identical at every node.
+	MaxLoad, MaxLoadWeight int64
 }
 
 // TreePorts returns all ports of this node that carry MST edges.
@@ -124,6 +128,7 @@ func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weig
 	if mark {
 		nd.Mark("end:mst:root")
 	}
+	res.MaxLoad, res.MaxLoadWeight = r.maxLoad, r.maxLoadWeight
 	return res
 }
 
@@ -147,6 +152,9 @@ type runner struct {
 	peerFrag []int64
 	// upSent counts the edges this node forwarded in Part 2's upcast.
 	upSent int
+	// maxLoad/maxLoadWeight is the load ratio Part 2 floods (see
+	// Result.MaxLoad).
+	maxLoad, maxLoadWeight int64
 }
 
 // portState is what a node knows about the far end of one port.
@@ -237,6 +245,15 @@ func b2i(b bool) int64 {
 // the proposal, the reply and the outcome wave.
 const part1TagsPerIter = 7
 
+// part1MaxIter bounds Part 1's iterations on an n-node network.
+func part1MaxIter(n int) int { return 60 + 14*bitlen(n) }
+
+// MaxTags is the number of tags one Run draws on an n-node network:
+// Part 1's block, Part 2's upcast and flood, and the rooting wave. A
+// caller that runs an MST beside another protocol hands it a Sub block
+// of this size.
+func MaxTags(n int) int { return part1TagsPerIter*(part1MaxIter(n)+1) + 3 }
+
 // part1 grows MST fragments until every fragment has at least cap
 // nodes (or spans the graph). Merge structures are depth-one stars: an
 // unsaturated fragment proposes along its minimum outgoing edge when
@@ -309,7 +326,7 @@ const part1TagsPerIter = 7
 func (r *runner) part1() *p1state {
 	nd := r.nd
 	st := &p1state{fragID: int64(nd.ID()), parentPort: -1}
-	maxIter := 60 + 14*bitlen(nd.N())
+	maxIter := part1MaxIter(nd.N())
 	tags := r.tags.Sub(part1TagsPerIter * (maxIter + 1))
 	// The tags, the propose port and the accept rule advance through
 	// the captured variables (stable while the node is parked), so the
@@ -550,8 +567,10 @@ func upKey(it proto.Item) Key {
 // part2 connects the Part-1 fragments with one pipelined,
 // cycle-filtered upcast over the BFS tree (Kutten–Peleg; see upcast),
 // after which node 0 holds the fragment graph's minimum spanning forest
-// in Kruskal order and the fragment count. It floods the edges, then
-// one item with its fragment and whether the forest is one tree.
+// in Kruskal order, the fragment count and the upcast's load ratio. It
+// counts the forest's edges, the tree's inter-fragment edges, at one
+// load more, then floods the edges and one item with its fragment,
+// whether the forest is one tree, and the ratio (Result.MaxLoad).
 //
 // Part 2 sends nothing between neighbors. Part 1 returns right after
 // an exchange, with no relabel after it, so peerFrag holds every live
@@ -559,8 +578,12 @@ func upKey(it proto.Item) Key {
 // settled.
 func (r *runner) part2(st *p1state) (inter []InterEdge, rootFrag int64, connected bool) {
 	var flood []proto.Item
-	if forest, frags := r.upcast(st); r.bfs.Root {
-		flood = append(forest, proto.Item{A: st.fragID, B: b2i(int64(len(forest)) == frags-1)})
+	if forest, frags, l, w := r.upcast(st); r.bfs.Root {
+		for _, it := range forest {
+			l, w = maxRatio(l, w, it.A>>31+1, it.A&low31)
+		}
+		g := gcd(l, w)
+		flood = append(forest, proto.Item{A: st.fragID, B: b2i(int64(len(forest)) == frags-1), C: l / g, D: w / g})
 	}
 	got := proto.Flood(r.nd, r.bfs, r.tags, flood)
 	for _, it := range got[:len(got)-1] {
@@ -568,7 +591,44 @@ func (r *runner) part2(st *p1state) (inter []InterEdge, rootFrag int64, connecte
 		inter = append(inter, InterEdge{U: u, V: v, FragU: it.C >> 31, FragV: it.C & low31})
 	}
 	last := got[len(got)-1]
+	r.maxLoad, r.maxLoadWeight = last.C, last.D
 	return inter, last.A, last.B == 1
+}
+
+// localMaxLoad returns the largest load(e)/w(e) over this node's live
+// edges, counting its Part-1 fragment-tree edges (which the tree
+// keeps) at one load more. An edge with w(e) ≤ 0 is absent; no edge at
+// all gives 0/1.
+func (r *runner) localMaxLoad(st *p1state) (int64, int64) {
+	l, w := int64(0), int64(1)
+	for p := 0; p < r.nd.Degree(); p++ {
+		we := r.w(p)
+		if we <= 0 {
+			continue
+		}
+		le := r.load(p)
+		if p == st.parentPort || slices.Contains(st.childPorts, p) {
+			le++
+		}
+		l, w = maxRatio(l, w, le, we)
+	}
+	return l, w
+}
+
+// maxRatio returns the larger of the ratios l1/w1 and l2/w2, compared
+// exactly (proto.MulLess).
+func maxRatio(l1, w1, l2, w2 int64) (int64, int64) {
+	if proto.MulLess(l1, w2, l2, w1) {
+		return l2, w2
+	}
+	return l1, w1
+}
+
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // upcast streams outer edges up the BFS tree. The smaller-ID endpoint
@@ -579,10 +639,11 @@ func (r *runner) part2(st *p1state) (inter []InterEdge, rootFrag int64, connecte
 // joins two fragments its earlier forwards do not already connect, so
 // every stream is sorted, no node forwards more than F−1 edges for F
 // fragments, and the whole upcast takes O(D + F) rounds. Each stream
-// ends in a marker counting the Part-1 fragment roots below it. Node 0
-// returns the edges it kept and the fragment count; every other node
-// returns nil, 0.
-func (r *runner) upcast(st *p1state) (forest []proto.Item, frags int64) {
+// ends in a marker counting the Part-1 fragment roots below it and
+// carrying the largest load ratio below it (see localMaxLoad). Node 0
+// returns the edges it kept, the fragment count and the ratio; every
+// other node returns nil, 0, 0, 1.
+func (r *runner) upcast(st *p1state) (forest []proto.Item, frags, maxLoad, maxLoadWeight int64) {
 	nd, bfs := r.nd, r.bfs
 	tag := r.tags.Next(1)
 	var own []proto.Item
@@ -598,6 +659,7 @@ func (r *runner) upcast(st *p1state) (forest []proto.Item, frags int64) {
 		return 1
 	})
 	frags = b2i(st.parentPort < 0) // a Part-1 fragment has one root
+	maxLoad, maxLoadWeight = r.localMaxLoad(st)
 	// head[i] is child i's next unmerged item once have[i] is set.
 	kids := bfs.ChildPorts
 	head := make([]proto.Item, len(kids))
@@ -621,6 +683,7 @@ func (r *runner) upcast(st *p1state) (forest []proto.Item, frags int64) {
 				head[i], have[i], ended[i] = proto.Item{A: m.A, B: m.B, C: m.C}, m.Kind == kindUpEdge, m.Kind == kindUpEnd
 				if ended[i] {
 					frags += m.A
+					maxLoad, maxLoadWeight = maxRatio(maxLoad, maxLoadWeight, m.B, m.C)
 				}
 			}
 			if have[i] && (!ok || upKey(head[i]).Less(upKey(it))) {
@@ -646,10 +709,10 @@ func (r *runner) upcast(st *p1state) (forest []proto.Item, frags int64) {
 		nd.Send(bfs.ParentPort, congest.Message{Kind: kindUpEdge, Tag: tag, A: it.A, B: it.B, C: it.C})
 	}
 	if !bfs.Root {
-		nd.Send(bfs.ParentPort, congest.Message{Kind: kindUpEnd, Tag: tag, A: frags})
-		return nil, 0
+		nd.Send(bfs.ParentPort, congest.Message{Kind: kindUpEnd, Tag: tag, A: frags, B: maxLoad, C: maxLoadWeight})
+		return nil, 0, 0, 1
 	}
-	return forest, frags
+	return forest, frags, maxLoad, maxLoadWeight
 }
 
 // root orients the MST in Õ(√n + D): the fragment tree is known to

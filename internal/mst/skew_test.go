@@ -134,3 +134,36 @@ func TestBackToBackRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxTagsIsWhatRunDraws: a Run on a connected view draws exactly
+// MaxTags(n) tags at every node, so a caller can hand it a Sub block of
+// that size.
+func TestMaxTagsIsWhatRunDraws(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"path":    graph.Path(30),
+		"regular": graph.RandomRegular(40, 4, 2),
+		"skewed":  cliqueWithHeavyPath(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			drawn := make([]uint32, g.N())
+			_, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
+				tags := new(proto.Tags)
+				bfs := proto.BuildBFS(nd, 0, tags)
+				before := tags.Next(0)
+				Run(nd, bfs, nil, 0, 5, tags)
+				mu.Lock()
+				drawn[nd.ID()] = tags.Next(0) - before
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, d := range drawn {
+				if int(d) != MaxTags(g.N()) {
+					t.Fatalf("node %d drew %d tags, MaxTags(%d) = %d", v, d, g.N(), MaxTags(g.N()))
+				}
+			}
+		})
+	}
+}

@@ -5,12 +5,16 @@
 // trees some T_i shares exactly one edge with a minimum cut, so the
 // minimum over trees of the best 1-respecting cut is the minimum cut.
 //
-// The distributed driver packs trees by alternating the Kutten–Peleg
-// MST (internal/mst) and the Section-2 algorithm (internal/respect),
-// Õ(√n + D) rounds per tree. Pack is the one packing loop: it packs one
-// tree at a time until its caller's stop rule holds. The exact
-// algorithm does not know λ in advance, so its rule reads the best cut
-// found so far, and it has two stops:
+// The distributed algorithm packs trees with the Kutten–Peleg MST
+// (internal/mst) and sweeps each with the Section-2 algorithm
+// (internal/respect), Õ(√n + D) rounds per tree. Pack is the one
+// packing loop: it packs one tree at a time until its caller's stop
+// rule holds. The MST of tree i+1 reads only the loads, which are final
+// once the MST of tree i returns, so Pack runs it on a forked lane of
+// every node (congest.Node.Fork) beside the sweep of tree i; only the
+// stop rule waits for the sweep. The exact algorithm does not know λ in
+// advance, so its rule reads the best cut found so far, and it has two
+// stops:
 //
 //   - the τ rule: stop once τ(min(best, cap)) trees are packed. Since
 //     best ≥ λ, that many trees are enough when best ≤ cap, and the
@@ -22,9 +26,10 @@
 //     Weights are integers, so τ·w(e) > (c−1)·load(e) on every edge
 //     proves λ ≥ c, and c = best makes best = λ.
 //
-// The ratio M rides the C/D words of the respect algorithm's final
-// convergecast and broadcast (internal/respect), so the proof costs no
-// rounds or messages.
+// The ratio M after each tree rides the MST's Part 2 upcast and flood
+// (internal/mst), so the proof costs no rounds or messages, and every
+// node knows it as soon as the tree's MST returns. A tree whose loads
+// already prove λ ≥ best skips its sweep: no tree can beat that cut.
 //
 // τ policies: Thorup's theoretical bound is Θ(λ⁷ log³ n) trees —
 // correct but intractable beyond tiny λ; the driver always uses the
@@ -98,7 +103,6 @@ type Result struct {
 	CutNode                graph.NodeID
 	TreeIndex              int
 	Trees                  int
-	PerTree                []int64
 	Connected              bool
 	MaxLoad, MaxLoadWeight int64
 	BestInput              *respect.Input
@@ -120,14 +124,26 @@ func (r *Result) Proves(c int64) bool {
 // those before it, until enough(res) holds, and returns the best
 // 1-respecting cut over all of them. enough must read only fields
 // every node agrees on (Trees, Cut, the load ratio and so Proves), so
-// all nodes stop after the same tree. If the (possibly sampled) graph
-// is disconnected, packing aborts with Connected=false and Cut
-// untouched.
+// all nodes stop after the same tree, and it must be monotone in Cut:
+// if it holds, it holds for any smaller Cut with the other fields
+// unchanged. If the (possibly sampled) graph is disconnected, packing
+// aborts with Connected=false and Cut untouched.
+//
+// From the second tree on, once tree i's MST has returned, Pack forks
+// tree i+1's MST onto the node's second lane and sweeps tree i on the
+// first, unless enough already holds with tree i counted and the cut
+// unchanged: by monotonicity the packing then stops after tree i
+// whatever its sweep finds. Each lane draws its tags from its own Sub
+// block. Tree i+1's loads count only once the stop rule says to go on;
+// a stop discards it. A tree whose loads prove λ ≥ Cut skips its sweep.
 func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, enough func(*Result) bool) *Result {
 	res := &Result{Cut: math.MaxInt64, CutNode: -1, TreeIndex: -1, Connected: true}
+	if enough(res) {
+		return res
+	}
 	loads := make(map[int]int64, nd.Degree())
 	mark := nd.ID() == 0 // node 0 records phase spans for observability
-	for !enough(res) {
+	runMST := func(nd *congest.Node, tags *proto.Tags) *mst.Result {
 		if mark {
 			nd.Mark("begin:mst")
 		}
@@ -135,6 +151,28 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 		if mark {
 			nd.Mark("end:mst")
 		}
+		return mres
+	}
+	sweep := func(mres *mst.Result, tags *proto.Tags) {
+		in := respect.FromMST(mres, bfs)
+		in.Weight = opts.Weight
+		if mark {
+			nd.Mark("begin:respect")
+		}
+		out := respect.Run(nd, in, tags)
+		if mark {
+			nd.Mark("end:respect")
+		}
+		if out.Best < res.Cut {
+			res.Cut = out.Best
+			res.CutNode = out.BestNode
+			res.TreeIndex = res.Trees - 1
+			res.BestInput = in
+			res.BestOutput = out
+		}
+	}
+	mres := runMST(nd, tags)
+	for {
 		if !mres.Connected {
 			res.Connected = false
 			return res
@@ -145,28 +183,29 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 		for _, p := range mres.ChildPorts {
 			loads[nd.EdgeID(p)]++
 		}
-		in := respect.FromMST(mres, bfs)
-		in.Weight = opts.Weight
-		in.MaxLoad, in.MaxLoadWeight = maxLoadRatio(nd, loads, opts.Weight)
-		if mark {
-			nd.Mark("begin:respect")
-		}
-		out := respect.Run(nd, in, tags)
-		if mark {
-			nd.Mark("end:respect")
-		}
-		res.PerTree = append(res.PerTree, out.Best)
-		res.MaxLoad, res.MaxLoadWeight = out.MaxLoad, out.MaxLoadWeight
-		if out.Best < res.Cut {
-			res.Cut = out.Best
-			res.CutNode = out.BestNode
-			res.TreeIndex = res.Trees
-			res.BestInput = in
-			res.BestOutput = out
-		}
 		res.Trees++
+		res.MaxLoad, res.MaxLoadWeight = mres.MaxLoad, mres.MaxLoadWeight
+		var next *mst.Result
+		switch {
+		case res.TreeIndex >= 0 && res.Proves(res.Cut):
+			// The loads prove λ ≥ Cut, so this tree's sweep cannot
+			// beat the cut.
+		case res.TreeIndex < 0 || enough(res):
+			sweep(mres, tags)
+		default:
+			sweepTags, mstTags := tags.Sub(respect.MaxTags), tags.Sub(mst.MaxTags(nd.N()))
+			join := nd.Fork(func(nd *congest.Node) { next = runMST(nd, mstTags) })
+			sweep(mres, sweepTags)
+			join()
+		}
+		if enough(res) {
+			return res
+		}
+		if next == nil {
+			next = runMST(nd, tags)
+		}
+		mres = next
 	}
-	return res
 }
 
 // Exact runs the paper's main algorithm: pack until the packing holds
@@ -188,51 +227,35 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 // passes its threshold κ here). Returns the result and whether it is
 // certified exact.
 func Exact(nd *congest.Node, bfs *proto.Overlay, maxLambda int64, opts Options, tags *proto.Tags) (*Result, bool) {
-	lambdaCap := int64(1)
-	for lambdaCap*2 <= maxLambda {
-		lambdaCap *= 2
-	}
+	lambdaCap := exactCap(maxLambda)
 	mark := nd.ID() == 0 // node 0 records the pack span for observability
 	if mark {
 		nd.Mark("begin:pack")
 	}
-	res := Pack(nd, bfs, opts, tags, func(r *Result) bool {
-		return r.Trees >= PracticalTau(min(r.Cut, lambdaCap), nd.N()) ||
-			r.Cut <= lambdaCap && r.Proves(r.Cut) ||
-			r.Proves(lambdaCap+1)
-	})
+	res := Pack(nd, bfs, opts, tags, exactEnough(lambdaCap, nd.N()))
 	if mark {
 		nd.Mark("end:pack")
 	}
 	return res, res.Connected && res.Cut <= lambdaCap
 }
 
-// maxLoadRatio returns the largest load(e)/w(e) over this node's live
-// edges (w(e) > 0 under weight, or the edge weight when weight is nil),
-// in lowest terms so that equal ratios are equal pairs.
-func maxLoadRatio(nd *congest.Node, loads map[int]int64, weight func(port int) int64) (int64, int64) {
-	l, w := int64(0), int64(1)
-	for p := 0; p < nd.Degree(); p++ {
-		we := nd.EdgeWeight(p)
-		if weight != nil {
-			we = weight(p)
-		}
-		if we <= 0 {
-			continue
-		}
-		if le := loads[nd.EdgeID(p)]; proto.MulLess(l, we, le, w) {
-			l, w = le, we
-		}
+// exactCap is the largest power of two ≤ maxLambda (1 at least).
+func exactCap(maxLambda int64) int64 {
+	lambdaCap := int64(1)
+	for lambdaCap*2 <= maxLambda {
+		lambdaCap *= 2
 	}
-	g := gcd(l, w)
-	return l / g, w / g
+	return lambdaCap
 }
 
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
+// exactEnough is Exact's stop rule on an n-node network. Each clause
+// holds for any smaller Cut once it holds, as Pack requires.
+func exactEnough(lambdaCap int64, n int) func(*Result) bool {
+	return func(r *Result) bool {
+		return r.Trees >= PracticalTau(min(r.Cut, lambdaCap), n) ||
+			r.Cut <= lambdaCap && r.Proves(r.Cut) ||
+			r.Proves(lambdaCap+1)
 	}
-	return a
 }
 
 // Message kinds for side marking and evaluation (0x70 range).

@@ -80,12 +80,6 @@ type Input struct {
 	// uses the underlying edge weights. The tree and fragments must
 	// have been built under the same view.
 	Weight func(port int) int64
-	// MaxLoad/MaxLoadWeight is the largest packing load(e)/w(e) over
-	// this node's live edges, in lowest terms (see packing.Pack). Run
-	// carries the global maximum to every node in the same waves that
-	// find the best cut, at no extra rounds. A zero weight counts as
-	// the ratio 0.
-	MaxLoad, MaxLoadWeight int64
 }
 
 // FromMST adapts the distributed MST result into a respect input.
@@ -111,9 +105,6 @@ type Output struct {
 	// Identical at every node.
 	Best     int64
 	BestNode graph.NodeID
-	// MaxLoad/MaxLoadWeight is the largest Input ratio over all nodes,
-	// in lowest terms. Identical at every node.
-	MaxLoad, MaxLoadWeight int64
 	// Intermediate quantities, exposed for verification and reuse.
 	Delta        int64
 	DeltaDown    int64
@@ -125,6 +116,14 @@ type Output struct {
 	MergingNodes []graph.NodeID                // global sorted list
 	TPrime       map[graph.NodeID]graph.NodeID // T'F: node -> parent (root maps to -1)
 }
+
+// MaxTags bounds the tags one Run draws: three for step 2, an
+// AllGather in step 4, and in step 5 the LCA exchanges, the keyed sum,
+// the ancestor sum, the fragment convergecast and the totals'
+// AllGather, then finish's convergecast and broadcast. A caller that
+// runs the sweep beside another protocol hands it a Sub block of this
+// size.
+const MaxTags = 16
 
 // Run executes the five steps.
 func Run(nd *congest.Node, in *Input, tags *proto.Tags) *Output {

@@ -229,25 +229,55 @@ func TestRoundComplexity(t *testing.T) {
 	}
 }
 
-// TestMinCutMaxLoadCombiner: finish's combiner keeps the smaller
-// (cut, node) and the larger load ratio, compares ratios exactly for
-// weights near 2^62 (where cross-multiplying in int64 overflows), and
-// does not depend on argument order.
-func TestMinCutMaxLoadCombiner(t *testing.T) {
-	// 200/(2^62−1) is just above 100/2^61 = 200/2^62.
-	a := proto.Item{A: 7, B: 3, C: 200, D: 1<<62 - 1}
-	b := proto.Item{A: 5, B: 9, C: 100, D: 1 << 61}
-	want := proto.Item{A: 5, B: 9, C: 200, D: 1<<62 - 1}
-	if got := minCutMaxLoad(a, b); got != want {
-		t.Fatalf("combine(a, b) = %+v, want %+v", got, want)
+// spider is a center (node 0) with legs paths of leg nodes each: the
+// center has a child direction holding whole fragments per leg, so it
+// is merging.
+func spider(legs, leg int) *graph.Graph {
+	g := graph.New(1 + legs*leg)
+	for l := 0; l < legs; l++ {
+		prev := graph.NodeID(0)
+		for i := 0; i < leg; i++ {
+			v := graph.NodeID(1 + l*leg + i)
+			g.MustAddEdge(prev, v, 1)
+			prev = v
+		}
 	}
-	if got := minCutMaxLoad(b, a); got != want {
-		t.Fatalf("combine(b, a) = %+v, want %+v", got, want)
-	}
-	// 199/(2^62−2) is just below 200/(2^62−1).
-	c := proto.Item{A: 5, B: 1, C: 199, D: 1<<62 - 2}
-	want = proto.Item{A: 5, B: 1, C: 200, D: 1<<62 - 1}
-	if got := minCutMaxLoad(a, c); got != want {
-		t.Fatalf("combine(a, c) = %+v, want %+v", got, want)
+	g.SortAdjacency()
+	return g
+}
+
+// TestMaxTagsBoundsDraws: Run draws at most MaxTags tags, and exactly
+// that many when some node is merging (the keyed sum runs, on the
+// spider).
+func TestMaxTagsBoundsDraws(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"path":    graph.Path(20),
+		"planted": graph.PlantedCut(16, 16, 2, 0.4, 3),
+		"torus":   graph.Torus(6, 6),
+		"spider":  spider(4, 12),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var drawn uint32
+			merging := false
+			_, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
+				tags := new(proto.Tags)
+				bfs := proto.BuildBFS(nd, 0, tags)
+				res := mst.Run(nd, bfs, nil, 0, 3, tags)
+				before := tags.Next(0)
+				out := Run(nd, FromMST(res, bfs), tags)
+				if nd.ID() == 0 {
+					mu.Lock()
+					drawn, merging = tags.Next(0)-before, len(out.MergingNodes) > 0
+					mu.Unlock()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if drawn > MaxTags || merging && drawn != MaxTags || name == "spider" && !merging {
+				t.Fatalf("Run drew %d tags (merging nodes: %v), MaxTags = %d", drawn, merging, MaxTags)
+			}
+		})
 	}
 }

@@ -26,12 +26,15 @@ type traceEvent struct {
 	// renders, so retained timelines hold no map per span.
 	span             bool
 	rounds, messages int64
+	lane             int // the span's node lane (distmincut.Span.Lane)
 }
 
 // spanEvents flattens a phase-span tree into phase trace events
 // anchored at the engine run's start time. Children become their own
 // events; the Chrome trace viewer nests complete events on one thread
-// by containment, so the tree renders as stacked phase bars.
+// by containment, so the tree renders as stacked phase bars. Spans of
+// a forked lane overlap the program lane's and render on a thread of
+// their own.
 func spanEvents(anchor time.Time, spans []*distmincut.Span, out []traceEvent) []traceEvent {
 	for _, sp := range spans {
 		out = append(out, traceEvent{
@@ -42,6 +45,7 @@ func spanEvents(anchor time.Time, spans []*distmincut.Span, out []traceEvent) []
 			span:     true,
 			rounds:   int64(sp.Rounds()),
 			messages: sp.Messages(),
+			lane:     sp.Lane,
 		})
 		out = spanEvents(anchor, sp.Children, out)
 	}
@@ -73,8 +77,9 @@ func flightEvents(anchor time.Time, tail []congest.RoundRecord) []traceEvent {
 // addPhaseTotals folds the leaf spans of a run's phase tree into the
 // service-wide per-phase counters, keyed by phase group so dynamic
 // names (level:3, bracket:7) stay bounded-cardinality. Leaves only:
-// a parent span's rounds include its children's, and the counters must
-// sum a run at most once.
+// a parent span's rounds include its children's, and each lane's
+// leaves must sum a run at most once. A packing's forked-lane mst
+// overlaps its respect, so the two groups together can exceed the run.
 func addPhaseTotals(rounds, messages map[string]int64, spans []*distmincut.Span) {
 	for _, sp := range spans {
 		if len(sp.Children) == 0 {
@@ -111,11 +116,13 @@ type chromeTrace struct {
 }
 
 // Thread IDs of the rendered trace: lifecycle instants, phase spans,
-// and flight-recorder rounds each get their own named track.
+// flight-recorder rounds and forked-lane phase spans each get their own
+// named track.
 const (
 	tidLifecycle = 1
 	tidPhases    = 2
 	tidRounds    = 3
+	tidForked    = 4
 )
 
 // renderTrace encodes a job's timeline as Chrome trace-event JSON.
@@ -130,6 +137,7 @@ func renderTrace(id string, created time.Time, events []traceEvent) []byte {
 		{Name: "thread_name", Ph: "M", Pid: 1, Tid: tidLifecycle, Args: map[string]any{"name": "job"}},
 		{Name: "thread_name", Ph: "M", Pid: 1, Tid: tidPhases, Args: map[string]any{"name": "phases"}},
 		{Name: "thread_name", Ph: "M", Pid: 1, Tid: tidRounds, Args: map[string]any{"name": "rounds"}},
+		{Name: "thread_name", Ph: "M", Pid: 1, Tid: tidForked, Args: map[string]any{"name": "phases (forked lane)"}},
 	}
 	for _, ev := range events {
 		ce := chromeEvent{
@@ -146,6 +154,9 @@ func renderTrace(id string, created time.Time, events []traceEvent) []byte {
 		case "phase":
 			d := float64(ev.dur.Nanoseconds()) / 1e3
 			ce.Ph, ce.Tid, ce.Dur = "X", tidPhases, &d
+			if ev.lane > 0 {
+				ce.Tid = tidForked
+			}
 		case "round":
 			ce.Ph, ce.Tid, ce.S = "i", tidRounds, "t"
 		default:

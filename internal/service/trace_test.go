@@ -155,6 +155,26 @@ func TestTracePhaseSpansNestInsideRuns(t *testing.T) {
 	if len(runs) == 0 {
 		t.Fatal("no run umbrellas")
 	}
+	// The exact tier packs more than one tree, so some mst runs on the
+	// forked lane, on its own thread; every other phase stays on the
+	// phases thread.
+	forked := 0
+	for _, e := range ct.TraceEvents {
+		if e.Cat != "phase" {
+			continue
+		}
+		if e.Tid == tidForked {
+			forked++
+			if e.Name != "mst" && !strings.HasPrefix(e.Name, "mst:") {
+				t.Errorf("forked-lane thread holds phase %s", e.Name)
+			}
+		} else if e.Tid != tidPhases {
+			t.Errorf("phase %s on thread %d", e.Name, e.Tid)
+		}
+	}
+	if forked == 0 {
+		t.Error("no phase span on the forked-lane thread")
+	}
 	for _, p := range ct.TraceEvents {
 		if p.Cat != "phase" || p.Name == "build" || strings.HasPrefix(p.Name, "run:") {
 			continue

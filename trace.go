@@ -12,9 +12,12 @@ import (
 // CONGEST round span, its delivered-message span, and its wall-clock
 // span, and nests: the pipeline's top-level phases (bfs, pack, level:N,
 // markside, ...) contain the per-tree spans (mst, respect) they drive,
-// which in turn contain the MST parts. Sibling spans tile the run in
-// order, so top-level spans sum (up to the inter-phase gaps, which are
-// zero rounds) to the run's totals.
+// which in turn contain the MST parts. Sibling spans of one lane tile
+// the run in order, so top-level spans sum (up to the inter-phase gaps,
+// which are zero rounds) to the run's totals. A packing runs tree i+1's
+// mst on a forked lane beside tree i's respect (see congest.Node.Fork),
+// so inside pack the mst and respect spans overlap, and their sum
+// exceeds pack.
 type Span struct {
 	// Name is the phase label ("bfs", "mst", "level:3", ...). The text
 	// up to the first ':' is the phase group (see PhaseGroup).
@@ -29,7 +32,11 @@ type Span struct {
 	// Run's entry to the phase boundaries (engine setup included), so
 	// spans from one run anchor to the run's wall-clock start.
 	StartNanos, EndNanos int64
-	// Children are the phases nested inside this one, in order.
+	// Lane is the node lane that recorded the span: 0 for the program,
+	// 1 for a function it forked.
+	Lane int
+	// Children are the phases nested inside this one, in order of
+	// their start.
 	Children []*Span
 }
 
@@ -55,31 +62,43 @@ func PhaseGroup(name string) string {
 
 // Spans reconstructs the phase-span tree of one run from its marks.
 // Marks are recorded in round order under the engine's mutex, and the
-// pipeline's phase marks all come from one designated node, so a
-// begin:/end: stack recovers the nesting exactly. Unmatched end marks
-// are ignored; spans left open (an aborted run) are closed at the run's
-// final round, message count, and last observed wall instant, so
-// partial traces stay well-formed. Returns the top-level spans in
-// order; stats may be nil (returns nil).
+// pipeline's phase marks all come from one designated node, so one
+// begin:/end: stack per lane recovers the nesting exactly. A forked
+// lane's spans nest under the program lane's span that is open at the
+// forked lane's first mark; a fork starts its function at once, so
+// that is the span open at the fork. Closing a span closes what is
+// open above it on its lane and every forked lane's spans nested under
+// it, at the same boundary. Unmatched end marks are ignored;
+// spans left open (an aborted run) are closed at the run's final
+// round, message count, and last observed wall instant, so partial
+// traces stay well-formed. Returns the top-level spans in order; stats
+// may be nil (returns nil).
 func Spans(stats *congest.Stats) []*Span {
 	if stats == nil {
 		return nil
 	}
 	var top []*Span
-	var stack []*Span
+	// stacks holds each lane's open spans; a forked lane's spans nest
+	// under stacks[0][under[lane]-1], or are top-level when that is 0.
+	var stacks [][]*Span
+	var under []int
 	lastNanos := int64(0)
-	attach := func(s *Span) {
-		if len(stack) > 0 {
-			p := stack[len(stack)-1]
-			p.Children = append(p.Children, s)
-		} else {
-			top = append(top, s)
+	closeAt := func(spans []*Span, m congest.Mark) {
+		for _, s := range spans {
+			s.EndRound = m.Round
+			s.EndMessages = m.Delivered
+			s.EndNanos = m.Nanos
 		}
 	}
 	for _, m := range stats.Marks {
 		if m.Nanos > lastNanos {
 			lastNanos = m.Nanos
 		}
+		for len(stacks) <= m.Lane {
+			stacks = append(stacks, nil)
+			under = append(under, 0)
+		}
+		stack := stacks[m.Lane]
 		switch {
 		case strings.HasPrefix(m.Label, "begin:"):
 			s := &Span{
@@ -90,13 +109,24 @@ func Spans(stats *congest.Stats) []*Span {
 				EndMessages:   m.Delivered,
 				StartNanos:    m.Nanos,
 				EndNanos:      m.Nanos,
+				Lane:          m.Lane,
 			}
-			attach(s)
-			stack = append(stack, s)
+			parent := stack
+			if len(parent) == 0 {
+				parent = stacks[0]
+				under[m.Lane] = len(parent)
+			}
+			if len(parent) > 0 {
+				p := parent[len(parent)-1]
+				p.Children = append(p.Children, s)
+			} else {
+				top = append(top, s)
+			}
+			stacks[m.Lane] = append(stack, s)
 		case strings.HasPrefix(m.Label, "end:"):
 			name := m.Label[len("end:"):]
-			// Find the matching open span; anything opened above it is
-			// implicitly closed at the same boundary.
+			// Find the matching open span; anything opened above it on
+			// the same lane is implicitly closed at the same boundary.
 			at := -1
 			for i := len(stack) - 1; i >= 0; i-- {
 				if stack[i].Name == name {
@@ -107,19 +137,26 @@ func Spans(stats *congest.Stats) []*Span {
 			if at < 0 {
 				continue // unmatched end mark
 			}
-			for i := len(stack) - 1; i >= at; i-- {
-				stack[i].EndRound = m.Round
-				stack[i].EndMessages = m.Delivered
-				stack[i].EndNanos = m.Nanos
+			closeAt(stack[at:], m)
+			stacks[m.Lane] = stack[:at]
+			if m.Lane > 0 {
+				continue
 			}
-			stack = stack[:at]
+			for l := 1; l < len(stacks); l++ {
+				if len(stacks[l]) > 0 && under[l] > at {
+					closeAt(stacks[l], m)
+					stacks[l] = nil
+				}
+			}
 		}
 	}
 	// Close spans an abort left open at the run's final accounting.
-	for _, s := range stack {
-		s.EndRound = stats.Rounds
-		s.EndMessages = stats.Delivered
-		s.EndNanos = lastNanos
+	for _, stack := range stacks {
+		for _, s := range stack {
+			s.EndRound = stats.Rounds
+			s.EndMessages = stats.Delivered
+			s.EndNanos = lastNanos
+		}
 	}
 	return top
 }

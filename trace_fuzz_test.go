@@ -8,7 +8,8 @@ import (
 
 // FuzzSpans decodes arbitrary bytes into a round-monotone mark stream —
 // shuffled begin:/end: labels, plain marks, unmatched ends, truncated
-// phases — and checks that the span parser never panics and always
+// phases, marks of two interleaved lanes — and checks that the span
+// parser never panics and always
 // produces a well-formed tree: every span's end is at or after its
 // start on all three axes, and children nest inside their parents. The
 // engine guarantees marks arrive round-ordered (they are recorded under
@@ -23,19 +24,25 @@ func FuzzSpans(f *testing.F) {
 	f.Add([]byte{0x00, 0x02, 0x21, 0x47, 0x83})       // plain marks interleaved
 	f.Add([]byte{0xff, 0x7f, 0x3f, 0x1f, 0x0f})       // big round jumps
 	f.Add([]byte{0x00, 0x24, 0x25, 0x01, 0x48, 0x49}) // sibling phases
+	// pack, then mst on the forked lane beside respect: lane toggles
+	// (0x03) interleave the two lanes' begin/end marks.
+	f.Add([]byte{0x04, 0x08, 0x31, 0x03, 0x08, 0x03, 0x10, 0x25, 0x23, 0x31, 0x03, 0x2d})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			return
 		}
 		labels := []string{"bfs", "pack", "mst", "level:1", "respect"}
 		stats := &congest.Stats{}
-		round, delivered := 0, int64(0)
+		round, delivered, lane := 0, int64(0), 0
 		for _, b := range data {
 			round += int(b >> 5)         // monotone round clock
 			delivered += int64(b>>4) * 3 // monotone message counter
 			name := labels[int(b>>2)%len(labels)]
 			var label string
 			switch {
+			case b&3 == 3:
+				lane ^= 1 // later marks come from the other lane
+				continue
 			case b&2 != 0:
 				label = name // plain mark, no begin:/end: prefix
 			case b&1 == 0:
@@ -46,6 +53,7 @@ func FuzzSpans(f *testing.F) {
 			stats.Marks = append(stats.Marks, congest.Mark{
 				Label:     label,
 				Round:     round,
+				Lane:      lane,
 				Delivered: delivered,
 				Nanos:     int64(round)*1000 + int64(len(stats.Marks)),
 			})

@@ -3,6 +3,7 @@ package distmincut
 import (
 	"testing"
 
+	"distmincut/internal/congest"
 	"distmincut/internal/graph"
 )
 
@@ -23,20 +24,21 @@ func TestPhaseGroup(t *testing.T) {
 
 // checkSpanTree asserts the structural invariants every span tree must
 // satisfy: boundaries ordered within each span, children contained in
-// their parent and tiled in order, and siblings non-overlapping.
+// their parent and tiled in order, and siblings of one lane
+// non-overlapping (a forked lane's spans overlap the program lane's).
 func checkSpanTree(t *testing.T, spans []*Span, parent *Span) {
 	t.Helper()
-	prevEnd := -1
+	prevEnd := map[int]int{}
 	for _, sp := range spans {
 		if sp.EndRound < sp.StartRound || sp.EndMessages < sp.StartMessages || sp.EndNanos < sp.StartNanos {
 			t.Errorf("span %s runs backwards: rounds [%d,%d] messages [%d,%d]",
 				sp.Name, sp.StartRound, sp.EndRound, sp.StartMessages, sp.EndMessages)
 		}
-		if sp.StartRound < prevEnd {
-			t.Errorf("span %s starts at round %d before its sibling ended at %d",
-				sp.Name, sp.StartRound, prevEnd)
+		if end, ok := prevEnd[sp.Lane]; ok && sp.StartRound < end {
+			t.Errorf("span %s starts at round %d before its lane-%d sibling ended at %d",
+				sp.Name, sp.StartRound, sp.Lane, end)
 		}
-		prevEnd = sp.EndRound
+		prevEnd[sp.Lane] = sp.EndRound
 		if parent != nil {
 			if sp.StartRound < parent.StartRound || sp.EndRound > parent.EndRound {
 				t.Errorf("span %s [%d,%d] escapes parent %s [%d,%d]",
@@ -56,15 +58,17 @@ func names(spans []*Span) []string {
 	return out
 }
 
-// leafRounds sums Rounds over the tree's leaf spans.
-func leafRounds(spans []*Span) int {
+// leafRounds sums Rounds over the tree's leaf spans of one lane.
+func leafRounds(spans []*Span, lane int) int {
 	total := 0
 	for _, sp := range spans {
 		if len(sp.Children) == 0 {
-			total += sp.Rounds()
+			if sp.Lane == lane {
+				total += sp.Rounds()
+			}
 			continue
 		}
-		total += leafRounds(sp.Children)
+		total += leafRounds(sp.Children, lane)
 	}
 	return total
 }
@@ -94,20 +98,27 @@ func TestExactSpansTileTheRun(t *testing.T) {
 			t.Errorf("missing top-level span %q in %v", want, names(spans))
 		}
 	}
-	// pack must contain mst spans, and mst spans their parts.
-	var foundMSTPart bool
-	var walk func([]*Span)
-	walk = func(sps []*Span) {
+	// pack must contain mst spans, and mst spans their parts; some mst
+	// runs on the forked lane, directly under pack.
+	var foundMSTPart, foundForkedMST bool
+	var walk func(*Span, []*Span)
+	walk = func(parent *Span, sps []*Span) {
 		for _, sp := range sps {
 			if sp.Name == "mst:part1" {
 				foundMSTPart = true
 			}
-			walk(sp.Children)
+			if sp.Name == "mst" && sp.Lane == 1 && parent != nil && parent.Name == "pack" {
+				foundForkedMST = true
+			}
+			walk(sp, sp.Children)
 		}
 	}
-	walk(spans)
+	walk(nil, spans)
 	if !foundMSTPart {
 		t.Error("no mst:part1 span nested anywhere")
+	}
+	if !foundForkedMST {
+		t.Error("no forked-lane mst span directly under pack")
 	}
 	// Top-level spans tile the run: their union covers all but the
 	// final broadcast tail.
@@ -122,9 +133,11 @@ func TestExactSpansTileTheRun(t *testing.T) {
 		t.Fatalf("top-level spans cover %.1f%% of %d rounds, want >= 95%%",
 			100*frac, res.Stats.Rounds)
 	}
-	// Leaf spans must never over-count the run.
-	if lr := leafRounds(spans); lr > res.Stats.Rounds {
-		t.Fatalf("leaf spans sum to %d rounds, run had %d", lr, res.Stats.Rounds)
+	// The leaf spans of one lane must never over-count the run.
+	for lane := 0; lane < 2; lane++ {
+		if lr := leafRounds(spans, lane); lr > res.Stats.Rounds {
+			t.Fatalf("lane-%d leaf spans sum to %d rounds, run had %d", lane, lr, res.Stats.Rounds)
+		}
 	}
 	// Message accounting: top-level spans' message spans are bounded by
 	// the run's delivered total.
@@ -215,6 +228,55 @@ func TestSpansAbortedRunStaysWellFormed(t *testing.T) {
 		if sp.EndRound > half {
 			t.Errorf("span %s closed at %d, past the abort at %d", sp.Name, sp.EndRound, half)
 		}
+	}
+}
+
+// TestSpansNestForkedLane: marks of two interleaved lanes parse into
+// one stack per lane. The forked lane's spans nest under the program
+// lane's span open at its first mark, an end mark closes only spans of
+// its own lane (end:respect leaves the forked mst open), and closing
+// the parent closes a forked span still open under it.
+func TestSpansNestForkedLane(t *testing.T) {
+	mk := func(label string, round, lane int) congest.Mark {
+		return congest.Mark{Label: label, Round: round, Lane: lane, Delivered: int64(10 * round), Nanos: int64(100 * round)}
+	}
+	stats := &congest.Stats{Rounds: 40, Delivered: 400, Marks: []congest.Mark{
+		mk("begin:pack", 0, 0),
+		mk("begin:mst", 0, 0), mk("end:mst", 10, 0),
+		mk("begin:mst", 10, 1), mk("begin:mst:part1", 10, 1),
+		mk("begin:respect", 10, 0), mk("end:respect", 18, 0),
+		mk("end:mst:part1", 20, 1), mk("end:mst", 22, 1),
+		mk("begin:mst", 22, 1),
+		mk("begin:respect", 22, 0), mk("end:respect", 30, 0),
+		mk("end:pack", 35, 0), // closes the forked mst left open
+		mk("begin:markside", 35, 0), mk("end:markside", 40, 0),
+	}}
+	spans := Spans(stats)
+	checkSpanTree(t, spans, nil)
+	if got := names(spans); len(got) != 2 || got[0] != "pack" || got[1] != "markside" {
+		t.Fatalf("top-level spans %v, want [pack markside]", got)
+	}
+	type want struct {
+		name             string
+		lane, start, end int
+	}
+	wants := []want{{"mst", 0, 0, 10}, {"mst", 1, 10, 22}, {"respect", 0, 10, 18}, {"mst", 1, 22, 35}, {"respect", 0, 22, 30}}
+	kids := spans[0].Children
+	if len(kids) != len(wants) {
+		t.Fatalf("pack has %d children, want %d", len(kids), len(wants))
+	}
+	for i, w := range wants {
+		k := kids[i]
+		if k.Name != w.name || k.Lane != w.lane || k.StartRound != w.start || k.EndRound != w.end {
+			t.Errorf("pack child %d = %s lane %d [%d,%d], want %s lane %d [%d,%d]",
+				i, k.Name, k.Lane, k.StartRound, k.EndRound, w.name, w.lane, w.start, w.end)
+		}
+	}
+	if part := kids[1].Children; len(part) != 1 || part[0].Name != "mst:part1" || part[0].EndRound != 20 || part[0].Lane != 1 {
+		t.Errorf("forked mst children %+v, want one lane-1 mst:part1 ending at 20", part)
+	}
+	if m := kids[1].Messages(); m != 120 {
+		t.Errorf("forked mst carries %d messages, want 120", m)
 	}
 }
 
