@@ -3,7 +3,6 @@ package distmincut
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -23,7 +22,10 @@ import (
 // emits begin:/end: marks for every mst and respect span from node 0,
 // BFS is everything before the first mark, and the tail runs from the
 // last tree's begin:mst to the end:pack that closes the packing. Every
-// target must fall inside the run, so no point is ever skipped.
+// target must fall inside the run, so no point is ever skipped. The run
+// cancels its own context from its round observer once delivery
+// reaches the target round, so the cancel lands in that round however
+// the test process is scheduled.
 func TestCancelAtEachPhaseBoundary(t *testing.T) {
 	g := graph.PlantedCut(48, 48, 3, 0.4, 5)
 	opts := func() *Options { return &Options{Seed: 2} }
@@ -87,30 +89,11 @@ func TestCancelAtEachPhaseBoundary(t *testing.T) {
 		t.Run(ph.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			pg := &congest.Progress{}
 			o := opts()
 			o.Engine = eng
-			o.Progress = pg
-			errCh := make(chan error, 1)
-			go func() {
-				_, err := MinCutContext(ctx, g, o)
-				errCh <- err
-			}()
-			deadline := time.Now().Add(time.Minute)
-			for pg.Round() < ph.target {
-				if time.Now().After(deadline) {
-					t.Fatalf("run never reached round %d", ph.target)
-				}
-				runtime.Gosched()
-			}
-			cancel()
-			select {
-			case err := <-errCh:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("cancel in %s: err = %v, want context.Canceled", ph.name, err)
-				}
-			case <-time.After(time.Minute):
-				t.Fatalf("cancel in %s: run did not return", ph.name)
+			o.Observer = &cancelAtRound{target: ph.target, cancel: cancel}
+			if _, err := MinCutContext(ctx, g, o); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel in %s: err = %v, want context.Canceled", ph.name, err)
 			}
 
 			// Clean engine state: the same warm engine reruns to
@@ -124,6 +107,19 @@ func TestCancelAtEachPhaseBoundary(t *testing.T) {
 					ph.name, res.Value, res.Rounds, res.Messages, ref.Value, ref.Rounds, ref.Messages)
 			}
 		})
+	}
+}
+
+// cancelAtRound is a round observer that cancels its run's context
+// once delivery reaches round target.
+type cancelAtRound struct {
+	target int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtRound) ObserveRound(rec congest.RoundRecord) {
+	if rec.Round >= c.target {
+		c.cancel()
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -842,7 +841,7 @@ func (e *Engine) orderReceivers() {
 		}
 		e.receivers = r
 	} else {
-		sort.Slice(r, func(i, j int) bool { return r[i].id < r[j].id })
+		slices.SortFunc(r, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
 	}
 }
 

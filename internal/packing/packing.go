@@ -126,8 +126,12 @@ func (r *Result) Proves(c int64) bool {
 // every node agrees on (Trees, Cut, the load ratio and so Proves), so
 // all nodes stop after the same tree, and it must be monotone in Cut:
 // if it holds, it holds for any smaller Cut with the other fields
-// unchanged. If the (possibly sampled) graph is disconnected, packing
-// aborts with Connected=false and Cut untouched.
+// unchanged. Every caller's rule is (Exact's, the approximation
+// levels', OneRespectingCut's and the Su baseline's): each clause
+// either ignores Cut or is a tree count τ(Cut), a bound Cut ≤ c or
+// Proves(Cut), all of which a smaller Cut keeps. If the (possibly
+// sampled) graph is disconnected, packing aborts with Connected=false
+// and Cut untouched.
 //
 // From the second tree on, once tree i's MST has returned, Pack forks
 // tree i+1's MST onto the node's second lane and sweeps tree i on the

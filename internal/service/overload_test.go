@@ -324,10 +324,11 @@ func TestDrainDeadlinePublishesCachedApprox(t *testing.T) {
 
 	// Occupy the single worker with a short-deadline slow job, then
 	// queue the tiered job with a deadline that lapses in the queue.
-	// Left to finish, the slow job (planted 320+320, 2,358 rounds,
-	// 2,777,710 messages) takes 1.15–1.36 s from submission to done on
-	// one worker of a 2-core Xeon, so its 150 ms deadline sits at under
-	// an eighth of that and well above the tiered job's.
+	// Left to finish, the slow job (planted 320+320, 1,378 rounds,
+	// 2,499,762 messages) takes 1.46–1.75 s from submission to done on
+	// one worker of a 2-core Xeon and shows its first round 7–32 ms
+	// after submission, so its 150 ms deadline sits at under a tenth of
+	// the run and well above the tiered job's.
 	big := JobRequest{
 		Graph:      GraphSpec{Family: "planted", N1: 320, N2: 320, K: 3, InP: 0.2, Seed: 52},
 		Mode:       "exact",
