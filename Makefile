@@ -112,6 +112,9 @@ loc:
 # alone). benchjson's default -match gates the expander exchange rows
 # at both scales, and BenchmarkSampleWeight, the skeleton sampler every
 # sampled tier draws edge weights through: it must stay at 0 allocs/op.
+# BenchmarkApprox4096 is the mid-scale memory row: ApproxMinCut on a
+# 4096-node bridged 8-regular expander (perfbench's tiered-wide shape),
+# reporting B/op, allocs/op and the peak live heap; no gate reads it.
 # The million-scale library rows, which no gate reads, live in
 # bench-million.
 # No pipe here: a panicking benchmark must fail the target, and `go
@@ -119,6 +122,7 @@ loc:
 bench: bench-service
 	$(GO) test ./internal/congest -run '^$$' -bench 'BenchmarkEngine(Path|Expander|Community)' -benchmem -count 3 > BENCH_engine.txt
 	$(GO) test ./internal/sampling -run '^$$' -bench BenchmarkSampleWeight -benchmem -count 3 >> BENCH_engine.txt
+	$(GO) test . -run '^$$' -bench BenchmarkApprox4096 -benchmem -benchtime 2x -count 3 >> BENCH_engine.txt
 	$(GO) test ./internal/congest -run '^$$' -bench BenchmarkEngineMillion -benchmem -benchtime 1x -count 1 >> BENCH_engine.txt
 	@cat BENCH_engine.txt
 	$(GO) run ./cmd/benchjson < BENCH_engine.txt > BENCH_engine.json

@@ -349,6 +349,68 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 	t.Logf("warm setup: %d ns", stats.SetupNanos)
 }
 
+// TestSlabsCarvedAtExactSize (whitebox): a full init carves the
+// message and queue slabs at exactly the length the graph needs, warm
+// runs on the same or a smaller graph keep them, a larger graph
+// replaces them with a quarter of headroom, and a new engine on a
+// graph of the same size takes a released slab back from the pool, as
+// a one-shot Run does.
+func TestSlabsCarvedAtExactSize(t *testing.T) {
+	big, small, bigger := graph.RandomRegular(500, 6, 5), graph.RandomRegular(300, 6, 6), graph.RandomRegular(520, 6, 7)
+	ports := 2 * big.M()
+	run := func(e *Engine, g *graph.Graph) {
+		t.Helper()
+		if _, err := e.Run(context.Background(), g, chatterProgram); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Empty the pools first: a slab another test released may fit.
+	for c := range msgSlabPool {
+		for msgSlabPool[c].Get() != nil {
+		}
+		for qSlabPool[c].Get() != nil {
+		}
+	}
+	eng := NewEngine(Options{})
+	defer func() { eng.Close() }()
+	run(eng, big)
+	if want := ports * (slabOutCap + slabInCap); len(eng.msgSlab) != want || cap(eng.msgSlab) != want {
+		t.Fatalf("message slab len %d cap %d, want both %d", len(eng.msgSlab), cap(eng.msgSlab), want)
+	}
+	if want := 2 * ports; len(eng.qSlab) != want || cap(eng.qSlab) != want {
+		t.Fatalf("queue slab len %d cap %d, want both %d", len(eng.qSlab), cap(eng.qSlab), want)
+	}
+	m0, q0 := &eng.msgSlab[0], &eng.qSlab[0]
+	for _, g := range []*graph.Graph{small, big} {
+		run(eng, g)
+		if &eng.msgSlab[0] != m0 || &eng.qSlab[0] != q0 {
+			t.Fatalf("warm run on %d nodes replaced a retained slab", g.N())
+		}
+	}
+	// sync.Pool gives no guarantee: the engine's goroutine may change Ps
+	// between release and reuse, and under the race detector the pool
+	// drops items at random. Without it, one of a few tries must hit.
+	for try := 0; !raceEnabled; try++ {
+		m0 := &eng.msgSlab[0]
+		eng.Close()
+		eng = NewEngine(Options{})
+		run(eng, big)
+		if &eng.msgSlab[0] == m0 {
+			break
+		}
+		if try == 4 {
+			t.Fatal("a new engine on a same-size graph never reused the released message slab")
+		}
+	}
+	run(eng, bigger)
+	if want := 2 * bigger.M() * (slabOutCap + slabInCap); cap(eng.msgSlab) != want+want/4 {
+		t.Fatalf("regrown message slab cap %d, want %d", cap(eng.msgSlab), want+want/4)
+	}
+	if want := 4 * bigger.M(); cap(eng.qSlab) != want+want/4 {
+		t.Fatalf("regrown queue slab cap %d, want %d", cap(eng.qSlab), want+want/4)
+	}
+}
+
 // phasedProgram is a two-phase exchange whose phase boundaries node 0
 // records as begin:/end: marks, with a sleep separating the phases — a
 // miniature of how the pipeline instruments its steps.

@@ -221,21 +221,22 @@ const maxPreallocMessages = 1 << 26
 // qSlabPool, msgSlabPool, and nodeSlabPool recycle the
 // per-engine slabs across engines (one-shot runs via the package-level
 // Run acquire and release them per call, so even independent engines
-// stop paying for slab allocation after the first run). Each is
-// bucketed by power-of-two capacity class so engines of different
-// sizes never evict each other's slabs (a pooled slab is always big
-// enough for any request of its class). Queue headers and node structs
-// are fully re-initialized on reuse; message slots need no zeroing
-// since Message holds no pointers and ring slots are written before
-// they are read.
+// stop paying for slab allocation after the first run). A slab is
+// carved at exactly the length its graph needs and pooled in the
+// bucket of its capacity's power-of-two class, so engines of very
+// different sizes never evict each other's slabs; a request takes a
+// pooled slab of its own class only if the slab fits. Queue headers
+// and node structs are fully re-initialized on reuse; message slots
+// need no zeroing since Message holds no pointers and ring slots are
+// written before they are read.
 var (
 	qSlabPool    [48]sync.Pool
 	msgSlabPool  [48]sync.Pool
 	nodeSlabPool [48]sync.Pool
 )
 
-// slabClass is the pool bucket for a request of n elements: slabs in
-// bucket c have capacity exactly 1<<c >= n.
+// slabClass is the pool bucket of a slab of capacity n: bucket c holds
+// capacities in (1<<(c-1), 1<<c].
 func slabClass(n int) int {
 	if n < 2 {
 		return 0
@@ -243,28 +244,38 @@ func slabClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-func getQSlab(n int) []queue {
+// getSlab returns a slab of length n: a pooled one of n's class when
+// its capacity suffices, else a new one of exactly n elements.
+func getSlab[T any](pool *[48]sync.Pool, n int) []T {
 	c := slabClass(n)
-	if v := qSlabPool[c].Get(); v != nil {
-		return v.([]queue)[:n]
+	if v := pool[c].Get(); v != nil {
+		if s := v.([]T); cap(s) >= n {
+			return s[:n]
+		}
+		pool[c].Put(v) // too small for n; a later, smaller request may fit
 	}
-	return make([]queue, 1<<c)[:n]
+	return make([]T, n)
 }
 
-func getMsgSlab(n int) []Message {
-	c := slabClass(n)
-	if v := msgSlabPool[c].Get(); v != nil {
-		return v.([]Message)[:n]
+// fitSlab returns s resliced to n when its capacity suffices. Otherwise
+// it releases s to pool and draws a slab for n elements (possibly
+// another engine's release): exactly n for an engine's first slab, and
+// a quarter more when it replaces a smaller one, so an engine serving
+// graphs of varying size regrows only now and then.
+func fitSlab[T any](pool *[48]sync.Pool, s []T, n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case s == nil:
+		return getSlab[T](pool, n)
 	}
-	return make([]Message, 1<<c)[:n]
+	putSlab(pool, s)
+	return getSlab[T](pool, n+n/4)[:n]
 }
 
-func getNodeSlab(n int) []Node {
-	c := slabClass(n)
-	if v := nodeSlabPool[c].Get(); v != nil {
-		return v.([]Node)[:n]
-	}
-	return make([]Node, 1<<c)[:n]
+// putSlab releases a slab to the bucket of its capacity.
+func putSlab[T any](pool *[48]sync.Pool, s []T) {
+	pool[slabClass(cap(s))].Put(s) //nolint:staticcheck // slice header cost is amortized over the slab
 }
 
 // putNodeSlab releases a node slab, zeroing every node so a pooled
@@ -274,7 +285,7 @@ func getNodeSlab(n int) []Node {
 // rebuilds each one from scratch.
 func putNodeSlab(slab []Node) {
 	clear(slab[:cap(slab)])
-	nodeSlabPool[slabClass(cap(slab))].Put(slab) //nolint:staticcheck // slice header cost is amortized over the slab
+	putSlab(&nodeSlabPool, slab)
 }
 
 // NewEngine creates a reusable engine with the given options. The
@@ -299,11 +310,11 @@ func (e *Engine) SetOptions(opts Options) {
 // keeps slab reuse working across independent engines.
 func (e *Engine) Close() {
 	if e.qSlab != nil {
-		qSlabPool[slabClass(cap(e.qSlab))].Put(e.qSlab) //nolint:staticcheck // slice header cost is amortized over the slab
+		putSlab(&qSlabPool, e.qSlab)
 		e.qSlab = nil
 	}
 	if e.msgSlab != nil {
-		msgSlabPool[slabClass(cap(e.msgSlab))].Put(e.msgSlab) //nolint:staticcheck
+		putSlab(&msgSlabPool, e.msgSlab)
 		e.msgSlab = nil
 	}
 	if e.nodeSlab != nil {
@@ -405,35 +416,19 @@ func (e *Engine) setupRun(g *graph.Graph) {
 	}
 	e.dirtyNodes = e.dirtyNodes[:0]
 
-	// Acquire or right-size the slabs. A slab whose capacity suffices
-	// is reused in place; an undersized one returns to its pool and a
-	// larger one is drawn (possibly from another engine's release).
-	if cap(e.qSlab) < 2*ports {
-		if e.qSlab != nil {
-			qSlabPool[slabClass(cap(e.qSlab))].Put(e.qSlab) //nolint:staticcheck
-		}
-		e.qSlab = getQSlab(2 * ports)
-	} else {
-		e.qSlab = e.qSlab[:2*ports]
-	}
+	// Acquire or right-size the slabs (see fitSlab).
+	e.qSlab = fitSlab(&qSlabPool, e.qSlab, 2*ports)
 	if want := ports * (slabOutCap + slabInCap); want <= maxPreallocMessages {
-		if cap(e.msgSlab) < want {
-			if e.msgSlab != nil {
-				msgSlabPool[slabClass(cap(e.msgSlab))].Put(e.msgSlab) //nolint:staticcheck
-			}
-			e.msgSlab = getMsgSlab(want)
-		} else {
-			e.msgSlab = e.msgSlab[:want]
-		}
+		e.msgSlab = fitSlab(&msgSlabPool, e.msgSlab, want)
 	} else if e.msgSlab != nil {
-		msgSlabPool[slabClass(cap(e.msgSlab))].Put(e.msgSlab) //nolint:staticcheck
+		putSlab(&msgSlabPool, e.msgSlab)
 		e.msgSlab = nil
 	}
 	if cap(e.nodeSlab) < n {
 		if e.nodeSlab != nil {
 			putNodeSlab(e.nodeSlab)
 		}
-		e.nodeSlab = getNodeSlab(n)
+		e.nodeSlab = getSlab[Node](&nodeSlabPool, n)
 	} else {
 		e.nodeSlab = e.nodeSlab[:n]
 	}

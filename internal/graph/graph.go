@@ -10,9 +10,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node. IDs are dense: 0..N-1. The CONGEST model
@@ -245,8 +246,8 @@ func (g *Graph) PortOf(u NodeID, edgeID int) int {
 // it so that port numbering is deterministic regardless of insertion
 // order; the CONGEST runtime relies on this for reproducibility.
 func (g *Graph) SortAdjacency() {
-	for u := range g.adj {
-		sort.Slice(g.adj[u], func(i, j int) bool { return g.adj[u][i].Peer < g.adj[u][j].Peer })
+	for _, a := range g.adj {
+		slices.SortFunc(a, func(x, y Half) int { return cmp.Compare(x.Peer, y.Peer) })
 	}
 }
 

@@ -25,7 +25,7 @@ const (
 // InterEdge is one MST edge between two Part-1 fragments; U is its
 // smaller-ID endpoint and lies in FragU. After Run, every node holds
 // the identical list of all inter-fragment edges in key order — the
-// fragment tree T_F of the paper's Step 1.
+// fragment tree T_F of the paper's Step 1 — as Result.Frags.
 type InterEdge struct {
 	U, V         graph.NodeID
 	FragU, FragV int64
@@ -47,14 +47,12 @@ type Result struct {
 	// subtree (FragParentPort is -1 at the fragment root).
 	FragParentPort int
 	FragChildPorts []int
-	// InterEdges is the full inter-fragment edge list, identical at
-	// every node; RootFrag is the fragment containing node 0.
-	InterEdges []InterEdge
-	RootFrag   int64
-	// FragParent maps each fragment to its parent fragment in the
-	// fragment tree rooted at RootFrag (which maps to -1). Identical at
+	// RootFrag is the fragment containing node 0.
+	RootFrag int64
+	// Frags is the fragment tree rooted at RootFrag, oriented and
+	// indexed (see FragTree); InterEdges lists its edges. Identical at
 	// every node.
-	FragParent map[int64]int64
+	Frags FragTree
 	// Connected reports whether the (possibly reweighted) graph was
 	// connected.
 	Connected bool
@@ -63,6 +61,10 @@ type Result struct {
 	// loads after this tree), in lowest terms. Identical at every node.
 	MaxLoad, MaxLoadWeight int64
 }
+
+// InterEdges returns the full inter-fragment edge list in key order
+// (Part 2's flood order), rebuilt from Frags. Identical at every node.
+func (r *Result) InterEdges() []InterEdge { return r.Frags.Edges() }
 
 // TreePorts returns all ports of this node that carry MST edges.
 func (r *Result) TreePorts() []int {
@@ -87,11 +89,11 @@ func SizeCap(n int) int {
 // (controlled Borůvka up to the size cap), Part 2 (one pipelined,
 // cycle-filtered upcast of the fragment graph), and the Õ(√n + D)
 // rooting of the resulting tree at node 0. bfs must be a BFS overlay
-// rooted at node 0. loads maps incident edge IDs to packing loads (may
-// be nil). seed drives Part 1's merge coin (see part1); every node must
-// pass the same seed. The tree does not depend on it, only the
-// fragments and the round count do.
-func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
+// rooted at node 0. loads[p] is the packing load of the edge at port
+// p; nil means no loads. seed drives Part 1's merge coin (see part1);
+// every node must pass the same seed. The tree does not depend on it,
+// only the fragments and the round count do.
+func Run(nd *congest.Node, bfs *proto.Overlay, loads []int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
 	return RunWeighted(nd, bfs, loads, nil, sizeCap, seed, tags)
 }
 
@@ -100,7 +102,7 @@ func Run(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, sizeCap int,
 // graphs, which may be disconnected: every node then returns right
 // after Part 2 with Connected = false). A nil weight uses the
 // underlying edge weights.
-func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weight func(p int) int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
+func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads []int64, weight func(p int) int64, sizeCap int, seed int64, tags *proto.Tags) *Result {
 	r := &runner{nd: nd, bfs: bfs, loads: loads, weight: weight, cap: sizeCap, seed: seed, tags: tags}
 	if r.cap < 1 {
 		r.cap = SizeCap(nd.N())
@@ -136,7 +138,7 @@ func RunWeighted(nd *congest.Node, bfs *proto.Overlay, loads map[int]int64, weig
 type runner struct {
 	nd     *congest.Node
 	bfs    *proto.Overlay
-	loads  map[int]int64
+	loads  []int64
 	weight func(p int) int64
 	cap    int
 	seed   int64
@@ -179,7 +181,7 @@ func (r *runner) load(port int) int64 {
 	if r.loads == nil {
 		return 0
 	}
-	return r.loads[r.nd.EdgeID(port)]
+	return r.loads[port]
 }
 
 // w returns the effective weight of the edge at port p; <= 0 means the
@@ -586,6 +588,7 @@ func (r *runner) part2(st *p1state) (inter []InterEdge, rootFrag int64, connecte
 		flood = append(forest, proto.Item{A: st.fragID, B: b2i(int64(len(forest)) == frags-1), C: l / g, D: w / g})
 	}
 	got := proto.Flood(r.nd, r.bfs, r.tags, flood)
+	inter = make([]InterEdge, 0, len(got)-1)
 	for _, it := range got[:len(got)-1] {
 		u, v := UnpackUV(it.B)
 		inter = append(inter, InterEdge{U: u, V: v, FragU: it.C >> 31, FragV: it.C & low31})
@@ -723,10 +726,10 @@ func (r *runner) upcast(st *p1state) (forest []proto.Item, frags, maxLoad, maxLo
 func (r *runner) root(st *p1state, inter []InterEdge, rootFrag int64) *Result {
 	nd := r.nd
 	myFrag := st.fragID
-	fragParent, attach := orientFragments(inter, rootFrag)
-	internalRoot := graph.NodeID(0)
-	if myFrag != rootFrag {
-		internalRoot = attach[myFrag].inner
+	frags := NewFragTree(inter, rootFrag)
+	internalRoot, outer := frags.Attachment(frags.Index(myFrag))
+	if myFrag == rootFrag {
+		internalRoot = 0
 	}
 	wave := proto.AdoptWave(nd, st.ports(), nd.ID() == internalRoot, r.tags)
 
@@ -735,65 +738,25 @@ func (r *runner) root(st *p1state, inter []InterEdge, rootFrag int64) *Result {
 		FragRootID:     internalRoot,
 		FragParentPort: wave.ParentPort,
 		FragChildPorts: append([]int(nil), wave.ChildPorts...),
-		InterEdges:     inter,
 		RootFrag:       rootFrag,
-		FragParent:     fragParent,
+		Frags:          frags,
 		Connected:      true,
 	}
 
-	// Assemble the global tree ports.
+	// Assemble the global tree ports: a child fragment whose attachment
+	// edge ends at me hangs off me.
 	res.ParentPort = wave.ParentPort
 	if nd.ID() == internalRoot && myFrag != rootFrag {
-		res.ParentPort = nd.PortTo(attach[myFrag].outer)
+		res.ParentPort = nd.PortTo(outer)
 	}
 	res.ChildPorts = append([]int(nil), wave.ChildPorts...)
-	for _, ie := range inter {
-		// If I am the parent-side endpoint of an inter-fragment edge, the
-		// child fragment hangs off me.
-		if fragParent[ie.FragU] == ie.FragV && ie.V == nd.ID() {
-			res.ChildPorts = append(res.ChildPorts, nd.PortTo(ie.U))
-		}
-		if fragParent[ie.FragV] == ie.FragU && ie.U == nd.ID() {
-			res.ChildPorts = append(res.ChildPorts, nd.PortTo(ie.V))
+	for i := 0; i < frags.Len(); i++ {
+		if inner, outer := frags.Attachment(i); outer == nd.ID() {
+			res.ChildPorts = append(res.ChildPorts, nd.PortTo(inner))
 		}
 	}
 	sort.Ints(res.ChildPorts)
 	return res
-}
-
-// attachment records, for a fragment, its node incident to the parent
-// fragment (inner) and the peer endpoint in the parent (outer).
-type attachment struct {
-	inner graph.NodeID
-	outer graph.NodeID
-}
-
-// orientFragments builds parent pointers for the fragment tree rooted
-// at rootFrag. Pure local computation on globally known data.
-func orientFragments(inter []InterEdge, rootFrag int64) (map[int64]int64, map[int64]attachment) {
-	adj := make(map[int64][]InterEdge)
-	for _, ie := range inter {
-		adj[ie.FragU] = append(adj[ie.FragU], ie)
-		adj[ie.FragV] = append(adj[ie.FragV], ie)
-	}
-	fragParent := map[int64]int64{rootFrag: -1}
-	attach := make(map[int64]attachment, len(inter))
-	for queue := []int64{rootFrag}; len(queue) > 0; queue = queue[1:] {
-		f := queue[0]
-		for _, ie := range adj[f] {
-			child, childInner, childOuter := ie.FragV, ie.V, ie.U
-			if ie.FragV == f {
-				child, childInner, childOuter = ie.FragU, ie.U, ie.V
-			}
-			if _, seen := fragParent[child]; seen {
-				continue
-			}
-			fragParent[child] = f
-			attach[child] = attachment{inner: childInner, outer: childOuter}
-			queue = append(queue, child)
-		}
-	}
-	return fragParent, attach
 }
 
 // fragUnion is a union-find over fragment IDs; an ID it does not hold

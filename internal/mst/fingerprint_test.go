@@ -33,9 +33,10 @@ func fingerprintOf(t *testing.T, results []*Result) resultFingerprint {
 	t.Helper()
 	fp := resultFingerprint{Nodes: make([]string, len(results))}
 	for v, r := range results {
-		// fmt prints maps with sorted keys, so FragParent is canonical.
+		// The fragment tree prints as the fragment -> parent fragment map
+		// (the root maps to -1) it once was; fmt sorts map keys.
 		shared := fmt.Sprintf("inter=%v root=%d parent=%v connected=%v",
-			r.InterEdges, r.RootFrag, r.FragParent, r.Connected)
+			r.InterEdges(), r.RootFrag, fragParents(r.Frags), r.Connected)
 		if v == 0 {
 			fp.Shared = shared
 		} else if shared != fp.Shared {
@@ -45,6 +46,20 @@ func fingerprintOf(t *testing.T, results []*Result) resultFingerprint {
 			r.ParentPort, r.ChildPorts, r.FragID, r.FragRootID, r.FragParentPort, r.FragChildPorts)
 	}
 	return fp
+}
+
+// fragParents returns t as a fragment -> parent fragment map, the root
+// fragment mapping to -1. A tree with no fragments (a disconnected
+// view's empty Result) gives an empty map.
+func fragParents(t FragTree) map[int64]int64 {
+	m := make(map[int64]int64, t.Len())
+	for i := 0; i < t.Len(); i++ {
+		m[t.ID(i)] = -1
+		if p := t.Parent(i); p >= 0 {
+			m[t.ID(i)] = t.ID(p)
+		}
+	}
+	return m
 }
 
 // sampledView is a level-1 Karger skeleton of a 6-regular graph: 83 of
@@ -131,10 +146,10 @@ func TestInterEdgesDeterministic(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		results := collectDistributed(t, g, nil, 5)
 		if run == 0 {
-			ref = results[0].InterEdges
+			ref = results[0].InterEdges()
 			continue
 		}
-		got := results[0].InterEdges
+		got := results[0].InterEdges()
 		if fmt.Sprint(got) != fmt.Sprint(ref) {
 			t.Fatalf("run %d InterEdges differ from run 0:\n  got:  %v\n  want: %v", run, got, ref)
 		}

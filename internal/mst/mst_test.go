@@ -115,11 +115,11 @@ func collectWeighted(t *testing.T, g *graph.Graph, loads, view []int64, seed int
 	stats, err := congest.Run(context.Background(), g, congest.Options{}, func(nd *congest.Node) {
 		tags := new(proto.Tags)
 		bfs := proto.BuildBFS(nd, 0, tags)
-		var local map[int]int64
+		var local []int64 // per port
 		if loads != nil {
-			local = make(map[int]int64)
-			for p := 0; p < nd.Degree(); p++ {
-				local[nd.EdgeID(p)] = loads[nd.EdgeID(p)]
+			local = make([]int64, nd.Degree())
+			for p := range local {
+				local[p] = loads[nd.EdgeID(p)]
 			}
 		}
 		var res *Result
@@ -320,20 +320,20 @@ func TestFragmentProperties(t *testing.T) {
 		}
 	}
 	// Every node agrees on the inter-edge list and root fragment.
-	ref := results[0]
+	ref, refInter := results[0], results[0].InterEdges()
 	for v := 1; v < g.N(); v++ {
-		r := results[v]
-		if r.RootFrag != ref.RootFrag || len(r.InterEdges) != len(ref.InterEdges) {
+		r, inter := results[v], results[v].InterEdges()
+		if r.RootFrag != ref.RootFrag || len(inter) != len(refInter) {
 			t.Fatalf("node %d disagrees on fragment tree", v)
 		}
-		for i := range r.InterEdges {
-			if r.InterEdges[i] != ref.InterEdges[i] {
+		for i := range inter {
+			if inter[i] != refInter[i] {
 				t.Fatalf("node %d inter-edge %d differs", v, i)
 			}
 		}
 	}
-	if len(ref.InterEdges) != len(frags)-1 {
-		t.Fatalf("%d inter-edges for %d fragments", len(ref.InterEdges), len(frags))
+	if len(refInter) != len(frags)-1 {
+		t.Fatalf("%d inter-edges for %d fragments", len(refInter), len(frags))
 	}
 	// Fragment internal roots: the fragment root of the root fragment is
 	// node 0; every other fragment's root is the attachment node.

@@ -102,9 +102,9 @@ func TestBackToBackRuns(t *testing.T) {
 					tags := new(proto.Tags)
 					bfs := proto.BuildBFS(nd, 0, tags)
 					a := Run(nd, bfs, nil, 0, seed, tags)
-					loads := make(map[int]int64)
+					loads := make([]int64, nd.Degree()) // per port
 					for _, p := range a.TreePorts() {
-						loads[nd.EdgeID(p)] = 1
+						loads[p] = 1
 					}
 					b := Run(nd, bfs, loads, 0, seed, tags)
 					mu.Lock()

@@ -40,6 +40,7 @@ package packing
 
 import (
 	"math"
+	"slices"
 
 	"distmincut/internal/congest"
 	"distmincut/internal/graph"
@@ -145,8 +146,9 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 	if enough(res) {
 		return res
 	}
-	loads := make(map[int]int64, nd.Degree())
 	mark := nd.ID() == 0 // node 0 records phase spans for observability
+	// loads[p] counts the packed trees that use the edge at port p.
+	loads := make([]int64, nd.Degree())
 	runMST := func(nd *congest.Node, tags *proto.Tags) *mst.Result {
 		if mark {
 			nd.Mark("begin:mst")
@@ -182,10 +184,10 @@ func Pack(nd *congest.Node, bfs *proto.Overlay, opts Options, tags *proto.Tags, 
 			return res
 		}
 		if mres.ParentPort >= 0 {
-			loads[nd.EdgeID(mres.ParentPort)]++
+			loads[mres.ParentPort]++
 		}
 		for _, p := range mres.ChildPorts {
-			loads[nd.EdgeID(p)]++
+			loads[p]++
 		}
 		res.Trees++
 		res.MaxLoad, res.MaxLoadWeight = mres.MaxLoad, mres.MaxLoadWeight
@@ -279,7 +281,7 @@ func MarkSide(nd *congest.Node, bfs *proto.Overlay, res *Result, tags *proto.Tag
 	var mine []proto.Item
 	if nd.ID() == res.CutNode {
 		mine = append(mine, proto.Item{A: 0, B: res.BestInput.FragID})
-		for f := range res.BestOutput.FragSet {
+		for _, f := range res.BestOutput.FragSet {
 			mine = append(mine, proto.Item{A: 1, B: f})
 		}
 	}
@@ -287,19 +289,12 @@ func MarkSide(nd *congest.Node, bfs *proto.Overlay, res *Result, tags *proto.Tag
 	if mark {
 		nd.Mark("end:markside") // the remaining side decision is local, zero rounds
 	}
-	var starFrag int64 = -1
-	starSet := make(map[int64]bool, len(items))
-	for _, it := range items {
-		if it.A == 0 {
-			starFrag = it.B
-		} else {
-			starSet[it.B] = true
-		}
-	}
-	if starSet[res.BestInput.FragID] {
+	// AllGather sorts the items: v*'s fragment (A = 0) comes first, then
+	// F(v*) in ID order.
+	if _, ok := slices.BinarySearchFunc(items, proto.Item{A: 1, B: res.BestInput.FragID}, proto.CompareItems); ok {
 		return true // my whole fragment lies below v*
 	}
-	if res.BestInput.FragID == starFrag {
+	if res.BestInput.FragID == items[0].B {
 		for _, u := range res.BestOutput.Ancestors {
 			if u == res.CutNode {
 				return true // v* is my in-fragment ancestor
@@ -324,8 +319,9 @@ func EvaluateCut(nd *congest.Node, bfs *proto.Overlay, inSide bool, tags *proto.
 	tag := tags.Next(1)
 	nd.SendAll(congest.Message{Kind: kindSideBit, Tag: tag, A: bit})
 	var crossing int64
+	match := congest.MatchKindTag(kindSideBit, tag)
 	for i := 0; i < nd.Degree(); i++ {
-		p, m := nd.Recv(congest.MatchKindTag(kindSideBit, tag))
+		p, m := nd.Recv(match)
 		if m.A != bit {
 			crossing += nd.EdgeWeight(p)
 		}

@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"distmincut/internal/congest"
@@ -13,22 +15,24 @@ type Item struct {
 	A, B, C, D int64
 }
 
-func itemLess(x, y Item) bool {
-	if x.A != y.A {
-		return x.A < y.A
+// CompareItems orders items canonically (lexicographic by word): it
+// returns -1, 0 or +1 as x sorts before, with or after y.
+func CompareItems(x, y Item) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
 	}
-	if x.B != y.B {
-		return x.B < y.B
+	if c := cmp.Compare(x.B, y.B); c != 0 {
+		return c
 	}
-	if x.C != y.C {
-		return x.C < y.C
+	if c := cmp.Compare(x.C, y.C); c != 0 {
+		return c
 	}
-	return x.D < y.D
+	return cmp.Compare(x.D, y.D)
 }
 
 // SortItems sorts items canonically (lexicographic by word).
 func SortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+	slices.SortFunc(items, CompareItems)
 }
 
 // ConvergeBroadcast aggregates one word at the root and broadcasts the
@@ -60,7 +64,7 @@ func Max(a, b int64) int64 {
 // MinItem is the item combiner that keeps the lexicographically
 // smaller item, e.g. the lowest (value, node ID) candidate.
 func MinItem(a, b Item) Item {
-	if itemLess(b, a) {
+	if CompareItems(b, a) < 0 {
 		return b
 	}
 	return a

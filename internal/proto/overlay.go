@@ -17,6 +17,7 @@
 package proto
 
 import (
+	"slices"
 	"sort"
 
 	"distmincut/internal/congest"
@@ -82,12 +83,13 @@ func BuildBFS(nd *congest.Node, root graph.NodeID, tags *Tags) *Overlay {
 	} else {
 		// Adopt the first explorer; same-round explorers are already
 		// buffered, so drain them to pick the lowest port.
-		p, m := nd.Recv(congest.MatchKindTag(kindExplore, tag))
+		explore := congest.MatchKindTag(kindExplore, tag)
+		p, m := nd.Recv(explore)
 		ov.ParentPort = p
 		ov.Depth = int(m.A) + 1
 		responded[p] = true
 		for {
-			q, _, ok := nd.TryRecv(congest.MatchKindTag(kindExplore, tag))
+			q, _, ok := nd.TryRecv(explore)
 			if !ok {
 				break
 			}
@@ -159,12 +161,8 @@ func AdoptWave(nd *congest.Node, treePorts []int, isRoot bool, tags *Tags) *Over
 		sort.Ints(ov.ChildPorts)
 		return ov
 	}
-	inTree := make(map[int]bool, len(treePorts))
-	for _, p := range treePorts {
-		inTree[p] = true
-	}
 	p, m := nd.Recv(func(p int, m congest.Message) bool {
-		return m.Kind == kindAdopt && m.Tag == tag && inTree[p]
+		return m.Kind == kindAdopt && m.Tag == tag && slices.Contains(treePorts, p)
 	})
 	ov.ParentPort = p
 	ov.Depth = int(m.A) + 1

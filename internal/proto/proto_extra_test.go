@@ -204,7 +204,7 @@ func TestSortItemsCanonical(t *testing.T) {
 	items := []Item{{A: 2}, {A: 1, B: 5}, {A: 1, B: 2, C: 9}, {A: 1, B: 2, C: 9, D: -1}}
 	SortItems(items)
 	for i := 1; i < len(items); i++ {
-		if itemLess(items[i], items[i-1]) {
+		if CompareItems(items[i], items[i-1]) < 0 {
 			t.Fatalf("not sorted at %d: %+v", i, items)
 		}
 	}

@@ -176,7 +176,7 @@ func TestAllGatherEveryNodeSameSortedList(t *testing.T) {
 	}
 	// Sorted canonically.
 	for i := 1; i < want; i++ {
-		if itemLess(lists[0][i], lists[0][i-1]) {
+		if CompareItems(lists[0][i], lists[0][i-1]) < 0 {
 			t.Fatalf("AllGather result not sorted at %d", i)
 		}
 	}

@@ -75,19 +75,13 @@ func Bootstrap(nd *congest.Node, bfs *proto.Overlay, parentPort int, childPorts 
 		}}
 	}
 	items := proto.AllGather(nd, bfs, tags, mine)
-	in.FragParent = make(map[int64]int64, len(items)+1)
-	for _, it := range items {
-		in.InterEdges = append(in.InterEdges, mst.InterEdge{
-			U:     graph.NodeID(it.A),
-			V:     graph.NodeID(it.B),
-			FragU: it.C,
-			FragV: it.D,
-		})
-		in.FragParent[it.C] = it.D
+	inter := make([]mst.InterEdge, len(items))
+	for i, it := range items {
+		inter[i] = mst.InterEdge{U: graph.NodeID(it.A), V: graph.NodeID(it.B), FragU: it.C, FragV: it.D}
 	}
 	// The fragment of node 0 (the BFS and tree root) is the root
 	// fragment.
 	in.RootFrag = proto.BroadcastItem(nd, bfs, tags, proto.Item{A: fragID}).A
-	in.FragParent[in.RootFrag] = -1
+	in.Frags = mst.NewFragTree(inter, in.RootFrag)
 	return in
 }

@@ -37,7 +37,8 @@
 package respect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"distmincut/internal/congest"
 	"distmincut/internal/graph"
@@ -70,9 +71,8 @@ type Input struct {
 	FragParentPort int
 	FragChildPorts []int
 	// Global knowledge: the fragment tree.
-	InterEdges []mst.InterEdge
-	FragParent map[int64]int64
-	RootFrag   int64
+	Frags    mst.FragTree
+	RootFrag int64
 	// BFS overlay for global collectives.
 	BFS *proto.Overlay
 	// Weight optionally overrides per-port edge weights; weight(p) <= 0
@@ -90,8 +90,7 @@ func FromMST(res *mst.Result, bfs *proto.Overlay) *Input {
 		FragID:         res.FragID,
 		FragParentPort: res.FragParentPort,
 		FragChildPorts: res.FragChildPorts,
-		InterEdges:     res.InterEdges,
-		FragParent:     res.FragParent,
+		Frags:          res.Frags,
 		RootFrag:       res.RootFrag,
 		BFS:            bfs,
 	}
@@ -111,10 +110,34 @@ type Output struct {
 	Rho          int64
 	RhoDown      int64
 	Ancestors    []graph.NodeID // A(v): self first, then nearest to farthest
-	FragSet      map[int64]bool // F(v)
+	FragSet      []int64        // F(v), in ID order
 	Merging      bool
-	MergingNodes []graph.NodeID                // global sorted list
-	TPrime       map[graph.NodeID]graph.NodeID // T'F: node -> parent (root maps to -1)
+	MergingNodes []graph.NodeID // global sorted list
+	TPrime       TPrime         // T'F, identical at every node
+}
+
+// HasFrag reports whether fragment f is in F(v).
+func (o *Output) HasFrag(f int64) bool {
+	_, ok := slices.BinarySearch(o.FragSet, f)
+	return ok
+}
+
+// TPrime is the skeleton tree T'_F: its nodes in ID order, each with its
+// T'_F parent.
+type TPrime []tprimeNode
+
+type tprimeNode struct {
+	v, parent graph.NodeID
+}
+
+// Parent returns u's T'_F parent (-1 at the root, node 0) and whether u
+// is a T'_F node at all.
+func (t TPrime) Parent(u graph.NodeID) (graph.NodeID, bool) {
+	i, ok := slices.BinarySearchFunc(t, u, func(n tprimeNode, u graph.NodeID) int { return cmp.Compare(n.v, u) })
+	if !ok {
+		return -1, false
+	}
+	return t[i].parent, true
 }
 
 // MaxTags bounds the tags one Run draws: three for step 2, an
@@ -134,14 +157,6 @@ func Run(nd *congest.Node, in *Input, tags *proto.Tags) *Output {
 func newRespectRun(nd *congest.Node, in *Input, tags *proto.Tags) *respectRun {
 	r := &respectRun{nd: nd, in: in, tags: tags}
 	r.fragOv = proto.NewOverlay(in.FragParentPort, in.FragChildPorts, 0)
-	r.treePortSet = make(map[int]bool, len(in.ChildPorts)+1)
-	for _, p := range in.ChildPorts {
-		r.treePortSet[p] = true
-	}
-	if in.ParentPort >= 0 {
-		r.treePortSet[in.ParentPort] = true
-	}
-	r.fragDesc = fragDescendants(in.FragParent)
 	r.cross = r.interChildPorts()
 	return r
 }
@@ -181,33 +196,40 @@ func (r *respectRun) run() *Output {
 }
 
 type respectRun struct {
-	nd          *congest.Node
-	in          *Input
-	tags        *proto.Tags
-	fragOv      *proto.Overlay
-	treePortSet map[int]bool
+	nd     *congest.Node
+	in     *Input
+	tags   *proto.Tags
+	fragOv *proto.Overlay
 	// cross lists the tree-child ports into child fragments.
 	cross []int
 
-	// fragDesc[f] = all fragments in f's subtree of the fragment tree,
-	// including f itself. Local computation on global knowledge.
-	fragDesc map[int64][]int64
-
 	// step 2a results.
-	directChildFrags []int64      // fragments attached directly below me
-	childDirHasFrag  map[int]bool // tree child port -> subtree contains a fragment
-	subSize          int64        // my in-fragment subtree size
-	childOff         []int64      // per FragChildPorts entry: that child's preorder offset below me
+	fragDirs int     // tree child directions whose subtree contains a fragment
+	subSize  int64   // my in-fragment subtree size
+	childOff []int64 // per FragChildPorts entry: that child's preorder offset below me
 	// step 2b results: the prefix of Ancestors within my own fragment
 	// (self first), and each entry's preorder interval
 	// [ancPre[k], ancPre[k]+ancSize[k]) within the fragment.
 	sameFragAnc     []graph.NodeID
 	ancPre, ancSize []int64
-	// step 2c result: fragment sets of my in-fragment ancestors, as
-	// increments along the chain (see step2c).
-	fragOfAncestor map[graph.NodeID]map[int64]bool
+	// step 2c result: fragment sets of my ancestors, as increments
+	// along the chain (see step2c), sorted by (u, f).
+	fragOfAncestor []ancFrag
 	// step 5 working state.
 	lowestTPrime graph.NodeID
+}
+
+// ancFrag is one step-2c increment pair: fragment f is in F(u).
+type ancFrag struct {
+	u graph.NodeID
+	f int64
+}
+
+func compareAncFrag(a, b ancFrag) int {
+	if c := cmp.Compare(a.u, b.u); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.f, b.f)
 }
 
 // w returns the effective weight of the edge at port p under the
@@ -227,48 +249,4 @@ func (r *respectRun) weightedDegree() int64 {
 		}
 	}
 	return s
-}
-
-// fragDescendants computes, for every fragment, the fragments of its
-// subtree in the fragment tree (inclusive).
-func fragDescendants(fragParent map[int64]int64) map[int64][]int64 {
-	children := make(map[int64][]int64, len(fragParent))
-	var root int64 = -1
-	for f, p := range fragParent {
-		if p == -1 {
-			root = f
-			continue
-		}
-		children[p] = append(children[p], f)
-	}
-	for _, c := range children {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	}
-	desc := make(map[int64][]int64, len(fragParent))
-	// Post-order accumulation via explicit stack.
-	type frame struct {
-		f    int64
-		next int
-	}
-	if root == -1 {
-		return desc
-	}
-	stack := []frame{{f: root}}
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		kids := children[fr.f]
-		if fr.next < len(kids) {
-			c := kids[fr.next]
-			fr.next++
-			stack = append(stack, frame{f: c})
-			continue
-		}
-		all := []int64{fr.f}
-		for _, c := range kids {
-			all = append(all, desc[c]...)
-		}
-		desc[fr.f] = all
-		stack = stack[:len(stack)-1]
-	}
-	return desc
 }

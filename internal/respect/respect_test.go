@@ -144,22 +144,21 @@ func TestFragSetMatchesSubtrees(t *testing.T) {
 	// Here we check closure: if f ∈ F(v) then f ∈ F(parent(v)).
 	for v := 1; v < g.N(); v++ {
 		p := tr.Parent(graph.NodeID(v))
-		for f := range outs[v].FragSet {
-			if !outs[p].FragSet[f] {
+		for _, f := range outs[v].FragSet {
+			if !outs[p].HasFrag(f) {
 				t.Fatalf("F(%d) ∋ %d but F(parent %d) does not", v, f, p)
 			}
 		}
 	}
 	// The root's F must contain every fragment except its own.
-	rootF := outs[0].FragSet
 	distinct := map[int64]bool{}
 	for _, o := range outs {
-		for f := range o.FragSet {
+		for _, f := range o.FragSet {
 			distinct[f] = true
 		}
 	}
 	for f := range distinct {
-		if !rootF[f] {
+		if !outs[0].HasFrag(f) {
 			t.Fatalf("root F(v) missing fragment %d", f)
 		}
 	}

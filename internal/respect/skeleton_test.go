@@ -61,7 +61,7 @@ func checkStep4(t *testing.T, g *graph.Graph, tr *tree.Tree, d *partition.Decomp
 			t.Fatalf("node %d: |T'F| = %d distributed, %d sequential (%v vs %v)", v, len(o.TPrime), len(sk.Parent), o.TPrime, sk.Parent)
 		}
 		for u, p := range sk.Parent {
-			if gp, ok := o.TPrime[u]; !ok || gp != p {
+			if gp, ok := o.TPrime.Parent(u); !ok || gp != p {
 				t.Fatalf("node %d: T'F parent of %d = %d (present %v), want %d", v, u, gp, ok, p)
 			}
 		}

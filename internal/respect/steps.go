@@ -2,7 +2,7 @@ package respect
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"distmincut/internal/congest"
 	"distmincut/internal/graph"
@@ -12,13 +12,9 @@ import (
 // interChildPorts returns the tree-child ports that cross into child
 // fragments (attachment edges), i.e. ChildPorts minus FragChildPorts.
 func (r *respectRun) interChildPorts() []int {
-	inFrag := make(map[int]bool, len(r.in.FragChildPorts))
-	for _, p := range r.in.FragChildPorts {
-		inFrag[p] = true
-	}
 	var out []int
 	for _, p := range r.in.ChildPorts {
-		if !inFrag[p] {
+		if !slices.Contains(r.in.FragChildPorts, p) {
 			out = append(out, p)
 		}
 	}
@@ -27,54 +23,52 @@ func (r *respectRun) interChildPorts() []int {
 
 // step2a makes every node know F(v): child-fragment lists are upcast
 // within each fragment (pipelined, O(√n + frag diameter) rounds), then
-// closed under fragment-tree descendants locally. It also records, per
-// tree-child direction, whether that direction contains a fragment —
-// the raw material for merging-node detection in step 4. Each end
-// marker carries its sender's in-fragment subtree size in A, so every
-// node learns its own size and, for each fragment child in
+// closed under fragment-tree descendants locally: each gathered
+// fragment's T_F subtree is one preorder interval of the fragment
+// tree. It also counts the tree-child directions that contain a
+// fragment — the raw material for merging-node detection in step 4.
+// Each end marker carries its sender's in-fragment subtree size in A,
+// so every node learns its own size and, for each fragment child in
 // FragChildPorts order, that child's preorder offset below it (1 plus
 // the sizes of the earlier children); step 2b hands both down.
 func (r *respectRun) step2a(out *Output) {
 	nd, in := r.nd, r.in
 	tag := r.tags.Next(1)
 
-	// Fragments directly attached below me (local knowledge).
-	for _, ie := range in.InterEdges {
-		if in.FragParent[ie.FragU] == ie.FragV && ie.V == nd.ID() {
-			r.directChildFrags = append(r.directChildFrags, ie.FragU)
-		}
-		if in.FragParent[ie.FragV] == ie.FragU && ie.U == nd.ID() {
-			r.directChildFrags = append(r.directChildFrags, ie.FragV)
+	// Fragments attached directly below me (local knowledge), in ID
+	// order: those whose attachment edge ends at me.
+	var subFrags []int64
+	for i := 0; i < in.Frags.Len(); i++ {
+		if _, outer := in.Frags.Attachment(i); outer == nd.ID() {
+			subFrags = append(subFrags, in.Frags.ID(i))
 		}
 	}
-	sort.Slice(r.directChildFrags, func(i, j int) bool { return r.directChildFrags[i] < r.directChildFrags[j] })
 
 	// Stream my own direct child fragments up immediately, then relay
 	// whatever the fragment children deliver.
 	if in.FragParentPort >= 0 {
-		for _, f := range r.directChildFrags {
+		for _, f := range subFrags {
 			nd.Send(in.FragParentPort, congest.Message{Kind: kindFragList, Tag: tag, A: f})
 		}
 	}
-	r.childDirHasFrag = make(map[int]bool, len(in.ChildPorts))
-	subFrags := append([]int64(nil), r.directChildFrags...)
 	pending := len(in.FragChildPorts)
-	childAt := make(map[int]int, pending) // fragment child port -> index in FragChildPorts
-	for i, p := range in.FragChildPorts {
-		childAt[p] = i
-	}
 	childSize := make([]int64, pending)
+	hasFrag := make([]bool, pending) // per FragChildPorts entry: its subtree holds a fragment
+	match := func(p int, m congest.Message) bool {
+		return m.Tag == tag && (m.Kind == kindFragList || m.Kind == kindFragEnd) && slices.Contains(in.FragChildPorts, p)
+	}
 	for pending > 0 {
-		p, m := nd.Recv(func(p int, m congest.Message) bool {
-			_, ok := childAt[p]
-			return m.Tag == tag && (m.Kind == kindFragList || m.Kind == kindFragEnd) && ok
-		})
+		p, m := nd.Recv(match)
+		i := slices.Index(in.FragChildPorts, p)
 		if m.Kind == kindFragEnd {
-			childSize[childAt[p]] = m.A
+			childSize[i] = m.A
 			pending--
 			continue
 		}
-		r.childDirHasFrag[p] = true
+		if !hasFrag[i] {
+			hasFrag[i] = true
+			r.fragDirs++
+		}
 		subFrags = append(subFrags, m.A)
 		if in.FragParentPort >= 0 {
 			nd.Send(in.FragParentPort, m)
@@ -90,17 +84,10 @@ func (r *respectRun) step2a(out *Output) {
 		nd.Send(in.FragParentPort, congest.Message{Kind: kindFragEnd, Tag: tag, A: r.subSize})
 	}
 	// Child-fragment attachment directions always contain a fragment.
-	for _, p := range r.cross {
-		r.childDirHasFrag[p] = true
-	}
+	r.fragDirs += len(r.cross)
 	// F(v): close the gathered child fragments under fragment-tree
 	// descendants (global knowledge, local computation).
-	out.FragSet = make(map[int64]bool)
-	for _, f := range subFrags {
-		for _, d := range r.fragDesc[f] {
-			out.FragSet[d] = true
-		}
-	}
+	out.FragSet = in.Frags.AppendSubtrees(nil, subFrags)
 }
 
 // step2b makes every node know A(v): each node's ID streams down
@@ -146,10 +133,11 @@ func (r *respectRun) step2b(out *Output) {
 	}
 
 	if in.ParentPort >= 0 {
+		match := func(p int, m congest.Message) bool {
+			return m.Tag == tag && (m.Kind == kindAncID || m.Kind == kindAncEnd) && p == in.ParentPort
+		}
 		for {
-			_, m := nd.Recv(func(p int, m congest.Message) bool {
-				return m.Tag == tag && (m.Kind == kindAncID || m.Kind == kindAncEnd) && p == in.ParentPort
-			})
+			_, m := nd.Recv(match)
 			if m.Kind == kindAncEnd {
 				break
 			}
@@ -179,13 +167,11 @@ func (r *respectRun) step2b(out *Output) {
 // step2c makes every node know F(u) for each u ∈ A(v), as increments:
 // a pair (u, F') reaches v exactly when u is v's lowest ancestor with
 // F' ∈ F(u) (the paper's filter rule), so F(u) = F(v) ∪ {pairs at or
-// below u in the chain}.
+// below u in the chain}. The pairs are kept sorted by (u, F').
 func (r *respectRun) step2c(out *Output) {
 	nd, in := r.nd, r.in
 	tag := r.tags.Next(1)
 	down, cross := in.FragChildPorts, r.cross
-
-	r.fragOfAncestor = make(map[graph.NodeID]map[int64]bool)
 
 	send := func(u, f, crossed int64) {
 		for _, p := range down {
@@ -197,33 +183,26 @@ func (r *respectRun) step2c(out *Output) {
 			}
 		}
 	}
-	// My own pairs, in sorted fragment order for determinism.
-	ownFrags := make([]int64, 0, len(out.FragSet))
-	for f := range out.FragSet {
-		ownFrags = append(ownFrags, f)
-	}
-	sort.Slice(ownFrags, func(i, j int) bool { return ownFrags[i] < ownFrags[j] })
-	for _, f := range ownFrags {
+	// My own pairs, in fragment ID order for determinism.
+	for _, f := range out.FragSet {
 		send(int64(nd.ID()), f, 0)
 	}
 	if in.ParentPort >= 0 {
+		match := func(p int, m congest.Message) bool {
+			return m.Tag == tag && (m.Kind == kindFPair || m.Kind == kindFEnd) && p == in.ParentPort
+		}
 		for {
-			_, m := nd.Recv(func(p int, m congest.Message) bool {
-				return m.Tag == tag && (m.Kind == kindFPair || m.Kind == kindFEnd) && p == in.ParentPort
-			})
+			_, m := nd.Recv(match)
 			if m.Kind == kindFEnd {
 				break
 			}
-			u, f := graph.NodeID(m.A), m.B
-			if out.FragSet[f] {
+			if out.HasFrag(m.B) {
 				continue // a lower holder (me or below) covers this fragment
 			}
-			if r.fragOfAncestor[u] == nil {
-				r.fragOfAncestor[u] = make(map[int64]bool)
-			}
-			r.fragOfAncestor[u][f] = true
+			r.fragOfAncestor = append(r.fragOfAncestor, ancFrag{u: graph.NodeID(m.A), f: m.B})
 			send(m.A, m.B, m.C)
 		}
+		slices.SortFunc(r.fragOfAncestor, compareAncFrag)
 	}
 	for _, p := range down {
 		nd.Send(p, congest.Message{Kind: kindFEnd, Tag: tag})
@@ -233,15 +212,33 @@ func (r *respectRun) step2c(out *Output) {
 	}
 }
 
-// lowestAncestorContaining returns the lowest u ∈ A(v) within v's own
-// fragment (self included) with target ∈ F(u), or -1.
-func (r *respectRun) lowestAncestorContaining(out *Output, target int64) graph.NodeID {
-	if out.FragSet[target] {
-		return r.nd.ID()
+// increment returns u's step-2c increment: the pairs (u, f) that
+// reached me, in fragment ID order.
+func (r *respectRun) increment(u graph.NodeID) []ancFrag {
+	lo, _ := slices.BinarySearchFunc(r.fragOfAncestor, ancFrag{u: u, f: math.MinInt64}, compareAncFrag)
+	hi := lo
+	for hi < len(r.fragOfAncestor) && r.fragOfAncestor[hi].u == u {
+		hi++
 	}
-	for _, u := range r.sameFragAnc[1:] {
-		if r.fragOfAncestor[u][target] {
-			return u
+	return r.fragOfAncestor[lo:hi]
+}
+
+// inIncrement reports whether the pair (u, f) reached me in step 2c.
+func (r *respectRun) inIncrement(u graph.NodeID, f int64) bool {
+	_, ok := slices.BinarySearchFunc(r.fragOfAncestor, ancFrag{u: u, f: f}, compareAncFrag)
+	return ok
+}
+
+// lowestAncestorContaining returns the chain index k of the lowest
+// u = sameFragAnc[k] ∈ A(v) within v's own fragment (self at 0) with
+// target ∈ F(u), or -1.
+func (r *respectRun) lowestAncestorContaining(out *Output, target int64) int {
+	if out.HasFrag(target) {
+		return 0
+	}
+	for k, u := range r.sameFragAnc[1:] {
+		if r.inIncrement(u, target) {
+			return k + 1
 		}
 	}
 	return -1
@@ -260,33 +257,18 @@ func (r *respectRun) lowestAncestorContaining(out *Output, target int64) graph.N
 // parent's F but never in its own, so it is left out.
 func (r *respectRun) step4(out *Output) {
 	nd, in := r.nd, r.in
-	dirs := 0
-	for _, has := range r.childDirHasFrag {
-		if has {
-			dirs++
-		}
-	}
-	out.Merging = dirs >= 2
+	out.Merging = r.fragDirs >= 2
 
-	// Fragment roots (attachment nodes) from the fragment tree.
-	fragRoot := make(map[graph.NodeID]bool, len(in.InterEdges))
-	for _, ie := range in.InterEdges {
-		if in.FragParent[ie.FragU] == ie.FragV {
-			fragRoot[ie.U] = true
-		}
-		if in.FragParent[ie.FragV] == ie.FragU {
-			fragRoot[ie.V] = true
-		}
-	}
+	// Fragment roots (attachment nodes) come from the fragment tree.
 	var mine []proto.Item
-	if nd.ID() == 0 || fragRoot[nd.ID()] || out.Merging {
+	if nd.ID() == 0 || in.Frags.IsFragRoot(nd.ID()) || out.Merging {
 		parent := int64(-1)
 		for _, u := range out.Ancestors[1:] {
-			incr := len(r.fragOfAncestor[u])
-			if in.FragParentPort < 0 && r.fragOfAncestor[u][in.FragID] {
+			incr := len(r.increment(u))
+			if in.FragParentPort < 0 && r.inIncrement(u, in.FragID) {
 				incr--
 			}
-			if u == 0 || fragRoot[u] || incr > 0 {
+			if u == 0 || in.Frags.IsFragRoot(u) || incr > 0 {
 				parent = int64(u)
 				break
 			}
@@ -296,10 +278,11 @@ func (r *respectRun) step4(out *Output) {
 			mine[0].C = 1
 		}
 	}
+	// AllGather sorts the items, so T'F comes out in node ID order.
 	items := proto.AllGather(nd, in.BFS, r.tags, mine)
-	out.TPrime = make(map[graph.NodeID]graph.NodeID, len(items))
-	for _, it := range items {
-		out.TPrime[graph.NodeID(it.A)] = graph.NodeID(it.B)
+	out.TPrime = make(TPrime, len(items))
+	for i, it := range items {
+		out.TPrime[i] = tprimeNode{v: graph.NodeID(it.A), parent: graph.NodeID(it.B)}
 		if it.C == 1 {
 			out.MergingNodes = append(out.MergingNodes, graph.NodeID(it.A))
 		}
@@ -309,19 +292,20 @@ func (r *respectRun) step4(out *Output) {
 	// because my fragment root is in both.
 	r.lowestTPrime = -1
 	for _, u := range out.Ancestors {
-		if _, ok := out.TPrime[u]; ok {
+		if _, ok := out.TPrime.Parent(u); ok {
 			r.lowestTPrime = u
 			break
 		}
 	}
 }
 
-// fragLCA returns my deepest in-fragment ancestor (self included) whose
-// preorder interval contains pre, or -1.
-func (r *respectRun) fragLCA(pre int64) graph.NodeID {
-	for k, u := range r.sameFragAnc {
+// fragLCA returns the chain index k of my deepest in-fragment ancestor
+// sameFragAnc[k] (self at 0) whose preorder interval contains pre, or
+// -1.
+func (r *respectRun) fragLCA(pre int64) int {
+	for k := range r.sameFragAnc {
 		if lo := r.ancPre[k]; lo <= pre && pre < lo+r.ancSize[k] {
-			return u
+			return k
 		}
 	}
 	return -1
@@ -329,26 +313,30 @@ func (r *respectRun) fragLCA(pre int64) graph.NodeID {
 
 // tprimeLCA computes the LCA of two T'F nodes locally on the global
 // T'F topology.
-func tprimeLCA(tp map[graph.NodeID]graph.NodeID, a, b graph.NodeID) graph.NodeID {
+func tprimeLCA(tp TPrime, a, b graph.NodeID) graph.NodeID {
+	up := func(x graph.NodeID) graph.NodeID {
+		p, _ := tp.Parent(x)
+		return p
+	}
 	depth := func(x graph.NodeID) int {
 		d := 0
 		for x != -1 {
-			x = tp[x]
+			x = up(x)
 			d++
 		}
 		return d
 	}
 	da, db := depth(a), depth(b)
 	for da > db {
-		a = tp[a]
+		a = up(a)
 		da--
 	}
 	for db > da {
-		b = tp[b]
+		b = up(b)
 		db--
 	}
 	for a != b {
-		a, b = tp[a], tp[b]
+		a, b = up(a), up(b)
 	}
 	return a
 }
@@ -364,30 +352,34 @@ func (r *respectRun) step5(out *Output) {
 	// MST merge coin (a hash of the tag), where it was.
 	lca1Tag, _, lca2Tag := r.tags.Next(1), r.tags.Next(1), r.tags.Next(1)
 
-	tokens := make(map[graph.NodeID]int64) // type ii: keyed by in-fragment LCA
-	globalTokens := make(map[int64]int64)  // type i: keyed by merging node
+	// Type ii tokens, by the chain index of their in-fragment LCA in
+	// sameFragAnc (self at 0); type i tokens, by merging node.
+	tokens := make([]int64, len(r.sameFragAnc))
+	globalTokens := make(map[int64]int64)
 
 	// Tree edges are local: the LCA of {me, child} is me.
 	for _, p := range in.ChildPorts {
-		tokens[nd.ID()] += r.w(p)
+		tokens[0] += r.w(p)
 	}
 
 	// Non-tree edges present under the current view run the three-case
 	// exchange, all ports in parallel. Absent edges (weight <= 0) are
 	// skipped symmetrically by both endpoints.
-	var nonTree []int
+	var nonTree []int // ascending
 	for p := 0; p < nd.Degree(); p++ {
-		if !r.treePortSet[p] && r.w(p) > 0 {
+		if p != in.ParentPort && !slices.Contains(in.ChildPorts, p) && r.w(p) > 0 {
 			nonTree = append(nonTree, p)
 		}
 	}
 	for _, p := range nonTree {
 		nd.Send(p, congest.Message{Kind: kindLCA1, Tag: lca1Tag, A: in.FragID, B: r.ancPre[0]})
 	}
-	peerFrag := make(map[int]int64, len(nonTree))
+	peerFrag := make([]int64, len(nonTree)) // per nonTree entry
+	lca1 := congest.MatchKindTag(kindLCA1, lca1Tag)
 	for range nonTree {
-		p, m := nd.Recv(congest.MatchKindTag(kindLCA1, lca1Tag))
-		peerFrag[p] = m.A
+		p, m := nd.Recv(lca1)
+		i, _ := slices.BinarySearch(nonTree, p)
+		peerFrag[i] = m.A
 		// Same-fragment edge: the LCA is my deepest in-fragment ancestor
 		// whose preorder interval holds the peer's preorder number. The
 		// smaller-ID endpoint holds the token.
@@ -402,22 +394,28 @@ func (r *respectRun) step5(out *Output) {
 	}
 
 	// Different-fragment edges: exchange (lowest T'F ancestor, case-3
-	// answer) and resolve.
-	for _, p := range nonTree {
-		if peerFrag[p] == in.FragID {
+	// answer) and resolve. The case-3 answer travels as a node ID.
+	for i, p := range nonTree {
+		if peerFrag[i] == in.FragID {
 			continue
 		}
-		c3 := r.lowestAncestorContaining(out, peerFrag[p])
-		nd.Send(p, congest.Message{Kind: kindLCA2, Tag: lca2Tag, A: int64(r.lowestTPrime), B: int64(c3)})
+		u := graph.NodeID(-1)
+		if c3 := r.lowestAncestorContaining(out, peerFrag[i]); c3 >= 0 {
+			u = r.sameFragAnc[c3]
+		}
+		nd.Send(p, congest.Message{Kind: kindLCA2, Tag: lca2Tag, A: int64(r.lowestTPrime), B: int64(u)})
 	}
-	for _, p := range nonTree {
-		if peerFrag[p] == in.FragID {
+	var port int // one closure for every port's answer
+	match := func(q int, m congest.Message) bool {
+		return m.Kind == kindLCA2 && m.Tag == lca2Tag && q == port
+	}
+	for i, p := range nonTree {
+		if peerFrag[i] == in.FragID {
 			continue
 		}
-		_, m := nd.Recv(func(q int, m congest.Message) bool {
-			return m.Kind == kindLCA2 && m.Tag == lca2Tag && q == p
-		})
-		myC3 := r.lowestAncestorContaining(out, peerFrag[p])
+		port = p
+		_, m := nd.Recv(match)
+		myC3 := r.lowestAncestorContaining(out, peerFrag[i])
 		peerLowTP, peerC3 := graph.NodeID(m.A), graph.NodeID(m.B)
 		switch {
 		case myC3 >= 0:
@@ -461,7 +459,7 @@ func (r *respectRun) step5(out *Output) {
 	totals := proto.AllGather(nd, in.BFS, r.tags, mine)
 	out.DeltaDown, out.RhoDown = acc.A, acc.B
 	for _, it := range totals {
-		if out.FragSet[it.A] {
+		if out.HasFrag(it.A) {
 			out.DeltaDown += it.B
 			out.RhoDown += it.C
 		}
@@ -474,22 +472,24 @@ func (r *respectRun) step5(out *Output) {
 // for its (k+1)-st in-fragment ancestor; a child's stream is exactly
 // the parent's shifted by one, so slots pipeline with O(√n + depth)
 // rounds overall.
-func (r *respectRun) fragAncestorSum(tokens map[graph.NodeID]int64) int64 {
+func (r *respectRun) fragAncestorSum(tokens []int64) int64 {
 	nd, in := r.nd, r.in
 	tag := r.tags.Next(1)
-	chain := r.sameFragAnc // self first
-	nSlots := len(chain)   // children send one slot per element of my chain
+	nSlots := len(tokens) // children send one slot per element of my chain
 
-	result := tokens[nd.ID()]
-	outSlots := make([]int64, len(chain)-1)
-	for k := range outSlots {
-		outSlots[k] = tokens[chain[k+1]]
+	// tokens is indexed by chain position (self first), so the slots I
+	// send up start as tokens[1:].
+	result, outSlots := tokens[0], tokens[1:]
+	var port int
+	var slot int64 // one closure for every (slot, child) receive
+	match := func(q int, m congest.Message) bool {
+		return m.Kind == kindSlotFrag && m.Tag == tag && q == port && m.A == slot
 	}
 	for k := 0; k < nSlots; k++ {
+		slot = int64(k)
 		for _, c := range in.FragChildPorts {
-			_, m := nd.Recv(func(q int, m congest.Message) bool {
-				return m.Kind == kindSlotFrag && m.Tag == tag && q == c && m.A == int64(k)
-			})
+			port = c
+			_, m := nd.Recv(match)
 			if k == 0 {
 				result += m.B
 			} else {

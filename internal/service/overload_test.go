@@ -312,7 +312,12 @@ func TestShedCounterCountsBusyRejections(t *testing.T) {
 // publishes its cached approx phase — the same fast-answer guarantee a
 // cancel mid-refinement gives — and never stalls the drain.
 func TestDrainDeadlinePublishesCachedApprox(t *testing.T) {
-	s := New(Options{PoolSize: 1})
+	// The round budget ends the slow job below deterministically: it
+	// sits between the warm approx job's 421 rounds and the slow job's
+	// 1,378, so the warm job finishes and the slow one is killed at
+	// round 1,000 whatever the machine's load. A wall-clock deadline
+	// could lapse before the job showed its first round.
+	s := New(Options{PoolSize: 1, MaxJobRounds: 1000})
 	spec := GraphSpec{Family: "planted", N1: 16, N2: 16, K: 2, InP: 0.5, Seed: 51}
 
 	// Seed the approx cache for the spec.
@@ -322,17 +327,15 @@ func TestDrainDeadlinePublishesCachedApprox(t *testing.T) {
 	}
 	waitState(t, s, warm.ID, StateDone, 2*time.Minute)
 
-	// Occupy the single worker with a short-deadline slow job, then
-	// queue the tiered job with a deadline that lapses in the queue.
-	// Left to finish, the slow job (planted 320+320, 1,378 rounds,
-	// 2,499,762 messages) takes 1.46–1.75 s from submission to done on
-	// one worker of a 2-core Xeon and shows its first round 7–32 ms
-	// after submission, so its 150 ms deadline sits at under a tenth of
-	// the run and well above the tiered job's.
+	// Occupy the single worker with the slow job, then queue the tiered
+	// job with a deadline that lapses in the queue. The slow job
+	// (planted 320+320, exact, 2,499,762 messages in 1,378 rounds when
+	// left to finish) takes about 1.3 s on one worker of a 2-core Xeon,
+	// so its first 1,000 rounds outlast the tiered job's 50 ms deadline
+	// many times over.
 	big := JobRequest{
-		Graph:      GraphSpec{Family: "planted", N1: 320, N2: 320, K: 3, InP: 0.2, Seed: 52},
-		Mode:       "exact",
-		DeadlineMS: 150,
+		Graph: GraphSpec{Family: "planted", N1: 320, N2: 320, K: 3, InP: 0.2, Seed: 52},
+		Mode:  "exact",
 	}
 	b, err := s.Submit(big)
 	if err != nil {

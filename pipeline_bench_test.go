@@ -1,6 +1,7 @@
 package distmincut_test
 
 import (
+	"runtime/metrics"
 	"sync"
 	"testing"
 
@@ -162,4 +163,52 @@ func BenchmarkPipelineMillion(b *testing.B) {
 	b.ReportMetric(float64(messages), "messages")
 	b.ReportMetric(float64(setup)/float64(b.N), "setup-ns")
 	b.ReportMetric((float64(b.Elapsed().Nanoseconds())-float64(setup))/float64(b.N), "round-ns")
+}
+
+// BenchmarkApprox4096 is the mid-scale memory row: the (1+ε) tier on a
+// 4096-node bridged 8-regular expander, the shape of perfbench's
+// tiered-wide workload, on a warm engine. Besides B/op and allocs/op it
+// reports peak-live-MB, the largest live heap the garbage collector saw
+// during the timed runs (runtime/metrics /gc/heap/live:bytes, read at
+// every round barrier by an Observer). The runtime lets the heap grow
+// to about twice the live heap, so process RSS follows it at about 2x.
+func BenchmarkApprox4096(b *testing.B) {
+	g := bridgedExpanders(2048, 8, 9)
+	eng := congest.NewEngine(congest.Options{})
+	defer eng.Close()
+	peak := &liveHeapPeak{sample: []metrics.Sample{{Name: "/gc/heap/live:bytes"}}}
+	opts := &distmincut.Options{Engine: eng, Observer: peak}
+	run := func() *distmincut.Result {
+		res, err := distmincut.ApproxMinCut(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Value != 1 {
+			b.Fatalf("cut = %d, want 1", res.Value)
+		}
+		return res
+	}
+	run() // sizes the engine's slabs, as a serving worker's first job does
+	peak.max = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *distmincut.Result
+	for i := 0; i < b.N; i++ {
+		res = run()
+	}
+	b.ReportMetric(float64(res.Rounds), "rounds")
+	b.ReportMetric(float64(res.Messages), "messages")
+	b.ReportMetric(float64(peak.max)/(1<<20), "peak-live-MB")
+}
+
+// liveHeapPeak is a round observer that keeps the largest live heap
+// the garbage collector has reported.
+type liveHeapPeak struct {
+	sample []metrics.Sample
+	max    uint64
+}
+
+func (p *liveHeapPeak) ObserveRound(congest.RoundRecord) {
+	metrics.Read(p.sample)
+	p.max = max(p.max, p.sample[0].Value.Uint64())
 }
