@@ -354,7 +354,8 @@ func TestWarmRunRetainsSlabs(t *testing.T) {
 // runs on the same or a smaller graph keep them, a larger graph
 // replaces them with a quarter of headroom, and a new engine on a
 // graph of the same size takes a released slab back from the pool, as
-// a one-shot Run does.
+// a one-shot Run does, even when a smaller slab of the same class sits
+// in the pool too.
 func TestSlabsCarvedAtExactSize(t *testing.T) {
 	big, small, bigger := graph.RandomRegular(500, 6, 5), graph.RandomRegular(300, 6, 6), graph.RandomRegular(520, 6, 7)
 	ports := 2 * big.M()
@@ -400,6 +401,26 @@ func TestSlabsCarvedAtExactSize(t *testing.T) {
 		}
 		if try == 4 {
 			t.Fatal("a new engine on a same-size graph never reused the released message slab")
+		}
+	}
+	// A smaller slab of the same class, pooled before the fitting one
+	// is released, must not hide it: sync.Pool hands out the slab in
+	// its per-P private slot first.
+	for try := 0; !raceEnabled; try++ {
+		want := ports * (slabOutCap + slabInCap)
+		if slabClass(want-1) != slabClass(want) {
+			t.Fatalf("test needs a same-class slab smaller than %d", want)
+		}
+		m0 := &eng.msgSlab[0]
+		putSlab(&msgSlabPool, make([]Message, want-1))
+		eng.Close()
+		eng = NewEngine(Options{})
+		run(eng, big)
+		if &eng.msgSlab[0] == m0 {
+			break
+		}
+		if try == 4 {
+			t.Fatal("a smaller pooled slab kept a new engine from reusing the released message slab")
 		}
 	}
 	run(eng, bigger)

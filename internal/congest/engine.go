@@ -225,7 +225,7 @@ const maxPreallocMessages = 1 << 26
 // carved at exactly the length its graph needs and pooled in the
 // bucket of its capacity's power-of-two class, so engines of very
 // different sizes never evict each other's slabs; a request takes a
-// pooled slab of its own class only if the slab fits. Queue headers
+// pooled slab of its own class only if the slab fits (see getSlab). Queue headers
 // and node structs are fully re-initialized on reuse; message slots
 // need no zeroing since Message holds no pointers and ring slots are
 // written before they are read.
@@ -244,15 +244,17 @@ func slabClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// getSlab returns a slab of length n: a pooled one of n's class when
-// its capacity suffices, else a new one of exactly n elements.
+// getSlab returns a slab of length n: the first pooled one of n's
+// class whose capacity suffices, else a new one of exactly n elements.
+// Pooled slabs too small for n are dropped on the way: put back, one
+// would sit in the pool's per-P private slot, which Get serves first,
+// and hide every fitting slab released after it.
 func getSlab[T any](pool *[48]sync.Pool, n int) []T {
 	c := slabClass(n)
-	if v := pool[c].Get(); v != nil {
+	for v := pool[c].Get(); v != nil; v = pool[c].Get() {
 		if s := v.([]T); cap(s) >= n {
 			return s[:n]
 		}
-		pool[c].Put(v) // too small for n; a later, smaller request may fit
 	}
 	return make([]T, n)
 }

@@ -62,10 +62,6 @@ type Result struct {
 	MaxLoad, MaxLoadWeight int64
 }
 
-// InterEdges returns the full inter-fragment edge list in key order
-// (Part 2's flood order), rebuilt from Frags. Identical at every node.
-func (r *Result) InterEdges() []InterEdge { return r.Frags.Edges() }
-
 // TreePorts returns all ports of this node that carry MST edges.
 func (r *Result) TreePorts() []int {
 	ports := append([]int(nil), r.ChildPorts...)

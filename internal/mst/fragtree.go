@@ -149,25 +149,6 @@ func (t FragTree) Attachment(i int) (inner, outer graph.NodeID) {
 	return graph.NodeID(e.inner), graph.NodeID(e.outer)
 }
 
-// Edges returns the tree's edges in the order NewFragTree received
-// them, each with U its smaller-ID endpoint. It rebuilds the list on
-// every call.
-func (t FragTree) Edges() []InterEdge {
-	edges := make([]InterEdge, max(len(t.frags)-1, 0))
-	for _, e := range t.frags {
-		if e.edge < 0 {
-			continue
-		}
-		u, v := graph.NodeID(e.inner), graph.NodeID(e.outer)
-		fu, fv := int64(e.id), int64(t.frags[e.parent].id)
-		if u > v {
-			u, v, fu, fv = v, u, fv, fu
-		}
-		edges[e.edge] = InterEdge{U: u, V: v, FragU: fu, FragV: fv}
-	}
-	return edges
-}
-
 // IsFragRoot reports whether v is the root of a non-root fragment, that
 // is, its endpoint of the fragment's attachment edge. O(F).
 func (t FragTree) IsFragRoot(v graph.NodeID) bool {

@@ -112,6 +112,7 @@ func TestTheorem21OnArbitraryTrees(t *testing.T) {
 		{graph.Cycle(40), bfsTree, "cycle-bfs"},       // BFS tree of a cycle is a double path
 		{graph.Complete(14), randomTree(9), "clique"}, // deep random tree on a dense graph
 		{graph.Grid(6, 6), randomTree(10), "grid"},
+		{wheel(400), bfsTree, "wheel-bfs"}, // a hub with ~400 tree children
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,4 +178,23 @@ func pathSubtree(g *graph.Graph) *graph.Graph {
 	}
 	sub.SortAdjacency()
 	return sub
+}
+
+// wheel returns a hub, node 1, joined to every other node, plus the
+// cycle 0, 2, 3, ..., n-1, 0. Its BFS tree from node 0 hangs all but
+// three nodes off the hub, which also keeps two non-tree edges to node
+// 0's cycle neighbors: a tree node whose child count is near n.
+func wheel(n int) *graph.Graph {
+	g := graph.New(n)
+	g.MustAddEdge(0, 2, 1)
+	for i := 0; i < n; i++ {
+		if j := (i + 1) % n; i != 1 && j != 1 {
+			g.MustAddEdge(graph.NodeID(i), graph.NodeID(j), 1)
+		}
+		if i != 1 {
+			g.MustAddEdge(1, graph.NodeID(i), 1)
+		}
+	}
+	g.SortAdjacency()
+	return g
 }

@@ -63,10 +63,10 @@ const (
 // tree. Build it with FromMST (the usual path) or Bootstrap (for
 // externally supplied trees + partitions).
 type Input struct {
-	// Tree orientation (rooted at node 0).
+	// Tree orientation (rooted at node 0). ChildPorts is ascending.
 	ParentPort int
 	ChildPorts []int
-	// Fragment-internal orientation.
+	// Fragment-internal orientation. FragChildPorts is ascending.
 	FragID         int64
 	FragParentPort int
 	FragChildPorts []int

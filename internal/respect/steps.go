@@ -9,12 +9,20 @@ import (
 	"distmincut/internal/proto"
 )
 
+// hasPort reports whether the ascending port list ports holds p, in
+// O(log len(ports)): a node with many tree children must not pay its
+// child count for every port or message it checks.
+func hasPort(ports []int, p int) bool {
+	_, ok := slices.BinarySearch(ports, p)
+	return ok
+}
+
 // interChildPorts returns the tree-child ports that cross into child
 // fragments (attachment edges), i.e. ChildPorts minus FragChildPorts.
 func (r *respectRun) interChildPorts() []int {
 	var out []int
 	for _, p := range r.in.ChildPorts {
-		if !slices.Contains(r.in.FragChildPorts, p) {
+		if !hasPort(r.in.FragChildPorts, p) {
 			out = append(out, p)
 		}
 	}
@@ -55,11 +63,11 @@ func (r *respectRun) step2a(out *Output) {
 	childSize := make([]int64, pending)
 	hasFrag := make([]bool, pending) // per FragChildPorts entry: its subtree holds a fragment
 	match := func(p int, m congest.Message) bool {
-		return m.Tag == tag && (m.Kind == kindFragList || m.Kind == kindFragEnd) && slices.Contains(in.FragChildPorts, p)
+		return m.Tag == tag && (m.Kind == kindFragList || m.Kind == kindFragEnd) && hasPort(in.FragChildPorts, p)
 	}
 	for pending > 0 {
 		p, m := nd.Recv(match)
-		i := slices.Index(in.FragChildPorts, p)
+		i, _ := slices.BinarySearch(in.FragChildPorts, p)
 		if m.Kind == kindFragEnd {
 			childSize[i] = m.A
 			pending--
@@ -367,7 +375,7 @@ func (r *respectRun) step5(out *Output) {
 	// skipped symmetrically by both endpoints.
 	var nonTree []int // ascending
 	for p := 0; p < nd.Degree(); p++ {
-		if p != in.ParentPort && !slices.Contains(in.ChildPorts, p) && r.w(p) > 0 {
+		if p != in.ParentPort && !hasPort(in.ChildPorts, p) && r.w(p) > 0 {
 			nonTree = append(nonTree, p)
 		}
 	}
